@@ -159,8 +159,8 @@ def _keys_from_doc(items, where: str) -> tuple:
     keys = []
     for i, entry in enumerate(items):
         _check_fields(entry, f"{where}[{i}]", ("label", "direction", "magnitude"))
-        keys.append(mag.FieldKey(tuple(entry["direction"]),
-                                 entry["magnitude"], entry["label"]))
+        keys.append(mag.FieldKey(entry["direction"], entry["magnitude"],
+                                 entry["label"]))
     labels = [k.label for k in keys]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"{where}: duplicate key labels")

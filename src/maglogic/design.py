@@ -30,8 +30,9 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,6 +119,13 @@ class CandidateTopology:
         return topology_hash(self.units, self.key_set, self.placements)
 
 
+def _units_and_keys(candidate):
+    """(units, key_set) of a CandidateTopology; a bare unit iterable has no keys."""
+    if isinstance(candidate, CandidateTopology):
+        return list(candidate.units), tuple(candidate.key_set)
+    return list(candidate), ()
+
+
 def topology_hash(units, key_set, placements=()) -> str:
     if placements:
         payload = [list(map(list, p)) for p in placements]
@@ -136,16 +144,6 @@ def _spec_longest(spec: MagnetSpec) -> float:
         r, length = spec.dims
         return max(2 * r, length)
     return max(spec.dims)
-
-
-def _segment_points(track: MoverTrack):
-    return track.point(track.x_in), track.point(track.x_out)
-
-
-def _point_segment_dist(p, a, b) -> float:
-    ab = b - a
-    t = float(np.clip((p - a) @ ab / (ab @ ab), 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
 
 
 def _segment_segment_dist(a0, a1, b0, b1) -> float:
@@ -250,13 +248,13 @@ def _candidate_valid(placements, lattice, template):
         return None
     stator_clear = 0.5 * (_spec_longest(template.stator) + _spec_longest(template.mover))
     mover_clear = _spec_longest(template.mover)
-    segs = [_segment_points(u.track) for u in units]
+    segs = [u.track.point(u.track.stroke) for u in units]
     for i, u in enumerate(units):
         for j in range(len(units)):
             if i == j:
                 continue
             for st in u.stators:
-                if _point_segment_dist(st.position, *segs[j]) < stator_clear:
+                if ls.point_segment_distance(st.position, *segs[j]) < stator_clear:
                     return None
         for j in range(i + 1, len(units)):
             if _segment_segment_dist(*segs[i], *segs[j]) < mover_clear:
@@ -373,8 +371,7 @@ def selectivity_filter(
     units are all distinct, and every other unit anchors with margin >=
     anchor_min.
     """
-    units = list(candidate.units) if hasattr(candidate, "units") else list(candidate)
-    key_set = tuple(candidate.key_set) if hasattr(candidate, "key_set") else ()
+    units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")
     th = dict(DEFAULT_THRESHOLDS)
@@ -479,7 +476,7 @@ def compactness(candidate) -> float:
     largest stator body dimension, so a lone stator scores exactly 1.
     Items in the iterable may be units or bare ``MagnetSource`` stators.
     """
-    units = list(candidate.units) if hasattr(candidate, "units") else list(candidate)
+    units, _ = _units_and_keys(candidate)
     lo = np.full(3, np.inf)
     hi = np.full(3, -np.inf)
     divisor = 0.0
@@ -521,12 +518,13 @@ def control_entropy(units, key_set, n_samples: int = ls.DEFAULT_SAMPLES) -> floa
     key_set = tuple(key_set)
     if not key_set:
         raise ConfigError("key set is empty")
-    patterns = [activation_pattern(units, k, n_samples) for k in key_set]
-    counts = {}
-    for p in patterns:
-        counts[p] = counts.get(p, 0) + 1
+    return _pattern_entropy([activation_pattern(units, k, n_samples) for k in key_set])
+
+
+def _pattern_entropy(patterns) -> float:
     n = len(patterns)
-    return float(-sum((c / n) * math.log2(c / n) for c in counts.values()) + 0.0)
+    counts = Counter(patterns).values()
+    return float(-sum((c / n) * math.log2(c / n) for c in counts) + 0.0)
 
 
 # sensitivity
@@ -544,10 +542,7 @@ class SensitivityReport:
 
 def cone_directions(axis, half_angle_deg, n_rim: int = 8):
     """Center direction plus n_rim directions on the cone rim."""
-    a = mag.unit(np.asarray(axis, float))
-    helper = np.array([1.0, 0, 0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0])
-    e1 = mag.unit(np.cross(helper, a))
-    e2 = np.cross(a, e1)
+    e1, e2, a = mag.basis_from_axis(axis)
     th = np.deg2rad(half_angle_deg)
     dirs = [a]
     for i in range(n_rim):
@@ -574,10 +569,7 @@ def _one_hot_ok(units, key, expected: frozenset, n_samples, margins_out=None):
 def _offset_topology(units, rng, radius):
     out = []
     for u in units:
-        ax = np.asarray(u.track.axis)
-        helper = np.array([1.0, 0, 0]) if abs(ax[0]) < 0.9 else np.array([0.0, 1.0, 0])
-        e1 = mag.unit(np.cross(helper, ax))
-        e2 = np.cross(ax, e1)
+        e1, e2, _ = mag.basis_from_axis(u.track.axis)
         r = radius * np.sqrt(rng.uniform())
         ph = rng.uniform(0.0, 2 * np.pi)
         off = r * (np.cos(ph) * e1 + np.sin(ph) * e2)
@@ -612,8 +604,7 @@ def sensitivity_sweep(
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be at least 1")
-    units = list(candidate.units) if hasattr(candidate, "units") else list(candidate)
-    key_set = tuple(candidate.key_set) if hasattr(candidate, "key_set") else ()
+    units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")
     expected = {k.label: activation_pattern(units, k, n_samples) for k in key_set}
@@ -673,8 +664,7 @@ def sensitivity_sweep(
 
 def cross_interference(candidate, n_samples: int = ls.DEFAULT_SAMPLES) -> float:
     """Max key-induced latch-force change on a non-target / target peak."""
-    units = list(candidate.units) if hasattr(candidate, "units") else list(candidate)
-    key_set = tuple(candidate.key_set) if hasattr(candidate, "key_set") else ()
+    units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")
     base = {
@@ -715,17 +705,20 @@ def evaluate_candidate(
     candidate, thresholds=None, n_samples: int = ls.DEFAULT_SAMPLES
 ) -> DesignReport:
     matrix = selectivity_filter(candidate, thresholds, n_samples)
-    units = list(candidate.units) if hasattr(candidate, "units") else list(candidate)
-    key_set = tuple(candidate.key_set) if hasattr(candidate, "key_set") else ()
+    units, key_set = _units_and_keys(candidate)
     if matrix.passed:
         fid = fidelity(matrix)
         comp = compactness(units)
-        ent = control_entropy(units, key_set, n_samples)
+        # DRIVE cells are exactly the snap-through decisions of each key
+        ent = _pattern_entropy([
+            frozenset(uid for uid, c in zip(matrix.unit_ids, row) if c.entry == "DRIVE")
+            for row in matrix.cells
+        ])
     else:
         fid, comp, ent = 0.0, float("nan"), float("nan")
     chash = (
         candidate.candidate_hash
-        if hasattr(candidate, "candidate_hash")
+        if isinstance(candidate, CandidateTopology)
         else topology_hash(units, key_set)
     )
     return DesignReport(candidate, matrix, fid, comp, ent, chash)

@@ -29,10 +29,6 @@ class EnergyBudgetError(MaglogicError):
     """Energy balance came out negative (no ejection possible)."""
 
 
-class DegenerateLandscapeError(MaglogicError):
-    """Landscape is flat; the requested quantity is undefined."""
-
-
 class DesignSpaceError(MaglogicError):
     """Lattice too small for the requested unit count, or DoF ceiling exceeded."""
 

@@ -110,16 +110,16 @@ class UnitTriplet:
             raise ConfigError("stators must be MagnetSource instances")
         object.__setattr__(self, "stators", stators)
         # a stator on the sweep segment would be struck by the mover
+        ends = self.track.point(self.track.stroke)
         for s in stators:
-            if _segment_distance(s.position, self.track) < 1e-9:
+            if point_segment_distance(s.position, *ends) < 1e-9:
                 raise ConfigError(
                     f"stator of unit {self.id!r} lies on the stroke segment"
                 )
 
 
-def _segment_distance(point: np.ndarray, track: MoverTrack) -> float:
-    a = track.point(track.x_in)
-    b = track.point(track.x_out)
+def point_segment_distance(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Distance from ``point`` to the segment from ``a`` to ``b``."""
     ab = b - a
     t = float(np.clip((point - a) @ ab / (ab @ ab), 0.0, 1.0))
     return float(np.linalg.norm(point - (a + t * ab)))

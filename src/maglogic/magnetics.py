@@ -17,7 +17,9 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +38,12 @@ def unit(v: np.ndarray) -> np.ndarray:
     if n < 1e-300:
         raise ConfigError("cannot normalize a zero vector")
     return v / n
+
+
+def _finite_real(value) -> bool:
+    """True for a finite int/float (numpy scalars included), False for bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _as_vec3(v, name: str = "vector") -> np.ndarray:
@@ -100,8 +108,8 @@ def moment_from_spec(spec: MagnetSpec) -> np.ndarray:
     return m * np.asarray(spec.easy_axis, dtype=float)
 
 
-def _basis_from_axis(axis: np.ndarray) -> np.ndarray:
-    """Right-handed orthonormal basis (e1, e2, axis), deterministic."""
+def basis_from_axis(axis) -> np.ndarray:
+    """Right-handed orthonormal basis rows (e1, e2, unit(axis)), deterministic."""
     a = unit(axis)
     helper = np.array([1.0, 0.0, 0.0])
     if abs(a[0]) > 0.9:
@@ -213,7 +221,7 @@ def source_from_spec(
         if spec.shape == "cylinder"
         else _block_offsets(spec, discretize)
     )
-    basis = _basis_from_axis(direction)  # rows e1, e2, axis
+    basis = basis_from_axis(direction)  # rows e1, e2, axis
     world = local @ basis
     k = len(world)
     fr = np.full(k, 1.0 / k)
@@ -231,12 +239,18 @@ class FieldKey:
     label: str = ""
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,) or abs(np.linalg.norm(d) - 1.0) > _UNIT_TOL:
-            raise ConfigError("key direction must be a unit 3-vector")
-        if self.magnitude < 0.0:
-            raise ConfigError("key magnitude must be non-negative")
-        object.__setattr__(self, "direction", tuple(float(c) for c in d))
+        try:
+            comps = tuple(self.direction)
+        except TypeError:
+            comps = ()
+        finite = len(comps) == 3 and all(map(_finite_real, comps))
+        if not finite or (
+                abs(np.linalg.norm(np.asarray(comps, float)) - 1.0) > _UNIT_TOL):
+            raise ConfigError("key direction must be a finite unit 3-vector")
+        if not _finite_real(self.magnitude) or self.magnitude < 0.0:
+            raise ConfigError("key magnitude must be a finite non-negative number, "
+                              f"got {self.magnitude!r}")
+        object.__setattr__(self, "direction", tuple(float(c) for c in comps))
 
     @property
     def vector(self) -> np.ndarray:
@@ -269,32 +283,20 @@ def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> 
     return out[0] if squeeze else out
 
 
-def dipole_pair_force(pa, ma, pb, mb) -> np.ndarray:
-    """Force on dipole(s) b due to dipole a. pb, mb may be (N, 3)."""
-    pa = np.asarray(pa, dtype=float)
-    ma = np.asarray(ma, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    mb = np.asarray(mb, dtype=float)
-    squeeze = pb.ndim == 1
-    pb = np.atleast_2d(pb)
-    mb = np.atleast_2d(mb) if mb.ndim == 1 else mb
-    if mb.shape[0] == 1 and pb.shape[0] > 1:
-        mb = np.broadcast_to(mb, pb.shape)
-    r = pb - pa[None, :]
-    d = np.linalg.norm(r, axis=1)
+def _pair_geometry(test_pos, test_m, src_pos, src_m):
+    """Geometry of every (test, source) dipole pair, ``r = test - source``.
+
+    test_* : (N, 3); src_* : (K, 3). Returns d (N, K), rhat (N, K, 3) and the
+    (N, K) products ``src_m.rhat``, ``test_m.rhat`` and ``test_m.src_m``.
+    """
+    r = test_pos[:, None, :] - src_pos[None, :, :]
+    d = np.linalg.norm(r, axis=2)
     if np.any(d < COINCIDENCE_EPS):
-        raise SingularConfigError("coincident dipoles have no defined pair force")
-    rhat = r / d[:, None]
-    mar = rhat @ ma
-    mbr = np.einsum("nc,nc->n", mb, rhat)
-    mamb = mb @ ma
-    coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
-    F = coef[:, None] * (
-        mar[:, None] * mb
-        + mbr[:, None] * ma[None, :]
-        + (mamb - 5.0 * mar * mbr)[:, None] * rhat
-    )
-    return F[0] if squeeze else F
+        raise SingularConfigError("a dipole coincides with a source dipole")
+    rhat = r / d[:, :, None]
+    mar = np.einsum("kc,nkc->nk", src_m, rhat)
+    mbr = np.einsum("nc,nkc->nk", test_m, rhat)
+    return d, rhat, mar, mbr, test_m @ src_m.T
 
 
 def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
@@ -302,16 +304,9 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
 
     src_pos, src_m : (K, 3); points, moments : (N, 3). Returns (N, 3) newtons.
     """
-    pts = np.asarray(points, dtype=float)
     mts = np.asarray(moments, dtype=float)
-    r = pts[:, None, :] - src_pos[None, :, :]  # (N, K, 3)
-    d = np.linalg.norm(r, axis=2)
-    if np.any(d < COINCIDENCE_EPS):
-        raise SingularConfigError("test dipole coincides with a source")
-    rhat = r / d[:, :, None]
-    mar = np.einsum("kc,nkc->nk", src_m, rhat)
-    mbr = np.einsum("nc,nkc->nk", mts, rhat)
-    mamb = mts @ src_m.T  # (N, K)
+    d, rhat, mar, mbr, mamb = _pair_geometry(
+        np.asarray(points, dtype=float), mts, src_pos, src_m)
     coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
     F = coef[:, :, None] * (
         mar[:, :, None] * mts[:, None, :]
@@ -321,41 +316,20 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     return F.sum(axis=1)
 
 
-def _pair_terms(a: MagnetSource, b: MagnetSource):
-    pa, ma = a.dipole_positions(), a.dipole_moments()
-    pb, mb = b.dipole_positions(), b.dipole_moments()
-    r = pb[:, None, :] - pa[None, :, :]  # (kb, ka, 3)
-    d = np.linalg.norm(r, axis=2)
-    if np.any(d < COINCIDENCE_EPS):
-        raise SingularConfigError("sources coincide")
-    return pa, ma, pb, mb, r, d
-
-
 def pair_energy(a: MagnetSource, b: MagnetSource) -> float:
     """Mutual magnetostatic energy of two sources, joules."""
-    pa, ma, pb, mb, r, d = _pair_terms(a, b)
-    rhat = r / d[:, :, None]
-    mar = np.einsum("ac,bac->ba", ma, rhat)
-    mbr = np.einsum("bc,bac->ba", mb, rhat)
-    mamb = mb @ ma.T  # (kb, ka)
+    d, _, mar, mbr, mamb = _pair_geometry(
+        b.dipole_positions(), b.dipole_moments(),
+        a.dipole_positions(), a.dipole_moments())
     U = MU0 / (4.0 * np.pi * d**3) * (mamb - 3.0 * mbr * mar)
     return float(U.sum())
 
 
 def pair_force(a: MagnetSource, b: MagnetSource) -> np.ndarray:
     """Net force on source b due to source a, newtons."""
-    pa, ma, pb, mb, r, d = _pair_terms(a, b)
-    rhat = r / d[:, :, None]
-    mar = np.einsum("ac,bac->ba", ma, rhat)
-    mbr = np.einsum("bc,bac->ba", mb, rhat)
-    mamb = mb @ ma.T
-    coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
-    F = coef[:, :, None] * (
-        mar[:, :, None] * mb[:, None, :]
-        + mbr[:, :, None] * ma[None, :, :]
-        + (mamb - 5.0 * mar * mbr)[:, :, None] * rhat
-    )
-    return F.sum(axis=(0, 1))
+    return dipole_forces(
+        a.dipole_positions(), a.dipole_moments(),
+        b.dipole_positions(), b.dipole_moments()).sum(axis=0)
 
 
 def dipole_field_at(source: MagnetSource, point) -> np.ndarray:

@@ -11,18 +11,19 @@ The master's moment is calibrated against a target field at a working
 depth, so the shipped demos state their assumptions as two numbers (120 mT
 at 5 mm) rather than a hardware model. Endurance campaigns perturb the
 master pose with seeded Gaussian angle/magnitude noise and report exact
-binomial (Clopper-Pearson) upper confidence bounds on the failure rate.
-Zero-failure bounds are reported in both conventions, one-sided
-1 - 0.05^(1/n) and two-sided 1 - 0.025^(1/n), because published figures
-rarely say which one they used.
+binomial (Clopper-Pearson) upper confidence bounds on the failure rate,
+found by bisection on the exact binomial tail. Zero-failure bounds are
+reported in both conventions, one-sided 1 - 0.05^(1/n) and two-sided
+1 - 0.025^(1/n), because published figures rarely say which one they
+used.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from . import landscape as ls
 from . import magnetics as mag
@@ -341,12 +342,33 @@ class EnduranceStats:
 
 
 def _cp_upper(k: int, n: int, alpha: float) -> float:
-    """Exact binomial upper confidence bound at level 1 - alpha."""
+    """Exact binomial upper confidence bound at level 1 - alpha.
+
+    For 1 <= k < n this is the p with P(X <= k | n, p) = alpha, bisected on
+    the tail (which falls as p grows) until the bracket is two adjacent
+    floats; the upper end is returned.
+    """
     if k >= n:
         return 1.0
     if k == 0:
         return 1.0 - alpha ** (1.0 / n)
-    return float(_beta_dist.ppf(1.0 - alpha, k + 1, n - k))
+    log_comb = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                for i in range(k + 1)]
+
+    def tail(p):
+        lp, lq = math.log(p), math.log1p(-p)
+        return math.fsum(math.exp(c + i * lp + (n - i) * lq)
+                         for i, c in enumerate(log_comb))
+
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if tail(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _perturbed(pose: MasterPose, rng, angle_sigma_deg: float,

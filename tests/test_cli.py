@@ -8,6 +8,8 @@ so parsing them back gives the exact float.
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -221,6 +223,23 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     rc = cli.main(["validate", str(broken)])
     assert rc == 2
 
+    for field, value in (("magnitude", float("nan")), ("magnitude", "0.02"),
+                         ("direction", 5)):
+        with open(shipped("demo_topology.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["key_set"][0][field] = value
+        bad_key = tmp_path / "bad_key.json"
+        bad_key.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = cli.main(["landscape", str(bad_key), "--unit", "alpha",
+                       "--key", doc["key_set"][0]["label"],
+                       "--out", str(tmp_path / "k.csv")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        rc = cli.main(["validate", str(bad_key)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
@@ -228,6 +247,16 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         cli.main(["design", shipped("pair_design_space.json"),
                   "--budget", "ten", "--out", "r.json"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, maglogic.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maglogic.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_threads_env_default(tmp_path, monkeypatch):

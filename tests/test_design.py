@@ -378,4 +378,4 @@ def test_segment_distance_helpers():
     assert dg._segment_segment_dist(a0, a1, c0, c1) == pytest.approx(
         math.sqrt(1.0 + 4.0))
     p = np.array([0.5, 2.0, 0.0])
-    assert dg._point_segment_dist(p, a0, a1) == pytest.approx(2.0)
+    assert ls.point_segment_distance(p, a0, a1) == pytest.approx(2.0)

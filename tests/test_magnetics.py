@@ -225,6 +225,16 @@ def test_key_validation():
         mag.FieldKey((1, 1, 0), 0.02)
     with pytest.raises(ConfigError):
         mag.FieldKey((1, 0, 0), -0.01)
+    for bad in (float("nan"), float("inf"), "0.02", True, None):
+        with pytest.raises(ConfigError):
+            mag.FieldKey((1, 0, 0), bad)
+    for bad in ((float("nan"), 0, 0), ("1", 0, 0), (True, 0, 0), (1, 0), 1.0):
+        with pytest.raises(ConfigError):
+            mag.FieldKey(bad, 0.02)
+    # ints and numpy floats are real numbers
+    key = mag.FieldKey((np.float64(0.0), 0, 1), np.float32(0.02))
+    assert key.direction == (0.0, 0.0, 1.0)
+    assert mag.FieldKey((1, 0, 0), 0).magnitude == 0
 
 
 # ---------------------------------------------------------------------------

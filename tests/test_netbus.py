@@ -288,11 +288,15 @@ def test_endurance_argument_errors():
 
 
 def test_clopper_pearson_upper_bound_binomial_identity():
-    for k, n in ((1, 20), (3, 100), (7, 5000)):
-        p = nb._cp_upper(k, n, 0.05)
-        tail = sum(math.comb(n, i) * p**i * (1 - p) ** (n - i)
-                   for i in range(k + 1))
-        assert tail == pytest.approx(0.05, abs=1e-9)
+    for k, n in ((1, 2), (1, 20), (3, 100), (400, 800), (7, 5000), (4999, 5000)):
+        for alpha in (0.05, 0.025):
+            p = nb._cp_upper(k, n, alpha)
+            # log of the exact coefficient: C(5000, 2500) overflows a float
+            tail = math.fsum(
+                math.exp(math.log(math.comb(n, i)) + i * math.log(p)
+                         + (n - i) * math.log1p(-p))
+                for i in range(k + 1))
+            assert tail == pytest.approx(alpha, abs=1e-9)
     assert nb._cp_upper(5, 5, 0.05) == 1.0
     assert nb._cp_upper(0, 20, 0.05) == pytest.approx(1 - 0.05 ** (1 / 20),
                                                       rel=1e-12)
