@@ -185,22 +185,17 @@ def cmd_net(args) -> int:
                      "1" if table.exclusive[i] else "0"])
     _write_csv(args.out, header, rows)
 
-    log = []
-    t = 0.0
-    for command in campaign.commands:
-        log.extend(nb.execute_command(campaign.grid, command, t))
-        t += command.dwell
     events_path = _stem(args.out) + "_events.csv"
     _write_csv(
         events_path,
         ("time_s", "node", "channel", "field_T", "intended"),
         [(_g17(e.time), e.node_id, e.channel, _g17(e.magnitude),
-          "1" if e.intended else "0") for e in log],
+          "1" if e.intended else "0") for e in table.events],
     )
-    rate = nb.error_rate(log)
+    rate = nb.error_rate(table.events)
     lines = [
         f"commands {len(campaign.commands)}",
-        f"events {len(log)}",
+        f"events {len(table.events)}",
         f"error_rate {_g17(rate)}",
         f"exclusive_rows {sum(table.exclusive)}/{len(table.rows)}",
     ]

@@ -383,11 +383,11 @@ def selectivity_filter(
     for key in key_set:
         row = []
         drive_cols = []
-        for u in units:
-            d = ls.unit_decision(units, u.id, key, n_samples)
+        decisions = ls.decisions_for_key(units, key, n_samples)
+        for uid, d in decisions.items():
             if d.snap_through:
                 row.append(SelectivityCell("DRIVE", d.driving_peak, None, 0.0))
-                drive_cols.append(u.id)
+                drive_cols.append(uid)
             elif (
                 d.anchoring_force is not None
                 and d.anchoring_force >= th["anchor_min"]
@@ -405,9 +405,7 @@ def selectivity_filter(
         rows.append(tuple(row))
         if len(drive_cols) == 1:
             target = drive_cols[0]
-            peak_ok = row[[u.id for u in units].index(target)].driving_peak >= th[
-                "drive_min"
-            ]
+            peak_ok = decisions[target].driving_peak >= th["drive_min"]
             others_ok = all(
                 c.entry == "ANCHOR"
                 for u, c in zip(units, row)
@@ -506,11 +504,8 @@ def compactness(candidate) -> float:
 
 
 def activation_pattern(units, key, n_samples: int = ls.DEFAULT_SAMPLES) -> frozenset:
-    units = list(units)
-    return frozenset(
-        u.id for u in units
-        if ls.unit_decision(units, u.id, key, n_samples).snap_through
-    )
+    decisions = ls.decisions_for_key(units, key, n_samples)
+    return frozenset(uid for uid, d in decisions.items() if d.snap_through)
 
 
 def control_entropy(units, key_set, n_samples: int = ls.DEFAULT_SAMPLES) -> float:
@@ -552,13 +547,11 @@ def cone_directions(axis, half_angle_deg, n_rim: int = 8):
 
 
 def _one_hot_ok(units, key, expected: frozenset, n_samples, margins_out=None):
-    units = list(units)
     snapped = set()
-    for u in units:
-        d = ls.unit_decision(units, u.id, key, n_samples)
+    for uid, d in ls.decisions_for_key(units, key, n_samples).items():
         if d.snap_through:
-            snapped.add(u.id)
-        elif u.id not in expected:
+            snapped.add(uid)
+        elif uid not in expected:
             if d.anchoring_force is None or d.anchoring_force <= 0 or d.degenerate:
                 return False
             if margins_out is not None:
@@ -668,12 +661,12 @@ def cross_interference(candidate, n_samples: int = ls.DEFAULT_SAMPLES) -> float:
     if not key_set:
         raise ConfigError("candidate has no keys")
     base = {
-        u.id: ls.unit_decision(units, u.id, None, n_samples).force_at_inner_stop
-        for u in units
+        uid: d.force_at_inner_stop
+        for uid, d in ls.decisions_for_key(units, None, n_samples).items()
     }
     worst = 0.0
     for k in key_set:
-        decs = {u.id: ls.unit_decision(units, u.id, k, n_samples) for u in units}
+        decs = ls.decisions_for_key(units, k, n_samples)
         targets = [uid for uid, d in decs.items() if d.snap_through]
         if len(targets) != 1:
             raise MaglogicError(

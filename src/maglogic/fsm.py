@@ -371,8 +371,11 @@ def run(machine: MachineDef, program) -> list:
     done = frozenset()
     prev_true = evaluate_gates(machine, state, done)
     trace = [TraceStep(0.0, state, (), ())]
+    decoded = {}  # decoding ignores the state, so each key is decoded once
     for pulse in program:
-        activated = decode_pulse(machine, state, pulse)
+        if pulse.key not in decoded:
+            decoded[pulse.key] = decode_pulse(machine, state, pulse)
+        activated = decoded[pulse.key]
         state = apply_activation(machine, state, activated)
         state = _apply_resets(machine, state, pulse.key.label)
         fired, done, prev_true = _fire_cascade(machine, state, prev_true, done)
@@ -394,8 +397,8 @@ def state_holds_under_load(machine: MachineDef, key: FieldKey | None = None) -> 
     if machine.topology is None:
         raise ConfigError("load check needs a physical topology")
     margins = []
-    for u in machine.topology:
-        dec = ls.unit_decision(machine.topology, u.id, key, machine.n_samples)
+    decisions = ls.decisions_for_key(machine.topology, key, machine.n_samples)
+    for dec in decisions.values():
         if dec.snap_through:
             continue
         if dec.anchoring_force is None:
@@ -446,28 +449,24 @@ def crank_trace(machine: MachineDef, program, coupler: CrankCoupler) -> list:
             raise ConfigError("coupled units must be accumulators")
     signed = isinstance(coupler.stroke_to_angle, dict)
     n = len(coupler.units)
-    state = initial_state(machine)
     angle = 0.0
     last_idx = None
     out = [(0.0, 0.0)]
-    for pulse in tuple(program):
-        activated = decode_pulse(machine, state, pulse)
-        state = apply_activation(machine, state, activated)
-        state = _apply_resets(machine, state, pulse.key.label)
+    for step in run(machine, program)[1:]:
         for uid in coupler.units:
-            if uid not in activated:
+            if uid not in step.activated:
                 continue
             if signed:
                 angle += coupler.stroke_to_angle[uid]
                 continue
             idx = coupler.units.index(uid)
-            step = float(coupler.stroke_to_angle)
+            stroke = float(coupler.stroke_to_angle)
             if last_idx is None or idx == (last_idx + 1) % n:
-                angle += step
+                angle += stroke
             elif idx == (last_idx - 1) % n:
-                angle -= step
+                angle -= stroke
             last_idx = idx
-        out.append((pulse.t_end, angle))
+        out.append((step.time, angle))
     return out
 
 

@@ -14,9 +14,11 @@ equilibrium (the swept mover), the axial force equals the exact derivative
 ``-dU/dx``: the orientation response contributes nothing at equilibrium.
 
 Non-target movers are frozen at their current latched coordinates with
-orientations equilibrated once per profile (with the target at its own
-current coordinate); they are then treated as fixed sources while the target
-sweeps. This keeps the force/energy consistency exact and captures the
+orientations equilibrated once per (key, mover positions), with every mover,
+the target included, at its latched coordinate; they are then treated as
+fixed sources while the target sweeps. The equilibrium does not depend on
+which unit sweeps, so :func:`decisions_for_key` solves it once for all
+units. This keeps the force/energy consistency exact and captures the
 leading-order coupling between units.
 """
 
@@ -63,20 +65,20 @@ class MoverTrack:
     friction_force: float = 0.0
 
     def __post_init__(self):
-        axis = mag.unit(np.asarray(self.axis, dtype=float))
+        axis, origin = mag._finite_vec3(self.axis), mag._finite_vec3(self.origin)
+        if axis is None or origin is None:
+            raise ConfigError("track axis and origin must be finite 3-vectors")
+        axis = mag.unit(np.asarray(axis, dtype=float))
         object.__setattr__(self, "axis", tuple(float(c) for c in axis))
-        origin = np.asarray(self.origin, dtype=float)
-        if origin.shape != (3,):
-            raise ConfigError("track origin must be a 3-vector")
         object.__setattr__(self, "origin", tuple(float(c) for c in origin))
         x_in, x_out = (float(v) for v in self.stroke)
         if not x_out > x_in:
             raise ConfigError("stroke must satisfy x_out > x_in")
         object.__setattr__(self, "stroke", (x_in, x_out))
-        if self.mass <= 0.0:
-            raise ConfigError("mover mass must be positive")
-        if self.friction_force < 0.0:
-            raise ConfigError("friction force must be non-negative")
+        if not mag._finite_real(self.mass) or self.mass <= 0.0:
+            raise ConfigError("mover mass must be a finite positive number")
+        if not mag._finite_real(self.friction_force) or self.friction_force < 0.0:
+            raise ConfigError("friction force must be a finite non-negative number")
 
     @property
     def x_in(self) -> float:
@@ -268,6 +270,16 @@ def _find_unit(topology, unit_id: str) -> UnitTriplet:
     raise ConfigError(f"unknown unit id {unit_id!r}")
 
 
+def _latched(units, key, n_samples: int, mover_positions) -> tuple:
+    """Mover positions (default: inner stops) and their equilibrium orientations."""
+    if n_samples < 16:
+        raise ConfigError("need at least 16 samples")
+    positions = rest_positions(units)
+    if mover_positions:
+        positions.update(mover_positions)
+    return positions, equilibrate_orientations(units, positions, key)
+
+
 def sample_profile(
     topology,
     unit_id: str,
@@ -280,49 +292,35 @@ def sample_profile(
     All other movers are held at ``mover_positions`` (default: inner stops)
     as fixed sources; see the module docstring for the orientation model.
     """
-    if n_samples < 16:
-        raise ConfigError("need at least 16 samples")
     units = list(topology)
     target = _find_unit(units, unit_id)
-    positions = dict(rest_positions(units))
-    if mover_positions:
-        positions.update(mover_positions)
-    orientations = equilibrate_orientations(units, positions, key)
+    positions, orientations = _latched(units, key, n_samples, mover_positions)
+    return _profile(units, target, key, n_samples, positions, orientations)
 
-    fixed_pos, fixed_m = [], []
+
+def _profile(units, target, key, n_samples, positions, orientations):
+    """Profile of ``target`` with every other mover frozen as a fixed source."""
+    stators, movers, by_unit = [], [], []
     for u in units:
-        for s in u.stators:
-            fixed_pos.append(s.dipole_positions())
-            fixed_m.append(s.dipole_moments())
-        if u.id != unit_id:
-            fixed_pos.append(u.track.point(positions[u.id])[None, :])
-            fixed_m.append(
-                (u.track.mover_moment_mag() * orientations[u.id])[None, :]
-            )
-    if fixed_pos:
-        fixed_pos = np.concatenate(fixed_pos, axis=0)
-        fixed_m = np.concatenate(fixed_m, axis=0)
-    else:
-        fixed_pos = np.zeros((0, 3))
-        fixed_m = np.zeros((0, 3))
-
+        stators.extend(u.stators)
+        by_unit.extend(u.stators)
+        if u.id != target.id:
+            movers.append(MagnetSource(
+                u.track.point(positions[u.id]),
+                u.track.mover_moment_mag() * orientations[u.id],
+            ))
+            by_unit.append(movers[-1])
+    empty = np.zeros((0, 3))
+    fixed_pos = np.concatenate([empty, *(s.dipole_positions() for s in by_unit)])
+    fixed_m = np.concatenate([empty, *(s.dipole_moments() for s in by_unit)])
     # x-independent part of the assembly energy: fixed pairs + fixed key terms
-    fixed_sources = [s for u in units for s in u.stators] + [
-        MagnetSource(
-            u.track.point(positions[u.id]),
-            u.track.mover_moment_mag() * orientations[u.id],
-        )
-        for u in units
-        if u.id != unit_id
-    ]
-    const = mag.assembly_energy(fixed_sources, key)
+    const = mag.assembly_energy(stators + movers, key)
 
-    ctx = _ProfileContext(
-        target.track, target.track.mover_moment_mag(), fixed_pos, fixed_m, key, const
-    )
-    xs = np.linspace(target.track.x_in, target.track.x_out, n_samples)
+    track = target.track
+    ctx = _ProfileContext(track, track.mover_moment_mag(), fixed_pos, fixed_m, key, const)
+    xs = np.linspace(track.x_in, track.x_out, n_samples)
     energy, force = ctx.evaluate(xs)
-    return LandscapeProfile(unit_id, key, xs, energy, force, None, ctx)
+    return LandscapeProfile(target.id, key, xs, energy, force, None, ctx)
 
 
 def refine_equilibria(profile: LandscapeProfile, xtol: float = EQUILIBRIUM_XTOL):
@@ -556,10 +554,17 @@ def decisions_for_key(
     n_samples: int = DEFAULT_SAMPLES,
     mover_positions: dict | None = None,
 ) -> dict:
-    """Decision of every unit under one key (movers latched elsewhere)."""
+    """Decision of every unit under one key (movers latched elsewhere).
+
+    One orientation solve serves every unit; each entry equals that unit's
+    ``unit_decision``.
+    """
+    units = list(topology)
+    positions, orientations = _latched(units, key, n_samples, mover_positions)
     return {
-        u.id: unit_decision(topology, u.id, key, n_samples, mover_positions)
-        for u in topology
+        u.id: decide(refine_equilibria(
+            _profile(units, u, key, n_samples, positions, orientations)))
+        for u in units
     }
 
 

@@ -46,6 +46,15 @@ def _finite_real(value) -> bool:
             and math.isfinite(value))
 
 
+def _finite_vec3(value) -> tuple | None:
+    """The three components of ``value`` if all are finite reals, else None."""
+    try:
+        comps = tuple(value)
+    except TypeError:
+        return None
+    return comps if len(comps) == 3 and all(map(_finite_real, comps)) else None
+
+
 def _as_vec3(v, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
@@ -79,17 +88,18 @@ class MagnetSpec:
         if self.shape not in ("cylinder", "block"):
             raise ConfigError(f"unknown magnet shape {self.shape!r}")
         ndims = 2 if self.shape == "cylinder" else 3
-        dims = tuple(float(d) for d in self.dims)
+        dims = tuple(self.dims)
         if len(dims) != ndims:
             raise ConfigError(f"{self.shape} needs {ndims} dims, got {len(dims)}")
-        if any(d <= 0.0 for d in dims):
-            raise ConfigError("magnet dimensions must be positive")
-        if self.remanence <= 0.0:
-            raise ConfigError("remanence must be positive (degenerate magnet)")
-        axis = np.asarray(self.easy_axis, dtype=float)
-        if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > _UNIT_TOL:
-            raise ConfigError("easy_axis must be a unit 3-vector")
-        object.__setattr__(self, "dims", dims)
+        if not all(_finite_real(d) and d > 0.0 for d in dims):
+            raise ConfigError("magnet dimensions must be finite positive numbers")
+        if not _finite_real(self.remanence) or self.remanence <= 0.0:
+            raise ConfigError("remanence must be a finite positive number "
+                              "(degenerate magnet)")
+        axis = _finite_vec3(self.easy_axis)
+        if axis is None or abs(np.linalg.norm(axis) - 1.0) > _UNIT_TOL:
+            raise ConfigError("easy_axis must be a finite unit 3-vector")
+        object.__setattr__(self, "dims", tuple(float(d) for d in dims))
         object.__setattr__(self, "easy_axis", tuple(float(c) for c in axis))
 
 
@@ -239,13 +249,8 @@ class FieldKey:
     label: str = ""
 
     def __post_init__(self):
-        try:
-            comps = tuple(self.direction)
-        except TypeError:
-            comps = ()
-        finite = len(comps) == 3 and all(map(_finite_real, comps))
-        if not finite or (
-                abs(np.linalg.norm(np.asarray(comps, float)) - 1.0) > _UNIT_TOL):
+        comps = _finite_vec3(self.direction)
+        if comps is None or abs(np.linalg.norm(comps) - 1.0) > _UNIT_TOL:
             raise ConfigError("key direction must be a finite unit 3-vector")
         if not _finite_real(self.magnitude) or self.magnitude < 0.0:
             raise ConfigError("key magnitude must be a finite non-negative number, "

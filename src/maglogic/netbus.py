@@ -197,6 +197,7 @@ class TruthTable:
     rows: tuple  # tuples of 0/1 ints, one per command
     exclusive: tuple  # per-row: exactly one 1 and it is the intended one
     intended: tuple  # per-row (node id, channel label)
+    events: tuple  # every Event in command order, times accumulated from dwell
 
     def row_dict(self, i: int) -> dict:
         return dict(zip(self.columns, self.rows[i]))
@@ -205,7 +206,7 @@ class TruthTable:
 def truth_table(grid, commands) -> TruthTable:
     grid = list(grid)
     columns = tuple((n.id, c.label) for n in grid for c in n.channels)
-    rows, exclusive, intended = [], [], []
+    rows, exclusive, intended, log = [], [], [], []
     t = 0.0
     for cmd in commands:
         events = execute_command(grid, cmd, t)
@@ -214,7 +215,9 @@ def truth_table(grid, commands) -> TruthTable:
         rows.append(tuple(1 if col in hits else 0 for col in columns))
         exclusive.append(hits == {cmd.intended})
         intended.append(cmd.intended)
-    return TruthTable(columns, tuple(rows), tuple(exclusive), tuple(intended))
+        log.extend(events)
+    return TruthTable(columns, tuple(rows), tuple(exclusive), tuple(intended),
+                      tuple(log))
 
 
 class ErrorRate(float):

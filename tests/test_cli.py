@@ -223,20 +223,25 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     rc = cli.main(["validate", str(broken)])
     assert rc == 2
 
-    for field, value in (("magnitude", float("nan")), ("magnitude", "0.02"),
-                         ("direction", 5)):
+    for path, value in ((("key_set", 0, "magnitude"), float("nan")),
+                        (("key_set", 0, "magnitude"), "0.02"),
+                        (("key_set", 0, "direction"), 5),
+                        (("units", 0, "track", "mass"), float("nan"))):
         with open(shipped("demo_topology.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
-        doc["key_set"][0][field] = value
-        bad_key = tmp_path / "bad_key.json"
-        bad_key.write_text(json.dumps(doc))
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        bad_doc = tmp_path / "bad_doc.json"
+        bad_doc.write_text(json.dumps(doc))
         capsys.readouterr()
-        rc = cli.main(["landscape", str(bad_key), "--unit", "alpha",
+        rc = cli.main(["landscape", str(bad_doc), "--unit", "alpha",
                        "--key", doc["key_set"][0]["label"],
                        "--out", str(tmp_path / "k.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
-        rc = cli.main(["validate", str(bad_key)])
+        rc = cli.main(["validate", str(bad_doc)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 

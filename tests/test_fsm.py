@@ -187,6 +187,25 @@ def test_physical_decode_demo():
         fsm.decode_pulse(bare, s, pulse)
 
 
+def test_run_decodes_each_distinct_key_once(monkeypatch):
+    keys = []
+    decide_all = ls.decisions_for_key
+
+    def counted(topology, key, *args, **kwargs):
+        keys.append(key.label)
+        return decide_all(topology, key, *args, **kwargs)
+
+    monkeypatch.setattr(ls, "decisions_for_key", counted)
+    machine = fsm.MachineDef(
+        (counter("alpha"), toggler("beta"), counter("gamma")), "physical",
+        topology=tuple(pr.demo_topology()))
+    prog = fsm.parse_program(
+        "repeat 10 { +x 20mT 0.05s; +z 20mT 0.05s; -x 20mT 0.05s }")
+    trace = fsm.run(machine, prog)
+    assert sorted(keys) == ["+x", "+z", "-x"]
+    assert trace[-1].state == (10, 0, 10)
+
+
 def test_mission_trace():
     machine = pr.mission_machine()
     prog = fsm.parse_program(pr.MISSION_PROGRAM)
@@ -304,6 +323,8 @@ def test_crank_round_robin():
     assert rev[-1][1] == 40.0 - 8 * 40.0  # first engages forward, rest back off
 
     assert fsm.crank_trace(machine, (), pr.engine_coupler()) == [(0.0, 0.0)]
+    assert trace == [(0.0, 0.0)] + [
+        (p.t_end, 40.0 * (i + 1)) for i, p in enumerate(prog)]
 
 
 def test_crank_signed_mapping():

@@ -18,11 +18,16 @@ Hand-derived anchors used below (pure point-dipole closed forms):
 * Force density: 0.54 N over 1.4 mm^3 of magnet is 540/1.4 mN/mm^3.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maglogic import landscape as ls
 from maglogic import magnetics as mag
+from maglogic import presets as pr
 from maglogic.errors import (
     ConfigError,
     EnergyBudgetError,
@@ -109,6 +114,35 @@ def test_track_validation():
     with pytest.raises(ConfigError):
         MoverTrack((0, 0, 1), (0, 0, 0), (0.0, 0.01), MOVER, mass=1e-3,
                    friction_force=-1.0)
+    track = pr.demo_topology()[0].track
+    for bad in (float("nan"), float("inf"), "1e-3", None):
+        for field, value in (("mass", bad), ("friction_force", bad),
+                             ("origin", (0.0, bad, 0.0)),
+                             ("axis", (1.0, bad, 0.0))):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(track, **{field: value})
+    with pytest.raises(ConfigError):
+        dataclasses.replace(track, origin=0.0)
+
+
+_COMPONENT = st.floats(-1.0, 1.0)
+_FRACTION = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       st.floats(0.0, 0.05), st.tuples(_FRACTION, _FRACTION, _FRACTION))
+def test_decisions_for_key_matches_unit_decision(direction, magnitude, fractions):
+    topo = pr.demo_topology()
+    key = FieldKey(tuple(np.asarray(direction) / np.linalg.norm(direction)),
+                   magnitude, "k")
+    positions = {u.id: u.track.x_in + f * (u.track.x_out - u.track.x_in)
+                 for u, f in zip(topo, fractions)}
+    decisions = ls.decisions_for_key(topo, key, 256, positions)
+    assert list(decisions) == [u.id for u in topo]
+    for u in topo:
+        assert decisions[u.id] == ls.unit_decision(topo, u.id, key, 256, positions)
 
 
 def test_stator_on_stroke_rejected():

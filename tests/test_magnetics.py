@@ -54,11 +54,21 @@ def test_moment_scales_with_dims_cubed():
 def test_zero_remanence_rejected():
     with pytest.raises(ConfigError):
         mag.MagnetSpec("cylinder", (1e-3, 1e-3), 0.0, (0, 0, 1))
+    for bad in (float("nan"), float("inf"), "1.0", None, True):
+        with pytest.raises(ConfigError):
+            mag.MagnetSpec("cylinder", (1e-3, 1e-3), bad, (0, 0, 1))
 
 
 def test_bad_dims_and_axis_rejected():
     with pytest.raises(ConfigError):
         mag.MagnetSpec("cylinder", (-1e-3, 1e-3), 1.0, (0, 0, 1))
+    for bad in (float("nan"), float("inf"), "1e-3", None):
+        with pytest.raises(ConfigError):
+            mag.MagnetSpec("cylinder", (bad, 1e-3), 1.0, (0, 0, 1))
+        with pytest.raises(ConfigError):
+            mag.MagnetSpec("block", (1e-3, 1e-3, bad), 1.0, (0, 0, 1))
+    with pytest.raises(ConfigError):
+        mag.MagnetSpec("cylinder", (1e-3, 1e-3), 1.0, (0, 0, float("nan")))
     with pytest.raises(ConfigError):
         mag.MagnetSpec("cylinder", (1e-3, 1e-3), 1.0, (0, 0, 2))
     with pytest.raises(ConfigError):

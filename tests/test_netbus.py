@@ -166,8 +166,13 @@ def test_demo_truth_table_is_identity():
     assert table.columns == tuple(
         (n.id, c.label) for n in grid for c in n.channels)
     assert table.row_dict(0)[("node0", "alpha")] == 1
+    log, t = [], 0.0
+    for cmd in commands:
+        log.extend(nb.execute_command(grid, cmd, t))
+        t += cmd.dwell
+    assert table.events == tuple(log) and len(log) == 9
     empty = nb.truth_table(grid, [])
-    assert empty.rows == () and empty.exclusive == ()
+    assert empty.rows == () and empty.exclusive == () and empty.events == ()
 
 
 def test_demo_commands_leave_neighbors_far_below_threshold():
