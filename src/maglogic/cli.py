@@ -64,6 +64,14 @@ def _write_csv(path, header, rows) -> None:
     cio.write_atomic(path, buf.getvalue())
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy seeds must be non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _env_threads() -> int:
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space", help="design-space config file")
     p.add_argument("--budget", type=int, required=True,
                    help="max candidates to screen")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"sampling seed (default {DEFAULT_SEED})")
     p.add_argument("--samples", type=int, default=None,
                    help=f"profile samples (default {ls.DEFAULT_SAMPLES})")
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net", help="evaluate a release-node campaign")
     p.add_argument("campaign", help="campaign config file")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="override the campaign file's endurance seed")
     p.add_argument("--out", required=True, help="truth table CSV path")
     p.set_defaults(func=cmd_net)

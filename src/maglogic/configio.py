@@ -20,6 +20,7 @@ files, and all writes go through a temp file plus rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -74,8 +75,16 @@ def load_document(path) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+    def non_finite(literal):
+        raise ConfigError(f"{path}: {literal} is not a finite number")
+
+    def finite_float(literal):
+        value = float(literal)
+        return value if math.isfinite(value) else non_finite(literal)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=non_finite, parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
@@ -95,12 +104,19 @@ def _check_fields(obj, where: str, required, optional=()) -> None:
         raise ConfigError(f"{where}: unknown fields {unknown}")
 
 
+def _list(value, where: str, size: int | None = None) -> list:
+    if not isinstance(value, list) or size not in (None, len(value)):
+        raise ConfigError(f"{where} must be a list"
+                          + ("" if size is None else f" of {size} items"))
+    return value
+
+
 def _check_header(doc: dict, fmt: str, where: str, body_required, body_optional):
     _check_fields(doc, where, ("format", "version", *body_required),
                   ("metadata", *body_optional))
     if doc["format"] != fmt:
         raise ConfigError(f"{where}: format is {doc['format']!r}, expected {fmt!r}")
-    if doc["version"] != SCHEMA_VERSION:
+    if mag.finite(doc["version"], f"{where}.version", integer=True) != SCHEMA_VERSION:
         raise ConfigError(f"{where}: unsupported version {doc['version']!r}")
     metadata = doc.get("metadata", {})
     _check_fields(metadata, f"{where}.metadata", (), _METADATA_FIELDS)
@@ -141,8 +157,8 @@ def _spec_to_doc(spec: mag.MagnetSpec) -> dict:
 
 def _spec_from_doc(doc, where: str) -> mag.MagnetSpec:
     _check_fields(doc, where, ("shape", "dims", "remanence", "easy_axis"))
-    return mag.MagnetSpec(doc["shape"], tuple(doc["dims"]),
-                          doc["remanence"], tuple(doc["easy_axis"]))
+    return mag.MagnetSpec(doc["shape"], doc["dims"], doc["remanence"],
+                          doc["easy_axis"])
 
 
 def _key_to_doc(key: mag.FieldKey) -> dict:
@@ -154,10 +170,8 @@ def _key_to_doc(key: mag.FieldKey) -> dict:
 
 
 def _keys_from_doc(items, where: str) -> tuple:
-    if not isinstance(items, list):
-        raise ConfigError(f"{where} must be a list")
     keys = []
-    for i, entry in enumerate(items):
+    for i, entry in enumerate(_list(items, where)):
         _check_fields(entry, f"{where}[{i}]", ("label", "direction", "magnitude"))
         keys.append(mag.FieldKey(entry["direction"], entry["magnitude"],
                                  entry["label"]))
@@ -186,8 +200,9 @@ def _source_to_doc(source: mag.MagnetSource, where: str) -> dict:
 def _source_from_doc(doc, where: str) -> mag.MagnetSource:
     _check_fields(doc, where, ("position", "axis", "spec"))
     spec = _spec_from_doc(doc["spec"], f"{where}.spec")
-    return mag.source_from_spec(spec, tuple(doc["position"]),
-                                axis=tuple(doc["axis"]))
+    # a null axis would silently mean the spec's easy axis
+    return mag.source_from_spec(spec, doc["position"],
+                                axis=mag.vector(doc["axis"], f"{where}.axis"))
 
 
 def _unit_to_doc(unit: ls.UnitTriplet) -> dict:
@@ -217,13 +232,13 @@ def _unit_from_doc(doc, where: str) -> ls.UnitTriplet:
                   ("axis", "origin", "stroke", "mover", "mass"),
                   ("friction_force",))
     track = ls.MoverTrack(
-        tuple(tdoc["axis"]), tuple(tdoc["origin"]), tuple(tdoc["stroke"]),
+        tdoc["axis"], tdoc["origin"], tdoc["stroke"],
         _spec_from_doc(tdoc["mover"], f"{where}.track.mover"),
         tdoc["mass"], tdoc.get("friction_force", 0.0),
     )
     stators = tuple(
         _source_from_doc(s, f"{where}.stators[{i}]")
-        for i, s in enumerate(doc["stators"])
+        for i, s in enumerate(_list(doc["stators"], f"{where}.stators"))
     )
     return ls.UnitTriplet(doc["id"], stators, track, doc.get("assigned_key"))
 
@@ -237,7 +252,7 @@ def _topology_body_to_doc(units, keys) -> dict:
 
 def _topology_body_from_doc(doc, where: str) -> tuple:
     units = tuple(_unit_from_doc(u, f"{where}.units[{i}]")
-                  for i, u in enumerate(doc["units"]))
+                  for i, u in enumerate(_list(doc["units"], f"{where}.units")))
     ids = [u.id for u in units]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{where}: duplicate unit ids")
@@ -310,12 +325,9 @@ def design_from_doc(doc: dict, where: str = "design") -> tuple:
     ldoc = doc["lattice"]
     _check_fields(ldoc, f"{where}.lattice", ("spacing", "extents"),
                   ("allowed_orientations", "allowed_track_axes"))
-    lattice_args = {"spacing": ldoc["spacing"],
-                    "extents": tuple(tuple(e) for e in ldoc["extents"])}
-    for field in ("allowed_orientations", "allowed_track_axes"):
-        if field in ldoc:
-            lattice_args[field] = tuple(tuple(v) for v in ldoc[field])
-    lattice = dg.Lattice(**lattice_args)
+    lists = {field: _list(value, f"{where}.lattice.{field}")
+             for field, value in ldoc.items() if field != "spacing"}
+    lattice = dg.Lattice(ldoc["spacing"], **lists)
     tdoc = doc["template"]
     _check_fields(tdoc, f"{where}.template",
                   ("stator", "mover", "inner_offset", "stroke_length", "mass"),
@@ -327,13 +339,14 @@ def design_from_doc(doc: dict, where: str = "design") -> tuple:
         tdoc.get("friction_force", 0.0),
     )
     keys = _keys_from_doc(doc["key_set"], f"{where}.key_set")
-    n_units = doc["n_units"]
-    if not isinstance(n_units, int):
-        raise ConfigError(f"{where}: n_units must be an integer")
+    n_units = mag.finite(doc["n_units"], f"{where}.n_units", 1, inclusive=True,
+                         integer=True)
     thresholds = dict(dg.DEFAULT_THRESHOLDS)
     if "thresholds" in doc:
         _check_fields(doc["thresholds"], f"{where}.thresholds", (),
                       tuple(dg.DEFAULT_THRESHOLDS))
+        for name, value in doc["thresholds"].items():
+            mag.finite(value, f"{where}.thresholds.{name}")
         thresholds.update(doc["thresholds"])
     return lattice, template, keys, n_units, thresholds, metadata
 
@@ -402,7 +415,7 @@ def machine_from_doc(doc: dict, where: str = "machine") -> tuple:
         doc, MACHINE_FORMAT, where, ("units", "decode"),
         ("gates", "external_load", "n_samples"))
     units = []
-    for i, entry in enumerate(doc["units"]):
+    for i, entry in enumerate(_list(doc["units"], f"{where}.units")):
         _check_fields(entry, f"{where}.units[{i}]", ("id", "role"),
                       ("max_count", "reset_key"))
         units.append(fsm.UnitDef(entry["id"], entry["role"],
@@ -416,20 +429,20 @@ def machine_from_doc(doc: dict, where: str = "machine") -> tuple:
         _check_fields(ddoc["topology"], tw, ("units",))
         topology = tuple(
             _unit_from_doc(u, f"{tw}.units[{i}]")
-            for i, u in enumerate(ddoc["topology"]["units"])
+            for i, u in enumerate(_list(ddoc["topology"]["units"], f"{tw}.units"))
         )
         tids = [u.id for u in topology]
         if len(set(tids)) != len(tids):
             raise ConfigError(f"{tw}: duplicate unit ids")
-    decode_map = tuple(
-        (pair[0], pair[1]) for pair in ddoc.get("map", ())
-    )
+    mw = f"{where}.decode.map"
+    decode_map = [_list(pair, f"{mw}[{i}]", 2)
+                  for i, pair in enumerate(_list(ddoc.get("map", []), mw))]
     gates = []
-    for i, g in enumerate(doc.get("gates", ())):
+    for i, g in enumerate(_list(doc.get("gates", []), f"{where}.gates")):
         gw = f"{where}.gates[{i}]"
         _check_fields(g, gw, ("name", "terms", "action"))
         terms = tuple(_term_from_doc(t, f"{gw}.terms[{j}]")
-                      for j, t in enumerate(g["terms"]))
+                      for j, t in enumerate(_list(g["terms"], f"{gw}.terms")))
         gates.append(fsm.GateExpr(g["name"], terms, g["action"]))
     machine = fsm.MachineDef(
         tuple(units), ddoc["mode"], decode_map, topology, tuple(gates),
@@ -468,19 +481,6 @@ class Campaign:
         self.metadata = dict(metadata)
 
 
-def _master_for(master: dict, direction) -> nb.MasterPose:
-    style = master["style"]
-    if style == "auto":
-        style = "axial" if abs(float(direction[2])) > 0.5 else "lateral"
-        return nb.calibrate_master(master["depth"], master["field"], style,
-                                   field_direction=direction)
-    kwargs = {}
-    if master.get("separation") is not None:
-        kwargs["separation"] = master["separation"]
-    return nb.calibrate_master(master["depth"], master["field"], style,
-                               **kwargs)
-
-
 def campaign_to_doc(campaign: Campaign) -> dict:
     doc = _header(CAMPAIGN_FORMAT, campaign.metadata)
     doc["grid"] = [
@@ -511,15 +511,15 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
         doc, CAMPAIGN_FORMAT, where, ("grid", "master", "commands"),
         ("cycles", "noise", "seed"))
     grid = []
-    for i, ndoc in enumerate(doc["grid"]):
+    for i, ndoc in enumerate(_list(doc["grid"], f"{where}.grid")):
         nw = f"{where}.grid[{i}]"
         _check_fields(ndoc, nw, ("id", "position", "channels", "threshold"),
                       ("cone_half_angle",))
         channels = []
-        for j, cdoc in enumerate(ndoc["channels"]):
+        for j, cdoc in enumerate(_list(ndoc["channels"], f"{nw}.channels")):
             _check_fields(cdoc, f"{nw}.channels[{j}]", ("label", "direction"))
-            channels.append(nb.Channel(cdoc["label"], tuple(cdoc["direction"])))
-        grid.append(nb.NodeSpec(ndoc["id"], tuple(ndoc["position"]),
+            channels.append(nb.Channel(cdoc["label"], cdoc["direction"]))
+        grid.append(nb.NodeSpec(ndoc["id"], ndoc["position"],
                                 tuple(channels), ndoc["threshold"],
                                 ndoc.get("cone_half_angle", 20.0)))
     ids = [n.id for n in grid]
@@ -535,12 +535,14 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
     if master["style"] not in ("auto", "lateral", "axial", "composite"):
         raise ConfigError(
             f"{where}.master: unknown style {master['style']!r}")
-    by_id = {n.id: n for n in grid}
+    for name in ("depth", "field", "separation"):  # checked with no command too
+        if name in master:
+            mag.finite(master[name], f"{where}.master.{name}", 0.0)
     command_specs, commands = [], []
-    for i, cdoc in enumerate(doc["commands"]):
+    for i, cdoc in enumerate(_list(doc["commands"], f"{where}.commands")):
         cw = f"{where}.commands[{i}]"
         _check_fields(cdoc, cw, ("node", "channel"), ("dwell",))
-        node = by_id.get(cdoc["node"])
+        node = next((n for n in grid if n.id == cdoc["node"]), None)
         if node is None:
             raise ConfigError(f"{cw}: unknown node {cdoc['node']!r}")
         channel = next((c for c in node.channels
@@ -548,21 +550,25 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
         if channel is None:
             raise ConfigError(
                 f"{cw}: node {node.id!r} has no channel {cdoc['channel']!r}")
-        dwell = cdoc.get("dwell", 1.0)
-        reference = _master_for(master, channel.key_direction)
+        auto = master["style"] == "auto"  # only "auto" aims along the channel
+        reference = nb.calibrate_master(
+            master["depth"], master["field"], master["style"],
+            field_direction=channel.key_direction if auto else None,
+            separation=master.get("separation"))
         pose = nb.pose_over(node, reference, master["depth"])
-        command_specs.append((node.id, channel.label, float(dwell)))
-        commands.append(nb.Command(pose, (node.id, channel.label), dwell))
-    cycles = doc.get("cycles", 0)
-    if not isinstance(cycles, int) or cycles < 0:
-        raise ConfigError(f"{where}: cycles must be a non-negative integer")
+        commands.append(nb.Command(pose, (node.id, channel.label),
+                                   cdoc.get("dwell", 1.0)))
+        command_specs.append((node.id, channel.label, commands[-1].dwell))
+    cycles = mag.finite(doc.get("cycles", 0), f"{where}.cycles", 0,
+                        inclusive=True, integer=True)
     noise = doc.get("noise")
     if noise is not None:
         _check_fields(noise, f"{where}.noise", (),
                       ("angle_sigma_deg", "magnitude_sigma_T"))
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"{where}: seed must be an integer")
+        for name, value in noise.items():
+            mag.finite(value, f"{where}.noise.{name}", 0.0, inclusive=True)
+    seed = mag.finite(doc.get("seed", 0), f"{where}.seed", 0, inclusive=True,
+                      integer=True)
     return Campaign(grid, master, command_specs, commands, cycles,
                     noise, seed, metadata)
 

@@ -67,14 +67,14 @@ class Lattice:
     )
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ConfigError("lattice spacing must be positive")
-        ext = tuple((int(lo), int(hi)) for lo, hi in self.extents)
+        mag.finite(self.spacing, "lattice spacing", 0.0)
+        ext = tuple(mag.vector(e, "lattice extents", 2, integer=True)
+                    for e in self.extents)
         if len(ext) != 3 or any(hi < lo for lo, hi in ext):
             raise ConfigError("extents must be three inclusive integer ranges")
         object.__setattr__(self, "extents", ext)
         for name in ("allowed_orientations", "allowed_track_axes"):
-            vecs = tuple(tuple(float(c) for c in mag.unit(np.asarray(v, float)))
+            vecs = tuple(tuple(float(c) for c in mag.unit(mag.vector(v, name)))
                          for v in getattr(self, name))
             if not vecs:
                 raise ConfigError(f"{name} must be non-empty")
@@ -102,10 +102,11 @@ class UnitTemplate:
     friction_force: float = 0.0
 
     def __post_init__(self):
-        if self.inner_offset <= 0 or self.stroke_length <= 0:
-            raise ConfigError("inner_offset and stroke_length must be positive")
-        if self.mass <= 0:
-            raise ConfigError("template mass must be positive")
+        mag.finite(self.inner_offset, "inner_offset", 0.0)
+        mag.finite(self.stroke_length, "stroke_length", 0.0)
+        mag.finite(self.mass, "template mass", 0.0)
+        mag.finite(self.friction_force, "template friction_force", 0.0,
+                   inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -269,10 +270,8 @@ def enumerate_candidates(lattice, n_units, key_set, template, budget, seed=0):
     the budget; otherwise seeded uniform sampling of placements (still
     deduplicated) until the budget is filled.
     """
-    if budget < 1:
-        raise ConfigError("budget must be at least 1")
-    if n_units < 1:
-        raise ConfigError("need at least one unit")
+    mag.finite(budget, "budget", 1, inclusive=True, integer=True)
+    mag.finite(n_units, "n_units", 1, inclusive=True, integer=True)
     key_set = tuple(key_set)
     if len(key_set) > MAX_CARTESIAN_KEYS:
         raise DesignSpaceError(
@@ -351,17 +350,6 @@ class SelectivityMatrix:
         ]
 
 
-def _total_volume(units):
-    vol = 0.0
-    for u in units:
-        for s in u.stators:
-            if s.spec is None:
-                return None
-            vol += mag.volume(s.spec)
-        vol += mag.volume(u.track.mover)
-    return vol
-
-
 def selectivity_filter(
     candidate, thresholds=None, n_samples: int = ls.DEFAULT_SAMPLES
 ) -> SelectivityMatrix:
@@ -388,11 +376,8 @@ def selectivity_filter(
             if d.snap_through:
                 row.append(SelectivityCell("DRIVE", d.driving_peak, None, 0.0))
                 drive_cols.append(uid)
-            elif (
-                d.anchoring_force is not None
-                and d.anchoring_force >= th["anchor_min"]
-                and not d.degenerate
-            ):
+            elif (d.anchoring_force is not None
+                  and d.anchoring_force >= th["anchor_min"]):
                 row.append(
                     SelectivityCell(
                         "ANCHOR", d.driving_peak, d.anchoring_force, d.barrier_out
@@ -426,7 +411,7 @@ def selectivity_filter(
         tuple(rows),
         bool(passed),
         tuple(assignment) if passed else None,
-        _total_volume(units),
+        ls.total_magnet_volume(units),
     )
 
 
@@ -460,7 +445,7 @@ def _body_bounds(center, axis, spec):
     center = np.asarray(center, float)
     if spec.shape == "cylinder":
         r, length = spec.dims
-        a = mag.unit(np.asarray(axis, float))
+        a = mag.unit(axis)
         half = np.abs(a) * (length / 2) + r * np.sqrt(np.maximum(0.0, 1.0 - a**2))
     else:
         half = np.asarray(spec.dims, float) / 2
@@ -552,7 +537,7 @@ def _one_hot_ok(units, key, expected: frozenset, n_samples, margins_out=None):
         if d.snap_through:
             snapped.add(uid)
         elif uid not in expected:
-            if d.anchoring_force is None or d.anchoring_force <= 0 or d.degenerate:
+            if d.anchoring_force is None or d.anchoring_force <= 0:
                 return False
             if margins_out is not None:
                 margins_out.append(d.anchoring_force)
@@ -595,8 +580,7 @@ def sensitivity_sweep(
     The angle margin is the largest cone half-angle (up to 85 deg, 0.25 deg
     resolution) at which the full rim grid stays clean.
     """
-    if n_trials < 1:
-        raise ConfigError("n_trials must be at least 1")
+    mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True)
     units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import landscape as ls
+from . import magnetics as mag
 from .errors import ConfigError, MaglogicError, ProgramParseError
 from .magnetics import FieldKey
 
@@ -52,10 +53,11 @@ class Pulse:
     t_start: float
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ProgramParseError("pulse duration must be positive")
-        if self.t_start < 0.0:
-            raise ProgramParseError("pulse start time must be non-negative")
+        try:
+            mag.finite(self.duration, "pulse duration", 0.0)
+            mag.finite(self.t_start, "pulse start time", 0.0, inclusive=True)
+        except ConfigError as exc:
+            raise ProgramParseError(str(exc)) from None
 
     @property
     def t_end(self) -> float:
@@ -70,11 +72,12 @@ class UnitDef:
     reset_key: str | None = None
 
     def __post_init__(self):
+        mag.text(self.id, "unit id")
+        mag.text(self.reset_key, "reset_key", optional=True)
         if self.role not in ("accumulator", "buffer"):
             raise ConfigError(f"unknown unit role {self.role!r}")
-        if self.role == "accumulator" and self.max_count is not None:
-            if self.max_count < 1:
-                raise ConfigError("bounded accumulators need max_count >= 1")
+        if self.max_count is not None:
+            mag.finite(self.max_count, "max_count", 1, inclusive=True, integer=True)
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,10 @@ class UnitPredicate:
     value: int
 
     def __post_init__(self):
+        mag.text(self.unit, "predicate unit")
         if self.op not in ("eq", "ge"):
             raise ConfigError(f"unknown predicate op {self.op!r}")
+        mag.finite(self.value, "predicate value", integer=True)
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,9 @@ class GateDone:
     """Leaf: the named gate has fired at some earlier (or equal) instant."""
 
     gate: str
+
+    def __post_init__(self):
+        mag.text(self.gate, "done gate")
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,8 @@ class GateExpr:
     output_action: str
 
     def __post_init__(self):
+        mag.text(self.name, "gate name")
+        mag.text(self.output_action, "gate action")
         if not self.terms:
             raise ConfigError(f"gate {self.name!r} has no terms")
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -127,7 +137,9 @@ class MachineDef:
             raise ConfigError("unit ids must be unique")
         if self.decode_mode not in ("physical", "declared"):
             raise ConfigError(f"unknown decode mode {self.decode_mode!r}")
-        dmap = tuple(self.decode_map)
+        dmap = tuple((mag.text(label, "decode map key label"),
+                      mag.text(uid, "decode map unit id"))
+                     for label, uid in self.decode_map)
         object.__setattr__(self, "decode_map", dmap)
         if self.decode_mode == "declared":
             labels = [l for l, _ in dmap]
@@ -153,8 +165,8 @@ class MachineDef:
                     raise ConfigError(
                         f"gate {g.name!r} references unknown gate {term.gate!r}"
                     )
-        if self.external_load < 0.0:
-            raise ConfigError("external load must be non-negative")
+        mag.finite(self.external_load, "external load", 0.0, inclusive=True)
+        mag.finite(self.n_samples, "n_samples", 16, inclusive=True, integer=True)
 
     def unit_index(self, unit_id: str) -> int:
         for i, u in enumerate(self.units):
@@ -502,8 +514,7 @@ def torque_estimate(topology, coupler: CrankCoupler, lever_arm: float, keys,
     The baseline is the torque the bare mover dipole could extract from the
     same key field, |m| |B|; amplification is their ratio.
     """
-    if lever_arm <= 0.0:
-        raise ConfigError("lever arm must be positive")
+    mag.finite(lever_arm, "lever arm", 0.0)
     topology = list(topology)
     coupled = set(coupler.units)
     worst = None

@@ -65,20 +65,15 @@ class MoverTrack:
     friction_force: float = 0.0
 
     def __post_init__(self):
-        axis, origin = mag._finite_vec3(self.axis), mag._finite_vec3(self.origin)
-        if axis is None or origin is None:
-            raise ConfigError("track axis and origin must be finite 3-vectors")
-        axis = mag.unit(np.asarray(axis, dtype=float))
+        axis = mag.unit(mag.vector(self.axis, "track axis"))
         object.__setattr__(self, "axis", tuple(float(c) for c in axis))
-        object.__setattr__(self, "origin", tuple(float(c) for c in origin))
-        x_in, x_out = (float(v) for v in self.stroke)
+        object.__setattr__(self, "origin", mag.vector(self.origin, "track origin"))
+        x_in, x_out = mag.vector(self.stroke, "stroke", 2)
         if not x_out > x_in:
             raise ConfigError("stroke must satisfy x_out > x_in")
         object.__setattr__(self, "stroke", (x_in, x_out))
-        if not mag._finite_real(self.mass) or self.mass <= 0.0:
-            raise ConfigError("mover mass must be a finite positive number")
-        if not mag._finite_real(self.friction_force) or self.friction_force < 0.0:
-            raise ConfigError("friction force must be a finite non-negative number")
+        mag.finite(self.mass, "mover mass", 0.0)
+        mag.finite(self.friction_force, "friction force", 0.0, inclusive=True)
 
     @property
     def x_in(self) -> float:
@@ -107,6 +102,8 @@ class UnitTriplet:
     assigned_key: str | None = None
 
     def __post_init__(self):
+        mag.text(self.id, "unit id")
+        mag.text(self.assigned_key, "assigned key", optional=True)
         stators = tuple(self.stators)
         if not all(isinstance(s, MagnetSource) for s in stators):
             raise ConfigError("stators must be MagnetSource instances")
@@ -272,8 +269,7 @@ def _find_unit(topology, unit_id: str) -> UnitTriplet:
 
 def _latched(units, key, n_samples: int, mover_positions) -> tuple:
     """Mover positions (default: inner stops) and their equilibrium orientations."""
-    if n_samples < 16:
-        raise ConfigError("need at least 16 samples")
+    mag.finite(n_samples, "n_samples", 16, inclusive=True, integer=True)
     positions = rest_positions(units)
     if mover_positions:
         positions.update(mover_positions)
@@ -424,12 +420,11 @@ def decide(
     profile: LandscapeProfile, friction_force: float | None = None
 ) -> LandscapeDecision:
     """Classify a (refined) profile. Refines equilibria if not done yet."""
-    if profile.equilibria is None:
-        profile = refine_equilibria(profile)
+    if profile.equilibria is None or profile._ctx is None:
+        profile = refine_equilibria(profile)  # raises without a context
     ctx = profile._ctx
-    track = ctx.track if ctx is not None else None
     if friction_force is None:
-        friction_force = track.friction_force if track is not None else 0.0
+        friction_force = ctx.track.friction_force
     F, U = profile.force_axial, profile.energy
     label = profile.key.label if profile.key is not None else ""
     degenerate = (
@@ -458,9 +453,9 @@ def decide(
              if not e.stable and e.position > a_in + 1e-12),
             None,
         )
-        u_inner = ctx.energy_at(a_in) if ctx is not None else float(U[0])
+        u_inner = ctx.energy_at(a_in)
         if crest is not None:
-            barrier = (ctx.energy_at(crest) if ctx else 0.0) - u_inner
+            barrier = ctx.energy_at(crest) - u_inner
         else:
             seg = U[profile.xs >= a_in - 1e-12]
             barrier = float(seg.max() - u_inner) if len(seg) else 0.0
@@ -581,7 +576,7 @@ def anchoring_margin(
     this key (i.e. the key drives it or leaves it free).
     """
     dec = unit_decision(topology, unit_id, key, n_samples, mover_positions)
-    if dec.anchoring_force is None or dec.degenerate:
+    if dec.anchoring_force is None:
         raise NotAnchoredError(
             f"unit {unit_id!r} is not anchored under key {key.label if key else None!r}"
         )
@@ -606,8 +601,7 @@ def ejection_velocity(
         mass = track.mass
     if friction_force is None:
         friction_force = track.friction_force if track is not None else 0.0
-    if mass <= 0:
-        raise ConfigError("mass must be positive")
+    mag.finite(mass, "mass", 0.0)
     stroke = profile.x_out - profile.x_in
     budget = float(profile.energy[0] - profile.energy[-1]) - friction_force * stroke
     if budget <= 0.0:
@@ -624,16 +618,22 @@ def force_density(topology, decisions) -> float:
     peaks = [d.driving_peak for d in decisions if d.snap_through]
     if not peaks:
         raise MaglogicError("no snap-through decision to take a peak from")
+    vol = total_magnet_volume(topology)
+    if not vol:
+        raise ConfigError("total magnet volume unknown or zero")
+    return (max(peaks) * 1e3) / (vol * 1e9)
+
+
+def total_magnet_volume(topology) -> float | None:
+    """Volume of every stator and mover, m^3; None if a stator has no spec."""
     vol = 0.0
     for u in topology:
         for s in u.stators:
             if s.spec is None:
-                raise ConfigError("stator without a spec has unknown volume")
+                return None
             vol += mag.volume(s.spec)
         vol += mag.volume(u.track.mover)
-    if vol <= 0.0:
-        raise ConfigError("total magnet volume must be positive")
-    return (max(peaks) * 1e3) / (vol * 1e9)
+    return vol
 
 
 def scale_topology(topology, s: float):
@@ -642,8 +642,7 @@ def scale_topology(topology, s: float):
     Moments then scale as s^3 and dipole fields are scale-invariant, so
     orientations are preserved, energies scale s^3 and forces s^2.
     """
-    if s <= 0:
-        raise ConfigError("scale factor must be positive")
+    mag.finite(s, "scale factor", 0.0)
     out = []
     for u in topology:
         stators = []

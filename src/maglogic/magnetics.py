@@ -40,26 +40,50 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def _finite_real(value) -> bool:
-    """True for a finite int/float (numpy scalars included), False for bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+def finite(value, what: str, low=None, inclusive: bool = False,
+           integer: bool = False):
+    """``value`` as a float (as an int with ``integer``).
+
+    Raises ConfigError naming ``what`` unless ``value`` is a finite real that
+    is not a bool (an integral one with ``integer``) and lies above ``low``
+    (or at it, with ``inclusive``).
+    """
+    number = math.nan
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)):
+        try:
+            number = int(value) if integer else float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not (-math.inf < number < math.inf
+            and (low is None or number > low or (inclusive and number == low))):
+        kind = "an integer" if integer else "a finite number"
+        bound = "" if low is None else f" {'>=' if inclusive else '>'} {low:g}"
+        raise ConfigError(f"{what} must be {kind}{bound}, got {value!r}")
+    return number
 
 
-def _finite_vec3(value) -> tuple | None:
-    """The three components of ``value`` if all are finite reals, else None."""
+def vector(value, what: str, n: int = 3, unit_norm: bool = False,
+           **bounds) -> tuple:
+    """``n`` numbers checked by :func:`finite` (with ``bounds``) as a tuple;
+    with ``unit_norm``, their norm must be 1 within 1e-9."""
     try:
-        comps = tuple(value)
+        items = tuple(value)
     except TypeError:
-        return None
-    return comps if len(comps) == 3 and all(map(_finite_real, comps)) else None
+        items = ()
+    if len(items) != n:
+        raise ConfigError(f"{what} must be {n} numbers, got {value!r}")
+    out = tuple(finite(v, what, **bounds) for v in items)
+    if unit_norm and not abs(np.linalg.norm(out) - 1.0) <= _UNIT_TOL:
+        raise ConfigError(f"{what} must have unit length, got {value!r}")
+    return out
 
 
-def _as_vec3(v, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ConfigError(f"{name} must have shape (3,), got {a.shape}")
-    return a
+def text(value, what: str, optional: bool = False):
+    """``value`` if it is a string (or None, with ``optional``), for ids and labels."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise ConfigError(f"{what} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,19 +112,11 @@ class MagnetSpec:
         if self.shape not in ("cylinder", "block"):
             raise ConfigError(f"unknown magnet shape {self.shape!r}")
         ndims = 2 if self.shape == "cylinder" else 3
-        dims = tuple(self.dims)
-        if len(dims) != ndims:
-            raise ConfigError(f"{self.shape} needs {ndims} dims, got {len(dims)}")
-        if not all(_finite_real(d) and d > 0.0 for d in dims):
-            raise ConfigError("magnet dimensions must be finite positive numbers")
-        if not _finite_real(self.remanence) or self.remanence <= 0.0:
-            raise ConfigError("remanence must be a finite positive number "
-                              "(degenerate magnet)")
-        axis = _finite_vec3(self.easy_axis)
-        if axis is None or abs(np.linalg.norm(axis) - 1.0) > _UNIT_TOL:
-            raise ConfigError("easy_axis must be a finite unit 3-vector")
-        object.__setattr__(self, "dims", tuple(float(d) for d in dims))
-        object.__setattr__(self, "easy_axis", tuple(float(c) for c in axis))
+        object.__setattr__(self, "dims", vector(
+            self.dims, f"{self.shape} dims", ndims, low=0.0))
+        finite(self.remanence, "remanence", 0.0)
+        object.__setattr__(self, "easy_axis", vector(
+            self.easy_axis, "easy_axis", unit_norm=True))
 
 
 def volume(spec: MagnetSpec) -> float:
@@ -144,8 +160,10 @@ class MagnetSource:
     subdipoles: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _as_vec3(self.position, "position"))
-        object.__setattr__(self, "moment", _as_vec3(self.moment, "moment"))
+        object.__setattr__(self, "position",
+                           np.array(vector(self.position, "source position")))
+        object.__setattr__(self, "moment",
+                           np.array(vector(self.moment, "source moment")))
 
     def dipole_positions(self) -> np.ndarray:
         if self.subdipoles is None:
@@ -219,9 +237,8 @@ def source_from_spec(
         (cells outside a cylindrical envelope are dropped); moments sum to
         the net moment exactly.
     """
-    position = _as_vec3(position, "position")
     m_mag = np.linalg.norm(moment_from_spec(spec))
-    direction = unit(axis) if axis is not None else unit(np.asarray(spec.easy_axis))
+    direction = unit(spec.easy_axis if axis is None else vector(axis, "source axis"))
     moment = m_mag * direction
     if discretize <= 1:
         return MagnetSource(position, moment, spec=spec)
@@ -249,13 +266,10 @@ class FieldKey:
     label: str = ""
 
     def __post_init__(self):
-        comps = _finite_vec3(self.direction)
-        if comps is None or abs(np.linalg.norm(comps) - 1.0) > _UNIT_TOL:
-            raise ConfigError("key direction must be a finite unit 3-vector")
-        if not _finite_real(self.magnitude) or self.magnitude < 0.0:
-            raise ConfigError("key magnitude must be a finite non-negative number, "
-                              f"got {self.magnitude!r}")
-        object.__setattr__(self, "direction", tuple(float(c) for c in comps))
+        object.__setattr__(self, "direction", vector(
+            self.direction, "key direction", unit_norm=True))
+        finite(self.magnitude, "key magnitude", 0.0, inclusive=True)
+        text(self.label, "key label")
 
     @property
     def vector(self) -> np.ndarray:
@@ -340,7 +354,7 @@ def pair_force(a: MagnetSource, b: MagnetSource) -> np.ndarray:
 def dipole_field_at(source: MagnetSource, point) -> np.ndarray:
     """Field of one source at one point, tesla."""
     return dipole_field(
-        source.dipole_positions(), source.dipole_moments(), _as_vec3(point, "point")
+        source.dipole_positions(), source.dipole_moments(), vector(point, "field point")
     )
 
 

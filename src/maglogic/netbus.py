@@ -40,7 +40,8 @@ class Channel:
     key_direction: tuple
 
     def __post_init__(self):
-        d = mag.unit(np.asarray(self.key_direction, dtype=float))
+        mag.text(self.label, "channel label")
+        d = mag.unit(mag.vector(self.key_direction, "channel direction"))
         object.__setattr__(self, "key_direction", tuple(float(c) for c in d))
 
 
@@ -53,10 +54,8 @@ class NodeSpec:
     cone_half_angle: float = 20.0
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,):
-            raise ConfigError("node position must be a 3-vector")
-        object.__setattr__(self, "position", tuple(float(c) for c in pos))
+        mag.text(self.id, "node id")
+        object.__setattr__(self, "position", mag.vector(self.position, "node position"))
         object.__setattr__(self, "channels", tuple(self.channels))
         if not self.channels:
             raise ConfigError("node needs at least one channel")
@@ -66,9 +65,8 @@ class NodeSpec:
         labels = [c.label for c in self.channels]
         if len(set(labels)) != len(labels):
             raise ConfigError("channel labels must be unique")
-        if self.threshold <= 0.0:
-            raise ConfigError("threshold must be positive")
-        if not 0.0 < self.cone_half_angle < 90.0:
+        mag.finite(self.threshold, "threshold", 0.0)
+        if not 0.0 < mag.finite(self.cone_half_angle, "cone half-angle") < 90.0:
             raise ConfigError("cone half-angle must lie in (0, 90) degrees")
 
 
@@ -84,17 +82,10 @@ class MasterPose:
     dipoles: tuple
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,):
-            raise ConfigError("master position must be a 3-vector")
-        object.__setattr__(self, "position", tuple(float(c) for c in pos))
-        dips = []
-        for off, m in self.dipoles:
-            off = np.asarray(off, dtype=float)
-            m = np.asarray(m, dtype=float)
-            if off.shape != (3,) or m.shape != (3,):
-                raise ConfigError("dipole offset and moment must be 3-vectors")
-            dips.append((tuple(off), tuple(m)))
+        object.__setattr__(self, "position",
+                           mag.vector(self.position, "master position"))
+        dips = [(mag.vector(off, "dipole offset"), mag.vector(m, "dipole moment"))
+                for off, m in self.dipoles]
         if not dips:
             raise ConfigError("master needs at least one dipole")
         total = sum(np.linalg.norm(m) for _, m in dips)
@@ -104,24 +95,7 @@ class MasterPose:
 
     @classmethod
     def single(cls, position, moment):
-        return cls(position, (((0.0, 0.0, 0.0), tuple(moment)),))
-
-    def scaled(self, factor: float) -> "MasterPose":
-        return MasterPose(
-            self.position,
-            tuple((off, tuple(factor * np.asarray(m))) for off, m in self.dipoles),
-        )
-
-    def rotated(self, rotation: np.ndarray) -> "MasterPose":
-        """New pose with offsets and moments rotated about ``position``."""
-        R = np.asarray(rotation, dtype=float)
-        return MasterPose(
-            self.position,
-            tuple(
-                (tuple(R @ np.asarray(off)), tuple(R @ np.asarray(m)))
-                for off, m in self.dipoles
-            ),
-        )
+        return cls(position, (((0.0, 0.0, 0.0), moment),))
 
 
 @dataclass(frozen=True)
@@ -131,8 +105,7 @@ class Command:
     dwell: float = 1.0
 
     def __post_init__(self):
-        if self.dwell <= 0.0:
-            raise ConfigError("dwell must be positive")
+        mag.finite(self.dwell, "dwell", 0.0)
         object.__setattr__(self, "intended", tuple(self.intended))
 
 
@@ -247,35 +220,40 @@ def calibrate_master(depth: float, field: float, style: str = "lateral",
     ``field_direction`` is the wanted field direction at the target:
     transverse for "lateral" (the equatorial field points opposite the
     moment, default +x), +-z for "axial" and "composite" (the on-axis field
-    is parallel to the moment, default -z). "composite" splits the moment
-    over two dipoles separated along y (default ``depth/2``), which is the
-    variant with anisotropic lateral decay. A tiny headroom factor keeps
-    the target strictly at threshold under float round-off.
+    is parallel to the moment, default -z). "auto" is "axial" for a
+    mostly-z ``field_direction`` and "lateral" otherwise, aimed along it.
+    "composite" splits the moment over two dipoles separated along y
+    (default ``depth/2``), which is the variant with anisotropic lateral
+    decay. A tiny headroom factor keeps the target strictly at threshold
+    under float round-off.
     """
-    if depth <= 0.0 or field <= 0.0:
-        raise ConfigError("depth and field must be positive")
+    mag.finite(depth, "master depth", 0.0)
+    mag.finite(field, "master field", 0.0)
     boost = 1.0 + _CALIBRATION_HEADROOM
     position = (0.0, 0.0, depth)
+    if style == "auto":
+        style = "axial" if field_direction is not None \
+            and abs(mag.unit(field_direction)[2]) > 0.5 else "lateral"
     if style in ("axial", "composite"):
         fdir = np.array([0.0, 0.0, -1.0]) if field_direction is None \
-            else mag.unit(np.asarray(field_direction, dtype=float))
+            else mag.unit(field_direction)
         if abs(fdir[0]) > 1e-12 or abs(fdir[1]) > 1e-12:
             raise ConfigError(f"{style} master needs a +-z field direction")
         if style == "axial":
             m = 2.0 * np.pi * depth**3 * field / mag.MU0 * boost
             return MasterPose.single(position, tuple(m * fdir))
-        gap = depth / 2 if separation is None else separation
-        if gap <= 0.0:
-            raise ConfigError("separation must be positive")
+        gap = depth / 2 if separation is None \
+            else mag.finite(separation, "separation", 0.0)
         raw = MasterPose(position, (
             ((0.0, -gap / 2, 0.0), tuple(fdir)),
             ((0.0, +gap / 2, 0.0), tuple(fdir)),
         ))
         got = float(np.linalg.norm(master_field_at(raw, (0.0, 0.0, 0.0))))
-        return raw.scaled(field / got * boost)
+        return MasterPose(position, tuple(
+            (off, field / got * boost * np.asarray(m)) for off, m in raw.dipoles))
     if style == "lateral":
         fdir = np.array([1.0, 0.0, 0.0]) if field_direction is None \
-            else mag.unit(np.asarray(field_direction, dtype=float))
+            else mag.unit(field_direction)
         if abs(fdir[2]) > 1e-12:
             raise ConfigError("lateral master needs a transverse field direction")
         m = 4.0 * np.pi * depth**3 * field / mag.MU0 * boost
@@ -301,7 +279,7 @@ def min_spacing(pose: MasterPose, threshold: float, axis, depth: float,
     """
     if not 0.0 < isolation_frac <= 1.0:
         raise ConfigError("isolation_frac must lie in (0, 1]")
-    a = mag.unit(np.asarray(axis, dtype=float))
+    a = mag.unit(axis)
     target = np.asarray(pose.position) + depth * DOWN
     level = isolation_frac * threshold
 
@@ -376,7 +354,8 @@ def _cp_upper(k: int, n: int, alpha: float) -> float:
 
 def _perturbed(pose: MasterPose, rng, angle_sigma_deg: float,
                magnitude_sigma_T: float, nominal_B: float) -> MasterPose:
-    out = pose
+    """``pose`` tilted and rescaled by seeded noise (``pose`` itself without)."""
+    dipoles = pose.dipoles
     if angle_sigma_deg > 0.0:
         theta = np.radians(rng.normal(0.0, angle_sigma_deg))
         phi = rng.uniform(0.0, 2 * np.pi)
@@ -385,10 +364,13 @@ def _perturbed(pose: MasterPose, rng, angle_sigma_deg: float,
         ux, uy, uz = axis
         K = np.array([[0, -uz, uy], [uz, 0, -ux], [-uy, ux, 0]])
         R = np.eye(3) + s * K + (1 - c) * (K @ K)
-        out = out.rotated(R)
+        dipoles = [(R @ off, R @ m) for off, m in dipoles]
     if magnitude_sigma_T > 0.0:
-        out = out.scaled(1.0 + rng.normal(0.0, magnitude_sigma_T) / nominal_B)
-    return out
+        factor = 1.0 + rng.normal(0.0, magnitude_sigma_T) / nominal_B
+        dipoles = [(off, factor * np.asarray(m)) for off, m in dipoles]
+    if dipoles is pose.dipoles:
+        return pose
+    return MasterPose(pose.position, tuple(dipoles))
 
 
 def endurance_campaign(grid, command: Command, n_cycles: int,
@@ -400,8 +382,7 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     moment scale factor). A failure is any cycle with a false trigger or a
     missed intended activation.
     """
-    if n_cycles < 1:
-        raise ConfigError("n_cycles must be at least 1")
+    mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True)
     noise = dict(noise or {})
     angle_sigma = float(noise.pop("angle_sigma_deg", 0.0))
     mag_sigma = float(noise.pop("magnitude_sigma_T", 0.0))
@@ -441,8 +422,7 @@ def sealing_check(node: NodeSpec, pressure_proxy: float, log) -> bool:
     model; it must be non-negative but does not enter the quasi-static
     check.
     """
-    if pressure_proxy < 0.0:
-        raise ConfigError("pressure proxy must be non-negative")
+    mag.finite(pressure_proxy, "pressure proxy", 0.0, inclusive=True)
     events = sorted((e for e in log if e.node_id == node.id),
                     key=lambda e: e.time)
     first_intended = next((e.time for e in events if e.intended), None)

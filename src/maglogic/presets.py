@@ -10,8 +10,6 @@ generator.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import design
 from . import fsm
 from . import landscape as ls
@@ -191,20 +189,14 @@ def demo_grid(n_nodes=3, spacing=BUS_SPACING, threshold=BUS_FIELD,
     ]
 
 
-def bus_master_for(channel_direction, depth=BUS_DEPTH, field=BUS_FIELD):
-    """Calibrated master producing ``field`` along the channel direction."""
-    d = np.asarray(channel_direction, dtype=float)
-    style = "axial" if abs(d[2]) > 0.5 else "lateral"
-    return netbus.calibrate_master(depth, field, style, field_direction=d)
-
-
 def demo_bus_commands(grid=None, depth=BUS_DEPTH, field=BUS_FIELD):
     """One command per (node, channel), in truth-table column order."""
     grid = demo_grid() if grid is None else grid
     commands = []
     for node in grid:
         for ch in node.channels:
-            ref = bus_master_for(ch.key_direction, depth, field)
+            ref = netbus.calibrate_master(depth, field, "auto",
+                                          field_direction=ch.key_direction)
             pose = netbus.pose_over(node, ref, depth)
             commands.append(netbus.Command(pose, (node.id, ch.label)))
     return commands

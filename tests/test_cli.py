@@ -6,6 +6,7 @@ so parsing them back gives the exact float.
 """
 
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -252,6 +253,71 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         cli.main(["design", shipped("pair_design_space.json"),
                   "--budget", "ten", "--out", "r.json"])
     assert exc.value.code == 2
+
+
+def _json_paths(node, path=()):
+    """The path of the root, of every object and list, and of every leaf."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+RAW_1E999 = "__raw_1e999__"  # written into the file as the bare literal 1e999
+MUTANTS = (float("nan"), RAW_1E999, "x", [], {}, None, True)
+
+
+def test_every_config_mutation_is_a_result_or_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    """Each leaf, list and object of every shipped config, replaced in turn.
+
+    ``validate`` must exit 0 or 2 and never raise; a NaN or an overflowing
+    number anywhere must exit 2 with an ``error:`` line.
+    """
+    # building the argument parser is most of an in-process call; build it once
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    target = str(tmp_path / "mutant.json")
+    failures, runs = [], 0
+    for name in sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".json")):
+        with open(shipped(name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for path in _json_paths(doc):
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            for value in MUTANTS:
+                if path:
+                    saved, parent[path[-1]] = parent[path[-1]], value
+                text = json.dumps(doc if path else value)
+                if path:
+                    parent[path[-1]] = saved
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write(text.replace(f'"{RAW_1E999}"', "1e999"))
+                runs += 1
+                try:
+                    rc = cli.main(["validate", target])
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    rc = repr(exc)
+                err = capsys.readouterr().err
+                if value is RAW_1E999 or value != value:  # non-finite: exit 2
+                    ok = rc == 2 and "error:" in err
+                else:
+                    ok = rc in (0, 2)
+                if not ok:
+                    failures.append((name, path, value, rc))
+    assert runs > 3000
+    assert not failures, f"{len(failures)} of {runs} mutants: {failures[:10]}"
+
+    for argv in (["design", shipped("pair_design_space.json"), "--budget", "1"],
+                 ["net", shipped("demo_campaign.json")]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
 
 def test_cli_import_loads_no_scipy():

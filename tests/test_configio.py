@@ -214,10 +214,16 @@ def test_semantic_cross_checks():
     broken["thresholds"]["mystery"] = 1.0
     with pytest.raises(ConfigError, match="mystery"):
         cio.design_from_doc(broken)
-    broken = json.loads(json.dumps(ddoc))
-    broken["n_units"] = 2.5
-    with pytest.raises(ConfigError, match="n_units"):
-        cio.design_from_doc(broken)
+    for n_units in (2.5, True, 0):
+        broken = json.loads(json.dumps(ddoc))
+        broken["n_units"] = n_units
+        with pytest.raises(ConfigError, match="n_units"):
+            cio.design_from_doc(broken)
+    for field, value in (("cycles", True), ("seed", -1), ("seed", True)):
+        broken = json.loads(json.dumps(cdoc))
+        broken[field] = value
+        with pytest.raises(ConfigError, match=field):
+            cio.campaign_from_doc(broken)
 
 
 def test_load_document_errors(tmp_path):
@@ -231,6 +237,15 @@ def test_load_document_errors(tmp_path):
     arr.write_text("[1, 2, 3]\n")
     with pytest.raises(ConfigError, match="object"):
         cio.load_document(arr)
+    # JSON has no NaN or infinities; Python's parser accepts them by default
+    for literal in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"):
+        odd = tmp_path / "odd.json"
+        odd.write_text('{"a": [1, %s]}' % literal)
+        with pytest.raises(ConfigError, match="odd.json"):
+            cio.load_document(odd)
+    fine = tmp_path / "fine.json"
+    fine.write_text('{"a": [1e308, -0.0, 5e-324]}')
+    assert cio.load_document(fine) == {"a": [1e308, -0.0, 5e-324]}
 
 
 def test_write_atomic_overwrites_and_leaves_no_temp(tmp_path):

@@ -74,6 +74,16 @@ def test_lattice_and_template_validation():
         dg.Lattice(0.01, ((0, -1), (0, 0), (0, 0)))
     with pytest.raises(ConfigError):
         dg.Lattice(0.01, ((0, 1), (0, 0), (0, 0)), allowed_orientations=())
+    # fractional bounds were truncated to integers; NaN passed `<= 0`
+    for spacing, extents in ((0.01, ((0, 1.7), (0, 0), (0, 0))),
+                             (0.01, ((0, True), (0, 0), (0, 0))),
+                             (0.01, ((0, 1), (0, 0))),
+                             (float("nan"), ((0, 1), (0, 0), (0, 0)))):
+        with pytest.raises(ConfigError):
+            dg.Lattice(spacing, extents)
+    with pytest.raises(ConfigError):
+        dg.Lattice(0.01, ((0, 1), (0, 0), (0, 0)),
+                   allowed_orientations=((1, 0, float("nan")),))
     with pytest.raises(ConfigError):
         template(inner_offset=0.0)
     with pytest.raises(ConfigError):

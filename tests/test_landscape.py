@@ -121,8 +121,11 @@ def test_track_validation():
                              ("axis", (1.0, bad, 0.0))):
             with pytest.raises(ConfigError):
                 dataclasses.replace(track, **{field: value})
-    with pytest.raises(ConfigError):
-        dataclasses.replace(track, origin=0.0)
+    for field, value in (("origin", 0.0), ("origin", 5), ("axis", None),
+                         ("stroke", 5), ("stroke", ("a", 0.02)),
+                         ("stroke", (0.0, 0.01, 0.02)), ("mass", True)):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(track, **{field: value})
 
 
 _COMPONENT = st.floats(-1.0, 1.0)
@@ -153,8 +156,16 @@ def test_stator_on_stroke_rejected():
 
 
 def test_sample_count_floor():
-    with pytest.raises(ConfigError):
-        ls.sample_profile([anchored_unit()], "a", None, 8)
+    for bad in (8, 64.0, True):
+        with pytest.raises(ConfigError):
+            ls.sample_profile([anchored_unit()], "a", None, bad)
+
+
+def test_decide_needs_the_evaluation_context():
+    for unit, uid in ((anchored_unit(), "a"), (outward_unit(), "b")):
+        prof = ls.refine_equilibria(ls.sample_profile([unit], uid, None))
+        with pytest.raises(MaglogicError, match="context"):
+            ls.decide(dataclasses.replace(prof, _ctx=None))
 
 
 def test_unknown_unit_id():

@@ -73,6 +73,36 @@ def test_bad_dims_and_axis_rejected():
         mag.MagnetSpec("cylinder", (1e-3, 1e-3), 1.0, (0, 0, 2))
     with pytest.raises(ConfigError):
         mag.MagnetSpec("cone", (1e-3, 1e-3), 1.0, (0, 0, 1))
+    for bad in (5, None, (1e-3,), (1e-3, 1e-3, 1e-3)):
+        with pytest.raises(ConfigError):
+            mag.MagnetSpec("cylinder", bad, 1.0, (0, 0, 1))
+
+
+def test_finite_and_vector_helpers():
+    assert mag.finite(np.float32(0.5), "x") == 0.5
+    assert type(mag.finite(3, "x")) is float
+    assert mag.finite(np.int64(3), "n", integer=True) == 3
+    assert mag.finite(0, "x", 0.0, inclusive=True) == 0.0
+    assert mag.finite(10**400, "n", 1, integer=True) == 10**400
+    for bad, kwargs in ((0.0, {"low": 0.0}), (-1, {"low": 0, "inclusive": True}),
+                        (float("nan"), {}), (float("-inf"), {}), (10**400, {}),
+                        (True, {}), (False, {"integer": True}), ("1", {}),
+                        (None, {}), (1.0, {"integer": True}), (1.7, {"integer": True})):
+        with pytest.raises(ConfigError, match="what"):
+            mag.finite(bad, "what", **kwargs)
+    assert mag.vector([1, 0, 0], "v", unit_norm=True) == (1.0, 0.0, 0.0)
+    assert mag.vector(np.array([2.0, 3.0]), "v", 2, low=0.0) == (2.0, 3.0)
+    for bad in (5, None, "abc", [1, 0], [1, 0, 0, 0], [1, 0, float("nan")],
+                [True, 0, 0], [[1], 0, 0]):
+        with pytest.raises(ConfigError, match="vec"):
+            mag.vector(bad, "vec")
+    with pytest.raises(ConfigError, match="unit length"):
+        mag.vector((1, 1, 0), "vec", unit_norm=True)
+    assert mag.text("id", "id") == "id"
+    assert mag.text(None, "id", optional=True) is None
+    for bad in (None, 1, ["a"]):
+        with pytest.raises(ConfigError, match="label"):
+            mag.text(bad, "label")
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,16 @@ def test_calibration_rejects_bad_requests():
         nb.calibrate_master(DEPTH, FIELD, "axial", field_direction=(1, 0, 0))
     with pytest.raises(ConfigError):
         nb.calibrate_master(DEPTH, FIELD, "composite", separation=0.0)
+    for depth, field in ((float("nan"), FIELD), (DEPTH, float("nan")), ("5", FIELD)):
+        with pytest.raises(ConfigError):
+            nb.calibrate_master(depth, field)
+
+
+def test_auto_calibration_follows_the_field_direction():
+    for direction, style in (((0, 0, 1), "axial"), ((0, 0, -1), "axial"),
+                             ((1, 0, 0), "lateral"), ((0, -1, 0), "lateral")):
+        assert nb.calibrate_master(DEPTH, FIELD, "auto", field_direction=direction) \
+            == nb.calibrate_master(DEPTH, FIELD, style, field_direction=direction)
 
 
 def test_decode_threshold_and_cone():
