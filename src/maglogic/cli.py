@@ -97,7 +97,7 @@ def cmd_landscape(args) -> int:
         if key is None:
             raise ConfigError(
                 f"{args.topology}: no key labeled {args.key!r} in key_set")
-    samples = args.samples or ls.DEFAULT_SAMPLES
+    samples = ls.DEFAULT_SAMPLES if args.samples is None else args.samples
     profile = ls.sample_profile(units, args.unit, key, samples)
     decision = ls.decide(ls.refine_equilibria(profile))
     _write_csv(
@@ -118,7 +118,7 @@ def cmd_landscape(args) -> int:
 def cmd_design(args) -> int:
     lattice, template, keys, n_units, thresholds, _ = cio.load_design(args.space)
     threads = args.threads if args.threads is not None else _env_threads()
-    samples = args.samples or ls.DEFAULT_SAMPLES
+    samples = ls.DEFAULT_SAMPLES if args.samples is None else args.samples
     reports = dg.run_pipeline(
         lattice, n_units, keys, template, args.budget, seed=args.seed,
         thresholds=thresholds, threads=threads, n_samples=samples)

@@ -550,11 +550,13 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
         if channel is None:
             raise ConfigError(
                 f"{cw}: node {node.id!r} has no channel {cdoc['channel']!r}")
-        auto = master["style"] == "auto"  # only "auto" aims along the channel
-        reference = nb.calibrate_master(
-            master["depth"], master["field"], master["style"],
-            field_direction=channel.key_direction if auto else None,
-            separation=master.get("separation"))
+        try:
+            reference = nb.calibrate_master(
+                master["depth"], master["field"], master["style"],
+                field_direction=channel.key_direction,
+                separation=master.get("separation"))
+        except ConfigError as exc:  # a style that cannot aim at this channel
+            raise ConfigError(f"{cw}: {exc}") from None
         pose = nb.pose_over(node, reference, master["depth"])
         commands.append(nb.Command(pose, (node.id, channel.label),
                                    cdoc.get("dwell", 1.0)))

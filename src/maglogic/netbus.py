@@ -5,12 +5,16 @@ that each carry a release threshold and a set of channel directions. Field
 magnitude is the address bus: a node only listens when |B| meets its
 threshold, which confines addressing to the volume right under the master.
 Field direction is the control bus: the nearest channel direction within
-the node's acceptance cone is the one that fires.
+the node's acceptance cone is the one that fires. A command evaluates the
+master's field at every node in one kernel call, and only nodes that reach
+their threshold decode a channel.
 
 The master's moment is calibrated against a target field at a working
 depth, so the shipped demos state their assumptions as two numbers (120 mT
-at 5 mm) rather than a hardware model. Endurance campaigns perturb the
-master pose with seeded Gaussian angle/magnitude noise and report exact
+at 5 mm) rather than a hardware model; every style aims the master along
+the commanded channel direction. Endurance campaigns perturb the master
+pose with seeded Gaussian angle/magnitude noise (without noise, the one
+nominal pose is decoded once and counted for every cycle) and report exact
 binomial (Clopper-Pearson) upper confidence bounds on the failure rate,
 found by bisection on the exact binomial tail. Zero-failure bounds are
 reported in both conventions, one-sided 1 - 0.05^(1/n) and two-sided
@@ -109,7 +113,7 @@ class Command:
         object.__setattr__(self, "intended", tuple(self.intended))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     time: float
     node_id: str
@@ -118,13 +122,17 @@ class Event:
     intended: bool
 
 
-def master_field_at(pose: MasterPose, point) -> np.ndarray:
-    """Superposed dipole field of the master composite, tesla."""
-    point = np.asarray(point, dtype=float)
+def _master_field(pose: MasterPose, points: np.ndarray) -> np.ndarray:
+    """Master field at each row of ``points`` (n, 3), one kernel call."""
     base = np.asarray(pose.position)
     pos = np.array([base + np.asarray(off) for off, _ in pose.dipoles])
     moments = np.array([m for _, m in pose.dipoles])
-    return mag.dipole_field(pos, moments, point[None, :])[0]
+    return mag.dipole_field(pos, moments, points)
+
+
+def master_field_at(pose: MasterPose, point) -> np.ndarray:
+    """Superposed dipole field of the master composite, tesla."""
+    return _master_field(pose, np.asarray(point, dtype=float)[None, :])[0]
 
 
 def decode_node(node: NodeSpec, field) -> str | None:
@@ -150,46 +158,74 @@ def decode_node(node: NodeSpec, field) -> str | None:
     return None
 
 
+def _positions(grid) -> np.ndarray:
+    """Node positions stacked as an (n, 3) array."""
+    return np.array([n.position for n in grid], dtype=float).reshape(-1, 3)
+
+
+def _fired(grid, positions: np.ndarray, pose: MasterPose) -> list:
+    """(node, channel label, |B|) for every node of ``grid`` that fires.
+
+    One kernel call gives the field at all ``positions``; only nodes at or
+    above their threshold go through :func:`decode_node`. The norm is
+    ``sqrt(vecdot)``, which matches ``np.linalg.norm`` of each row bit for
+    bit (``np.linalg.norm(..., axis=1)`` does not).
+    """
+    fields = _master_field(pose, positions)
+    norms = np.sqrt(np.vecdot(fields, fields)).tolist()
+    fired = []
+    for i, (node, norm) in enumerate(zip(grid, norms)):
+        if norm >= node.threshold:
+            label = decode_node(node, fields[i])
+            if label is not None:
+                fired.append((node, label, norm))
+    return fired
+
+
 def execute_command(grid, command: Command, t: float = 0.0) -> list:
     """Decode one command at every node; events carry the intended flag."""
-    events = []
-    for node in grid:
-        field = master_field_at(command.pose, node.position)
-        label = decode_node(node, field)
-        if label is not None:
-            events.append(Event(
-                t, node.id, label, float(np.linalg.norm(field)),
-                (node.id, label) == command.intended,
-            ))
-    return events
+    grid = list(grid)
+    return [Event(t, node.id, label, norm, (node.id, label) == command.intended)
+            for node, label, norm in _fired(grid, _positions(grid), command.pose)]
 
 
 @dataclass(frozen=True)
 class TruthTable:
     columns: tuple  # (node id, channel label) pairs
-    rows: tuple  # tuples of 0/1 ints, one per command
+    fired: tuple  # per command, the indices of the columns that fired
     exclusive: tuple  # per-row: exactly one 1 and it is the intended one
     intended: tuple  # per-row (node id, channel label)
     events: tuple  # every Event in command order, times accumulated from dwell
 
+    def _row(self, indices: tuple) -> tuple:
+        row = [0] * len(self.columns)
+        for i in indices:
+            row[i] = 1
+        return tuple(row)
+
+    @property
+    def rows(self) -> tuple:
+        """Per command, one 0/1 int per column (1 where it fired)."""
+        return tuple(self._row(f) for f in self.fired)
+
     def row_dict(self, i: int) -> dict:
-        return dict(zip(self.columns, self.rows[i]))
+        return dict(zip(self.columns, self._row(self.fired[i])))
 
 
 def truth_table(grid, commands) -> TruthTable:
     grid = list(grid)
     columns = tuple((n.id, c.label) for n in grid for c in n.channels)
-    rows, exclusive, intended, log = [], [], [], []
+    fired, exclusive, intended, log = [], [], [], []
     t = 0.0
     for cmd in commands:
         events = execute_command(grid, cmd, t)
         t += cmd.dwell
         hits = {(e.node_id, e.channel) for e in events}
-        rows.append(tuple(1 if col in hits else 0 for col in columns))
+        fired.append(tuple(i for i, col in enumerate(columns) if col in hits))
         exclusive.append(hits == {cmd.intended})
         intended.append(cmd.intended)
         log.extend(events)
-    return TruthTable(columns, tuple(rows), tuple(exclusive), tuple(intended),
+    return TruthTable(columns, tuple(fired), tuple(exclusive), tuple(intended),
                       tuple(log))
 
 
@@ -354,7 +390,7 @@ def _cp_upper(k: int, n: int, alpha: float) -> float:
 
 def _perturbed(pose: MasterPose, rng, angle_sigma_deg: float,
                magnitude_sigma_T: float, nominal_B: float) -> MasterPose:
-    """``pose`` tilted and rescaled by seeded noise (``pose`` itself without)."""
+    """``pose`` tilted and rescaled by seeded noise; a sigma of 0 draws nothing."""
     dipoles = pose.dipoles
     if angle_sigma_deg > 0.0:
         theta = np.radians(rng.normal(0.0, angle_sigma_deg))
@@ -368,9 +404,14 @@ def _perturbed(pose: MasterPose, rng, angle_sigma_deg: float,
     if magnitude_sigma_T > 0.0:
         factor = 1.0 + rng.normal(0.0, magnitude_sigma_T) / nominal_B
         dipoles = [(off, factor * np.asarray(m)) for off, m in dipoles]
-    if dipoles is pose.dipoles:
-        return pose
     return MasterPose(pose.position, tuple(dipoles))
+
+
+def _outcome(hits: set, intended: tuple) -> tuple:
+    """(false triggers, missed, failed) of one cycle's fired columns."""
+    bad = len(hits - {intended})
+    missed = intended not in hits
+    return bad, int(missed), int(bad > 0 or missed)
 
 
 def endurance_campaign(grid, command: Command, n_cycles: int,
@@ -379,34 +420,37 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
 
     ``noise`` keys: "angle_sigma_deg" (tilt of the whole master) and
     "magnitude_sigma_T" (field error at the intended node, converted to a
-    moment scale factor). A failure is any cycle with a false trigger or a
-    missed intended activation.
+    moment scale factor), each >= 0. A failure is any cycle with a false
+    trigger or a missed intended activation. Without noise every cycle is
+    the nominal pose, so that pose is decoded once and counted n_cycles
+    times.
     """
-    mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True)
+    n_cycles = mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True)
     noise = dict(noise or {})
-    angle_sigma = float(noise.pop("angle_sigma_deg", 0.0))
-    mag_sigma = float(noise.pop("magnitude_sigma_T", 0.0))
+    angle_sigma = mag.finite(noise.pop("angle_sigma_deg", 0.0),
+                             "angle_sigma_deg", 0.0, inclusive=True)
+    mag_sigma = mag.finite(noise.pop("magnitude_sigma_T", 0.0),
+                           "magnitude_sigma_T", 0.0, inclusive=True)
     if noise:
         raise ConfigError(f"unknown noise fields {sorted(noise)}")
     grid = list(grid)
     node = next((n for n in grid if n.id == command.intended[0]), None)
     if node is None:
         raise ConfigError(f"intended node {command.intended[0]!r} not in grid")
-    nominal_B = float(np.linalg.norm(
-        master_field_at(command.pose, node.position)))
-    rng = np.random.default_rng(seed)
-    false_triggers = 0
-    misses = 0
-    failures = 0
-    for i in range(n_cycles):
-        pose = _perturbed(command.pose, rng, angle_sigma, mag_sigma, nominal_B)
-        events = execute_command(grid, Command(pose, command.intended), t=float(i))
-        hits = {(e.node_id, e.channel) for e in events}
-        bad = len(hits - {command.intended})
-        missed = command.intended not in hits
-        false_triggers += bad
-        misses += int(missed)
-        failures += int(bad > 0 or missed)
+    if angle_sigma == 0.0 and mag_sigma == 0.0:
+        hits = {(e.node_id, e.channel) for e in execute_command(grid, command)}
+        totals = [n_cycles * c for c in _outcome(hits, command.intended)]
+    else:
+        positions = _positions(grid)
+        nominal_B = float(np.linalg.norm(
+            master_field_at(command.pose, node.position)))
+        rng = np.random.default_rng(seed)
+        totals = [0, 0, 0]
+        for _ in range(n_cycles):
+            pose = _perturbed(command.pose, rng, angle_sigma, mag_sigma, nominal_B)
+            hits = {(n.id, label) for n, label, _ in _fired(grid, positions, pose)}
+            totals = [a + b for a, b in zip(totals, _outcome(hits, command.intended))]
+    false_triggers, misses, failures = totals
     return EnduranceStats(
         n_cycles, false_triggers, misses, failures,
         _cp_upper(failures, n_cycles, 0.05),

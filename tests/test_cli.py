@@ -213,6 +213,28 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
                    "--budget", "0", "--out", str(tmp_path / "r.json")])
     assert rc == 2
 
+    for samples in ("0", "8"):  # 0 is too few samples, not the default
+        rc = cli.main(["landscape", shipped("demo_topology.json"),
+                       "--unit", "alpha", "--samples", samples,
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        rc = cli.main(["design", shipped("pair_design_space.json"),
+                       "--budget", "10", "--samples", samples,
+                       "--out", str(tmp_path / "s.json")])
+        assert rc == 2
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "s.json").exists()
+
+    with open(shipped("demo_campaign.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["master"]["style"] = "lateral"  # cannot aim at the gamma channels
+    lateral = tmp_path / "lateral.json"
+    lateral.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["net", str(lateral), "--out", str(tmp_path / "n.csv")])
+    assert rc == 2
+    assert "transverse" in capsys.readouterr().err
+    assert not (tmp_path / "n.csv").exists()
+
     bad_prog = tmp_path / "bad.prog"
     bad_prog.write_text("+q 27mT 0.05s\n")
     rc = cli.main(["fsm", shipped("mission_machine.json"), str(bad_prog),

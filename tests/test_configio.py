@@ -13,6 +13,7 @@ import pytest
 import maglogic
 from maglogic import configio as cio
 from maglogic import fsm
+from maglogic import netbus as nb
 from maglogic import presets as pr
 from maglogic.errors import ConfigError
 
@@ -125,6 +126,28 @@ def test_campaign_builds_calibrated_commands():
     assert first.intended == ("node0", "alpha")
     # master hovers 5 mm above the commanded node
     assert first.pose.position[2] == pytest.approx(0.005)
+
+
+def test_every_master_style_aims_along_the_channel():
+    for style, labels in (("lateral", ("alpha", "beta")),
+                          ("axial", ("gamma",)), ("composite", ("gamma",))):
+        doc = pr.demo_campaign_doc(cycles=0)
+        doc["master"]["style"] = style
+        for node in doc["grid"]:
+            node["channels"] = [c for c in node["channels"]
+                                if c["label"] in labels]
+        doc["commands"] = [c for c in doc["commands"] if c["channel"] in labels]
+        campaign = cio.campaign_from_doc(doc)
+        table = nb.truth_table(campaign.grid, campaign.commands)
+        n = len(campaign.commands)
+        assert table.rows == tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert all(table.exclusive)
+    # the demo's z channels cannot be reached by a lateral master
+    doc = pr.demo_campaign_doc(cycles=0)
+    doc["master"]["style"] = "lateral"
+    with pytest.raises(ConfigError, match=r"commands\[2\].*transverse"):
+        cio.campaign_from_doc(doc)
 
 
 def test_unknown_fields_rejected_at_depth():

@@ -20,10 +20,13 @@ Frozen oracles, all recomputable by hand from mu0 = 4*pi*1e-7:
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import maglogic
+from maglogic import configio as cio
 from maglogic import landscape as ls
 from maglogic import netbus as nb
 from maglogic import presets as pr
@@ -185,6 +188,46 @@ def test_demo_truth_table_is_identity():
     assert empty.rows == () and empty.exclusive == () and empty.events == ()
 
 
+def _tilted(pose, angle_deg, axis, scale):
+    """``pose`` rotated by ``angle_deg`` about ``axis`` and its moments scaled."""
+    ux, uy, uz = np.asarray(axis) / np.linalg.norm(axis)
+    K = np.array([[0, -uz, uy], [uz, 0, -ux], [-uy, ux, 0]])
+    theta = math.radians(angle_deg)
+    R = np.eye(3) + math.sin(theta) * K + (1 - math.cos(theta)) * (K @ K)
+    return nb.MasterPose(pose.position, tuple(
+        (R @ np.asarray(off), scale * (R @ np.asarray(m)))
+        for off, m in pose.dipoles))
+
+
+def test_execute_command_matches_node_by_node_decode():
+    campaign = cio.load_campaign(os.path.join(
+        os.path.dirname(maglogic.__file__), "configs", "demo_campaign.json"))
+    cases = [(campaign.grid, cmd) for cmd in campaign.commands]
+    # a 5x5 grid at 10 mm pitch, so that stronger poses reach neighbors
+    grid = [nb.NodeSpec(f"n{i}{j}", (0.01 * i, 0.01 * j, 0.0),
+                        campaign.grid[0].channels, FIELD)
+            for i in range(5) for j in range(5)]
+    rng = np.random.default_rng(5)
+    for cmd in pr.demo_bus_commands(grid):
+        for scale in (0.9, 1.0, 1.3, 25.0):
+            pose = _tilted(cmd.pose, rng.normal(0.0, 15.0),
+                           (*rng.normal(size=2), 0.0), scale)
+            cases.append((grid, nb.Command(pose, cmd.intended)))
+    fired = []
+    for nodes, cmd in cases:
+        want = []
+        for node in nodes:
+            field = nb.master_field_at(cmd.pose, node.position)
+            label = nb.decode_node(node, field)
+            if label is not None:
+                want.append((node.id, label, float(np.linalg.norm(field))))
+        got = [(e.node_id, e.channel, e.magnitude)
+               for e in nb.execute_command(nodes, cmd)]
+        assert got == want  # the same labels and the same magnitude floats
+        fired.append(len(got))
+    assert min(fired) == 0 and max(fired) > 2
+
+
 def test_demo_commands_leave_neighbors_far_below_threshold():
     grid = pr.demo_grid()
     worst = 0.0
@@ -288,6 +331,46 @@ def test_endurance_with_angle_noise_is_seeded_and_can_miss():
     gentle = nb.endurance_campaign(grid, cmd, 50,
                                    {"angle_sigma_deg": 1e-6}, seed=2)
     assert gentle.failures == 0
+    # frozen counts: the noise is drawn in the same order, cycle by cycle
+    assert (noisy.false_triggers, noisy.misses, noisy.failures) == (1, 100, 100)
+    both = nb.endurance_campaign(
+        grid, pr.demo_bus_commands(grid)[8], 200,
+        {"angle_sigma_deg": 12.0, "magnitude_sigma_T": 0.01}, seed=3)
+    assert (both.false_triggers, both.misses, both.failures) == (0, 118, 118)
+
+
+def test_noise_free_endurance_decodes_one_cycle(monkeypatch):
+    grid = pr.demo_grid()
+    cmd = pr.demo_bus_commands(grid)[0]
+    calls = []
+    real = nb.execute_command
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nb, "execute_command", counted)
+    for noise in (None, {"angle_sigma_deg": 0.0, "magnitude_sigma_T": 0.0}):
+        calls.clear()
+        stats = nb.endurance_campaign(grid, cmd, 5000, noise, seed=0)
+        assert len(calls) == 1
+        assert stats.failures == 0
+
+
+def test_noise_free_endurance_counts_every_cycle():
+    grid = pr.demo_grid()
+    weak = nb.Command(nb.pose_over(
+        grid[0], nb.calibrate_master(DEPTH, FIELD / 2, "lateral"), DEPTH),
+        ("node0", "alpha"))
+    stats = nb.endurance_campaign(grid, weak, 700)
+    assert stats.misses == stats.failures == 700
+    assert stats.false_triggers == 0
+    assert stats.p_upper_one_sided == stats.p_upper_two_sided == 1.0
+    # a pose aimed at alpha but meant for beta misses and false-triggers
+    cmd = pr.demo_bus_commands(grid)[0]
+    wrong = nb.Command(cmd.pose, ("node0", "beta"))
+    stats = nb.endurance_campaign(grid, wrong, 300)
+    assert stats.false_triggers == stats.misses == stats.failures == 300
 
 
 def test_endurance_argument_errors():
@@ -300,6 +383,10 @@ def test_endurance_argument_errors():
     stranger = nb.Command(cmd.pose, ("ghost", "alpha"))
     with pytest.raises(ConfigError):
         nb.endurance_campaign(grid, stranger, 10)
+    for name in ("angle_sigma_deg", "magnitude_sigma_T"):
+        for bad in (float("nan"), float("inf"), -1.0, "3", None, True):
+            with pytest.raises(ConfigError, match=name):
+                nb.endurance_campaign(grid, cmd, 10, {name: bad})
 
 
 def test_clopper_pearson_upper_bound_binomial_identity():
