@@ -24,7 +24,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import os
 import sys
 
@@ -36,7 +35,6 @@ from . import netbus as nb
 from .errors import ConfigError, MaglogicError, NoPassingCandidateError
 
 DEFAULT_SEED = 0
-THREADS_ENV = "MAGLOGIC_THREADS"
 TOP_K = 3
 
 
@@ -72,19 +70,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _env_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -117,11 +102,10 @@ def cmd_landscape(args) -> int:
 
 def cmd_design(args) -> int:
     lattice, template, keys, n_units, thresholds, _ = cio.load_design(args.space)
-    threads = args.threads if args.threads is not None else _env_threads()
     samples = ls.DEFAULT_SAMPLES if args.samples is None else args.samples
     reports = dg.run_pipeline(
         lattice, n_units, keys, template, args.budget, seed=args.seed,
-        thresholds=thresholds, threads=threads, n_samples=samples)
+        thresholds=thresholds, n_samples=samples)
     try:
         ranked = dg.rank(reports)
     except NoPassingCandidateError:
@@ -258,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("topology", help="topology config file")
     p.add_argument("--unit", required=True, help="unit id to sweep")
     p.add_argument("--key", default=None,
-                   help="key label from the file's key_set (default: none)")
+                   help="key label from the file's key_set (default: none); "
+                        "write a label that starts with '-' as --key=-x")
     p.add_argument("--samples", type=int, default=None,
                    help=f"profile samples (default {ls.DEFAULT_SAMPLES})")
     p.add_argument("--out", required=True, help="profile CSV path")
@@ -272,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"sampling seed (default {DEFAULT_SEED})")
     p.add_argument("--samples", type=int, default=None,
                    help=f"profile samples (default {ls.DEFAULT_SAMPLES})")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"evaluation threads (default ${THREADS_ENV} or 1)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_design)
 

@@ -119,7 +119,18 @@ def _check_header(doc: dict, fmt: str, where: str, body_required, body_optional)
     if mag.finite(doc["version"], f"{where}.version", integer=True) != SCHEMA_VERSION:
         raise ConfigError(f"{where}: unsupported version {doc['version']!r}")
     metadata = doc.get("metadata", {})
-    _check_fields(metadata, f"{where}.metadata", (), _METADATA_FIELDS)
+    mw = f"{where}.metadata"
+    _check_fields(metadata, mw, (), _METADATA_FIELDS)
+    for name in ("name", "notes"):
+        if name in metadata:
+            mag.text(metadata[name], f"{mw}.{name}")
+    if "scale" in metadata:
+        mag.finite(metadata["scale"], f"{mw}.scale")
+    calibration = metadata.get("calibration", {})
+    if not isinstance(calibration, dict):
+        raise ConfigError(f"{mw}.calibration must be an object")
+    for name, value in calibration.items():
+        mag.text(value, f"{mw}.calibration.{name}")
     return dict(metadata)
 
 
@@ -253,6 +264,8 @@ def _topology_body_to_doc(units, keys) -> dict:
 def _topology_body_from_doc(doc, where: str) -> tuple:
     units = tuple(_unit_from_doc(u, f"{where}.units[{i}]")
                   for i, u in enumerate(_list(doc["units"], f"{where}.units")))
+    if not units:
+        raise ConfigError(f"{where}.units must not be empty")
     ids = [u.id for u in units]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{where}: duplicate unit ids")

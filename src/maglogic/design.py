@@ -31,7 +31,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,7 @@ DEFAULT_THRESHOLDS = {"drive_min": 0.1, "anchor_min": 1e-3}
 MAX_CARTESIAN_KEYS = 6
 _ANGLE_CAP_DEG = 85.0
 _ANGLE_RESOLUTION_DEG = 0.25
+_CONE_RIM = 8  # rim directions per cone, so each key probes 9 directions
 
 
 @dataclass(frozen=True)
@@ -488,17 +488,17 @@ def compactness(candidate) -> float:
     return float((hi - lo).max() / divisor)
 
 
-def activation_pattern(units, key, n_samples: int = ls.DEFAULT_SAMPLES) -> frozenset:
-    decisions = ls.decisions_for_key(units, key, n_samples)
+def activation_pattern(units, key) -> frozenset:
+    decisions = ls.decisions_for_key(units, key)
     return frozenset(uid for uid, d in decisions.items() if d.snap_through)
 
 
-def control_entropy(units, key_set, n_samples: int = ls.DEFAULT_SAMPLES) -> float:
+def control_entropy(units, key_set) -> float:
     """Shannon entropy (bits) of the key -> activation-pattern map."""
     key_set = tuple(key_set)
     if not key_set:
         raise ConfigError("key set is empty")
-    return _pattern_entropy([activation_pattern(units, k, n_samples) for k in key_set])
+    return _pattern_entropy([activation_pattern(units, k) for k in key_set])
 
 
 def _pattern_entropy(patterns) -> float:
@@ -520,20 +520,20 @@ class SensitivityReport:
     worst_margin: float  # N, smallest non-target margin seen across trials
 
 
-def cone_directions(axis, half_angle_deg, n_rim: int = 8):
-    """Center direction plus n_rim directions on the cone rim."""
+def cone_directions(axis, half_angle_deg):
+    """Center direction plus _CONE_RIM evenly spaced directions on the cone rim."""
     e1, e2, a = mag.basis_from_axis(axis)
     th = np.deg2rad(half_angle_deg)
     dirs = [a]
-    for i in range(n_rim):
-        ph = 2 * np.pi * i / n_rim
+    for i in range(_CONE_RIM):
+        ph = 2 * np.pi * i / _CONE_RIM
         dirs.append(np.cos(th) * a + np.sin(th) * (np.cos(ph) * e1 + np.sin(ph) * e2))
     return dirs
 
 
-def _one_hot_ok(units, key, expected: frozenset, n_samples, margins_out=None):
+def _one_hot_ok(units, key, expected: frozenset, margins_out=None):
     snapped = set()
-    for uid, d in ls.decisions_for_key(units, key, n_samples).items():
+    for uid, d in ls.decisions_for_key(units, key).items():
         if d.snap_through:
             snapped.add(uid)
         elif uid not in expected:
@@ -571,7 +571,6 @@ def sensitivity_sweep(
     angle_deg: float,
     n_trials: int,
     seed: int,
-    n_samples: int = ls.DEFAULT_SAMPLES,
 ) -> SensitivityReport:
     """Monte Carlo coaxiality offsets plus a deterministic key-direction cone.
 
@@ -581,10 +580,14 @@ def sensitivity_sweep(
     resolution) at which the full rim grid stays clean.
     """
     mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True)
+    coax_frac = mag.finite(coax_frac, "coax_frac", 0.0, inclusive=True)
+    if not 0.0 < mag.finite(angle_deg, "angle_deg") <= _ANGLE_CAP_DEG:
+        raise ConfigError(f"angle_deg must lie in (0, {_ANGLE_CAP_DEG:g}], "
+                          f"got {angle_deg!r}")
     units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")
-    expected = {k.label: activation_pattern(units, k, n_samples) for k in key_set}
+    expected = {k.label: activation_pattern(units, k) for k in key_set}
     margins = []
 
     radius = coax_frac * max(_mover_diameter(u.track.mover) for u in units)
@@ -593,14 +596,14 @@ def sensitivity_sweep(
     for _ in range(n_trials):
         topo = _offset_topology(units, rng, radius) if radius > 0 else units
         for k in key_set:
-            if not _one_hot_ok(topo, k, expected[k.label], n_samples, margins):
+            if not _one_hot_ok(topo, k, expected[k.label], margins):
                 coax_viol += 1
 
     def cone_clean(half_deg):
         for k in key_set:
             for d in cone_directions(k.direction, half_deg):
                 tilted = FieldKey(tuple(d), k.magnitude, k.label)
-                if not _one_hot_ok(units, tilted, expected[k.label], n_samples):
+                if not _one_hot_ok(units, tilted, expected[k.label]):
                     return False
         return True
 
@@ -610,7 +613,7 @@ def sensitivity_sweep(
         for d in cone_directions(k.direction, angle_deg):
             n_dirs += 1
             tilted = FieldKey(tuple(d), k.magnitude, k.label)
-            if not _one_hot_ok(units, tilted, expected[k.label], n_samples, margins):
+            if not _one_hot_ok(units, tilted, expected[k.label], margins):
                 cone_viol += 1
 
     if cone_viol > 0:
@@ -639,18 +642,18 @@ def sensitivity_sweep(
     )
 
 
-def cross_interference(candidate, n_samples: int = ls.DEFAULT_SAMPLES) -> float:
+def cross_interference(candidate) -> float:
     """Max key-induced latch-force change on a non-target / target peak."""
     units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")
     base = {
         uid: d.force_at_inner_stop
-        for uid, d in ls.decisions_for_key(units, None, n_samples).items()
+        for uid, d in ls.decisions_for_key(units, None).items()
     }
     worst = 0.0
     for k in key_set:
-        decs = ls.decisions_for_key(units, k, n_samples)
+        decs = ls.decisions_for_key(units, k)
         targets = [uid for uid, d in decs.items() if d.snap_through]
         if len(targets) != 1:
             raise MaglogicError(
@@ -675,17 +678,15 @@ class DesignReport:
     compactness: float
     entropy: float
     candidate_hash: str
-    sensitivity: SensitivityReport | None = None
 
 
 def evaluate_candidate(
     candidate, thresholds=None, n_samples: int = ls.DEFAULT_SAMPLES
 ) -> DesignReport:
     matrix = selectivity_filter(candidate, thresholds, n_samples)
-    units, key_set = _units_and_keys(candidate)
     if matrix.passed:
         fid = fidelity(matrix)
-        comp = compactness(units)
+        comp = compactness(candidate.units)
         # DRIVE cells are exactly the snap-through decisions of each key
         ent = _pattern_entropy([
             frozenset(uid for uid, c in zip(matrix.unit_ids, row) if c.entry == "DRIVE")
@@ -693,12 +694,7 @@ def evaluate_candidate(
         ])
     else:
         fid, comp, ent = 0.0, float("nan"), float("nan")
-    chash = (
-        candidate.candidate_hash
-        if isinstance(candidate, CandidateTopology)
-        else topology_hash(units, key_set)
-    )
-    return DesignReport(candidate, matrix, fid, comp, ent, chash)
+    return DesignReport(candidate, matrix, fid, comp, ent, candidate.candidate_hash)
 
 
 DEFAULT_RANK_WEIGHTS = {"fidelity": 1.0}
@@ -735,17 +731,14 @@ def run_pipeline(
     threads: int = 1,
     n_samples: int = ls.DEFAULT_SAMPLES,
 ):
-    """enumerate -> filter -> metrics, in deterministic candidate order."""
+    """enumerate -> filter -> metrics, in deterministic candidate order.
+
+    ``threads`` is kept only because the benchmark's ``screen`` workload
+    passes ``threads=1``; screening is serial, and any other value raises
+    ConfigError. It goes once the benchmark stops passing it.
+    """
+    if threads != 1:
+        raise ConfigError(f"threads must be 1, got {threads!r}")
     candidates = list(
-        enumerate_candidates(lattice, n_units, key_set, template, budget, seed)
-    )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(
-                    lambda c: evaluate_candidate(c, thresholds, n_samples), candidates
-                )
-            )
-    else:
-        reports = [evaluate_candidate(c, thresholds, n_samples) for c in candidates]
-    return reports
+        enumerate_candidates(lattice, n_units, key_set, template, budget, seed))
+    return [evaluate_candidate(c, thresholds, n_samples) for c in candidates]

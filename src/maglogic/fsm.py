@@ -26,8 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import landscape as ls
 from . import magnetics as mag
 from .errors import ConfigError, MaglogicError, ProgramParseError
@@ -151,6 +149,8 @@ class MachineDef:
                 raise ConfigError(f"decode map targets unknown units {unknown}")
         if self.topology is not None:
             object.__setattr__(self, "topology", tuple(self.topology))
+            if not self.topology:
+                raise ConfigError("physical topology needs at least one unit")
         object.__setattr__(self, "gates", tuple(self.gates))
         names = [g.name for g in self.gates]
         if len(set(names)) != len(names):
@@ -447,10 +447,12 @@ class CrankCoupler:
                 raise ConfigError(f"stroke_to_angle missing units {missing}")
             object.__setattr__(
                 self, "stroke_to_angle",
-                {k: float(v) for k, v in self.stroke_to_angle.items()},
+                {k: mag.finite(v, f"stroke_to_angle[{k!r}]")
+                 for k, v in self.stroke_to_angle.items()},
             )
-        elif float(self.stroke_to_angle) <= 0.0:
-            raise ConfigError("scalar stroke_to_angle must be positive")
+        else:
+            object.__setattr__(self, "stroke_to_angle", mag.finite(
+                self.stroke_to_angle, "scalar stroke_to_angle", 0.0))
 
 
 def crank_trace(machine: MachineDef, program, coupler: CrankCoupler) -> list:
@@ -472,7 +474,7 @@ def crank_trace(machine: MachineDef, program, coupler: CrankCoupler) -> list:
                 angle += coupler.stroke_to_angle[uid]
                 continue
             idx = coupler.units.index(uid)
-            stroke = float(coupler.stroke_to_angle)
+            stroke = coupler.stroke_to_angle
             if last_idx is None or idx == (last_idx + 1) % n:
                 angle += stroke
             elif idx == (last_idx - 1) % n:
@@ -506,8 +508,8 @@ class TorqueEstimate:
     limiting_key: str
 
 
-def torque_estimate(topology, coupler: CrankCoupler, lever_arm: float, keys,
-                    n_samples: int = ls.DEFAULT_SAMPLES) -> TorqueEstimate:
+def torque_estimate(topology, coupler: CrankCoupler, lever_arm: float,
+                    keys) -> TorqueEstimate:
     """Continuous-torque rating of a crank engine.
 
     torque = (weakest driving peak over the coupler's keys) x lever arm.
@@ -519,7 +521,7 @@ def torque_estimate(topology, coupler: CrankCoupler, lever_arm: float, keys,
     coupled = set(coupler.units)
     worst = None
     for key in keys:
-        decs = ls.decisions_for_key(topology, key, n_samples)
+        decs = ls.decisions_for_key(topology, key)
         driven = [uid for uid, d in decs.items()
                   if d.snap_through and uid in coupled]
         if len(driven) != 1:

@@ -146,8 +146,6 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
         n = np.linalg.norm(base[i])
         u_dirs[i] = base[i] / n if n > 1e-30 else np.asarray(u.track.axis)
     n_units = len(units)
-    if n_units == 1:
-        return {units[0].id: u_dirs[0]}
     damping = 1.0
     for it in range(500):
         new = np.empty_like(u_dirs)
@@ -319,8 +317,8 @@ def _profile(units, target, key, n_samples, positions, orientations):
     return LandscapeProfile(target.id, key, xs, energy, force, None, ctx)
 
 
-def refine_equilibria(profile: LandscapeProfile, xtol: float = EQUILIBRIUM_XTOL):
-    """Bisect every interior sign change of F_axial to |dx| < xtol.
+def refine_equilibria(profile: LandscapeProfile):
+    """Bisect every interior sign change of F_axial to |dx| < EQUILIBRIUM_XTOL.
 
     Stability comes from the local curvature of U (positive second
     difference = stable). Returns a copy of the profile with ``equilibria``.
@@ -337,9 +335,9 @@ def refine_equilibria(profile: LandscapeProfile, xtol: float = EQUILIBRIUM_XTOL)
             continue
         if f0 * f1 < 0.0:
             a, b, fa = float(xs[i]), float(xs[i + 1]), float(f0)
-            # keep halving past xtol until the residual force is negligible,
-            # so re-evaluating at the root gives |F| < 1e-9 N even for stiff
-            # profiles (steep dF/dx)
+            # keep halving past EQUILIBRIUM_XTOL until the residual force is
+            # negligible, so re-evaluating at the root gives |F| < 1e-9 N even
+            # for stiff profiles (steep dF/dx)
             for _ in range(200):
                 m = 0.5 * (a + b)
                 fm = ctx.force_at(m)
@@ -347,7 +345,7 @@ def refine_equilibria(profile: LandscapeProfile, xtol: float = EQUILIBRIUM_XTOL)
                     a, fa = m, fm
                 else:
                     b = m
-                if b - a < xtol and abs(fm) < 1e-10:
+                if b - a < EQUILIBRIUM_XTOL and abs(fm) < 1e-10:
                     break
                 if b - a < 1e-14:
                     break
@@ -407,12 +405,10 @@ def _attractor_from(side_inner: bool, profile: LandscapeProfile):
     # slides away from the stop: lands on the first equilibrium ahead
     for eq in eq_candidates:
         ahead = eq.position > start_x if side_inner else eq.position < start_x
+        # an unstable point ahead is a U-maximum the force pushed toward,
+        # only possible from a tangency: the mover keeps sliding past it
         if ahead and eq.stable:
             return eq.position
-        if ahead and not eq.stable:
-            # force was pushing toward this point yet it is a U-maximum:
-            # only possible from a tangency; keep sliding
-            continue
     return other
 
 
@@ -536,11 +532,10 @@ def unit_decision(
     key: FieldKey | None,
     n_samples: int = DEFAULT_SAMPLES,
     mover_positions: dict | None = None,
-    friction_force: float | None = None,
 ) -> LandscapeDecision:
     """sample + refine + decide in one call."""
     prof = sample_profile(topology, unit_id, key, n_samples, mover_positions)
-    return decide(refine_equilibria(prof), friction_force)
+    return decide(refine_equilibria(prof))
 
 
 def decisions_for_key(
@@ -563,19 +558,13 @@ def decisions_for_key(
     }
 
 
-def anchoring_margin(
-    topology,
-    unit_id: str,
-    key: FieldKey | None,
-    n_samples: int = DEFAULT_SAMPLES,
-    mover_positions: dict | None = None,
-) -> float:
+def anchoring_margin(topology, unit_id: str, key: FieldKey | None) -> float:
     """Minimum restoring force (N) holding the mover in its inner basin.
 
     Raises NotAnchoredError when the unit has no stable inner state under
     this key (i.e. the key drives it or leaves it free).
     """
-    dec = unit_decision(topology, unit_id, key, n_samples, mover_positions)
+    dec = unit_decision(topology, unit_id, key)
     if dec.anchoring_force is None:
         raise NotAnchoredError(
             f"unit {unit_id!r} is not anchored under key {key.label if key else None!r}"

@@ -36,6 +36,7 @@ from .errors import ConfigError, MaglogicError
 DOWN = np.array([0.0, 0.0, -1.0])  # master hovers above its target node
 DEFAULT_ISOLATION_FRAC = 0.75  # neighbor must fall below this x threshold
 _CALIBRATION_HEADROOM = 1e-6  # keeps the target strictly at/above threshold
+_SPACING_XTOL = 1e-6  # m, bisection stop of min_spacing
 
 
 @dataclass(frozen=True)
@@ -304,8 +305,7 @@ def pose_over(node: NodeSpec, reference: MasterPose, depth: float) -> MasterPose
 
 
 def min_spacing(pose: MasterPose, threshold: float, axis, depth: float,
-                isolation_frac: float = DEFAULT_ISOLATION_FRAC,
-                xtol: float = 1e-6) -> float:
+                isolation_frac: float = DEFAULT_ISOLATION_FRAC) -> float:
     """Smallest neighbor offset whose field drops below the isolation level.
 
     The target sits ``depth`` below the master; neighbors are scanned along
@@ -336,7 +336,7 @@ def min_spacing(pose: MasterPose, threshold: float, axis, depth: float,
         hi *= 2.0
     else:
         raise MaglogicError("field never falls below the isolation level")
-    while hi - lo > xtol:
+    while hi - lo > _SPACING_XTOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) < 0.0:
             hi = mid

@@ -30,9 +30,9 @@ def _stator(moment_axis, position):
     return mag.source_from_spec(spec, position)
 
 
-def _unit(uid, stator_axis, stator_pos, track_axis, key_label, mass=MOVER_MASS):
+def _unit(uid, stator_axis, stator_pos, track_axis, key_label):
     stator = _stator(stator_axis, stator_pos)
-    track = ls.MoverTrack(track_axis, stator_pos, STROKE, MOVER_SPEC, mass=mass)
+    track = ls.MoverTrack(track_axis, stator_pos, STROKE, MOVER_SPEC, MOVER_MASS)
     return ls.UnitTriplet(uid, (stator,), track, key_label)
 
 
@@ -176,33 +176,32 @@ BUS_SPACING = 0.030  # m, demo node pitch
 BUS_CHANNELS = (("alpha", (1, 0, 0)), ("beta", (0, 1, 0)), ("gamma", (0, 0, 1)))
 
 
-def demo_grid(n_nodes=3, spacing=BUS_SPACING, threshold=BUS_FIELD,
-              cone_half_angle=20.0):
-    """Line of release nodes along x, three orthogonal channels each."""
+def demo_grid():
+    """Three release nodes along x, three orthogonal channels each."""
     return [
         netbus.NodeSpec(
-            f"node{i}", (spacing * i, 0.0, 0.0),
+            f"node{i}", (BUS_SPACING * i, 0.0, 0.0),
             tuple(netbus.Channel(lbl, d) for lbl, d in BUS_CHANNELS),
-            threshold, cone_half_angle,
+            BUS_FIELD,
         )
-        for i in range(n_nodes)
+        for i in range(3)
     ]
 
 
-def demo_bus_commands(grid=None, depth=BUS_DEPTH, field=BUS_FIELD):
+def demo_bus_commands(grid=None):
     """One command per (node, channel), in truth-table column order."""
     grid = demo_grid() if grid is None else grid
     commands = []
     for node in grid:
         for ch in node.channels:
-            ref = netbus.calibrate_master(depth, field, "auto",
+            ref = netbus.calibrate_master(BUS_DEPTH, BUS_FIELD, "auto",
                                           field_direction=ch.key_direction)
-            pose = netbus.pose_over(node, ref, depth)
+            pose = netbus.pose_over(node, ref, BUS_DEPTH)
             commands.append(netbus.Command(pose, (node.id, ch.label)))
     return commands
 
 
-def node_ejector(payload_fraction=0.25):
+def node_ejector():
     """Millimeter-scale release unit sized for a fast payload jet.
 
     The demo unit scaled to a quarter size ejects its mover at the same
@@ -211,7 +210,7 @@ def node_ejector(payload_fraction=0.25):
     bound.
     """
     scaled = ls.scale_topology(demo_topology(), 0.25)
-    payload_mass = payload_fraction * scaled[0].track.mass
+    payload_mass = 0.25 * scaled[0].track.mass
     keys = demo_keys()
     return scaled, keys, payload_mass
 

@@ -7,6 +7,7 @@ so parsing them back gives the exact float.
 
 import csv
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from maglogic import configio as cio
 from maglogic import presets as pr
 
 CONFIG_DIR = os.path.join(os.path.dirname(maglogic.__file__), "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def shipped(name: str) -> str:
@@ -61,6 +63,17 @@ def test_landscape_profile_and_decision(tmp_path, capsys):
     forces = [float(r[2]) for r in rows]
     assert max(forces) == pytest.approx(record["driving_peak"], rel=1e-12)
     assert "snap_through=True" in capsys.readouterr().out
+
+
+def test_landscape_key_label_starting_with_dash(tmp_path):
+    # argparse reads "--key -x" as a missing value; "--key=-x" passes the label
+    out = tmp_path / "gamma.csv"
+    assert cli.main(["landscape", shipped("demo_topology.json"), "--unit", "gamma",
+                     "--key=-x", "--out", str(out)]) == 0
+    with open(tmp_path / "gamma_decision.json", encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert record["unit_id"] == "gamma" and record["key_label"] == "-x"
+    assert record["snap_through"] is True
 
 
 def test_landscape_without_key_is_anchored(tmp_path):
@@ -131,11 +144,18 @@ def test_design_reruns_are_byte_identical(tmp_path):
     assert cli.main(["design", shipped("pair_design_space.json"),
                      "--budget", "100", "--out", str(out_a)]) == 0
     assert cli.main(["design", shipped("pair_design_space.json"),
-                     "--budget", "100", "--threads", "3",
-                     "--out", str(out_b)]) == 0
+                     "--budget", "100", "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert (tmp_path / "a_top1.json").read_bytes() == \
         (tmp_path / "b_top1.json").read_bytes()
+
+
+def test_design_has_no_threads_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["design", shipped("pair_design_space.json"), "--budget", "100",
+                  "--threads", "2", "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_design_no_passing_candidate_is_domain_failure(tmp_path, capsys):
@@ -277,6 +297,52 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def _write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_generated_benchmark_inputs_validate(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "gen_inputs", os.path.join(ROOT, "bench", "gen_inputs.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    files = []
+    for seed in (1, 2, 3):
+        paths = gen.generate(ROOT, seed, str(tmp_path / f"seed{seed}"))
+        files += [p for name, p in paths.items() if not name.startswith("invalid_")]
+    assert cli.main(["validate", *files]) == 0
+    assert capsys.readouterr().out.count("ok ") == len(files) == 12
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", 1), ("name", None), ("scale", "x"), ("scale", True), ("notes", []),
+    ("calibration", "x"), ("calibration", {"a": 1}),
+])
+def test_metadata_value_types_are_checked(tmp_path, capsys, field, value):
+    doc = cio.load_document(shipped("demo_topology.json"))
+    doc["metadata"][field] = value
+    assert cli.main(["validate", _write_json(tmp_path / "m.json", doc)]) == 2
+    assert f"metadata.{field}" in capsys.readouterr().err
+
+
+def test_empty_unit_lists_are_config_errors(tmp_path, capsys):
+    topo = cio.load_document(shipped("demo_topology.json"))
+    topo["units"] = []
+    assert cli.main(["validate", _write_json(tmp_path / "t.json", topo)]) == 2
+    assert "units must not be empty" in capsys.readouterr().err
+    machine = _write_json(tmp_path / "machine.json", {
+        "format": "maglogic-machine", "version": 1,
+        "units": [{"id": "alpha", "role": "accumulator"}],
+        "decode": {"mode": "physical", "topology": {"units": []}},
+    })
+    assert cli.main(["validate", machine]) == 2
+    assert cli.main(["fsm", machine, shipped("engine.prog"),
+                     "--out", str(tmp_path / "trace.csv")]) == 2
+    assert "at least one unit" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def _json_paths(node, path=()):
     """The path of the root, of every object and list, and of every leaf."""
     yield path
@@ -350,17 +416,6 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_threads_env_default(tmp_path, monkeypatch):
-    out = tmp_path / "report.json"
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    assert cli.main(["design", shipped("pair_design_space.json"),
-                     "--budget", "100", "--out", str(out)]) == 0
-    monkeypatch.setenv(cli.THREADS_ENV, "zero")
-    rc = cli.main(["design", shipped("pair_design_space.json"),
-                   "--budget", "100", "--out", str(out)])
-    assert rc == 2
 
 
 def test_outputs_leave_no_temp_files(tmp_path):

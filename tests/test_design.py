@@ -287,8 +287,23 @@ def test_sensitivity_sweep_demo_quick():
         dg.sensitivity_sweep(demo_candidate(), 0.1, 20.0, n_trials=0, seed=3)
 
 
+@pytest.mark.parametrize("coax_frac, angle_deg, match", [
+    (float("nan"), 20.0, "coax_frac"),
+    (-0.1, 20.0, "coax_frac"),
+    ("0.1", 20.0, "coax_frac"),
+    (0.1, "20", "angle_deg"),
+    (0.1, -20.0, "angle_deg"),
+    (0.1, 0.0, "angle_deg"),
+    (0.1, 90.0, "angle_deg"),
+    (0.1, float("inf"), "angle_deg"),
+])
+def test_sensitivity_sweep_rejects_bad_ranges(coax_frac, angle_deg, match):
+    with pytest.raises(ConfigError, match=match):
+        dg.sensitivity_sweep(demo_candidate(), coax_frac, angle_deg, 1, seed=3)
+
+
 def test_cone_directions_geometry():
-    dirs = dg.cone_directions((0, 0, 1), 20.0, n_rim=8)
+    dirs = dg.cone_directions((0, 0, 1), 20.0)
     assert len(dirs) == 9
     np.testing.assert_allclose([np.linalg.norm(d) for d in dirs], 1.0, atol=1e-12)
     angles = [np.degrees(np.arccos(np.clip(d @ np.array([0, 0, 1.0]), -1, 1)))
@@ -333,10 +348,12 @@ def test_pipeline_pair_lattice():
         PAIR_LATTICE, 2, PAIR_KEYS, template(), budget=300)
     assert [r.candidate_hash for r in rerun] == [r.candidate_hash for r in reports]
     assert [r.fidelity for r in rerun] == [r.fidelity for r in reports]
-    threaded = dg.run_pipeline(
-        PAIR_LATTICE, 2, PAIR_KEYS, template(), budget=300, threads=3)
-    assert [r.candidate_hash for r in threaded] == [r.candidate_hash for r in reports]
-    assert [r.fidelity for r in threaded] == [r.fidelity for r in reports]
+    # screening is serial; the threads argument accepts only 1
+    serial = dg.run_pipeline(
+        PAIR_LATTICE, 2, PAIR_KEYS, template(), budget=300, threads=1)
+    assert [r.candidate_hash for r in serial] == [r.candidate_hash for r in reports]
+    with pytest.raises(ConfigError, match="threads"):
+        dg.run_pipeline(PAIR_LATTICE, 2, PAIR_KEYS, template(), budget=300, threads=2)
 
 
 def test_rank_orderings():

@@ -346,9 +346,19 @@ def test_crank_validation():
         fsm.CrankCoupler(("a",), 0.0)
     with pytest.raises(ConfigError):
         fsm.CrankCoupler(("a", "b"), {"a": 40.0})
+    assert fsm.CrankCoupler(("a",), 40).stroke_to_angle == 40.0
     beta_coupler = fsm.CrankCoupler(("beta",), 40.0)  # beta is a buffer
     with pytest.raises(ConfigError):
         fsm.crank_trace(machine, (), beta_coupler)
+
+
+@pytest.mark.parametrize("stroke", [
+    float("nan"), float("inf"), -40.0, "40", True,
+    {"a": float("nan")}, {"a": float("-inf")}, {"a": "40"},
+])
+def test_crank_stroke_must_be_finite(stroke):
+    with pytest.raises(ConfigError, match="stroke_to_angle"):
+        fsm.CrankCoupler(("a",), stroke)
 
 
 def test_torque_estimate_demo():
