@@ -8,13 +8,17 @@ The calls cover the shipped configs (every unit of the demo topology
 under every key and under no key, ``--key=-x`` and the rejected
 ``--key -x`` form, ``design``, both machines, ``net`` with and without
 ``--seed 7``, ``validate``) and the inputs that ``bench/gen_inputs.py``
-writes for seeds 1-3. Each call is a fresh interpreter importing the
-``src/`` of CHECKOUT (default: the checkout holding this script), run
-in a temporary directory on copies of the inputs, so printed paths are
-relative and two checkouts can be compared line by line:
+writes for seeds 1-3. Library calls on the demo candidate follow: two
+``sensitivity_sweep`` runs, ``evaluate_candidate`` (matrix, fidelity,
+entropy) and ``cross_interference``, each printing the ``repr`` of its
+result. Each call is a fresh interpreter importing the ``src/`` of
+CHECKOUT (default: the checkout holding this script), run in a temporary
+directory on copies of the inputs, so printed paths are relative and two
+checkouts can be compared line by line:
 
     call <name> exit <code> stdout <sha256> stderr <sha256>
     file <output path> <sha256>
+    lib <name> exit <code> stdout <sha256> stderr <sha256>
 
 Output bytes depend on the BLAS kernel numpy dispatches to, so compare
 two checkouts on one host and never commit a digest as a golden file.
@@ -33,6 +37,16 @@ import tempfile
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONSOLE = "import sys; from maglogic.cli import main; sys.exit(main())"
 SEEDS = (1, 2, 3)
+DEMO = ("from maglogic import design as dg, presets as pr\n"
+        "cand = dg.CandidateTopology(tuple(pr.demo_topology()), "
+        "tuple(pr.demo_keys()))\n")
+LIBRARY = (
+    ("sensitivity_sweep_0.1_20_4_1", "dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)"),
+    ("sensitivity_sweep_0.3_10_3_7", "dg.sensitivity_sweep(cand, 0.3, 10.0, 3, 7)"),
+    ("evaluate_candidate", "(lambda r: (r.matrix, r.fidelity, r.entropy))"
+                           "(dg.evaluate_candidate(cand))"),
+    ("cross_interference", "dg.cross_interference(cand)"),
+)
 
 
 def _sha(data: bytes) -> str:
@@ -101,13 +115,19 @@ def digest(root: str, work: str):
         calls += [(f"{gen}/{n}", a) for n, a in _generated_calls(work, gen, seed)]
     for name, argv in calls:
         before = _files(work)
-        proc = subprocess.run([sys.executable, "-c", CONSOLE, *argv], cwd=work,
-                              env=env, capture_output=True, timeout=600)
-        yield (f"call {name} exit {proc.returncode} "
-               f"stdout {_sha(proc.stdout)} stderr {_sha(proc.stderr)}")
+        yield _run("call", name, ["-c", CONSOLE, *argv], work, env)
         for path in sorted(_files(work) - before):
             with open(os.path.join(work, path), "rb") as fh:
                 yield f"file {path} {_sha(fh.read())}"
+    for name, expr in LIBRARY:
+        yield _run("lib", name, ["-c", f"{DEMO}print(repr({expr}))"], work, env)
+
+
+def _run(kind: str, name: str, args: list, work: str, env: dict) -> str:
+    proc = subprocess.run([sys.executable, *args], cwd=work, env=env,
+                          capture_output=True, timeout=600)
+    return (f"{kind} {name} exit {proc.returncode} "
+            f"stdout {_sha(proc.stdout)} stderr {_sha(proc.stderr)}")
 
 
 def _files(work: str) -> set:

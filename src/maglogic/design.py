@@ -272,6 +272,7 @@ def enumerate_candidates(lattice, n_units, key_set, template, budget, seed=0):
     """
     mag.finite(budget, "budget", 1, inclusive=True, integer=True)
     mag.finite(n_units, "n_units", 1, inclusive=True, integer=True)
+    seed = mag.finite(seed, "seed", 0, inclusive=True, integer=True)
     key_set = tuple(key_set)
     if len(key_set) > MAX_CARTESIAN_KEYS:
         raise DesignSpaceError(
@@ -489,7 +490,10 @@ def compactness(candidate) -> float:
 
 
 def activation_pattern(units, key) -> frozenset:
-    decisions = ls.decisions_for_key(units, key)
+    return _snapped(ls.decisions_for_key(units, key))
+
+
+def _snapped(decisions) -> frozenset:
     return frozenset(uid for uid, d in decisions.items() if d.snap_through)
 
 
@@ -531,9 +535,9 @@ def cone_directions(axis, half_angle_deg):
     return dirs
 
 
-def _one_hot_ok(units, key, expected: frozenset, margins_out=None):
+def _one_hot_ok(decisions, expected: frozenset, margins_out=None):
     snapped = set()
-    for uid, d in ls.decisions_for_key(units, key).items():
+    for uid, d in decisions.items():
         if d.snap_through:
             snapped.add(uid)
         elif uid not in expected:
@@ -577,43 +581,54 @@ def sensitivity_sweep(
     Violations count every (trial, key) or (key, direction) whose activation
     pattern deviates from nominal or whose non-targets lose their anchoring.
     The angle margin is the largest cone half-angle (up to 85 deg, 0.25 deg
-    resolution) at which the full rim grid stays clean.
+    resolution) at which the full rim grid stays clean. Each distinct key is
+    decided once on the nominal topology, so a cone centre equal to a key
+    (or to an earlier probe's direction) is not decided again; offset
+    topologies are decided afresh.
     """
     mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True)
     coax_frac = mag.finite(coax_frac, "coax_frac", 0.0, inclusive=True)
     if not 0.0 < mag.finite(angle_deg, "angle_deg") <= _ANGLE_CAP_DEG:
         raise ConfigError(f"angle_deg must lie in (0, {_ANGLE_CAP_DEG:g}], "
                           f"got {angle_deg!r}")
+    seed = mag.finite(seed, "seed", 0, inclusive=True, integer=True)
     units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")
-    expected = {k.label: activation_pattern(units, k) for k in key_set}
+    nominal = {}  # FieldKey -> decisions on the nominal topology
+
+    def decided(key):
+        if key not in nominal:
+            nominal[key] = ls.decisions_for_key(units, key)
+        return nominal[key]
+
+    expected = {k.label: _snapped(decided(k)) for k in key_set}
     margins = []
 
     radius = coax_frac * max(_mover_diameter(u.track.mover) for u in units)
     rng = np.random.default_rng(seed)
     coax_viol = 0
     for _ in range(n_trials):
-        topo = _offset_topology(units, rng, radius) if radius > 0 else units
+        topo = _offset_topology(units, rng, radius) if radius > 0 else None
         for k in key_set:
-            if not _one_hot_ok(topo, k, expected[k.label], margins):
+            decs = decided(k) if topo is None else ls.decisions_for_key(topo, k)
+            if not _one_hot_ok(decs, expected[k.label], margins):
                 coax_viol += 1
 
+    def cone_decisions(k, half_deg):
+        for d in cone_directions(k.direction, half_deg):
+            yield decided(FieldKey(tuple(d), k.magnitude, k.label))
+
     def cone_clean(half_deg):
-        for k in key_set:
-            for d in cone_directions(k.direction, half_deg):
-                tilted = FieldKey(tuple(d), k.magnitude, k.label)
-                if not _one_hot_ok(units, tilted, expected[k.label]):
-                    return False
-        return True
+        return all(_one_hot_ok(decs, expected[k.label])
+                   for k in key_set for decs in cone_decisions(k, half_deg))
 
     cone_viol = 0
     n_dirs = 0
     for k in key_set:
-        for d in cone_directions(k.direction, angle_deg):
+        for decs in cone_decisions(k, angle_deg):
             n_dirs += 1
-            tilted = FieldKey(tuple(d), k.magnitude, k.label)
-            if not _one_hot_ok(units, tilted, expected[k.label], margins):
+            if not _one_hot_ok(decs, expected[k.label], margins):
                 cone_viol += 1
 
     if cone_viol > 0:

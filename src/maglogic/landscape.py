@@ -18,8 +18,11 @@ orientations equilibrated once per (key, mover positions), with every mover,
 the target included, at its latched coordinate; they are then treated as
 fixed sources while the target sweeps. The equilibrium does not depend on
 which unit sweeps, so :func:`decisions_for_key` solves it once for all
-units. This keeps the force/energy consistency exact and captures the
-leading-order coupling between units.
+units, and builds each latched mover source and each pair energy of the
+fixed assembly once for all units too. The orientation solve is one array
+pass per fixed-point iteration; ``design.sensitivity_sweep`` decides each
+distinct key on the nominal topology once. This keeps the force/energy
+consistency exact and captures the leading-order coupling between units.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import (
     EnergyBudgetError,
     MaglogicError,
     NotAnchoredError,
+    SingularConfigError,
 )
 from .magnetics import FieldKey, MagnetSource, MagnetSpec
 
@@ -134,8 +138,17 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
 
     Fixed point of u_i = unit(B(stators + key + other movers) at mover i),
     iterated to 1e-13. Movers in near-zero total field keep the track axis.
+    Each iteration is one array pass: the mover-to-mover geometry is built
+    once per solve, every mover's field at every other mover comes from one
+    expression written like :func:`magnetics.dipole_field`'s, and each row
+    adds the other movers in index order, so every direction has the bits
+    of a per-pair ``dipole_field`` loop.
     """
     units = list(topology)
+    if not units:
+        raise ConfigError("topology has no units")
+    if len({u.id for u in units}) != len(units):
+        raise ConfigError("unit ids must be unique")
     stator_sources = [s for u in units for s in u.stators]
     pts = np.array([u.track.point(positions[u.id]) for u in units])
     mags = np.array([u.track.mover_moment_mag() for u in units])
@@ -146,19 +159,29 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
         n = np.linalg.norm(base[i])
         u_dirs[i] = base[i] / n if n > 1e-30 else np.asarray(u.track.axis)
     n_units = len(units)
+    # r[i, j] points from mover j to mover i; the diagonal is never added
+    r = pts[:, None, :] - pts[None, :, :]
+    d2 = np.einsum("nkc,nkc->nk", r, r)
+    off = ~np.eye(n_units, dtype=bool)
+    np.fill_diagonal(d2, 1.0)
+    d = np.sqrt(d2)
+    if np.any(d[off] < mag.COINCIDENCE_EPS):
+        raise SingularConfigError("field point coincides with a dipole")
+    d3 = d[:, :, None] ** 3
+    coef = mag.MU0 / (4.0 * np.pi)
     damping = 1.0
     for it in range(500):
-        new = np.empty_like(u_dirs)
-        for i in range(n_units):
-            B = base[i].copy()
-            for j in range(n_units):
-                if j == i:
-                    continue
-                B += mag.dipole_field(
-                    pts[j][None, :], (mags[j] * u_dirs[j])[None, :], pts[i]
-                )
-            n = np.linalg.norm(B)
-            new[i] = B / n if n > 1e-30 else u_dirs[i]
+        m = mags[:, None] * u_dirs
+        mdotr = np.einsum("kc,nkc->nk", m, r)
+        F = coef * (3.0 * mdotr / d2)[:, :, None] * r / d3
+        F -= coef * m[None, :, :] / d3
+        B = base.copy()
+        for j in range(n_units):
+            np.add(B, F[:, j], out=B, where=off[:, j, None])
+        n = np.sqrt(np.vecdot(B, B))
+        ok = n > 1e-30
+        new = u_dirs.copy()
+        new[ok] = B[ok] / n[ok, None]
         if damping < 1.0:
             new = u_dirs + damping * (new - u_dirs)
             norms = np.linalg.norm(new, axis=1, keepdims=True)
@@ -258,20 +281,11 @@ def _unit_rows(B: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return out
 
 
-def _find_unit(topology, unit_id: str) -> UnitTriplet:
-    for u in topology:
+def _unit_index(units, unit_id: str) -> int:
+    for i, u in enumerate(units):
         if u.id == unit_id:
-            return u
+            return i
     raise ConfigError(f"unknown unit id {unit_id!r}")
-
-
-def _latched(units, key, n_samples: int, mover_positions) -> tuple:
-    """Mover positions (default: inner stops) and their equilibrium orientations."""
-    mag.finite(n_samples, "n_samples", 16, inclusive=True, integer=True)
-    positions = rest_positions(units)
-    if mover_positions:
-        positions.update(mover_positions)
-    return positions, equilibrate_orientations(units, positions, key)
 
 
 def sample_profile(
@@ -287,34 +301,66 @@ def sample_profile(
     as fixed sources; see the module docstring for the orientation model.
     """
     units = list(topology)
-    target = _find_unit(units, unit_id)
-    positions, orientations = _latched(units, key, n_samples, mover_positions)
-    return _profile(units, target, key, n_samples, positions, orientations)
+    target = _unit_index(units, unit_id)
+    return next(_profiles(units, [target], key, n_samples, mover_positions))
 
 
-def _profile(units, target, key, n_samples, positions, orientations):
-    """Profile of ``target`` with every other mover frozen as a fixed source."""
-    stators, movers, by_unit = [], [], []
-    for u in units:
-        stators.extend(u.stators)
-        by_unit.extend(u.stators)
-        if u.id != target.id:
-            movers.append(MagnetSource(
-                u.track.point(positions[u.id]),
-                u.track.mover_moment_mag() * orientations[u.id],
-            ))
-            by_unit.append(movers[-1])
+def _profiles(units, targets, key, n_samples, mover_positions):
+    """Profile of each ``targets`` index, every other mover a fixed source.
+
+    Movers are latched at ``mover_positions`` (default: inner stops) with one
+    orientation solve, built once as sources and shared by every target.
+    """
+    mag.finite(n_samples, "n_samples", 16, inclusive=True, integer=True)
+    positions = rest_positions(units)
+    if mover_positions:
+        positions.update(mover_positions)
+    orientations = equilibrate_orientations(units, positions, key)
+    movers = [
+        MagnetSource(u.track.point(positions[u.id]),
+                     u.track.mover_moment_mag() * orientations[u.id])
+        for u in units
+    ]
+    stators = [s for u in units for s in u.stators]
+    consts = _const_energies(stators, movers, key, targets)
     empty = np.zeros((0, 3))
-    fixed_pos = np.concatenate([empty, *(s.dipole_positions() for s in by_unit)])
-    fixed_m = np.concatenate([empty, *(s.dipole_moments() for s in by_unit)])
-    # x-independent part of the assembly energy: fixed pairs + fixed key terms
-    const = mag.assembly_energy(stators + movers, key)
+    for t, const in zip(targets, consts):
+        fixed = [s for i, u in enumerate(units)
+                 for s in (u.stators if i == t else (*u.stators, movers[i]))]
+        fixed_pos = np.concatenate([empty, *(s.dipole_positions() for s in fixed)])
+        fixed_m = np.concatenate([empty, *(s.dipole_moments() for s in fixed)])
+        track = units[t].track
+        ctx = _ProfileContext(
+            track, track.mover_moment_mag(), fixed_pos, fixed_m, key, const)
+        xs = np.linspace(track.x_in, track.x_out, n_samples)
+        energy, force = ctx.evaluate(xs)
+        yield LandscapeProfile(units[t].id, key, xs, energy, force, None, ctx)
 
-    track = target.track
-    ctx = _ProfileContext(track, track.mover_moment_mag(), fixed_pos, fixed_m, key, const)
-    xs = np.linspace(track.x_in, track.x_out, n_samples)
-    energy, force = ctx.evaluate(xs)
-    return LandscapeProfile(target.id, key, xs, energy, force, None, ctx)
+
+def _const_energies(stators, movers, key, targets) -> list:
+    """x-independent part of each target's assembly energy.
+
+    For target t the fixed sources are ``stators + movers`` without mover t;
+    their pair energies are summed in :func:`magnetics.assembly_energy`'s
+    i < j order, then the key terms, so each total has its bits. Each pair
+    energy is computed once for all targets.
+    """
+    sources = stators + movers
+    pairs = {}
+    out = []
+    for t in targets:
+        keep = [a for a in range(len(sources)) if a != len(stators) + t]
+        total = 0.0
+        for i, a in enumerate(keep):
+            for b in keep[i + 1:]:
+                if (a, b) not in pairs:
+                    pairs[a, b] = mag.pair_energy(sources[a], sources[b])
+                total += pairs[a, b]
+        if key is not None:
+            for a in keep:
+                total += mag.key_energy(sources[a], key)
+        out.append(total)
+    return out
 
 
 def refine_equilibria(profile: LandscapeProfile):
@@ -550,11 +596,9 @@ def decisions_for_key(
     ``unit_decision``.
     """
     units = list(topology)
-    positions, orientations = _latched(units, key, n_samples, mover_positions)
     return {
-        u.id: decide(refine_equilibria(
-            _profile(units, u, key, n_samples, positions, orientations)))
-        for u in units
+        p.unit_id: decide(refine_equilibria(p))
+        for p in _profiles(units, range(len(units)), key, n_samples, mover_positions)
     }
 
 

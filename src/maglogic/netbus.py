@@ -426,6 +426,7 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     times.
     """
     n_cycles = mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True)
+    seed = mag.finite(seed, "seed", 0, inclusive=True, integer=True)
     noise = dict(noise or {})
     angle_sigma = mag.finite(noise.pop("angle_sigma_deg", 0.0),
                              "angle_sigma_deg", 0.0, inclusive=True)

@@ -31,6 +31,7 @@ import pytest
 
 from maglogic import design as dg
 from maglogic import landscape as ls
+from maglogic import netbus as nb
 from maglogic import presets as pr
 from maglogic.errors import (
     ConfigError,
@@ -285,6 +286,52 @@ def test_sensitivity_sweep_demo_quick():
     assert again == rep
     with pytest.raises(ConfigError):
         dg.sensitivity_sweep(demo_candidate(), 0.1, 20.0, n_trials=0, seed=3)
+
+
+def test_sensitivity_sweep_decides_each_nominal_key_once(monkeypatch):
+    cand = demo_candidate()
+    decided = []
+    original = ls.decisions_for_key
+
+    def counted(units, key, *args, **kwargs):
+        decided.append((list(units), key))
+        return original(units, key, *args, **kwargs)
+
+    monkeypatch.setattr(ls, "decisions_for_key", counted)
+    rep = dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)
+    assert len(decided) == 175  # 196 when each cone centre was decided again
+    nominal = [key for units, key in decided if units == list(cand.units)]
+    assert len(nominal) == 175 - 4 * 3  # every coax trial moves the movers
+    assert len(set(nominal)) == len(nominal)
+    assert rep.angle_margin_deg == 36.09375
+    assert rep.coax_violations == 0 and rep.cone_violations == 0
+
+
+_SEEDED = {
+    "sensitivity_sweep": lambda seed: dg.sensitivity_sweep(
+        demo_candidate(), 0.1, 20.0, 1, seed),
+    "enumerate_candidates": lambda seed: list(dg.enumerate_candidates(
+        PAIR_LATTICE, 2, PAIR_KEYS, template(), 5, seed)),
+    "endurance_campaign": lambda seed: nb.endurance_campaign(
+        pr.demo_grid(), pr.demo_bus_commands(pr.demo_grid())[0], 10, None, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None])
+@pytest.mark.parametrize("call", sorted(_SEEDED))
+def test_seeds_must_be_non_negative_integers(call, seed):
+    with pytest.raises(ConfigError, match="seed"):
+        _SEEDED[call](seed)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ls.decisions_for_key([], None),
+    lambda: ls.decisions_for_key([], pr.demo_keys()[0]),
+    lambda: dg.control_entropy([], pr.demo_keys()),
+], ids=["decisions_no_key", "decisions_key", "control_entropy"])
+def test_empty_topology_is_a_config_error(call):
+    with pytest.raises(ConfigError, match="topology has no units"):
+        call()
 
 
 @pytest.mark.parametrize("coax_frac, angle_deg, match", [

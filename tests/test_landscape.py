@@ -33,6 +33,7 @@ from maglogic.errors import (
     EnergyBudgetError,
     MaglogicError,
     NotAnchoredError,
+    SingularConfigError,
 )
 from maglogic.landscape import (
     LandscapeDecision,
@@ -297,6 +298,83 @@ def test_orientation_fixed_point_balances_torque():
         B = B + np.array([0.0, 8e-3, 0.0])
         assert np.linalg.norm(ori[uid]) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(np.cross(ori[uid], B)) < 1e-12 * np.linalg.norm(B)
+
+
+def _pairwise_orientations(topology, positions, key):
+    """Per-pair ``dipole_field`` fixed point: the loop the array pass replaced."""
+    units = list(topology)
+    stators = [s for u in units for s in u.stators]
+    pts = np.array([u.track.point(positions[u.id]) for u in units])
+    mags = np.array([u.track.mover_moment_mag() for u in units])
+    base = np.atleast_2d(mag.field_of_sources(stators, pts, key))
+    u_dirs = np.empty_like(base)
+    for i, u in enumerate(units):
+        n = np.linalg.norm(base[i])
+        u_dirs[i] = base[i] / n if n > 1e-30 else np.asarray(u.track.axis)
+    damping = 1.0
+    for it in range(500):
+        new = np.empty_like(u_dirs)
+        for i in range(len(units)):
+            B = base[i].copy()
+            for j in range(len(units)):
+                if j != i:
+                    B += mag.dipole_field(
+                        pts[j][None, :], (mags[j] * u_dirs[j])[None, :], pts[i])
+            n = np.linalg.norm(B)
+            new[i] = B / n if n > 1e-30 else u_dirs[i]
+        if damping < 1.0:
+            new = u_dirs + damping * (new - u_dirs)
+            norms = np.linalg.norm(new, axis=1, keepdims=True)
+            dead = norms[:, 0] < 1e-30
+            new[dead] = u_dirs[dead]
+            norms[dead] = 1.0
+            new = new / norms
+        delta = np.abs(new - u_dirs).max()
+        u_dirs = new
+        if delta < 1e-13:
+            break
+        if it == 100:
+            damping = 0.5
+    return {u.id: u_dirs[i] for i, u in enumerate(units)}
+
+
+def test_equilibrate_orientations_matches_pairwise_loop():
+    """Bit for bit: a numpy or BLAS change that moves a last digit fails here."""
+    rng = np.random.default_rng(20261018)
+    cases = [(pr.demo_topology(), pr.demo_keys()),
+             (coupled_topology(), (FieldKey((0, 1, 0), 8e-3, "k"),
+                                   FieldKey((0, 0, -1), 5e-3, "z")))]
+    for n in range(240):
+        topo, keys = cases[n % 2]
+        positions = {u.id: rng.uniform(u.track.x_in, u.track.x_out) for u in topo}
+        key = None
+        if n % 8 != 0:
+            base = keys[rng.integers(len(keys))]
+            tilt = np.asarray(base.direction) + 0.4 * rng.normal(size=3)
+            key = FieldKey(tuple(tilt / np.linalg.norm(tilt)),
+                           base.magnitude * rng.uniform(0.0, 2.5), base.label)
+        got = ls.equilibrate_orientations(topo, positions, key)
+        want = _pairwise_orientations(topo, positions, key)
+        assert list(got) == list(want)
+        for uid in want:
+            assert np.array_equal(got[uid], want[uid]), (n, uid)
+
+
+def test_coincident_movers_are_singular():
+    twin = UnitTriplet("twin", (MagnetSource((0.04, 0, 0), (0, 0, 0.128)),),
+                       anchored_unit().track)
+    topo = [anchored_unit(), twin]
+    with pytest.raises(SingularConfigError, match="coincides"):
+        ls.equilibrate_orientations(topo, ls.rest_positions(topo), None)
+
+
+def test_duplicate_unit_ids_are_config_errors():
+    topo = coupled_topology()
+    topo[1] = dataclasses.replace(topo[1], id="a")
+    for call in (lambda: ls.decisions_for_key(topo, None),
+                 lambda: ls.sample_profile(topo, "a", None)):
+        with pytest.raises(ConfigError, match="unique"):
+            call()
 
 
 def test_double_well_symmetric_equilibria():
