@@ -8,10 +8,14 @@ The calls cover the shipped configs (every unit of the demo topology
 under every key and under no key, ``--key=-x`` and the rejected
 ``--key -x`` form, ``design``, both machines, ``net`` with and without
 ``--seed 7``, ``validate``) and the inputs that ``bench/gen_inputs.py``
-writes for seeds 1-3. Library calls on the demo candidate follow: two
-``sensitivity_sweep`` runs, ``evaluate_candidate`` (matrix, fidelity,
-entropy) and ``cross_interference``, each printing the ``repr`` of its
-result. Each call is a fresh interpreter importing the ``src/`` of
+writes for seeds 1-3. Library calls follow, each printing the ``repr``
+of its result: on the demo candidate two ``sensitivity_sweep`` runs,
+``evaluate_candidate`` (matrix, fidelity, entropy), ``cross_interference``
+and the ``selectivity_filter`` matrix of the demo units under the 27
+directions of the keys' 20 degree cones (labelled ``<label>#<i>``); then
+``run_pipeline`` + ``rank`` on the seed-1 ``design_3x2x3.json`` with
+budget 120 (every candidate's hash, pass flag and fidelity, and the
+ranked hashes). Each call is a fresh interpreter importing the ``src/`` of
 CHECKOUT (default: the checkout holding this script), run in a temporary
 directory on copies of the inputs, so printed paths are relative and two
 checkouts can be compared line by line:
@@ -37,7 +41,8 @@ import tempfile
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONSOLE = "import sys; from maglogic.cli import main; sys.exit(main())"
 SEEDS = (1, 2, 3)
-DEMO = ("from maglogic import design as dg, presets as pr\n"
+DEMO = ("from maglogic import configio, design as dg, presets as pr\n"
+        "from maglogic.magnetics import FieldKey\n"
         "cand = dg.CandidateTopology(tuple(pr.demo_topology()), "
         "tuple(pr.demo_keys()))\n")
 LIBRARY = (
@@ -46,6 +51,16 @@ LIBRARY = (
     ("evaluate_candidate", "(lambda r: (r.matrix, r.fidelity, r.entropy))"
                            "(dg.evaluate_candidate(cand))"),
     ("cross_interference", "dg.cross_interference(cand)"),
+    ("selectivity_filter_cone_20",
+     "dg.selectivity_filter(dg.CandidateTopology(cand.units, tuple("
+     "FieldKey(tuple(d), k.magnitude, f'{k.label}#{i}') for k in cand.key_set "
+     "for i, d in enumerate(dg.cone_directions(k.direction, 20.0)))))"),
+    ("run_pipeline_rank_seed1_3x2x3",
+     "(lambda lattice, template, keys, n_units, thresholds, _: "
+     "(lambda reports: ([(r.candidate_hash, r.matrix.passed, r.fidelity) "
+     "for r in reports], [r.candidate_hash for r in dg.rank(reports)]))("
+     "dg.run_pipeline(lattice, n_units, keys, template, 120, seed=1, "
+     "thresholds=thresholds)))(*configio.load_design('seed1/design_3x2x3.json'))"),
 )
 
 

@@ -369,10 +369,9 @@ def selectivity_filter(
     rows = []
     assignment = []
     passed = True
-    for key in key_set:
+    for key, decisions in zip(key_set, ls.decisions_for_keys(units, key_set, n_samples)):
         row = []
         drive_cols = []
-        decisions = ls.decisions_for_key(units, key, n_samples)
         for uid, d in decisions.items():
             if d.snap_through:
                 row.append(SelectivityCell("DRIVE", d.driving_peak, None, 0.0))
@@ -502,7 +501,7 @@ def control_entropy(units, key_set) -> float:
     key_set = tuple(key_set)
     if not key_set:
         raise ConfigError("key set is empty")
-    return _pattern_entropy([activation_pattern(units, k) for k in key_set])
+    return _pattern_entropy([_snapped(d) for d in ls.decisions_for_keys(units, key_set)])
 
 
 def _pattern_entropy(patterns) -> float:
@@ -584,7 +583,11 @@ def sensitivity_sweep(
     resolution) at which the full rim grid stays clean. Each distinct key is
     decided once on the nominal topology, so a cone centre equal to a key
     (or to an earlier probe's direction) is not decided again; offset
-    topologies are decided afresh.
+    topologies are decided afresh. Keys go through the multi-key lockstep
+    pass (:func:`landscape.decisions_for_keys`): one call for every key of
+    a coaxial trial, one for the whole cone at ``angle_deg``, and one per
+    key's cone while the margin is searched, so a probe stops deciding at
+    the first key whose cone fails.
     """
     mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True)
     coax_frac = mag.finite(coax_frac, "coax_frac", 0.0, inclusive=True)
@@ -597,12 +600,12 @@ def sensitivity_sweep(
         raise ConfigError("candidate has no keys")
     nominal = {}  # FieldKey -> decisions on the nominal topology
 
-    def decided(key):
-        if key not in nominal:
-            nominal[key] = ls.decisions_for_key(units, key)
-        return nominal[key]
+    def decided(keys):
+        new = [k for k in dict.fromkeys(keys) if k not in nominal]
+        nominal.update(zip(new, ls.decisions_for_keys(units, new)))
+        return [nominal[k] for k in keys]
 
-    expected = {k.label: _snapped(decided(k)) for k in key_set}
+    expected = {k.label: _snapped(d) for k, d in zip(key_set, decided(key_set))}
     margins = []
 
     radius = coax_frac * max(_mover_diameter(u.track.mover) for u in units)
@@ -610,26 +613,25 @@ def sensitivity_sweep(
     coax_viol = 0
     for _ in range(n_trials):
         topo = _offset_topology(units, rng, radius) if radius > 0 else None
-        for k in key_set:
-            decs = decided(k) if topo is None else ls.decisions_for_key(topo, k)
+        trial = (decided(key_set) if topo is None
+                 else ls.decisions_for_keys(topo, key_set))
+        for k, decs in zip(key_set, trial):
             if not _one_hot_ok(decs, expected[k.label], margins):
                 coax_viol += 1
 
-    def cone_decisions(k, half_deg):
-        for d in cone_directions(k.direction, half_deg):
-            yield decided(FieldKey(tuple(d), k.magnitude, k.label))
+    def cone(k, half_deg):
+        return [FieldKey(tuple(d), k.magnitude, k.label)
+                for d in cone_directions(k.direction, half_deg)]
 
     def cone_clean(half_deg):
+        # one call per key's cone: a failing cone leaves the later ones undecided
         return all(_one_hot_ok(decs, expected[k.label])
-                   for k in key_set for decs in cone_decisions(k, half_deg))
+                   for k in key_set for decs in decided(cone(k, half_deg)))
 
-    cone_viol = 0
-    n_dirs = 0
-    for k in key_set:
-        for decs in cone_decisions(k, angle_deg):
-            n_dirs += 1
-            if not _one_hot_ok(decs, expected[k.label], margins):
-                cone_viol += 1
+    probes = [fk for k in key_set for fk in cone(k, angle_deg)]
+    n_dirs = len(probes)
+    cone_viol = sum(not _one_hot_ok(decs, expected[fk.label], margins)
+                    for fk, decs in zip(probes, decided(probes)))
 
     if cone_viol > 0:
         lo, hi = 0.0, angle_deg
@@ -662,13 +664,10 @@ def cross_interference(candidate) -> float:
     units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")
-    base = {
-        uid: d.force_at_inner_stop
-        for uid, d in ls.decisions_for_key(units, None).items()
-    }
+    no_key, *keyed = ls.decisions_for_keys(units, [None, *key_set])
+    base = {uid: d.force_at_inner_stop for uid, d in no_key.items()}
     worst = 0.0
-    for k in key_set:
-        decs = ls.decisions_for_key(units, k)
+    for k, decs in zip(key_set, keyed):
         targets = [uid for uid, d in decs.items() if d.snap_through]
         if len(targets) != 1:
             raise MaglogicError(

@@ -17,12 +17,21 @@ Non-target movers are frozen at their current latched coordinates with
 orientations equilibrated once per (key, mover positions), with every mover,
 the target included, at its latched coordinate; they are then treated as
 fixed sources while the target sweeps. The equilibrium does not depend on
-which unit sweeps, so :func:`decisions_for_key` solves it once for all
-units, and builds each latched mover source and each pair energy of the
-fixed assembly once for all units too. The orientation solve is one array
-pass per fixed-point iteration; ``design.sensitivity_sweep`` decides each
-distinct key on the nominal topology once. This keeps the force/energy
-consistency exact and captures the leading-order coupling between units.
+which unit sweeps, so :func:`decisions_for_keys` solves it once per key
+for all units, and builds each latched mover source and each pair energy
+of the fixed assembly once per key too (the stator-stator pairs once per
+call). The orientation solve is one array pass per fixed-point iteration.
+This keeps the force/energy consistency exact and captures the
+leading-order coupling between units.
+
+Root finding runs as a lockstep engine. Bisection, the stability energy
+triples, the barrier energies and root polishing are generator "machines"
+on one (key, unit) profile each; every step gathers the points all open
+machines ask for and evaluates them in one batched pass with per-row
+sources. Each machine keeps its own brackets and stop rules, and each
+batched row has the bits of a one-point evaluation, so a multi-key call
+decides exactly what one call per key would. The 256- and 1025-point
+grids stay one N-row call per profile.
 """
 
 from __future__ import annotations
@@ -246,7 +255,11 @@ class _ProfileContext:
         self.const_energy = const_energy
 
     def evaluate(self, xs: np.ndarray):
-        """Energy and axial force at track coordinates xs (any length)."""
+        """Energy and axial force at track coordinates xs (any length).
+
+        One N-row kernel call: the profile and basin grids. Root finding
+        evaluates single points through :func:`_evaluate_rows` instead.
+        """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         pts = self.track.point(xs)
         B = mag.dipole_field(self.fixed_pos, self.fixed_m, pts)
@@ -263,9 +276,6 @@ class _ProfileContext:
     def force_at(self, x: float) -> float:
         return float(self.evaluate([x])[1][0])
 
-    def energy_at(self, x: float) -> float:
-        return float(self.evaluate([x])[0][0])
-
 
 def _unit_rows(B: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Row-normalize B; zero rows inherit the previous valid direction."""
@@ -279,6 +289,106 @@ def _unit_rows(B: np.ndarray, fallback: np.ndarray) -> np.ndarray:
         for i in np.nonzero(~ok)[0]:
             out[i] = out[idx[i]] if idx[i] >= 0 else fallback
     return out
+
+
+def _stack(ctxs) -> tuple:
+    """Per-context arrays of contexts of one topology, for :func:`_evaluate_rows`.
+
+    Every context of a topology has the same fixed-dipole count K (all
+    stators plus every mover but its own), so the fixed dipoles stack into
+    (C, K, 3) arrays without padding.
+    """
+    return (
+        np.array([c.track.origin for c in ctxs]),
+        np.array([c.track.axis for c in ctxs]),
+        np.array([c.m_mag for c in ctxs]),
+        np.stack([c.fixed_pos for c in ctxs]),
+        np.stack([c.fixed_m for c in ctxs]),
+        np.array([c.key.vector if c.key is not None else np.zeros(3) for c in ctxs]),
+        np.array([c.key is not None for c in ctxs]),
+        np.array([c.const_energy for c in ctxs]),
+    )
+
+
+def _evaluate_rows(stacked, rows, xs):
+    """Energy and axial force of context ``rows[i]`` at ``xs[i]``, one pass.
+
+    Each row has the bits of ``ctx.evaluate([x])`` on its own context: the
+    kernels take per-row sources, the axial projection is a stacked matmul,
+    and a zero-field row takes its own track axis, as a 1-point call does.
+    """
+    origin, axis, m_mag, pos, m, key, has_key, const = (a[rows] for a in stacked)
+    pts = origin + xs[:, None] * axis
+    B = mag.dipole_field(pos, m, pts)
+    np.add(B, key, out=B, where=has_key[:, None])
+    norms = np.linalg.norm(B, axis=1)
+    ok = norms > 1e-30
+    u_dirs = axis.copy()
+    u_dirs[ok] = B[ok] / norms[ok, None]
+    moments = m_mag[:, None] * u_dirs
+    energy = const - np.einsum("nc,nc->n", moments, B)
+    force = mag.dipole_forces(pos, m, pts, moments)
+    return energy, np.matmul(force[:, None, :], axis[:, :, None])[:, 0, 0]
+
+
+def _lockstep(ctxs, machines):
+    """Run root-finding machines in lockstep; return their results in order.
+
+    ``machines[i]`` is a generator on context ``ctxs[i]``: it yields a list
+    of track coordinates, is sent their (energy, axial force) arrays back,
+    and returns its result. Each step evaluates the points of every open
+    machine in one :func:`_evaluate_rows` pass, so a machine sees exactly
+    what 1-point calls would give it, whatever else runs beside it.
+    """
+    if not machines:
+        return []
+    stacked = _stack(ctxs)
+    run = _gather([_tagged(i, m) for i, m in enumerate(machines)])
+    reply = None
+    while True:
+        try:
+            asks = run.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = _evaluate_rows(stacked, np.array([i for i, _ in asks]),
+                               np.array([x for _, x in asks]))
+
+
+def _tagged(i, machine):
+    """``machine``, each point it asks for paired with its context ``i``."""
+    reply = None
+    while True:
+        try:
+            xs = machine.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = yield [(i, x) for x in xs]
+
+
+def _gather(machines):
+    """Machines in lockstep as one machine: each step asks for every open
+    machine's points at once; returns their results in order."""
+    results = [None] * len(machines)
+    asks = {}
+
+    def send(i, reply):
+        try:
+            asks[i] = machines[i].send(reply)
+        except StopIteration as done:
+            asks.pop(i, None)
+            results[i] = done.value
+
+    for i in range(len(machines)):
+        send(i, None)
+    while asks:
+        order = list(asks.items())
+        energy, force = yield [x for _, xs in order for x in xs]
+        at = 0
+        for i, xs in order:
+            n = len(xs)
+            send(i, (energy[at:at + n], force[at:at + n]))
+            at += n
+    return results
 
 
 def _unit_index(units, unit_id: str) -> int:
@@ -302,19 +412,40 @@ def sample_profile(
     """
     units = list(topology)
     target = _unit_index(units, unit_id)
-    return next(_profiles(units, [target], key, n_samples, mover_positions))
+    positions = _latched_positions(units, n_samples, mover_positions)
+    return next(_profiles(units, [target], key, n_samples, positions, {}))
 
 
-def _profiles(units, targets, key, n_samples, mover_positions):
-    """Profile of each ``targets`` index, every other mover a fixed source.
+def _latched_positions(units, n_samples, mover_positions) -> dict:
+    """Every mover's latched coordinate: inner stops, then ``mover_positions``.
 
-    Movers are latched at ``mover_positions`` (default: inner stops) with one
-    orientation solve, built once as sources and shared by every target.
+    Checks ``n_samples`` too. A position must name a unit of the topology
+    and be a finite real inside that unit's stroke, ends included.
     """
     mag.finite(n_samples, "n_samples", 16, inclusive=True, integer=True)
+    if not isinstance(mover_positions, (dict, type(None))):
+        raise ConfigError(f"mover positions must be a dict, got {mover_positions!r}")
     positions = rest_positions(units)
-    if mover_positions:
-        positions.update(mover_positions)
+    tracks = {u.id: u.track for u in units}
+    for uid, x in (mover_positions or {}).items():
+        if uid not in tracks:
+            raise ConfigError(f"mover position names unknown unit id {uid!r}")
+        x = mag.finite(x, f"mover position of unit {uid!r}")
+        if not tracks[uid].x_in <= x <= tracks[uid].x_out:
+            raise ConfigError(
+                f"mover position of unit {uid!r} must lie in its stroke "
+                f"{tracks[uid].stroke}, got {x!r}")
+        positions[uid] = x
+    return positions
+
+
+def _profiles(units, targets, key, n_samples, positions, stator_pairs):
+    """Profile of each ``targets`` index, every other mover a fixed source.
+
+    Movers are latched at ``positions`` with one orientation solve, built
+    once as sources and shared by every target. ``stator_pairs`` caches
+    the key-independent stator-stator pair energies across keys.
+    """
     orientations = equilibrate_orientations(units, positions, key)
     movers = [
         MagnetSource(u.track.point(positions[u.id]),
@@ -322,7 +453,7 @@ def _profiles(units, targets, key, n_samples, mover_positions):
         for u in units
     ]
     stators = [s for u in units for s in u.stators]
-    consts = _const_energies(stators, movers, key, targets)
+    consts = _const_energies(stators, movers, key, targets, stator_pairs)
     empty = np.zeros((0, 3))
     for t, const in zip(targets, consts):
         fixed = [s for i, u in enumerate(units)
@@ -337,13 +468,14 @@ def _profiles(units, targets, key, n_samples, mover_positions):
         yield LandscapeProfile(units[t].id, key, xs, energy, force, None, ctx)
 
 
-def _const_energies(stators, movers, key, targets) -> list:
+def _const_energies(stators, movers, key, targets, stator_pairs) -> list:
     """x-independent part of each target's assembly energy.
 
     For target t the fixed sources are ``stators + movers`` without mover t;
     their pair energies are summed in :func:`magnetics.assembly_energy`'s
     i < j order, then the key terms, so each total has its bits. Each pair
-    energy is computed once for all targets.
+    energy is computed once for all targets, and each stator-stator pair
+    once per ``stator_pairs`` cache, whatever the key.
     """
     sources = stators + movers
     pairs = {}
@@ -353,9 +485,10 @@ def _const_energies(stators, movers, key, targets) -> list:
         total = 0.0
         for i, a in enumerate(keep):
             for b in keep[i + 1:]:
-                if (a, b) not in pairs:
-                    pairs[a, b] = mag.pair_energy(sources[a], sources[b])
-                total += pairs[a, b]
+                cache = stator_pairs if b < len(stators) else pairs
+                if (a, b) not in cache:
+                    cache[a, b] = mag.pair_energy(sources[a], sources[b])
+                total += cache[a, b]
         if key is not None:
             for a in keep:
                 total += mag.key_energy(sources[a], key)
@@ -363,48 +496,69 @@ def _const_energies(stators, movers, key, targets) -> list:
     return out
 
 
+def _context(profile: LandscapeProfile) -> "_ProfileContext":
+    if profile._ctx is None:
+        raise MaglogicError("profile lost its evaluation context")
+    return profile._ctx
+
+
 def refine_equilibria(profile: LandscapeProfile):
     """Bisect every interior sign change of F_axial to |dx| < EQUILIBRIUM_XTOL.
 
     Stability comes from the local curvature of U (positive second
     difference = stable). Returns a copy of the profile with ``equilibria``.
+    The one-profile case of the lockstep engine that
+    :func:`decisions_for_keys` runs over many profiles.
     """
-    ctx = profile._ctx
-    if ctx is None:
-        raise MaglogicError("profile lost its evaluation context")
+    eqs = _lockstep([_context(profile)], [_equilibria(profile)])[0]
+    return replace(profile, equilibria=eqs)
+
+
+def _equilibria(profile: LandscapeProfile):
+    """Machine of :func:`refine_equilibria`: every bracket bisects in
+    lockstep, then one step takes every root's stability triple."""
     xs, F = profile.xs, profile.force_axial
-    roots = []
-    for i in range(len(xs) - 1):
-        f0, f1 = F[i], F[i + 1]
-        if f0 == 0.0 and abs(f1) > 0:
-            roots.append(float(xs[i]))
-            continue
-        if f0 * f1 < 0.0:
-            a, b, fa = float(xs[i]), float(xs[i + 1]), float(f0)
-            # keep halving past EQUILIBRIUM_XTOL until the residual force is
-            # negligible, so re-evaluating at the root gives |F| < 1e-9 N even
-            # for stiff profiles (steep dF/dx)
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = ctx.force_at(m)
-                if (fm > 0) == (fa > 0):
-                    a, fa = m, fm
-                else:
-                    b = m
-                if b - a < EQUILIBRIUM_XTOL and abs(fm) < 1e-10:
-                    break
-                if b - a < 1e-14:
-                    break
-            roots.append(0.5 * (a + b))
+    f0, f1 = F[:-1], F[1:]
+    touch = (f0 == 0.0) & (np.abs(f1) > 0)
+    roots = yield from _gather([
+        _known(float(xs[i])) if touch[i]
+        else _bisect(float(xs[i]), float(xs[i + 1]), float(F[i]))
+        for i in np.nonzero(touch | (f0 * f1 < 0.0))[0]
+    ])
+    if not roots:
+        return ()
     h = max(1e-7, (profile.x_out - profile.x_in) * 1e-5)
-    eqs = []
+    triples = []
     for r in roots:
-        lo = max(r - h, profile.x_in)
-        hi = min(r + h, profile.x_out)
-        u_lo, u_mid, u_hi = (ctx.energy_at(v) for v in (lo, r, hi))
-        stable = (u_lo - u_mid) + (u_hi - u_mid) > 0.0
-        eqs.append(Equilibrium(r, bool(stable)))
-    return replace(profile, equilibria=tuple(eqs))
+        triples += [max(r - h, profile.x_in), r, min(r + h, profile.x_out)]
+    energy, _ = yield triples
+    return tuple(Equilibrium(r, bool((lo - mid) + (hi - mid) > 0.0))
+                 for r, (lo, mid, hi) in zip(roots, energy.reshape(-1, 3).tolist()))
+
+
+def _known(x: float):
+    """Machine that asks for no point and returns ``x``."""
+    return x
+    yield
+
+
+def _bisect(a: float, b: float, fa: float):
+    """Machine: bisect the force sign change in [a, b]; returns the root."""
+    # keep halving past EQUILIBRIUM_XTOL until the residual force is
+    # negligible, so re-evaluating at the root gives |F| < 1e-9 N even
+    # for stiff profiles (steep dF/dx)
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = float((yield [m])[1][0])
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
+        if b - a < EQUILIBRIUM_XTOL and abs(fm) < 1e-10:
+            break
+        if b - a < 1e-14:
+            break
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -461,9 +615,16 @@ def _attractor_from(side_inner: bool, profile: LandscapeProfile):
 def decide(
     profile: LandscapeProfile, friction_force: float | None = None
 ) -> LandscapeDecision:
-    """Classify a (refined) profile. Refines equilibria if not done yet."""
-    if profile.equilibria is None or profile._ctx is None:
-        profile = refine_equilibria(profile)  # raises without a context
+    """Classify a (refined) profile. Refines equilibria if not done yet.
+
+    The one-profile case of the lockstep engine that
+    :func:`decisions_for_keys` runs over many profiles.
+    """
+    return _lockstep([_context(profile)], [_decision(profile, friction_force)])[0]
+
+
+def _decision(profile: LandscapeProfile, friction_force: float | None = None):
+    """Machine of :func:`decide`, refining first when needed."""
     ctx = profile._ctx
     if friction_force is None:
         friction_force = ctx.track.friction_force
@@ -477,6 +638,8 @@ def decide(
             profile.unit_id, label, "monostable_inner", False, True,
             0.0, None, float(F.max()), profile.x_in, None, float(F[0]),
         )
+    if profile.equilibria is None:
+        profile = replace(profile, equilibria=(yield from _equilibria(profile)))
     a_in = _attractor_from(True, profile)
     a_out = _attractor_from(False, profile)
     bist = abs(a_in - a_out) > 1e-9
@@ -491,17 +654,18 @@ def decide(
     margin = None
     if anchored:
         crest = next(
-            (e.position for e in profile.equilibria or ()
+            (e.position for e in profile.equilibria
              if not e.stable and e.position > a_in + 1e-12),
             None,
         )
-        u_inner = ctx.energy_at(a_in)
+        energy, _ = yield [a_in] if crest is None else [a_in, crest]
+        u_inner = float(energy[0])
         if crest is not None:
-            barrier = ctx.energy_at(crest) - u_inner
+            barrier = float(energy[1]) - u_inner
         else:
             seg = U[profile.xs >= a_in - 1e-12]
             barrier = float(seg.max() - u_inner) if len(seg) else 0.0
-        margin = _basin_margin(profile, a_in, crest)
+        margin = yield from _basin_margin(profile, a_in, crest)
     return LandscapeDecision(
         profile.unit_id, label, clazz, snap, False, float(barrier),
         margin, float(F.max()),
@@ -511,20 +675,18 @@ def decide(
     )
 
 
-def _polish_root(ctx: "_ProfileContext", x0: float, lo_cap: float, hi_cap: float):
-    """Re-bisect a force zero near x0 down to floating-point resolution.
+def _polish_root(x0: float, lo_cap: float, hi_cap: float):
+    """Machine: re-bisect a force zero near x0 down to floating-point resolution.
 
     The coarse refinement stops at 1e-9 m, which is plenty for positions
     but leaks a first-order error into margins evaluated at points placed
     relative to the root (geometric-scale covariance wants ~1e-15).
     """
     delta = max(4e-9, abs(x0) * 1e-8)
-    lo, hi = x0, x0
-    flo = fhi = ctx.force_at(x0)
     for _ in range(60):
         lo = max(lo_cap, x0 - delta)
         hi = min(hi_cap, x0 + delta)
-        flo, fhi = ctx.force_at(lo), ctx.force_at(hi)
+        flo, fhi = (float(f) for f in (yield [lo, hi])[1])
         if (flo > 0) != (fhi > 0):
             break
         if lo == lo_cap and hi == hi_cap:
@@ -536,7 +698,7 @@ def _polish_root(ctx: "_ProfileContext", x0: float, lo_cap: float, hi_cap: float
         m = 0.5 * (lo + hi)
         if m <= lo or m >= hi:
             break
-        fm = ctx.force_at(m)
+        fm = float((yield [m])[1][0])
         if (fm > 0) == (flo > 0):
             lo, flo = m, fm
         else:
@@ -545,21 +707,23 @@ def _polish_root(ctx: "_ProfileContext", x0: float, lo_cap: float, hi_cap: float
 
 
 def _basin_margin(profile: LandscapeProfile, a_in: float, crest: float | None):
-    """Min restoring force over the inner basin, zero-force ends excluded.
+    """Machine: min restoring force over the inner basin, zero-force ends
+    excluded.
 
     The restoring force vanishes exactly at a barrier crest and at an
     interior stable equilibrium, so a CREST_EXCLUSION fraction of the basin
     is trimmed at each such end; a boundary-anchored crestless basin (mover
     pressed against the inner stop, force nonzero out to the outer stop) is
-    evaluated over its full extent.
+    evaluated over its full extent. The crest is polished first, then the
+    inner attractor capped by the polished crest; the grid is one N-row
+    call on the profile's own context.
     """
-    ctx = profile._ctx
     start = a_in
     end = crest if crest is not None else profile.x_out
     if crest is not None:
-        end = _polish_root(ctx, crest, start, profile.x_out)
+        end = yield from _polish_root(crest, start, profile.x_out)
     if a_in > profile.x_in + 1e-12:
-        start = _polish_root(ctx, a_in, profile.x_in, end)
+        start = yield from _polish_root(a_in, profile.x_in, end)
     span = end - start
     if crest is not None:
         end = start + (1.0 - CREST_EXCLUSION) * span
@@ -568,7 +732,7 @@ def _basin_margin(profile: LandscapeProfile, a_in: float, crest: float | None):
     if end - start < 1e-12:
         return 0.0
     grid = np.linspace(start, end, _BASIN_GRID)
-    _, F = ctx.evaluate(grid)
+    _, F = profile._ctx.evaluate(grid)
     return float(np.min(-F))
 
 
@@ -590,16 +754,47 @@ def decisions_for_key(
     n_samples: int = DEFAULT_SAMPLES,
     mover_positions: dict | None = None,
 ) -> dict:
-    """Decision of every unit under one key (movers latched elsewhere).
+    """Decision of every unit under one key: :func:`decisions_for_keys`'s
+    one-key case."""
+    return decisions_for_keys(topology, [key], n_samples, mover_positions)[0]
 
-    One orientation solve serves every unit; each entry equals that unit's
-    ``unit_decision``.
+
+def decisions_for_keys(
+    topology,
+    keys,
+    n_samples: int = DEFAULT_SAMPLES,
+    mover_positions: dict | None = None,
+) -> list:
+    """Decision of every unit under each key (movers latched elsewhere).
+
+    Returns one ``{unit id: LandscapeDecision}`` dict per key, in key order;
+    each entry equals that unit's ``unit_decision``. One orientation solve
+    per key serves every unit, and the stator-stator pair energies are
+    computed once for all keys. The bisections, stability checks and root
+    polishing of every (key, unit) profile then advance in lockstep, with
+    one batched evaluation per step (see :func:`_lockstep`).
     """
     units = list(topology)
-    return {
-        p.unit_id: decide(refine_equilibria(p))
-        for p in _profiles(units, range(len(units)), key, n_samples, mover_positions)
-    }
+    try:
+        keys = list(keys)
+        ok = all(k is None or isinstance(k, FieldKey) for k in keys)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"keys must be a sequence of FieldKey or None, got {keys!r}")
+    positions = _latched_positions(units, n_samples, mover_positions)
+    stator_pairs = {}
+    profiles = [
+        p for key in keys
+        for p in _profiles(units, range(len(units)), key, n_samples, positions,
+                           stator_pairs)
+    ]
+    decided = _lockstep([p._ctx for p in profiles], [_decision(p) for p in profiles])
+    n = len(units)
+    return [
+        {p.unit_id: d for p, d in zip(profiles[i:i + n], decided[i:i + n])}
+        for i in range(0, len(profiles), n)
+    ]
 
 
 def anchoring_margin(topology, unit_id: str, key: FieldKey | None) -> float:

@@ -284,20 +284,24 @@ class FieldKey:
 def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Field of point dipoles summed at ``points``.
 
-    src_pos, src_m : (k, 3); points : (..., 3). Returns (..., 3) tesla.
+    src_pos, src_m : (K, 3), shared by every point, or (N, K, 3), one source
+    set per point (row); points : (..., 3), or (N, 3) for per-row sources.
+    Returns (..., 3) tesla. A row of a per-row call has the bits of a
+    1-point call with that row's sources.
     """
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    r = pts[:, None, :] - src_pos[None, :, :]  # (N, k, 3)
+    r = pts[:, None, :] - src_pos  # (N, K, 3)
     d2 = np.einsum("nkc,nkc->nk", r, r)
     d = np.sqrt(d2)
     if np.any(d < COINCIDENCE_EPS):
         raise SingularConfigError("field point coincides with a dipole")
-    mdotr = np.einsum("kc,nkc->nk", src_m, r)
+    mdotr = np.einsum("nkc,nkc->nk" if src_m.ndim == 3 else "kc,nkc->nk", src_m, r)
     coef = MU0 / (4.0 * np.pi)
-    B = coef * (3.0 * mdotr / d2)[:, :, None] * r / d[:, :, None] ** 3
-    B -= coef * src_m[None, :, :] / d[:, :, None] ** 3
+    d3 = d[:, :, None] ** 3
+    B = coef * (3.0 * mdotr / d2)[:, :, None] * r / d3
+    B -= coef * src_m / d3
     out = B.sum(axis=1)
     return out[0] if squeeze else out
 
@@ -305,23 +309,32 @@ def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> 
 def _pair_geometry(test_pos, test_m, src_pos, src_m):
     """Geometry of every (test, source) dipole pair, ``r = test - source``.
 
-    test_* : (N, 3); src_* : (K, 3). Returns d (N, K), rhat (N, K, 3) and the
-    (N, K) products ``src_m.rhat``, ``test_m.rhat`` and ``test_m.src_m``.
+    test_* : (N, 3); src_* : (K, 3) or per-row (N, K, 3). Returns d (N, K),
+    rhat (N, K, 3) and the (N, K) products ``src_m.rhat``, ``test_m.rhat``
+    and ``test_m.src_m``. Per-row sources take ``test_m.src_m`` from a
+    stacked matmul, which keeps each row's bits equal to a 1-row call; an
+    N-row ``test_m @ src_m.T`` may round differently.
     """
-    r = test_pos[:, None, :] - src_pos[None, :, :]
+    r = test_pos[:, None, :] - src_pos
     d = np.linalg.norm(r, axis=2)
     if np.any(d < COINCIDENCE_EPS):
         raise SingularConfigError("a dipole coincides with a source dipole")
     rhat = r / d[:, :, None]
-    mar = np.einsum("kc,nkc->nk", src_m, rhat)
     mbr = np.einsum("nc,nkc->nk", test_m, rhat)
-    return d, rhat, mar, mbr, test_m @ src_m.T
+    if src_m.ndim == 3:
+        mar = np.einsum("nkc,nkc->nk", src_m, rhat)
+        mamb = np.matmul(test_m[:, None, :], src_m.transpose(0, 2, 1))[:, 0, :]
+    else:
+        mar = np.einsum("kc,nkc->nk", src_m, rhat)
+        mamb = test_m @ src_m.T
+    return d, rhat, mar, mbr, mamb
 
 
 def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     """Net force on test dipoles (points[i], moments[i]) from fixed dipoles.
 
-    src_pos, src_m : (K, 3); points, moments : (N, 3). Returns (N, 3) newtons.
+    src_pos, src_m : (K, 3), or per-row (N, K, 3) as in :func:`dipole_field`;
+    points, moments : (N, 3). Returns (N, 3) newtons.
     """
     mts = np.asarray(moments, dtype=float)
     d, rhat, mar, mbr, mamb = _pair_geometry(
@@ -329,7 +342,7 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
     F = coef[:, :, None] * (
         mar[:, :, None] * mts[:, None, :]
-        + mbr[:, :, None] * src_m[None, :, :]
+        + mbr[:, :, None] * src_m
         + (mamb - 5.0 * mar * mbr)[:, :, None] * rhat
     )
     return F.sum(axis=1)

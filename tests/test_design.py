@@ -291,17 +291,20 @@ def test_sensitivity_sweep_demo_quick():
 def test_sensitivity_sweep_decides_each_nominal_key_once(monkeypatch):
     cand = demo_candidate()
     decided = []
-    original = ls.decisions_for_key
+    original = ls.decisions_for_keys
 
-    def counted(units, key, *args, **kwargs):
-        decided.append((list(units), key))
-        return original(units, key, *args, **kwargs)
+    def counted(units, keys, *args, **kwargs):
+        keys = list(keys)
+        decided.extend((list(units), key) for key in keys)
+        return original(units, keys, *args, **kwargs)
 
-    monkeypatch.setattr(ls, "decisions_for_key", counted)
+    monkeypatch.setattr(ls, "decisions_for_keys", counted)
     rep = dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)
-    assert len(decided) == 175  # 196 when each cone centre was decided again
+    # 196 when each cone centre was decided again, 175 when every failing
+    # direction stopped its probe; a probe now stops after a failing cone
+    assert len(decided) == 183
     nominal = [key for units, key in decided if units == list(cand.units)]
-    assert len(nominal) == 175 - 4 * 3  # every coax trial moves the movers
+    assert len(nominal) == 183 - 4 * 3  # every coax trial moves the movers
     assert len(set(nominal)) == len(nominal)
     assert rep.angle_margin_deg == 36.09375
     assert rep.coax_violations == 0 and rep.cone_violations == 0

@@ -149,6 +149,130 @@ def test_decisions_for_key_matches_unit_decision(direction, magnitude, fractions
         assert decisions[u.id] == ls.unit_decision(topo, u.id, key, 256, positions)
 
 
+def _zero_field_unit():
+    """Opposed stators whose fields cancel exactly where x = 0.015."""
+    s1 = MagnetSource((0, 0, -0.01), (0, 0, 0.128))
+    s2 = MagnetSource((0, 0, 0.01), (0, 0, -0.128))
+    track = MoverTrack((1, 0, 0), (-0.015, 0, 0), (0.013, 0.021), MOVER, mass=1e-3)
+    return UnitTriplet("z", (s1, s2), track)
+
+
+def _contexts(topology, keys):
+    units = list(topology)
+    return [p._ctx for key in keys
+            for p in ls._profiles(units, range(len(units)), key, 16,
+                                  ls.rest_positions(units), {})]
+
+
+def _batches():
+    """Context lists of one topology each, as the engine stacks them."""
+    from maglogic import design as dg
+
+    demo = pr.demo_topology()
+    cone = [FieldKey(tuple(d), k.magnitude, k.label)
+            for k in pr.demo_keys() for d in dg.cone_directions(k.direction, 20.0)]
+    discretized = mag.source_from_spec(
+        MagnetSpec("cylinder", (3e-3, 6e-3), 1.2, (0, 0, 1)), (0.04, 0, 0.005),
+        discretize=3)
+    uneven = [collapse_unit(),
+              UnitTriplet("u2", (discretized,), coupled_topology()[1].track)]
+    zero = [_zero_field_unit()]
+    return [
+        _contexts(demo, [*cone, None]),
+        _contexts(coupled_topology(), [None, FieldKey((0, 0, -1), 0.01, "k")]),
+        _contexts(uneven, [None, FieldKey((1, 0, 0), 0.02, "k")]),
+        # a +y key first, so a row that inherited the previous row's
+        # direction would push across the track instead of along it
+        _contexts(zero, [FieldKey((0, 1, 0), 0.01, "k"), None]),
+    ]
+
+
+def test_batched_rows_match_one_point_evaluate():
+    rng = np.random.default_rng(8)
+    batches = _batches()
+    assert len({len(b[0].fixed_pos) for b in batches}) == len(batches)  # K differs
+    for ctxs in batches:
+        stacked = ls._stack(ctxs)
+        for _ in range(10):
+            rows = rng.integers(0, len(ctxs), 3 * len(ctxs))
+            xs = np.array([rng.uniform(*ctxs[i].track.stroke) for i in rows])
+            energy, force = ls._evaluate_rows(stacked, rows, xs)
+            for i, x, e, f in zip(rows, xs, energy, force):
+                one_e, one_f = ctxs[i].evaluate([x])
+                assert np.array_equal(one_e, [e]) and np.array_equal(one_f, [f])
+
+
+def test_zero_field_row_takes_its_own_track_axis():
+    keyed, bare = _batches()[-1]
+    stacked = ls._stack([keyed, bare])
+    energy, force = ls._evaluate_rows(stacked, np.array([0, 1]),
+                                      np.array([0.015, 0.015]))
+    assert np.array_equal(force[1:], bare.evaluate([0.015])[1])
+    assert force[1] != 0.0  # the fallback direction moves the force
+    assert abs(keyed.evaluate([0.015])[1][0]) < 1e-12 * abs(force[1])
+
+
+_KEY = st.builds(
+    lambda d, m: FieldKey(tuple(np.asarray(d) / np.linalg.norm(d)), m, "k"),
+    st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(
+        lambda v: np.linalg.norm(v) > 0.1),
+    st.floats(0.0, 0.05))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.lists(st.one_of(st.none(), _KEY), min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), min_size=1, max_size=5))
+def test_decisions_for_keys_matches_unit_decision(pool, picks):
+    topo = pr.demo_topology()
+    keys = [pool[i % len(pool)] for i in picks]  # repeats and None included
+    decided = ls.decisions_for_keys(topo, keys, 64)
+    assert len(decided) == len(keys)
+    singles = {}
+    for key, decisions in zip(keys, decided):
+        assert list(decisions) == [u.id for u in topo]
+        for u in topo:
+            cell = (None if key is None else key.vector.tobytes(), u.id)
+            if cell not in singles:
+                singles[cell] = ls.unit_decision(topo, u.id, key, 64)
+            assert decisions[u.id] == singles[cell]
+
+
+@pytest.mark.parametrize("keys", [pr.demo_keys()[0], None, 3, [None, "+x"]],
+                         ids=["bare_key", "none", "int", "string_key"])
+def test_decisions_for_keys_rejects_non_key_lists(keys):
+    with pytest.raises(ConfigError, match="FieldKey"):
+        ls.decisions_for_keys(pr.demo_topology(), keys)
+
+
+@pytest.mark.parametrize("positions, match", [
+    ({"zzz": 0.0}, "unknown unit id 'zzz'"),
+    ({"alpha": "x"}, "unit 'alpha' must be a finite number"),
+    ({"alpha": True}, "unit 'alpha' must be a finite number"),
+    ({"alpha": float("nan")}, "unit 'alpha' must be a finite number"),
+    ({"alpha": float("inf")}, "unit 'alpha' must be a finite number"),
+    ({"alpha": 1.0}, "unit 'alpha' must lie in its stroke"),
+    ({"alpha": 0.013 - 1e-12}, "unit 'alpha' must lie in its stroke"),
+    ([("alpha", 0.015)], "must be a dict"),
+], ids=["unknown_unit", "string", "bool", "nan", "inf", "one_meter", "below_stroke",
+        "pairs"])
+def test_mover_positions_are_checked(positions, match):
+    topo = pr.demo_topology()
+    for call in (lambda: ls.decisions_for_key(topo, pr.demo_keys()[0],
+                                              mover_positions=positions),
+                 lambda: ls.sample_profile(topo, "beta", None,
+                                           mover_positions=positions)):
+        with pytest.raises(ConfigError, match=match):
+            call()
+
+
+def test_mover_positions_include_the_stops():
+    topo = pr.demo_topology()
+    alpha = topo[0].track
+    assert alpha.stroke == (0.013, 0.021)
+    for x in alpha.stroke:
+        ls.sample_profile(topo, "beta", None, 16, {"alpha": x})
+
+
 def test_stator_on_stroke_rejected():
     stator = MagnetSource((0, 0, 0.017), (0, 0, 0.1))
     track = MoverTrack((0, 0, 1), (0, 0, 0), (0.013, 0.021), MOVER, mass=1e-3)
