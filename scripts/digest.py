@@ -15,10 +15,14 @@ and the ``selectivity_filter`` matrix of the demo units under the 27
 directions of the keys' 20 degree cones (labelled ``<label>#<i>``); then
 ``run_pipeline`` + ``rank`` on the seed-1 ``design_3x2x3.json`` with
 budget 120 (every candidate's hash, pass flag and fidelity, and the
-ranked hashes). Each call is a fresh interpreter importing the ``src/`` of
-CHECKOUT (default: the checkout holding this script), run in a temporary
-directory on copies of the inputs, so printed paths are relative and two
-checkouts can be compared line by line:
+ranked hashes); on a 5x5 grid at 10 mm pitch with a 10 mT threshold, where
+neighbours fire, the ``truth_table`` events of the 75 demo commands (so
+their magnitude floats) and three 400-cycle ``endurance_campaign`` runs of
+a composite master under angle-only, magnitude-only and combined noise.
+Each call is a fresh interpreter importing the ``src/`` of CHECKOUT
+(default: the checkout holding this script), run in a temporary directory
+on copies of the inputs, so printed paths are relative and two checkouts
+can be compared line by line:
 
     call <name> exit <code> stdout <sha256> stderr <sha256>
     file <output path> <sha256>
@@ -41,10 +45,12 @@ import tempfile
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONSOLE = "import sys; from maglogic.cli import main; sys.exit(main())"
 SEEDS = (1, 2, 3)
-DEMO = ("from maglogic import configio, design as dg, presets as pr\n"
+DEMO = ("from maglogic import configio, design as dg, netbus as nb, presets as pr\n"
         "from maglogic.magnetics import FieldKey\n"
         "cand = dg.CandidateTopology(tuple(pr.demo_topology()), "
-        "tuple(pr.demo_keys()))\n")
+        "tuple(pr.demo_keys()))\n"
+        "grid10 = [nb.NodeSpec(f'n{i}{j}', (0.01 * i, 0.01 * j, 0.0), "
+        "pr.demo_grid()[0].channels, 0.01) for i in range(5) for j in range(5)]\n")
 LIBRARY = (
     ("sensitivity_sweep_0.1_20_4_1", "dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)"),
     ("sensitivity_sweep_0.3_10_3_7", "dg.sensitivity_sweep(cand, 0.3, 10.0, 3, 7)"),
@@ -61,6 +67,14 @@ LIBRARY = (
      "for r in reports], [r.candidate_hash for r in dg.rank(reports)]))("
      "dg.run_pipeline(lattice, n_units, keys, template, 120, seed=1, "
      "thresholds=thresholds)))(*configio.load_design('seed1/design_3x2x3.json'))"),
+    ("truth_table_events_10mm",
+     "nb.truth_table(grid10, pr.demo_bus_commands(grid10)).events"),
+    ("endurance_composite_10mm",
+     "[nb.endurance_campaign(grid10, nb.Command(nb.pose_over(grid10[12], "
+     "nb.calibrate_master(0.005, 0.12, 'composite', field_direction=(0, 0, 1)), "
+     "0.005), ('n22', 'gamma')), 400, noise, seed=5) for noise in ("
+     "{'angle_sigma_deg': 10.0}, {'magnitude_sigma_T': 0.06}, "
+     "{'angle_sigma_deg': 6.0, 'magnitude_sigma_T': 0.04})]"),
 )
 
 

@@ -6,20 +6,23 @@ magnitude is the address bus: a node only listens when |B| meets its
 threshold, which confines addressing to the volume right under the master.
 Field direction is the control bus: the nearest channel direction within
 the node's acceptance cone is the one that fires. A command evaluates the
-master's field at every node in one kernel call, and only nodes that reach
-their threshold decode a channel.
+master's field at every node in one kernel call, and one batched pass
+decodes a channel at every node that reaches its threshold.
 
 The master's moment is calibrated against a target field at a working
 depth, so the shipped demos state their assumptions as two numbers (120 mT
 at 5 mm) rather than a hardware model; every style aims the master along
 the commanded channel direction. Endurance campaigns perturb the master
-pose with seeded Gaussian angle/magnitude noise (without noise, the one
-nominal pose is decoded once and counted for every cycle) and report exact
-binomial (Clopper-Pearson) upper confidence bounds on the failure rate,
-found by bisection on the exact binomial tail. Zero-failure bounds are
-reported in both conventions, one-sided 1 - 0.05^(1/n) and two-sided
-1 - 0.025^(1/n), because published figures rarely say which one they
-used.
+pose with seeded Gaussian angle/magnitude noise and report exact binomial
+(Clopper-Pearson) upper confidence bounds on the failure rate. The noise
+is drawn cycle by cycle, then every cycle runs in one pass: the tilted and
+rescaled masters as stacked arrays, one per-row kernel call per node over
+all cycles, and one batched decode of every (cycle, node) row. Without
+noise, the one nominal pose is decoded once and counted for every cycle.
+The bounds are found by bisection on the exact binomial tail. Zero-failure
+bounds are reported in both conventions, one-sided 1 - 0.05^(1/n) and
+two-sided 1 - 0.025^(1/n), because published figures rarely say which one
+they used.
 """
 
 from __future__ import annotations
@@ -133,7 +136,54 @@ def _master_field(pose: MasterPose, points: np.ndarray) -> np.ndarray:
 
 def master_field_at(pose: MasterPose, point) -> np.ndarray:
     """Superposed dipole field of the master composite, tesla."""
-    return _master_field(pose, np.asarray(point, dtype=float)[None, :])[0]
+    return _master_field(pose, np.array(mag.vector(point, "field point"))[None, :])[0]
+
+
+class _Nodes:
+    """A grid as arrays, built once per call.
+
+    ``positions`` (n, 3); ``thresholds`` and ``cones`` (n,); ``dirs``
+    (n, C, 3), C the most channels of any node; ``pad`` (n, C) is 0 on a
+    node's own channels and +inf past them, so a padded slot is never the
+    nearest channel.
+    """
+
+    def __init__(self, grid):
+        self.grid = list(grid)
+        n = len(self.grid)
+        width = max((len(node.channels) for node in self.grid), default=0)
+        self.dirs = np.zeros((n, width, 3))
+        self.pad = np.full((n, width), np.inf)
+        for i, node in enumerate(self.grid):
+            self.dirs[i, :len(node.channels)] = [c.key_direction for c in node.channels]
+            self.pad[i, :len(node.channels)] = 0.0
+        self.positions = np.array([node.position for node in self.grid],
+                                  dtype=float).reshape(-1, 3)
+        self.thresholds = np.array([node.threshold for node in self.grid], dtype=float)
+        self.cones = np.array([node.cone_half_angle for node in self.grid], dtype=float)
+
+
+def _decode_rows(nodes: _Nodes, which: np.ndarray, fields: np.ndarray) -> tuple:
+    """|B| of each row of ``fields`` (R, 3) and the channel index it fires, or -1.
+
+    Row i is the field at node ``which[i]``. Address test first: |B| >=
+    threshold, with |B| = ``sqrt(vecdot)``, the bits of ``np.linalg.norm``
+    of the row. Control test: the channel nearest in angle (the earliest
+    on ties) must lie within the acceptance cone (inclusive). The cosines
+    come from ``np.vecdot``, which has the bits of a 1-D ``fdir @ dir``
+    (a matmul against the stacked directions may round differently).
+    """
+    norms = np.sqrt(np.vecdot(fields, fields))
+    fired = np.full(len(fields), -1)
+    rows = np.flatnonzero(norms >= nodes.thresholds[which])
+    at = which[rows]
+    fdir = fields[rows] / norms[rows, None]
+    cosang = np.clip(np.vecdot(fdir[:, None, :], nodes.dirs[at]), -1.0, 1.0)
+    angles = np.degrees(np.arccos(cosang)) + nodes.pad[at]
+    best = np.argmin(angles, axis=1)
+    inside = angles[np.arange(len(rows)), best] <= nodes.cones[at]
+    fired[rows[inside]] = best[inside]
+    return norms, fired
 
 
 def decode_node(node: NodeSpec, field) -> str | None:
@@ -143,51 +193,28 @@ def decode_node(node: NodeSpec, field) -> str | None:
     in angle must lie within the acceptance cone (inclusive); angle ties
     resolve to the earliest channel in the list.
     """
-    field = np.asarray(field, dtype=float)
-    norm = float(np.linalg.norm(field))
-    if norm < node.threshold:
-        return None
-    fdir = field / norm
-    best = None
-    for idx, ch in enumerate(node.channels):
-        cosang = float(np.clip(fdir @ np.asarray(ch.key_direction), -1.0, 1.0))
-        angle = float(np.degrees(np.arccos(cosang)))
-        if best is None or angle < best[0]:
-            best = (angle, idx, ch.label)
-    if best[0] <= node.cone_half_angle:
-        return best[2]
-    return None
+    field = np.array(mag.vector(field, "field"))
+    _, fired = _decode_rows(_Nodes([node]), np.zeros(1, dtype=int), field[None, :])
+    return None if fired[0] < 0 else node.channels[fired[0]].label
 
 
-def _positions(grid) -> np.ndarray:
-    """Node positions stacked as an (n, 3) array."""
-    return np.array([n.position for n in grid], dtype=float).reshape(-1, 3)
-
-
-def _fired(grid, positions: np.ndarray, pose: MasterPose) -> list:
-    """(node, channel label, |B|) for every node of ``grid`` that fires.
-
-    One kernel call gives the field at all ``positions``; only nodes at or
-    above their threshold go through :func:`decode_node`. The norm is
-    ``sqrt(vecdot)``, which matches ``np.linalg.norm`` of each row bit for
-    bit (``np.linalg.norm(..., axis=1)`` does not).
-    """
-    fields = _master_field(pose, positions)
-    norms = np.sqrt(np.vecdot(fields, fields)).tolist()
-    fired = []
-    for i, (node, norm) in enumerate(zip(grid, norms)):
-        if norm >= node.threshold:
-            label = decode_node(node, fields[i])
-            if label is not None:
-                fired.append((node, label, norm))
-    return fired
+def _events(nodes: _Nodes, command: Command, t: float) -> list:
+    """Events of one command: one kernel call for the field at every node,
+    one :func:`_decode_rows` pass over all of them."""
+    fields = _master_field(command.pose, nodes.positions)
+    norms, fired = _decode_rows(nodes, np.arange(len(nodes.grid)), fields)
+    events = []
+    for node, k, norm in zip(nodes.grid, fired.tolist(), norms.tolist()):
+        if k >= 0:
+            label = node.channels[k].label
+            events.append(Event(t, node.id, label, norm,
+                                (node.id, label) == command.intended))
+    return events
 
 
 def execute_command(grid, command: Command, t: float = 0.0) -> list:
     """Decode one command at every node; events carry the intended flag."""
-    grid = list(grid)
-    return [Event(t, node.id, label, norm, (node.id, label) == command.intended)
-            for node, label, norm in _fired(grid, _positions(grid), command.pose)]
+    return _events(_Nodes(grid), command, t)
 
 
 @dataclass(frozen=True)
@@ -214,12 +241,12 @@ class TruthTable:
 
 
 def truth_table(grid, commands) -> TruthTable:
-    grid = list(grid)
-    columns = tuple((n.id, c.label) for n in grid for c in n.channels)
+    nodes = _Nodes(grid)
+    columns = tuple((n.id, c.label) for n in nodes.grid for c in n.channels)
     fired, exclusive, intended, log = [], [], [], []
     t = 0.0
     for cmd in commands:
-        events = execute_command(grid, cmd, t)
+        events = _events(nodes, cmd, t)
         t += cmd.dwell
         hits = {(e.node_id, e.channel) for e in events}
         fired.append(tuple(i for i, col in enumerate(columns) if col in hits))
@@ -388,23 +415,61 @@ def _cp_upper(k: int, n: int, alpha: float) -> float:
             hi = mid
 
 
-def _perturbed(pose: MasterPose, rng, angle_sigma_deg: float,
-               magnitude_sigma_T: float, nominal_B: float) -> MasterPose:
-    """``pose`` tilted and rescaled by seeded noise; a sigma of 0 draws nothing."""
-    dipoles = pose.dipoles
+def _noisy_sources(pose: MasterPose, rng, n_cycles: int, angle_sigma_deg: float,
+                   magnitude_sigma_T: float, nominal_B: float) -> tuple:
+    """Dipole positions and moments (n_cycles, D, 3) of ``pose`` under seeded noise.
+
+    Each cycle draws, in this order, a tilt (normal, degrees) and the
+    azimuth of its in-plane axis (uniform), then a field error at the
+    intended node (normal, tesla) that scales the moments by
+    1 + error / ``nominal_B``; a sigma of 0 draws nothing. The tilt
+    rotates the offsets and moments about ``pose.position`` with one
+    stacked matmul, which keeps each cycle's bits equal to ``R @ v``.
+    """
+    draws = np.zeros((n_cycles, 3))
+    for row in range(n_cycles):
+        if angle_sigma_deg > 0.0:
+            draws[row, 0] = rng.normal(0.0, angle_sigma_deg)
+            draws[row, 1] = rng.uniform(0.0, 2 * np.pi)
+        if magnitude_sigma_T > 0.0:
+            draws[row, 2] = rng.normal(0.0, magnitude_sigma_T)
+    offsets = np.broadcast_to([off for off, _ in pose.dipoles],
+                              (n_cycles, len(pose.dipoles), 3))
+    moments = np.broadcast_to([m for _, m in pose.dipoles], offsets.shape)
     if angle_sigma_deg > 0.0:
-        theta = np.radians(rng.normal(0.0, angle_sigma_deg))
-        phi = rng.uniform(0.0, 2 * np.pi)
-        axis = np.array([np.cos(phi), np.sin(phi), 0.0])
-        c, s = np.cos(theta), np.sin(theta)
-        ux, uy, uz = axis
-        K = np.array([[0, -uz, uy], [uz, 0, -ux], [-uy, ux, 0]])
+        theta, phi = np.radians(draws[:, 0]), draws[:, 1]
+        ux, uy, uz = np.cos(phi), np.sin(phi), np.zeros(n_cycles)
+        zero = np.zeros(n_cycles)
+        K = np.stack([np.stack(row, axis=-1) for row in (
+            (zero, -uz, uy), (uz, zero, -ux), (-uy, ux, zero))], axis=-2)
+        c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
         R = np.eye(3) + s * K + (1 - c) * (K @ K)
-        dipoles = [(R @ off, R @ m) for off, m in dipoles]
+        offsets = np.matmul(R[:, None], offsets[..., None])[..., 0]
+        moments = np.matmul(R[:, None], moments[..., None])[..., 0]
     if magnitude_sigma_T > 0.0:
-        factor = 1.0 + rng.normal(0.0, magnitude_sigma_T) / nominal_B
-        dipoles = [(off, factor * np.asarray(m)) for off, m in dipoles]
-    return MasterPose(pose.position, tuple(dipoles))
+        moments = (1.0 + draws[:, 2] / nominal_B)[:, None, None] * moments
+    return np.asarray(pose.position) + offsets, moments
+
+
+def _noisy_hits(grid: list, pos: np.ndarray, moments: np.ndarray) -> list:
+    """The set of (node id, channel label) fired in each cycle.
+
+    ``pos`` and ``moments`` (n_cycles, D, 3) are every cycle's master, as
+    from :func:`_noisy_sources`. Per node, one per-row kernel call gives
+    the field of every cycle's master (row c is cycle c) and one
+    :func:`_decode_rows` pass decodes them; going node by node keeps the
+    arrays at n_cycles rows rather than n_cycles x nodes.
+    """
+    n_cycles = len(pos)
+    nodes = _Nodes(grid)
+    hits = [set() for _ in range(n_cycles)]
+    for j, (node, p) in enumerate(zip(nodes.grid, nodes.positions)):
+        fields = mag.dipole_field(pos, moments, np.broadcast_to(p, (n_cycles, 3)))
+        _, fired = _decode_rows(nodes, np.full(n_cycles, j), fields)
+        cycles = np.flatnonzero(fired >= 0)
+        for c, k in zip(cycles.tolist(), fired[cycles].tolist()):
+            hits[c].add((node.id, node.channels[k].label))
+    return hits
 
 
 def _outcome(hits: set, intended: tuple) -> tuple:
@@ -421,9 +486,11 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     ``noise`` keys: "angle_sigma_deg" (tilt of the whole master) and
     "magnitude_sigma_T" (field error at the intended node, converted to a
     moment scale factor), each >= 0. A failure is any cycle with a false
-    trigger or a missed intended activation. Without noise every cycle is
-    the nominal pose, so that pose is decoded once and counted n_cycles
-    times.
+    trigger or a missed intended activation. With noise, the cycles are
+    decoded together in one pass (see :func:`_noisy_hits`);
+    magnitude noise needs a non-zero nominal field at the intended node.
+    Without noise every cycle is the nominal pose, so that pose is decoded
+    once and counted n_cycles times.
     """
     n_cycles = mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True)
     seed = mag.finite(seed, "seed", 0, inclusive=True, integer=True)
@@ -442,15 +509,16 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
         hits = {(e.node_id, e.channel) for e in execute_command(grid, command)}
         totals = [n_cycles * c for c in _outcome(hits, command.intended)]
     else:
-        positions = _positions(grid)
         nominal_B = float(np.linalg.norm(
             master_field_at(command.pose, node.position)))
-        rng = np.random.default_rng(seed)
-        totals = [0, 0, 0]
-        for _ in range(n_cycles):
-            pose = _perturbed(command.pose, rng, angle_sigma, mag_sigma, nominal_B)
-            hits = {(n.id, label) for n, label, _ in _fired(grid, positions, pose)}
-            totals = [a + b for a, b in zip(totals, _outcome(hits, command.intended))]
+        if mag_sigma > 0.0 and nominal_B == 0.0:
+            raise ConfigError("magnitude_sigma_T needs a non-zero master field "
+                              f"at node {node.id!r}; it is 0 there")
+        hits = _noisy_hits(grid, *_noisy_sources(
+            command.pose, np.random.default_rng(seed), n_cycles,
+            angle_sigma, mag_sigma, nominal_B))
+        totals = [sum(col) for col in
+                  zip(*(_outcome(h, command.intended) for h in hits))]
     false_triggers, misses, failures = totals
     return EnduranceStats(
         n_cycles, false_triggers, misses, failures,

@@ -167,6 +167,150 @@ def test_decode_tie_resolves_to_earliest_channel():
     assert nb.decode_node(node, halfway) == "first"
 
 
+def _decode_reference(node, field):
+    """The per-channel scalar loop that the batched decoder replaced."""
+    field = np.asarray(field, dtype=float)
+    norm = float(np.linalg.norm(field))
+    if norm < node.threshold:
+        return None
+    fdir = field / norm
+    best = None
+    for idx, ch in enumerate(node.channels):
+        cosang = float(np.clip(fdir @ np.asarray(ch.key_direction), -1.0, 1.0))
+        angle = float(np.degrees(np.arccos(cosang)))
+        if best is None or angle < best[0]:
+            best = (angle, idx, ch.label)
+    return best[2] if best[0] <= node.cone_half_angle else None
+
+
+def test_batched_decoder_matches_channel_loop():
+    rng = np.random.default_rng(11)
+    tie = nb.NodeSpec(
+        "tie", (0, 0, 0),
+        (nb.Channel("first", (1, 0, 0)),
+         nb.Channel("second", (math.cos(math.radians(30)),
+                               math.sin(math.radians(30)), 0.0))),
+        0.1, 20.0)
+    # nodes with 1 to 4 channels, so that the decoder pads the shorter ones
+    grid = [
+        nb.NodeSpec("one", (0, 0, 0), (nb.Channel("z", (0, 0, 1)),), 0.05, 40.0),
+        tie,
+        three_channel_node(cone=35.0),
+        nb.NodeSpec("four", (0, 0, 0), tuple(
+            nb.Channel(f"c{i}", d) for i, d in enumerate(
+                ((1, 1, 0), (-1, 1, 0), (0, -1, 1), (0.2, -0.3, -0.9)))),
+            0.08, 25.0),
+    ]
+    # a field whose decoded angle is exactly the cone of one node and just
+    # outside that of another: the cone check is inclusive
+    slant = 0.2 * np.array([math.cos(math.radians(25)),
+                            math.sin(math.radians(25)), 0.0])
+    on_cone = float(np.degrees(np.arccos(slant[0] / np.linalg.norm(slant))))
+    grid += [nb.NodeSpec(f"cone{i}", (0, 0, 0), (nb.Channel("x", (1, 0, 0)),),
+                         0.1, cone)
+             for i, cone in enumerate((on_cone, np.nextafter(on_cone, 0.0)))]
+    which, fields = [], []
+    for j, node in enumerate(grid[:4]):
+        for _ in range(1500):
+            ch = node.channels[rng.integers(len(node.channels))]
+            d = np.asarray(ch.key_direction)
+            d = d + rng.normal(0.0, 0.5) * rng.normal(size=3)
+            scale = node.threshold * rng.uniform(0.5, 1.5)
+            which.append(j)
+            fields.append(scale * d / np.linalg.norm(d))
+    halfway = 0.2 * np.array([math.cos(math.radians(15)),
+                              math.sin(math.radians(15)), 0.0])
+    edge = 0.125 * np.array([math.cos(math.radians(35)),
+                             math.sin(math.radians(35)), 0.0])
+    at_threshold = (FIELD, 0.0, 0.0)
+    below = (np.nextafter(FIELD, 0.0), 0.0, 0.0)
+    special = [(1, halfway), (2, edge), (2, at_threshold), (2, below),
+               (2, (0.0, 0.0, 0.0)), (0, (0.0, 0.0, -0.2)),
+               (4, slant), (5, slant)]
+    for j, f in special:
+        which.append(j)
+        fields.append(np.asarray(f, dtype=float))
+    norms, fired = nb._decode_rows(nb._Nodes(grid), np.array(which),
+                                   np.array(fields))
+    got = [None if k < 0 else grid[j].channels[k].label
+           for j, k in zip(which, fired.tolist())]
+    want = [_decode_reference(grid[j], f) for j, f in zip(which, fields)]
+    assert got == want
+    assert got == [nb.decode_node(grid[j], f) for j, f in zip(which, fields)]
+    assert norms.tolist() == [float(np.linalg.norm(f)) for f in fields]
+    assert got[-8:] == ["first", "alpha", "alpha", None, None, None, "x", None]
+    for j, node in enumerate(grid[:4]):
+        labels = [g for g, w in zip(got, which) if w == j]
+        assert None in labels
+        assert {c.label for c in node.channels} <= set(labels)
+
+
+def _perturbed_reference(pose, rng, angle_sigma_deg, magnitude_sigma_T, nominal_B):
+    """One noisy cycle's master, drawn and built as a per-cycle pose."""
+    dipoles = pose.dipoles
+    if angle_sigma_deg > 0.0:
+        theta = np.radians(rng.normal(0.0, angle_sigma_deg))
+        phi = rng.uniform(0.0, 2 * np.pi)
+        axis = np.array([np.cos(phi), np.sin(phi), 0.0])
+        c, s = np.cos(theta), np.sin(theta)
+        ux, uy, uz = axis
+        K = np.array([[0, -uz, uy], [uz, 0, -ux], [-uy, ux, 0]])
+        R = np.eye(3) + s * K + (1 - c) * (K @ K)
+        dipoles = [(R @ off, R @ m) for off, m in dipoles]
+    if magnitude_sigma_T > 0.0:
+        factor = 1.0 + rng.normal(0.0, magnitude_sigma_T) / nominal_B
+        dipoles = [(off, factor * np.asarray(m)) for off, m in dipoles]
+    return nb.MasterPose(pose.position, tuple(dipoles))
+
+
+def _hits_reference(grid, pose):
+    """Fired (node id, label) set of one pose, decoded node by node."""
+    fields = nb._master_field(pose, np.array([n.position for n in grid], dtype=float))
+    return {(n.id, label) for n, f in zip(grid, fields)
+            if (label := _decode_reference(n, f)) is not None}
+
+
+def test_batched_endurance_matches_per_cycle_poses():
+    demo = pr.demo_grid()
+    # 8 mm pitch at a quarter of the threshold: neighbours fire too
+    dense = [nb.NodeSpec(f"n{i}{j}", (0.008 * i, 0.008 * j, 0.0),
+                         demo[0].channels, FIELD / 4)
+             for i in range(3) for j in range(3)]
+    composite = nb.calibrate_master(DEPTH, FIELD, "composite",
+                                    field_direction=(0, 0, 1))
+    cases = [(demo, pr.demo_bus_commands(demo)[3]),
+             (demo, nb.Command(nb.pose_over(demo[2], composite, DEPTH),
+                               ("node2", "gamma"))),
+             (dense, pr.demo_bus_commands(dense)[13]),
+             (dense, nb.Command(nb.pose_over(dense[4], composite, DEPTH),
+                                ("n11", "gamma")))]
+    noises = ({"angle_sigma_deg": 15.0}, {"magnitude_sigma_T": 0.08},
+              {"angle_sigma_deg": 8.0, "magnitude_sigma_T": 0.05})
+    totals = np.zeros(3, dtype=int)
+    for seed, (grid, cmd) in enumerate(cases):
+        node = next(n for n in grid if n.id == cmd.intended[0])
+        nominal_B = float(np.linalg.norm(nb.master_field_at(cmd.pose, node.position)))
+        for noise in noises:
+            args = (noise.get("angle_sigma_deg", 0.0),
+                    noise.get("magnitude_sigma_T", 0.0), nominal_B)
+            rng = np.random.default_rng(seed)
+            poses = [_perturbed_reference(cmd.pose, rng, *args) for _ in range(120)]
+            pos, moments = nb._noisy_sources(
+                cmd.pose, np.random.default_rng(seed), 120, *args)
+            assert pos.tolist() == [
+                [list(np.add(p.position, off)) for off, _ in p.dipoles] for p in poses]
+            assert moments.tolist() == [[list(m) for _, m in p.dipoles] for p in poses]
+            want = [_hits_reference(grid, p) for p in poses]
+            assert nb._noisy_hits(grid, pos, moments) == want
+            counts = [sum(col) for col in
+                      zip(*(nb._outcome(h, cmd.intended) for h in want))]
+            stats = nb.endurance_campaign(grid, cmd, 120, noise, seed=seed)
+            assert (stats.false_triggers, stats.misses, stats.failures) == tuple(counts)
+            totals += counts
+    # the cases exercise misses, neighbour triggers and clean cycles alike
+    assert totals[0] > 0 and 0 < totals[1] and totals[2] < 12 * 120
+
+
 def test_demo_truth_table_is_identity():
     grid = pr.demo_grid()
     commands = pr.demo_bus_commands(grid)
@@ -387,6 +531,32 @@ def test_endurance_argument_errors():
         for bad in (float("nan"), float("inf"), -1.0, "3", None, True):
             with pytest.raises(ConfigError, match=name):
                 nb.endurance_campaign(grid, cmd, 10, {name: bad})
+
+
+def test_public_field_arguments_are_checked():
+    node = three_channel_node()
+    pose = nb.MasterPose.single((0.0, 0.0, DEPTH), (0.15, 0.0, 0.0))
+    for bad in ((0.2, 0.0), (float("nan"), 0.0, 0.2), (0.2, float("inf"), 0.0),
+                "xyz", None):
+        with pytest.raises(ConfigError, match="field"):
+            nb.decode_node(node, bad)
+        with pytest.raises(ConfigError, match="field point"):
+            nb.master_field_at(pose, bad)
+
+
+def test_magnitude_noise_needs_a_field_at_the_intended_node():
+    grid = pr.demo_grid()
+    cmd = pr.demo_bus_commands(grid)[0]
+    # so far away that the field at node0 underflows to exactly 0
+    far = nb.Command(nb.MasterPose((1e200, 0.0, DEPTH), cmd.pose.dipoles),
+                     cmd.intended)
+    assert not np.any(nb.master_field_at(far.pose, grid[0].position))
+    for noise in ({"magnitude_sigma_T": 0.01},
+                  {"angle_sigma_deg": 3.0, "magnitude_sigma_T": 0.01}):
+        with pytest.raises(ConfigError, match="magnitude_sigma_T"):
+            nb.endurance_campaign(grid, far, 10, noise)
+    tilted = nb.endurance_campaign(grid, far, 10, {"angle_sigma_deg": 3.0})
+    assert tilted.misses == tilted.failures == 10
 
 
 def test_clopper_pearson_upper_bound_binomial_identity():
