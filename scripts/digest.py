@@ -12,7 +12,10 @@ writes for seeds 1-3. Library calls follow, each printing the ``repr``
 of its result: on the demo candidate two ``sensitivity_sweep`` runs,
 ``evaluate_candidate`` (matrix, fidelity, entropy), ``cross_interference``
 and the ``selectivity_filter`` matrix of the demo units under the 27
-directions of the keys' 20 degree cones (labelled ``<label>#<i>``); then
+directions of the keys' 20 degree cones (labelled ``<label>#<i>``), the
+1025-sample ``sample_profile`` energy and force of every demo unit under
+those 27 keys and no key, and ``decisions_for_keys`` under the demo keys
+and no key with every mover latched mid-stroke; then
 ``run_pipeline`` + ``rank`` on the seed-1 ``design_3x2x3.json`` with
 budget 120 (every candidate's hash, pass flag and fidelity, and the
 ranked hashes); on a 5x5 grid at 10 mm pitch with a 10 mT threshold, where
@@ -45,10 +48,13 @@ import tempfile
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONSOLE = "import sys; from maglogic.cli import main; sys.exit(main())"
 SEEDS = (1, 2, 3)
-DEMO = ("from maglogic import configio, design as dg, netbus as nb, presets as pr\n"
+DEMO = ("from maglogic import configio, design as dg, landscape as ls, netbus as nb, "
+        "presets as pr\n"
         "from maglogic.magnetics import FieldKey\n"
         "cand = dg.CandidateTopology(tuple(pr.demo_topology()), "
         "tuple(pr.demo_keys()))\n"
+        "cone = [FieldKey(tuple(d), k.magnitude, f'{k.label}#{i}') for k in cand.key_set "
+        "for i, d in enumerate(dg.cone_directions(k.direction, 20.0))]\n"
         "grid10 = [nb.NodeSpec(f'n{i}{j}', (0.01 * i, 0.01 * j, 0.0), "
         "pr.demo_grid()[0].channels, 0.01) for i in range(5) for j in range(5)]\n")
 LIBRARY = (
@@ -58,9 +64,13 @@ LIBRARY = (
                            "(dg.evaluate_candidate(cand))"),
     ("cross_interference", "dg.cross_interference(cand)"),
     ("selectivity_filter_cone_20",
-     "dg.selectivity_filter(dg.CandidateTopology(cand.units, tuple("
-     "FieldKey(tuple(d), k.magnitude, f'{k.label}#{i}') for k in cand.key_set "
-     "for i, d in enumerate(dg.cone_directions(k.direction, 20.0)))))"),
+     "dg.selectivity_filter(dg.CandidateTopology(cand.units, tuple(cone)))"),
+    ("sample_profile_1025_cone_20",
+     "[(p.energy.tolist(), p.force_axial.tolist()) for u in cand.units "
+     "for k in [*cone, None] for p in [ls.sample_profile(cand.units, u.id, k, 1025)]]"),
+    ("decisions_for_keys_mid_stroke",
+     "ls.decisions_for_keys(cand.units, [*cand.key_set, None], mover_positions={"
+     "u.id: 0.5 * (u.track.x_in + u.track.x_out) for u in cand.units})"),
     ("run_pipeline_rank_seed1_3x2x3",
      "(lambda lattice, template, keys, n_units, thresholds, _: "
      "(lambda reports: ([(r.candidate_hash, r.matrix.passed, r.fidelity) "

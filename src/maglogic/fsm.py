@@ -519,9 +519,15 @@ def torque_estimate(topology, coupler: CrankCoupler, lever_arm: float,
     mag.finite(lever_arm, "lever arm", 0.0)
     topology = list(topology)
     coupled = set(coupler.units)
+    try:
+        keys = list(keys)
+        ok = all(isinstance(k, FieldKey) for k in keys)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"keys must be a sequence of FieldKey, got {keys!r}")
     worst = None
-    for key in keys:
-        decs = ls.decisions_for_key(topology, key)
+    for key, decs in zip(keys, ls.decisions_for_keys(topology, keys)):
         driven = [uid for uid, d in decs.items()
                   if d.snap_through and uid in coupled]
         if len(driven) != 1:

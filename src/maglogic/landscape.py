@@ -24,14 +24,20 @@ call). The orientation solve is one array pass per fixed-point iteration.
 This keeps the force/energy consistency exact and captures the
 leading-order coupling between units.
 
+One evaluator computes U(x) and F(x) of a mover everywhere. With one
+profile's sources it evaluates a grid: the 256- and 1025-point grids are
+one N-row call per profile. With per-row sources it evaluates each row on
+its own profile. A mover in zero field keeps the direction of the row
+before it on its grid, and the first row takes the track axis; a row of
+a per-row pass is a grid of one point, so it takes its own track axis.
+
 Root finding runs as a lockstep engine. Bisection, the stability energy
 triples, the barrier energies and root polishing are generator "machines"
 on one (key, unit) profile each; every step gathers the points all open
-machines ask for and evaluates them in one batched pass with per-row
-sources. Each machine keeps its own brackets and stop rules, and each
-batched row has the bits of a one-point evaluation, so a multi-key call
-decides exactly what one call per key would. The 256- and 1025-point
-grids stay one N-row call per profile.
+machines ask for and evaluates them in one per-row pass. Each machine
+keeps its own brackets and stop rules, and each row has the bits of a
+one-point evaluation, so a multi-key call decides exactly what one call
+per key would.
 """
 
 from __future__ import annotations
@@ -244,91 +250,68 @@ class LandscapeProfile:
 
 
 class _ProfileContext:
-    """Re-evaluation closure bound to one (topology, unit, key) combination."""
+    """Re-evaluation closure bound to one (topology, unit, key) combination.
 
-    def __init__(self, track, m_mag, fixed_pos, fixed_m, key, const_energy):
+    ``args`` are :func:`_evaluate`'s arguments but ``xs``, built by
+    :func:`_profiles`.
+    """
+
+    def __init__(self, track, args):
         self.track = track
-        self.m_mag = m_mag
-        self.fixed_pos = fixed_pos  # (K, 3) flattened fixed dipoles
-        self.fixed_m = fixed_m
-        self.key = key
-        self.const_energy = const_energy
+        self.args = args
 
-    def evaluate(self, xs: np.ndarray):
-        """Energy and axial force at track coordinates xs (any length).
-
-        One N-row kernel call: the profile and basin grids. Root finding
-        evaluates single points through :func:`_evaluate_rows` instead.
-        """
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        pts = self.track.point(xs)
-        B = mag.dipole_field(self.fixed_pos, self.fixed_m, pts)
-        B = np.atleast_2d(B)
-        if self.key is not None:
-            B = B + self.key.vector[None, :]
-        u_dirs = _unit_rows(B, np.asarray(self.track.axis))
-        moments = self.m_mag * u_dirs
-        energy = self.const_energy - np.einsum("nc,nc->n", moments, B)
-        force = mag.dipole_forces(self.fixed_pos, self.fixed_m, pts, moments)
-        f_axial = force @ np.asarray(self.track.axis)
-        return energy, f_axial
-
-    def force_at(self, x: float) -> float:
-        return float(self.evaluate([x])[1][0])
+    def evaluate(self, xs):
+        """Energy and axial force at track coordinates xs (any length)."""
+        return _evaluate(*self.args, xs)
 
 
-def _unit_rows(B: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Row-normalize B; zero rows inherit the previous valid direction."""
+def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
+    """Energy and axial force of a mover at track coordinates ``xs``.
+
+    The source shape picks the path, as in :func:`magnetics.dipole_field`.
+    Shared sources ``pos``, ``m`` (K, 3) evaluate a grid on one context:
+    N-row kernel calls and ``force @ axis``. Per-row sources (N, K, 3), with
+    every other argument stacked per row too, evaluate row i on its own
+    context with the bits of a 1-point grid there, since the kernels and
+    the stacked matmul keep 1-row bits. ``key`` is added where ``has_key``;
+    the module docstring gives the zero-field rule.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    per_row = pos.ndim == 3
+    pts = origin + xs[:, None] * axis
+    B = mag.dipole_field(pos, m, pts)
+    np.add(B, key, out=B, where=has_key[..., None])
     norms = np.linalg.norm(B, axis=1)
     ok = norms > 1e-30
-    out = np.empty_like(B)
-    out[ok] = B[ok] / norms[ok, None]
+    # C-ordered like B: einsum's bits depend on its operands' memory layout
+    u_dirs = np.empty_like(B)
+    np.divide(B, norms[:, None], out=u_dirs, where=ok[:, None])
     if not ok.all():
-        idx = np.where(ok, np.arange(len(B)), -1)
-        idx = np.maximum.accumulate(idx)
-        for i in np.nonzero(~ok)[0]:
-            out[i] = out[idx[i]] if idx[i] >= 0 else fallback
-    return out
+        u_dirs[~ok] = np.broadcast_to(axis, B.shape)[~ok]
+        if not per_row:
+            prev = np.maximum.accumulate(np.where(ok, np.arange(len(B)), -1))
+            u_dirs[prev >= 0] = u_dirs[prev[prev >= 0]]
+    moments = m_mag[..., None] * u_dirs
+    energy = const - np.einsum("nc,nc->n", moments, B)
+    force = mag.dipole_forces(pos, m, pts, moments)
+    if per_row:
+        return energy, np.matmul(force[:, None, :], axis[:, :, None])[:, 0, 0]
+    return energy, force @ axis
 
 
 def _stack(ctxs) -> tuple:
-    """Per-context arrays of contexts of one topology, for :func:`_evaluate_rows`.
+    """:func:`_evaluate`'s per-row arguments of contexts of one topology.
 
     Every context of a topology has the same fixed-dipole count K (all
     stators plus every mover but its own), so the fixed dipoles stack into
     (C, K, 3) arrays without padding.
     """
-    return (
-        np.array([c.track.origin for c in ctxs]),
-        np.array([c.track.axis for c in ctxs]),
-        np.array([c.m_mag for c in ctxs]),
-        np.stack([c.fixed_pos for c in ctxs]),
-        np.stack([c.fixed_m for c in ctxs]),
-        np.array([c.key.vector if c.key is not None else np.zeros(3) for c in ctxs]),
-        np.array([c.key is not None for c in ctxs]),
-        np.array([c.const_energy for c in ctxs]),
-    )
+    return tuple(np.stack(a) for a in zip(*(c.args for c in ctxs)))
 
 
 def _evaluate_rows(stacked, rows, xs):
-    """Energy and axial force of context ``rows[i]`` at ``xs[i]``, one pass.
-
-    Each row has the bits of ``ctx.evaluate([x])`` on its own context: the
-    kernels take per-row sources, the axial projection is a stacked matmul,
-    and a zero-field row takes its own track axis, as a 1-point call does.
-    """
-    origin, axis, m_mag, pos, m, key, has_key, const = (a[rows] for a in stacked)
-    pts = origin + xs[:, None] * axis
-    B = mag.dipole_field(pos, m, pts)
-    np.add(B, key, out=B, where=has_key[:, None])
-    norms = np.linalg.norm(B, axis=1)
-    ok = norms > 1e-30
-    u_dirs = axis.copy()
-    u_dirs[ok] = B[ok] / norms[ok, None]
-    moments = m_mag[:, None] * u_dirs
-    energy = const - np.einsum("nc,nc->n", moments, B)
-    force = mag.dipole_forces(pos, m, pts, moments)
-    return energy, np.matmul(force[:, None, :], axis[:, :, None])[:, 0, 0]
+    """Energy and axial force of context ``rows[i]`` at ``xs[i]``, one pass."""
+    return _evaluate(*(a[rows] for a in stacked), xs)
 
 
 def _lockstep(ctxs, machines):
@@ -461,8 +444,11 @@ def _profiles(units, targets, key, n_samples, positions, stator_pairs):
         fixed_pos = np.concatenate([empty, *(s.dipole_positions() for s in fixed)])
         fixed_m = np.concatenate([empty, *(s.dipole_moments() for s in fixed)])
         track = units[t].track
-        ctx = _ProfileContext(
-            track, track.mover_moment_mag(), fixed_pos, fixed_m, key, const)
+        ctx = _ProfileContext(track, (
+            np.asarray(track.origin), np.asarray(track.axis),
+            np.asarray(track.mover_moment_mag()), fixed_pos, fixed_m,
+            np.zeros(3) if key is None else key.vector,
+            np.asarray(key is not None), np.asarray(const)))
         xs = np.linspace(track.x_in, track.x_out, n_samples)
         energy, force = ctx.evaluate(xs)
         yield LandscapeProfile(units[t].id, key, xs, energy, force, None, ctx)
@@ -521,8 +507,7 @@ def _equilibria(profile: LandscapeProfile):
     f0, f1 = F[:-1], F[1:]
     touch = (f0 == 0.0) & (np.abs(f1) > 0)
     roots = yield from _gather([
-        _known(float(xs[i])) if touch[i]
-        else _bisect(float(xs[i]), float(xs[i + 1]), float(F[i]))
+        _bisect(float(xs[i]), float(xs[i + 1]), float(F[i]))
         for i in np.nonzero(touch | (f0 * f1 < 0.0))[0]
     ])
     if not roots:
@@ -536,14 +521,11 @@ def _equilibria(profile: LandscapeProfile):
                  for r, (lo, mid, hi) in zip(roots, energy.reshape(-1, 3).tolist()))
 
 
-def _known(x: float):
-    """Machine that asks for no point and returns ``x``."""
-    return x
-    yield
-
-
 def _bisect(a: float, b: float, fa: float):
-    """Machine: bisect the force sign change in [a, b]; returns the root."""
+    """Machine: bisect the force sign change in [a, b]; returns the root,
+    ``a`` itself when the force vanishes there."""
+    if fa == 0.0:
+        return a
     # keep halving past EQUILIBRIUM_XTOL until the residual force is
     # negligible, so re-evaluating at the root gives |F| < 1e-9 N even
     # for stiff profiles (steep dF/dx)
@@ -612,22 +594,18 @@ def _attractor_from(side_inner: bool, profile: LandscapeProfile):
     return other
 
 
-def decide(
-    profile: LandscapeProfile, friction_force: float | None = None
-) -> LandscapeDecision:
+def decide(profile: LandscapeProfile) -> LandscapeDecision:
     """Classify a (refined) profile. Refines equilibria if not done yet.
 
-    The one-profile case of the lockstep engine that
-    :func:`decisions_for_keys` runs over many profiles.
+    Snap-through must beat the track's friction force. The one-profile case
+    of the lockstep engine that :func:`decisions_for_keys` runs over many
+    profiles.
     """
-    return _lockstep([_context(profile)], [_decision(profile, friction_force)])[0]
+    return _lockstep([_context(profile)], [_decision(profile)])[0]
 
 
-def _decision(profile: LandscapeProfile, friction_force: float | None = None):
+def _decision(profile: LandscapeProfile):
     """Machine of :func:`decide`, refining first when needed."""
-    ctx = profile._ctx
-    if friction_force is None:
-        friction_force = ctx.track.friction_force
     F, U = profile.force_axial, profile.energy
     label = profile.key.label if profile.key is not None else ""
     degenerate = (
@@ -649,7 +627,8 @@ def _decision(profile: LandscapeProfile, friction_force: float | None = None):
         mid = 0.5 * (profile.x_in + profile.x_out)
         clazz = "monostable_inner" if a_in <= mid else "monostable_outer"
     anchored = abs(a_in - profile.x_out) > 1e-9
-    snap = (not anchored) and bool(F[1:-1].min() > friction_force)
+    snap = (not anchored) and bool(
+        F[1:-1].min() > profile._ctx.track.friction_force)
     barrier = 0.0
     margin = None
     if anchored:
@@ -830,6 +809,7 @@ def ejection_velocity(
     if friction_force is None:
         friction_force = track.friction_force if track is not None else 0.0
     mag.finite(mass, "mass", 0.0)
+    mag.finite(friction_force, "friction force", 0.0, inclusive=True)
     stroke = profile.x_out - profile.x_in
     budget = float(profile.energy[0] - profile.energy[-1]) - friction_force * stroke
     if budget <= 0.0:

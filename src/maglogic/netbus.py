@@ -340,9 +340,11 @@ def min_spacing(pose: MasterPose, threshold: float, axis, depth: float,
     threshold (default 0.75, i.e. a 90 mT ceiling for a 120 mT threshold).
     The master must reach the threshold at the target itself.
     """
-    if not 0.0 < isolation_frac <= 1.0:
+    threshold = mag.finite(threshold, "threshold", 0.0)
+    depth = mag.finite(depth, "depth", 0.0)
+    if not mag.finite(isolation_frac, "isolation_frac", 0.0) <= 1.0:
         raise ConfigError("isolation_frac must lie in (0, 1]")
-    a = mag.unit(axis)
+    a = mag.unit(mag.vector(axis, "spacing axis"))
     target = np.asarray(pose.position) + depth * DOWN
     level = isolation_frac * threshold
 
@@ -527,15 +529,11 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     )
 
 
-def sealing_check(node: NodeSpec, pressure_proxy: float, log) -> bool:
+def sealing_check(node: NodeSpec, log) -> bool:
     """True iff the node stayed sealed until its first intended command.
 
     Any event on this node earlier than its first intended event is a leak.
-    The pressure proxy is a bookkeeping scalar for the caller's reservoir
-    model; it must be non-negative but does not enter the quasi-static
-    check.
     """
-    mag.finite(pressure_proxy, "pressure proxy", 0.0, inclusive=True)
     events = sorted((e for e in log if e.node_id == node.id),
                     key=lambda e: e.time)
     first_intended = next((e.time for e in events if e.intended), None)

@@ -385,6 +385,10 @@ def test_torque_estimate_demo():
     with pytest.raises(ConfigError):
         fsm.torque_estimate(pr.demo_topology(), pr.engine_coupler(), 0.0,
                             pr.demo_keys())
+    for keys in (None, [None], [pr.demo_keys()[0], "+x"], ()):
+        with pytest.raises(ConfigError):
+            fsm.torque_estimate(pr.demo_topology(), pr.engine_coupler(), 0.0375,
+                                keys)
 
 
 def test_state_holds_under_load():

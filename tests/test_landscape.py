@@ -190,7 +190,7 @@ def _batches():
 def test_batched_rows_match_one_point_evaluate():
     rng = np.random.default_rng(8)
     batches = _batches()
-    assert len({len(b[0].fixed_pos) for b in batches}) == len(batches)  # K differs
+    assert len({len(b[0].args[3]) for b in batches}) == len(batches)  # K differs
     for ctxs in batches:
         stacked = ls._stack(ctxs)
         for _ in range(10):
@@ -210,6 +210,55 @@ def test_zero_field_row_takes_its_own_track_axis():
     assert np.array_equal(force[1:], bare.evaluate([0.015])[1])
     assert force[1] != 0.0  # the fallback direction moves the force
     assert abs(keyed.evaluate([0.015])[1][0]) < 1e-12 * abs(force[1])
+    # on a grid, the zero-field row at the outer stop continues the row
+    # before it, whose mover points the other way along the track
+    unit = _zero_field_unit()
+    unit = dataclasses.replace(
+        unit, track=dataclasses.replace(unit.track, stroke=(0.009, 0.015)))
+    prof = ls.sample_profile([unit], "z", None, 64)
+    assert prof.xs[-1] == 0.015
+    one = prof._ctx.evaluate([0.015])[1][0]
+    assert one == pytest.approx(0.73728, rel=1e-9)
+    assert prof.force_axial[-1] == pytest.approx(-0.73728, rel=1e-9)
+
+
+def _reference_unit_rows(B, fallback):
+    """Row-normalize B; zero rows inherit the previous valid direction."""
+    norms = np.linalg.norm(B, axis=1)
+    ok = norms > 1e-30
+    out = np.empty_like(B)
+    out[ok] = B[ok] / norms[ok, None]
+    if not ok.all():
+        idx = np.maximum.accumulate(np.where(ok, np.arange(len(B)), -1))
+        for i in np.nonzero(~ok)[0]:
+            out[i] = out[idx[i]] if idx[i] >= 0 else fallback
+    return out
+
+
+def _reference_grid(ctx, xs):
+    """A grid evaluation written out step by step, with its own zero-field
+    rule: the N-row kernel calls and ``force @ axis``."""
+    _, _, m_mag, pos, m, key, has_key, const = ctx.args
+    axis = np.asarray(ctx.track.axis)
+    pts = ctx.track.point(xs)
+    B = mag.dipole_field(pos, m, pts)
+    if has_key:
+        B = B + key[None, :]
+    moments = float(m_mag) * _reference_unit_rows(B, axis)
+    energy = float(const) - np.einsum("nc,nc->n", moments, B)
+    return energy, mag.dipole_forces(pos, m, pts, moments) @ axis
+
+
+def test_grids_match_reference_evaluation_bit_for_bit():
+    demo, coupled, uneven, _ = _batches()
+    for ctxs in (demo, coupled, uneven):
+        for ctx in ctxs:
+            for n in (ls.DEFAULT_SAMPLES, ls._BASIN_GRID):
+                xs = np.linspace(ctx.track.x_in, ctx.track.x_out, n)
+                energy, force = ctx.evaluate(xs)
+                want_energy, want_force = _reference_grid(ctx, xs)
+                assert np.array_equal(energy, want_energy)
+                assert np.array_equal(force, want_force)
 
 
 _KEY = st.builds(
@@ -338,8 +387,10 @@ def test_outward_unit_drives_to_outer_stop():
 
 def test_friction_blocks_snap():
     unit = outward_unit()
+    unit = dataclasses.replace(
+        unit, track=dataclasses.replace(unit.track, friction_force=1.0))
     prof = ls.refine_equilibria(ls.sample_profile([unit], "b", None))
-    dec = ls.decide(prof, friction_force=1.0)
+    dec = ls.decide(prof)
     assert dec.clazz == "monostable_outer"
     assert not dec.snap_through
 
@@ -511,7 +562,7 @@ def test_double_well_symmetric_equilibria():
     assert abs(mid.position) < 1e-9
     assert abs(lo.position + hi.position) < 2e-9
     for e in eqs:
-        assert abs(prof._ctx.force_at(e.position)) < 1e-9
+        assert abs(prof._ctx.evaluate([e.position])[1][0]) < 1e-9
     dec = ls.decide(prof)
     assert dec.clazz == "bistable"
     assert dec.barrier_out > 0
@@ -604,6 +655,9 @@ def test_ejection_velocity_algebra():
         ls.ejection_velocity(prof, mass=0.5e-3, friction_force=0.2)
     with pytest.raises(ConfigError):
         ls.ejection_velocity(prof, mass=0.0)
+    for friction in (float("nan"), float("inf"), "0.05", True, -0.05):
+        with pytest.raises(ConfigError):
+            ls.ejection_velocity(prof, mass=0.5e-3, friction_force=friction)
 
 
 def test_ejection_velocity_uses_track_mass():

@@ -433,6 +433,16 @@ def test_min_spacing_shrinks_with_threshold_and_isolates_neighbors():
         nb.min_spacing(lat, 0.15, (1, 0, 0), DEPTH)
     with pytest.raises(ConfigError):
         nb.min_spacing(lat, 0.12, (1, 0, 0), DEPTH, isolation_frac=0.0)
+    bad = {"threshold": (float("nan"), "0.12", None, 0.0, -0.12),
+           "axis": ((1, 0), "x", None, (1, float("nan"), 0), (0, 0, 0)),
+           "depth": (-0.005, 0.0, float("inf"), "0.005"),
+           "isolation_frac": ("0.75", float("nan"), 1.5, True)}
+    good = {"threshold": 0.12, "axis": (1, 0, 0), "depth": DEPTH,
+            "isolation_frac": 0.75}
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ConfigError):
+                nb.min_spacing(lat, **{**good, name: value})
 
 
 def test_min_spacing_follows_composite_footprint_anisotropy():
@@ -577,16 +587,14 @@ def test_clopper_pearson_upper_bound_binomial_identity():
 def test_sealing_check_requires_intended_event_first():
     node = three_channel_node()
     mk = lambda t, ch, ok: nb.Event(t, "n", ch, 0.13, ok)
-    assert nb.sealing_check(node, 1.0, [])
-    assert nb.sealing_check(node, 1.0, [mk(0.0, "alpha", True),
-                                        mk(1.0, "beta", False)])
-    assert not nb.sealing_check(node, 1.0, [mk(0.0, "beta", False),
-                                            mk(1.0, "alpha", True)])
+    assert nb.sealing_check(node, [])
+    assert nb.sealing_check(node, [mk(0.0, "alpha", True),
+                                   mk(1.0, "beta", False)])
+    assert not nb.sealing_check(node, [mk(0.0, "beta", False),
+                                       mk(1.0, "alpha", True)])
     other = [nb.Event(0.0, "elsewhere", "beta", 0.13, False),
              mk(1.0, "alpha", True)]
-    assert nb.sealing_check(node, 1.0, other)
-    with pytest.raises(ConfigError):
-        nb.sealing_check(node, -1.0, [])
+    assert nb.sealing_check(node, other)
 
 
 def test_node_ejector_jet_clears_target_speed():
@@ -598,3 +606,6 @@ def test_node_ejector_jet_clears_target_speed():
     assert v == pytest.approx(3.9911763716, rel=1e-6)
     heavier = nb.jet_velocity(profile, 2 * payload)
     assert v / heavier == pytest.approx(math.sqrt(2), rel=1e-12)
+    for friction in (float("nan"), "0.01", -0.01):
+        with pytest.raises(ConfigError):
+            nb.jet_velocity(profile, payload, friction_force=friction)
