@@ -21,7 +21,11 @@ budget 120 (every candidate's hash, pass flag and fidelity, and the
 ranked hashes); on a 5x5 grid at 10 mm pitch with a 10 mT threshold, where
 neighbours fire, the ``truth_table`` events of the 75 demo commands (so
 their magnitude floats) and three 400-cycle ``endurance_campaign`` runs of
-a composite master under angle-only, magnitude-only and combined noise.
+a composite master under angle-only, magnitude-only and combined noise;
+and a canonical walk of every ``presets`` fixture and program and of the
+commands for that grid (floats as ``float.hex``, arrays as dtype, shape and
+bytes, dicts with sorted keys, lists and tuples kept apart), so the demo
+data cannot move unseen.
 Each call is a fresh interpreter importing the ``src/`` of CHECKOUT
 (default: the checkout holding this script), run in a temporary directory
 on copies of the inputs, so printed paths are relative and two checkouts
@@ -56,7 +60,20 @@ DEMO = ("from maglogic import configio, design as dg, landscape as ls, netbus as
         "cone = [FieldKey(tuple(d), k.magnitude, f'{k.label}#{i}') for k in cand.key_set "
         "for i, d in enumerate(dg.cone_directions(k.direction, 20.0))]\n"
         "grid10 = [nb.NodeSpec(f'n{i}{j}', (0.01 * i, 0.01 * j, 0.0), "
-        "pr.demo_grid()[0].channels, 0.01) for i in range(5) for j in range(5)]\n")
+        "pr.demo_grid()[0].channels, 0.01) for i in range(5) for j in range(5)]\n"
+        "import numpy as np\n"
+        "def walk(o):\n"
+        "    if isinstance(o, float):\n"
+        "        return (type(o).__name__, o.hex())\n"
+        "    if isinstance(o, np.ndarray):\n"
+        "        return ('ndarray', str(o.dtype), o.shape, o.tobytes())\n"
+        "    if isinstance(o, (list, tuple)):\n"
+        "        return (type(o).__name__, [walk(v) for v in o])\n"
+        "    if isinstance(o, dict):\n"
+        "        return ('dict', [(k, walk(v)) for k, v in sorted(o.items())])\n"
+        "    if hasattr(o, '__dict__'):\n"
+        "        return (type(o).__name__, walk(vars(o)))\n"
+        "    return (type(o).__name__, repr(o))\n")
 LIBRARY = (
     ("sensitivity_sweep_0.1_20_4_1", "dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)"),
     ("sensitivity_sweep_0.3_10_3_7", "dg.sensitivity_sweep(cand, 0.3, 10.0, 3, 7)"),
@@ -85,6 +102,13 @@ LIBRARY = (
      "0.005), ('n22', 'gamma')), 400, noise, seed=5) for noise in ("
      "{'angle_sigma_deg': 10.0}, {'magnitude_sigma_T': 0.06}, "
      "{'angle_sigma_deg': 6.0, 'magnitude_sigma_T': 0.04})]"),
+    ("presets_fixtures",
+     "walk([pr.demo_keys(), pr.demo_topology(), pr.pair_antiparallel(), "
+     "pr.pair_keys_antiparallel(), pr.pair_orthogonal(), pr.pair_keys_orthogonal(), "
+     "pr.degenerate_array(), pr.demo_key_targets(), pr.mission_machine(), "
+     "pr.MISSION_PROGRAM, pr.engine_machine(), pr.ENGINE_PROGRAM, pr.engine_coupler(), "
+     "pr.demo_grid(), pr.demo_bus_commands(), pr.demo_bus_commands(grid10), "
+     "pr.node_ejector(), pr.pair_design_space(), pr.demo_campaign_doc()])"),
 )
 
 

@@ -46,14 +46,6 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.fspath(path))[0]
 
 
-def _read_text(path) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _write_csv(path, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -82,16 +74,15 @@ def cmd_landscape(args) -> int:
         if key is None:
             raise ConfigError(
                 f"{args.topology}: no key labeled {args.key!r} in key_set")
-    samples = ls.DEFAULT_SAMPLES if args.samples is None else args.samples
-    profile = ls.sample_profile(units, args.unit, key, samples)
-    decision = ls.decide(ls.refine_equilibria(profile))
+    profile = ls.sample_profile(units, args.unit, key, args.samples)
+    decision = ls.decide(profile)
     _write_csv(
         args.out, ("x_m", "energy_J", "force_axial_N"),
         [(_g17(x), _g17(u), _g17(f))
          for x, u, f in zip(profile.xs, profile.energy, profile.force_axial)],
     )
     record = dataclasses.asdict(decision)
-    record["n_samples"] = samples
+    record["n_samples"] = args.samples
     decision_path = _stem(args.out) + "_decision.json"
     cio.write_atomic(decision_path, cio.dumps_canonical(record))
     print(f"{args.unit} under {args.key or 'no key'}: {decision.clazz}, "
@@ -102,10 +93,9 @@ def cmd_landscape(args) -> int:
 
 def cmd_design(args) -> int:
     lattice, template, keys, n_units, thresholds, _ = cio.load_design(args.space)
-    samples = ls.DEFAULT_SAMPLES if args.samples is None else args.samples
     reports = dg.run_pipeline(
         lattice, n_units, keys, template, args.budget, seed=args.seed,
-        thresholds=thresholds, n_samples=samples)
+        thresholds=thresholds, n_samples=args.samples)
     try:
         ranked = dg.rank(reports)
     except NoPassingCandidateError:
@@ -127,7 +117,7 @@ def cmd_design(args) -> int:
         "passing": len(ranked),
         "budget": args.budget,
         "seed": args.seed,
-        "n_samples": samples,
+        "n_samples": args.samples,
         "ranking": ranking,
     }
     cio.write_atomic(args.out, cio.dumps_canonical(report_doc))
@@ -149,7 +139,7 @@ def cmd_design(args) -> int:
 
 def cmd_fsm(args) -> int:
     machine, _ = cio.load_machine(args.machine)
-    program = fsm.parse_program(_read_text(args.program))
+    program = fsm.parse_program(cio.read_text(args.program))
     trace = fsm.run(machine, program)
     header = ["time_s"] + [f"count_{u.id}" for u in machine.units] + ["fired"]
     rows = [
@@ -218,7 +208,7 @@ def cmd_net(args) -> int:
 def cmd_validate(args) -> int:
     for path in args.files:
         if os.fspath(path).endswith(".prog"):
-            program = fsm.parse_program(_read_text(path))
+            program = fsm.parse_program(cio.read_text(path))
             print(f"ok {path} (pulse program, {len(program)} pulses)")
             continue
         doc = cio.load_document(path)
@@ -244,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", default=None,
                    help="key label from the file's key_set (default: none); "
                         "write a label that starts with '-' as --key=-x")
-    p.add_argument("--samples", type=int, default=None,
-                   help=f"profile samples (default {ls.DEFAULT_SAMPLES})")
+    p.add_argument("--samples", type=int, default=ls.DEFAULT_SAMPLES,
+                   help="profile samples (default %(default)s)")
     p.add_argument("--out", required=True, help="profile CSV path")
     p.set_defaults(func=cmd_landscape)
 
@@ -255,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max candidates to screen")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"sampling seed (default {DEFAULT_SEED})")
-    p.add_argument("--samples", type=int, default=None,
-                   help=f"profile samples (default {ls.DEFAULT_SAMPLES})")
+    p.add_argument("--samples", type=int, default=ls.DEFAULT_SAMPLES,
+                   help="profile samples (default %(default)s)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_design)
 

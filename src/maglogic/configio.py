@@ -68,13 +68,17 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def load_document(path) -> dict:
-    path = os.fspath(path)
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; an unreadable file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def load_document(path) -> dict:
+    path = os.fspath(path)
 
     def non_finite(literal):
         raise ConfigError(f"{path}: {literal} is not a finite number")
@@ -84,7 +88,8 @@ def load_document(path) -> dict:
         return value if math.isfinite(value) else non_finite(literal)
 
     try:
-        doc = json.loads(text, parse_constant=non_finite, parse_float=finite_float)
+        doc = json.loads(read_text(path), parse_constant=non_finite,
+                         parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
@@ -143,14 +148,6 @@ def _header(fmt: str, metadata: dict | None) -> dict:
 
 def _vec(x) -> list:
     return [float(v) for v in np.asarray(x, dtype=float)]
-
-
-def document_kind(doc: dict) -> str:
-    fmt = doc.get("format")
-    known = (TOPOLOGY_FORMAT, DESIGN_FORMAT, MACHINE_FORMAT, CAMPAIGN_FORMAT)
-    if fmt not in known:
-        raise ConfigError(f"unknown document format {fmt!r}")
-    return fmt
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +258,20 @@ def _topology_body_to_doc(units, keys) -> dict:
     }
 
 
-def _topology_body_from_doc(doc, where: str) -> tuple:
+def _units_from_doc(items, where: str) -> tuple:
+    """The unit list at ``where.units``; unit ids must be unique."""
     units = tuple(_unit_from_doc(u, f"{where}.units[{i}]")
-                  for i, u in enumerate(_list(doc["units"], f"{where}.units")))
-    if not units:
-        raise ConfigError(f"{where}.units must not be empty")
+                  for i, u in enumerate(_list(items, f"{where}.units")))
     ids = [u.id for u in units]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{where}: duplicate unit ids")
+    return units
+
+
+def _topology_body_from_doc(doc, where: str) -> tuple:
+    units = _units_from_doc(doc["units"], where)
+    if not units:
+        raise ConfigError(f"{where}.units must not be empty")
     keys = _keys_from_doc(doc["key_set"], f"{where}.key_set")
     labels = {k.label for k in keys}
     for u in units:
@@ -440,13 +443,7 @@ def machine_from_doc(doc: dict, where: str = "machine") -> tuple:
     if "topology" in ddoc:
         tw = f"{where}.decode.topology"
         _check_fields(ddoc["topology"], tw, ("units",))
-        topology = tuple(
-            _unit_from_doc(u, f"{tw}.units[{i}]")
-            for i, u in enumerate(_list(ddoc["topology"]["units"], f"{tw}.units"))
-        )
-        tids = [u.id for u in topology]
-        if len(set(tids)) != len(tids):
-            raise ConfigError(f"{tw}: duplicate unit ids")
+        topology = _units_from_doc(ddoc["topology"]["units"], tw)
     mw = f"{where}.decode.map"
     decode_map = [_list(pair, f"{mw}[{i}]", 2)
                   for i, pair in enumerate(_list(ddoc.get("map", []), mw))]
@@ -596,13 +593,21 @@ def load_campaign(path) -> Campaign:
 # generic validation (cli `validate`)
 
 
+_LOADERS = {
+    TOPOLOGY_FORMAT: topology_from_doc,
+    DESIGN_FORMAT: design_from_doc,
+    MACHINE_FORMAT: machine_from_doc,
+    CAMPAIGN_FORMAT: campaign_from_doc,
+}
+
+
+def document_kind(doc: dict) -> str:
+    fmt = doc.get("format")
+    if not isinstance(fmt, str) or fmt not in _LOADERS:  # a list is unhashable
+        raise ConfigError(f"unknown document format {fmt!r}")
+    return fmt
+
+
 def validate_document(doc: dict, where: str = "document"):
     """Parse any known document kind; returns the loaded value."""
-    fmt = document_kind(doc)
-    if fmt == TOPOLOGY_FORMAT:
-        return topology_from_doc(doc, where)
-    if fmt == DESIGN_FORMAT:
-        return design_from_doc(doc, where)
-    if fmt == MACHINE_FORMAT:
-        return machine_from_doc(doc, where)
-    return campaign_from_doc(doc, where)
+    return _LOADERS[document_kind(doc)](doc, where)

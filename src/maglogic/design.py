@@ -711,27 +711,12 @@ def evaluate_candidate(
     return DesignReport(candidate, matrix, fid, comp, ent, candidate.candidate_hash)
 
 
-DEFAULT_RANK_WEIGHTS = {"fidelity": 1.0}
-
-
-def rank(reports, weights=None):
-    """Passing reports by descending weighted score; ties break by hash."""
-    w = dict(DEFAULT_RANK_WEIGHTS)
-    if weights:
-        w.update(weights)
+def rank(reports):
+    """Passing reports by descending fidelity; ties break by hash."""
     passing = [r for r in reports if r.matrix.passed]
     if not passing:
         raise NoPassingCandidateError("no candidate passed the selectivity filter")
-
-    def score(r):
-        total = 0.0
-        for name, weight in w.items():
-            val = getattr(r, name)
-            if val == val:  # skip NaN metrics
-                total += weight * val
-        return total
-
-    return sorted(passing, key=lambda r: (-score(r), r.candidate_hash))
+    return sorted(passing, key=lambda r: (-r.fidelity, r.candidate_hash))
 
 
 def run_pipeline(

@@ -154,8 +154,8 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
     Fixed point of u_i = unit(B(stators + key + other movers) at mover i),
     iterated to 1e-13. Movers in near-zero total field keep the track axis.
     Each iteration is one array pass: the mover-to-mover geometry is built
-    once per solve, every mover's field at every other mover comes from one
-    expression written like :func:`magnetics.dipole_field`'s, and each row
+    once per solve, every mover's field at every other mover comes from
+    :func:`magnetics.dipole_field`'s per-pair terms in one call, and each row
     adds the other movers in index order, so every direction has the bits
     of a per-pair ``dipole_field`` loop.
     """
@@ -183,13 +183,9 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
     if np.any(d[off] < mag.COINCIDENCE_EPS):
         raise SingularConfigError("field point coincides with a dipole")
     d3 = d[:, :, None] ** 3
-    coef = mag.MU0 / (4.0 * np.pi)
     damping = 1.0
     for it in range(500):
-        m = mags[:, None] * u_dirs
-        mdotr = np.einsum("kc,nkc->nk", m, r)
-        F = coef * (3.0 * mdotr / d2)[:, :, None] * r / d3
-        F -= coef * m[None, :, :] / d3
+        F = mag._field_terms(r, d2, d3, mags[:, None] * u_dirs)
         B = base.copy()
         for j in range(n_units):
             np.add(B, F[:, j], out=B, where=off[:, j, None])
@@ -722,9 +718,9 @@ def unit_decision(
     n_samples: int = DEFAULT_SAMPLES,
     mover_positions: dict | None = None,
 ) -> LandscapeDecision:
-    """sample + refine + decide in one call."""
+    """sample + decide in one call (:func:`decide` refines)."""
     prof = sample_profile(topology, unit_id, key, n_samples, mover_positions)
-    return decide(refine_equilibria(prof))
+    return decide(prof)
 
 
 def decisions_for_key(

@@ -297,13 +297,22 @@ def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> 
     d = np.sqrt(d2)
     if np.any(d < COINCIDENCE_EPS):
         raise SingularConfigError("field point coincides with a dipole")
+    out = _field_terms(r, d2, d[:, :, None] ** 3, src_m).sum(axis=1)
+    return out[0] if squeeze else out
+
+
+def _field_terms(r, d2, d3, src_m):
+    """(N, K, 3) field of source k at point n, the terms :func:`dipole_field`
+    sums over K.
+
+    r : (N, K, 3) point minus source; d2 : (N, K) squared distances; d3 :
+    (N, K, 1) cubed distances; src_m : (K, 3) or per-row (N, K, 3).
+    """
     mdotr = np.einsum("nkc,nkc->nk" if src_m.ndim == 3 else "kc,nkc->nk", src_m, r)
     coef = MU0 / (4.0 * np.pi)
-    d3 = d[:, :, None] ** 3
     B = coef * (3.0 * mdotr / d2)[:, :, None] * r / d3
     B -= coef * src_m / d3
-    out = B.sum(axis=1)
-    return out[0] if squeeze else out
+    return B
 
 
 def _pair_geometry(test_pos, test_m, src_pos, src_m):

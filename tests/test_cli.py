@@ -163,8 +163,8 @@ def test_design_no_passing_candidate_is_domain_failure(tmp_path, capsys):
     lattice = dg.Lattice(0.024, ((0, 0), (0, 0), (0, 1)),
                          allowed_orientations=((1, 0, 0),),
                          allowed_track_axes=((1, 0, 0),))
-    template = dg.UnitTemplate(pr.STATOR_SPEC_AXIS_X, pr.MOVER_SPEC,
-                               0.013, 0.008, 4.5e-4)
+    demo = pr.pair_design_space()[1]
+    template = dg.UnitTemplate(demo.stator, demo.mover, 0.013, 0.008, 4.5e-4)
     doc = cio.design_to_doc(lattice, template, pr.pair_keys_antiparallel(), 2)
     space = tmp_path / "parallel.json"
     cio.write_atomic(space, cio.dumps_canonical(doc))

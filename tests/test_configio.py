@@ -78,6 +78,43 @@ def test_shipped_programs_round_trip():
         assert fsm.parse_program(canonical) == program
 
 
+def test_presets_load_the_shipped_files():
+    # stators compare by identity, so topologies compare as documents
+    units, keys, _ = cio.load_topology(shipped("demo_topology.json"))
+    assert pr.demo_keys() == keys
+    assert (cio.topology_to_doc(pr.demo_topology(), keys)
+            == cio.topology_to_doc(units, keys))
+    bare, _, _ = cio.load_topology(shipped("degenerate_array.json"))
+    assert (cio.topology_to_doc(pr.degenerate_array(), keys)
+            == cio.topology_to_doc(bare, keys))
+    assert pr.demo_key_targets() == {"+x": "alpha", "+z": "beta", "-x": "gamma"}
+    for name in ("mission", "engine"):
+        machine = getattr(pr, f"{name}_machine")()
+        assert machine == cio.load_machine(shipped(f"{name}_machine.json"))[0]
+        program = getattr(pr, f"{name.upper()}_PROGRAM")
+        assert program == cio.read_text(shipped(f"{name}.prog"))
+    assert (pr.pair_design_space()
+            == cio.load_design(shipped("pair_design_space.json"))[:4])
+    campaign = cio.load_campaign(shipped("demo_campaign.json"))
+    assert pr.demo_grid() == list(campaign.grid)
+    assert pr.demo_bus_commands() == list(campaign.commands)
+    assert (pr.demo_campaign_doc(campaign.cycles, campaign.seed)
+            == cio.load_document(shipped("demo_campaign.json")))
+    doc = pr.demo_campaign_doc(cycles=3, seed=4)
+    assert (doc["cycles"], doc["seed"]) == (3, 4)
+
+    # every call returns fresh objects that a caller may mutate
+    for loader in (pr.demo_keys, pr.demo_topology, pr.pair_antiparallel,
+                   pr.pair_orthogonal, pr.degenerate_array, pr.demo_grid,
+                   pr.demo_bus_commands, pr.demo_campaign_doc,
+                   pr.mission_machine, pr.pair_design_space):
+        first, second = loader(), loader()
+        assert first is not second, loader.__name__
+        if isinstance(first, (list, dict)):
+            first.clear()
+            assert second, loader.__name__
+
+
 def test_topology_round_trip_preserves_values():
     units, keys, meta = cio.load_topology(shipped("demo_topology.json"))
     assert [u.id for u in units] == ["alpha", "beta", "gamma"]

@@ -172,14 +172,15 @@ def test_physical_decode_demo():
     m = fsm.MachineDef(tuple(units), "physical",
                        topology=tuple(pr.demo_topology()))
     s = fsm.initial_state(m)
+    magnitude = pr.demo_keys()[0].magnitude
     for key, target in pr.demo_key_targets().items():
         pulse = fsm.Pulse(
-            FieldKey(fsm.AXIS_DIRECTIONS[key], pr.KEY_MAGNITUDE, key), 0.05, 0.0)
+            FieldKey(fsm.AXIS_DIRECTIONS[key], magnitude, key), 0.05, 0.0)
         assert fsm.decode_pulse(m, s, pulse) == {target}
 
     diag = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
     pulse = fsm.Pulse(
-        FieldKey(tuple(diag), pr.KEY_MAGNITUDE * math.sqrt(2), "+x+z"), 0.05, 0.0)
+        FieldKey(tuple(diag), magnitude * math.sqrt(2), "+x+z"), 0.05, 0.0)
     assert fsm.decode_pulse(m, s, pulse) == {"alpha", "beta"}
 
     bare = fsm.MachineDef(tuple(units), "physical")
