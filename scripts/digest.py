@@ -15,7 +15,10 @@ and the ``selectivity_filter`` matrix of the demo units under the 27
 directions of the keys' 20 degree cones (labelled ``<label>#<i>``), the
 1025-sample ``sample_profile`` energy and force of every demo unit under
 those 27 keys and no key, and ``decisions_for_keys`` under the demo keys
-and no key with every mover latched mid-stroke; then
+and no key with every mover latched mid-stroke; with the stator of unit
+``alpha`` split into 27 sub-dipoles (``discretize=3``), its field at one
+point, alpha's 1025-sample profile under ``+x`` and ``decisions_for_keys``
+under ``+x`` and no key; then
 ``run_pipeline`` + ``rank`` on the seed-1 ``design_3x2x3.json`` with
 budget 120 (every candidate's hash, pass flag and fidelity, and the
 ranked hashes); on a 5x5 grid at 10 mm pitch with a 10 mT threshold, where
@@ -54,7 +57,8 @@ CONSOLE = "import sys; from maglogic.cli import main; sys.exit(main())"
 SEEDS = (1, 2, 3)
 DEMO = ("from maglogic import configio, design as dg, landscape as ls, netbus as nb, "
         "presets as pr\n"
-        "from maglogic.magnetics import FieldKey\n"
+        "from maglogic.magnetics import FieldKey, dipole_field_at, source_from_spec\n"
+        "import dataclasses\n"
         "cand = dg.CandidateTopology(tuple(pr.demo_topology()), "
         "tuple(pr.demo_keys()))\n"
         "cone = [FieldKey(tuple(d), k.magnitude, f'{k.label}#{i}') for k in cand.key_set "
@@ -88,6 +92,13 @@ LIBRARY = (
     ("decisions_for_keys_mid_stroke",
      "ls.decisions_for_keys(cand.units, [*cand.key_set, None], mover_positions={"
      "u.id: 0.5 * (u.track.x_in + u.track.x_out) for u in cand.units})"),
+    ("discretized_stator_27",
+     "(lambda units: (dipole_field_at(units[0].stators[0], (0.004, 0.003, 0.03)).tolist(), "
+     "[(p.energy.tolist(), p.force_axial.tolist()) "
+     "for p in [ls.sample_profile(units, 'alpha', cand.key_set[0], 1025)]], "
+     "ls.decisions_for_keys(units, [cand.key_set[0], None])))("
+     "[dataclasses.replace(u, stators=tuple(source_from_spec(s.spec, s.position, "
+     "discretize=3) for s in u.stators)) if u.id == 'alpha' else u for u in cand.units])"),
     ("run_pipeline_rank_seed1_3x2x3",
      "(lambda lattice, template, keys, n_units, thresholds, _: "
      "(lambda reports: ([(r.candidate_hash, r.matrix.passed, r.fidelity) "

@@ -154,10 +154,12 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
     Fixed point of u_i = unit(B(stators + key + other movers) at mover i),
     iterated to 1e-13. Movers in near-zero total field keep the track axis.
     Each iteration is one array pass: the mover-to-mover geometry is built
-    once per solve, every mover's field at every other mover comes from
-    :func:`magnetics.dipole_field`'s per-pair terms in one call, and each row
-    adds the other movers in index order, so every direction has the bits
-    of a per-pair ``dipole_field`` loop.
+    once per solve as (3, n, n) component planes (source j, field point i),
+    every mover's field at every other mover comes from
+    :func:`magnetics.dipole_field`'s per-pair terms in one
+    ``magnetics._field_terms`` call, and each mover adds the other movers
+    in index order, so every direction has the bits of a per-pair
+    ``dipole_field`` loop.
     """
     units = list(topology)
     if not units:
@@ -174,21 +176,22 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
         n = np.linalg.norm(base[i])
         u_dirs[i] = base[i] / n if n > 1e-30 else np.asarray(u.track.axis)
     n_units = len(units)
-    # r[i, j] points from mover j to mover i; the diagonal is never added
-    r = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("nkc,nkc->nk", r, r)
+    # r[:, j, i] points from mover j to mover i; the diagonal is never added
+    planes = np.ascontiguousarray(pts.T)
+    r = planes[:, None, :] - planes[:, :, None]
+    d2 = mag._dot(r, r)
     off = ~np.eye(n_units, dtype=bool)
     np.fill_diagonal(d2, 1.0)
     d = np.sqrt(d2)
     if np.any(d[off] < mag.COINCIDENCE_EPS):
         raise SingularConfigError("field point coincides with a dipole")
-    d3 = d[:, :, None] ** 3
+    d3 = d ** 3
     damping = 1.0
     for it in range(500):
-        F = mag._field_terms(r, d2, d3, mags[:, None] * u_dirs)
+        F = mag._field_terms(r, d2, d3, (mags[:, None] * u_dirs).T[:, :, None])
         B = base.copy()
         for j in range(n_units):
-            np.add(B, F[:, j], out=B, where=off[:, j, None])
+            np.add(B, F[:, j].T, out=B, where=off[j, :, None])
         n = np.sqrt(np.vecdot(B, B))
         ok = n > 1e-30
         new = u_dirs.copy()
@@ -269,8 +272,10 @@ def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
     N-row kernel calls and ``force @ axis``. Per-row sources (N, K, 3), with
     every other argument stacked per row too, evaluate row i on its own
     context with the bits of a 1-point grid there, since the kernels and
-    the stacked matmul keep 1-row bits. ``key`` is added where ``has_key``;
-    the module docstring gives the zero-field rule.
+    the stacked matmul keep 1-row bits. The kernels work on component
+    planes but return C-ordered (N, 3) arrays, which the energy's
+    ``einsum("nc,nc->n")`` needs for its bits. ``key`` is added where
+    ``has_key``; the module docstring gives the zero-field rule.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     per_row = pos.ndim == 3

@@ -13,6 +13,27 @@ Conventions
   + (ma.mb) rhat - 5 (ma.rhat)(mb.rhat) rhat)`` with ``r = pb - pa``
 * a spatially uniform field key exerts zero net force on any source and the
   torque ``m x B``.
+
+Kernel layout
+-------------
+:func:`dipole_field` and :func:`dipole_forces` take K fixed dipoles, shared
+(K, 3) or one set per field point (N, K, 3), and N field points (N, 3).
+They work on component planes: points become (3, 1, N), shared sources
+(3, K, 1) and per-row sources a contiguous (3, K, N) copy, so every
+elementwise step runs over a (K, N) plane with an N-long inner loop.
+Results are bit-identical to the point-major (N, K, 3) formulation:
+
+* ``d^2 = (x x + z z) + y y`` and every ``m.r`` in np.einsum's order for
+  3-vectors; the force's ``d = sqrt((x x + y y) + z z)`` in
+  np.linalg.norm's order;
+* ``test_m.src_m`` is the BLAS product ``moments @ src_m.T`` for shared
+  sources and a stacked 1-row matmul per row for per-row sources;
+* the sum over K is a running sum ``k = 0 ... K-1``;
+* outputs are C-ordered (N, 3): callers' reductions, such as an einsum
+  over the components, round differently on F-ordered operands.
+
+Elementwise ufuncs round the same in any memory layout; reductions and
+BLAS calls need not, which is what these rules pin.
 """
 
 from __future__ import annotations
@@ -277,92 +298,141 @@ class FieldKey:
 
 
 # ---------------------------------------------------------------------------
-# vectorized primitives (broadcast over field points)
+# vectorized primitives (component planes over sources x field points)
 # ---------------------------------------------------------------------------
+
+
+def _planes(src_pos, src_m, points):
+    """``r = point - source`` (3, K, N) and the source moment planes.
+
+    Shared sources (K, 3) give moment planes (3, K, 1); per-row sources
+    (N, K, 3) give a contiguous (3, K, N) copy. points : (N, 3).
+    """
+    pts = np.asarray(points, dtype=float).T[:, None, :]
+    if src_pos.ndim == 3:
+        pos, m = src_pos.transpose(2, 1, 0), src_m.transpose(2, 1, 0)
+    else:
+        pos, m = src_pos.T[:, :, None], src_m.T[:, :, None]
+    return np.subtract(pts, pos, order="C"), np.ascontiguousarray(m)
+
+
+def _dot(a, b):
+    """Plane dot product ``(a0 b0 + a2 b2) + a1 b1``, np.einsum's order
+    for 3-vectors."""
+    p = a * b
+    out = p[0] + p[2]
+    out += p[1]
+    return out
+
+
+def _sum_sources(terms):
+    """C-ordered (N, 3) sum of (3, K, N) terms over K, ``k = 0 ... K-1``.
+
+    A running sum: ``terms.sum(axis=1)`` sums pairwise when N = 1 and
+    K >= 8, and so rounds differently from a K-long loop.
+    """
+    _, k, n = terms.shape
+    if k == 0:
+        return np.zeros((n, 3))
+    out = np.empty((n, 3))
+    acc = out.T
+    if k == 1:
+        np.copyto(acc, terms[:, 0])
+        return out
+    np.add(terms[:, 0], terms[:, 1], acc)
+    for j in range(2, k):
+        acc += terms[:, j]
+    return out
 
 
 def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Field of point dipoles summed at ``points``.
 
     src_pos, src_m : (K, 3), shared by every point, or (N, K, 3), one source
-    set per point (row); points : (..., 3), or (N, 3) for per-row sources.
-    Returns (..., 3) tesla. A row of a per-row call has the bits of a
+    set per point (row); points : (N, 3) or one point (3,). Returns C-ordered
+    (N, 3) (or (3,)) tesla, computed on component planes with the bit rules
+    of the module docstring. A row of a per-row call has the bits of a
     1-point call with that row's sources.
     """
     pts = np.asarray(points, dtype=float)
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    r = pts[:, None, :] - src_pos  # (N, K, 3)
-    d2 = np.einsum("nkc,nkc->nk", r, r)
+    r, m = _planes(src_pos, src_m, pts.reshape(-1, 3))
+    d2 = _dot(r, r)
     d = np.sqrt(d2)
-    if np.any(d < COINCIDENCE_EPS):
+    if (d < COINCIDENCE_EPS).any():
         raise SingularConfigError("field point coincides with a dipole")
-    out = _field_terms(r, d2, d[:, :, None] ** 3, src_m).sum(axis=1)
-    return out[0] if squeeze else out
+    out = _sum_sources(_field_terms(r, d2, d ** 3, m))
+    return out[0] if pts.ndim == 1 else out
 
 
-def _field_terms(r, d2, d3, src_m):
-    """(N, K, 3) field of source k at point n, the terms :func:`dipole_field`
+def _field_terms(r, d2, d3, m):
+    """(3, K, N) field of source k at point n, the terms :func:`dipole_field`
     sums over K.
 
-    r : (N, K, 3) point minus source; d2 : (N, K) squared distances; d3 :
-    (N, K, 1) cubed distances; src_m : (K, 3) or per-row (N, K, 3).
+    r : (3, K, N) point minus source; d2, d3 : (K, N) squared and cubed
+    distances; m : source moment planes (3, K, 1) or (3, K, N).
+    ``m.r = (mx x + mz z) + my y`` in np.einsum's order.
     """
-    mdotr = np.einsum("nkc,nkc->nk" if src_m.ndim == 3 else "kc,nkc->nk", src_m, r)
     coef = MU0 / (4.0 * np.pi)
-    B = coef * (3.0 * mdotr / d2)[:, :, None] * r / d3
-    B -= coef * src_m / d3
+    t = _dot(m, r)
+    t *= 3.0
+    t /= d2
+    t *= coef
+    B = r * t
+    B /= d3
+    B -= coef * m / d3
     return B
-
-
-def _pair_geometry(test_pos, test_m, src_pos, src_m):
-    """Geometry of every (test, source) dipole pair, ``r = test - source``.
-
-    test_* : (N, 3); src_* : (K, 3) or per-row (N, K, 3). Returns d (N, K),
-    rhat (N, K, 3) and the (N, K) products ``src_m.rhat``, ``test_m.rhat``
-    and ``test_m.src_m``. Per-row sources take ``test_m.src_m`` from a
-    stacked matmul, which keeps each row's bits equal to a 1-row call; an
-    N-row ``test_m @ src_m.T`` may round differently.
-    """
-    r = test_pos[:, None, :] - src_pos
-    d = np.linalg.norm(r, axis=2)
-    if np.any(d < COINCIDENCE_EPS):
-        raise SingularConfigError("a dipole coincides with a source dipole")
-    rhat = r / d[:, :, None]
-    mbr = np.einsum("nc,nkc->nk", test_m, rhat)
-    if src_m.ndim == 3:
-        mar = np.einsum("nkc,nkc->nk", src_m, rhat)
-        mamb = np.matmul(test_m[:, None, :], src_m.transpose(0, 2, 1))[:, 0, :]
-    else:
-        mar = np.einsum("kc,nkc->nk", src_m, rhat)
-        mamb = test_m @ src_m.T
-    return d, rhat, mar, mbr, mamb
 
 
 def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     """Net force on test dipoles (points[i], moments[i]) from fixed dipoles.
 
     src_pos, src_m : (K, 3), or per-row (N, K, 3) as in :func:`dipole_field`;
-    points, moments : (N, 3). Returns (N, 3) newtons.
+    points, moments : (N, 3). Returns C-ordered (N, 3) newtons, computed on
+    component planes with the bit rules of the module docstring; the
+    stacked matmul keeps each row of a per-row call equal to a 1-row call.
     """
     mts = np.asarray(moments, dtype=float)
-    d, rhat, mar, mbr, mamb = _pair_geometry(
-        np.asarray(points, dtype=float), mts, src_pos, src_m)
+    r, m = _planes(src_pos, src_m, points)
+    p = r * r
+    d = p[0] + p[1]
+    d += p[2]
+    np.sqrt(d, out=d)
+    if (d < COINCIDENCE_EPS).any():
+        raise SingularConfigError("a dipole coincides with a source dipole")
+    r /= d  # rhat
+    t = np.ascontiguousarray(mts.T)[:, None, :]
+    mbr = _dot(t, r)
+    mar = _dot(m, r)
+    if src_m.ndim == 3:
+        mamb = np.matmul(mts[:, None, :], src_m.transpose(0, 2, 1))[:, 0, :].T
+    else:
+        mamb = (mts @ src_m.T).T
     coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
-    F = coef[:, :, None] * (
-        mar[:, :, None] * mts[:, None, :]
-        + mbr[:, :, None] * src_m
-        + (mamb - 5.0 * mar * mbr)[:, :, None] * rhat
-    )
-    return F.sum(axis=1)
+    w = 5.0 * mar
+    w *= mbr
+    np.subtract(mamb, w, out=w)
+    F = mar * t
+    F += np.multiply(mbr, m, out=p)
+    F += np.multiply(w, r, out=p)
+    F *= coef
+    return _sum_sources(F)
 
 
 def pair_energy(a: MagnetSource, b: MagnetSource) -> float:
-    """Mutual magnetostatic energy of two sources, joules."""
-    d, _, mar, mbr, mamb = _pair_geometry(
-        b.dipole_positions(), b.dipole_moments(),
-        a.dipole_positions(), a.dipole_moments())
-    U = MU0 / (4.0 * np.pi * d**3) * (mamb - 3.0 * mbr * mar)
+    """Mutual magnetostatic energy of two sources, joules.
+
+    The (Nb, Na) sub-dipole pair terms, ``r = b - a``, are summed pairwise
+    by ``U.sum()``.
+    """
+    ma, mb = a.dipole_moments(), b.dipole_moments()
+    r = b.dipole_positions()[:, None, :] - a.dipole_positions()
+    d = np.linalg.norm(r, axis=2)
+    if np.any(d < COINCIDENCE_EPS):
+        raise SingularConfigError("a dipole coincides with a source dipole")
+    rhat = r / d[:, :, None]
+    mar = np.einsum("kc,nkc->nk", ma, rhat)
+    mbr = np.einsum("nc,nkc->nk", mb, rhat)
+    U = MU0 / (4.0 * np.pi * d**3) * (mb @ ma.T - 3.0 * mbr * mar)
     return float(U.sum())
 
 

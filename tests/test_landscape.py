@@ -42,6 +42,11 @@ from maglogic.landscape import (
     UnitTriplet,
 )
 from maglogic.magnetics import MU0, FieldKey, MagnetSource, MagnetSpec
+from test_magnetics import (
+    assert_kernels_match_reference,
+    ref_dipole_field,
+    ref_dipole_forces,
+)
 
 MOVER = MagnetSpec("cylinder", (4e-3, 8e-3), 0.3, (0.0, 0.0, 1.0))
 M_MOVER = 0.3 * np.pi * (4e-3) ** 2 * 8e-3 / MU0  # |m| of MOVER
@@ -202,6 +207,20 @@ def test_batched_rows_match_one_point_evaluate():
                 assert np.array_equal(one_e, [e]) and np.array_equal(one_f, [f])
 
 
+def test_batched_kernel_calls_match_frozen_reference():
+    """The kernel calls of grids and lockstep rows, on every batch topology."""
+    rng = np.random.default_rng(12)
+    for ctxs in _batches():
+        stacked = ls._stack(ctxs)
+        origin, axis, _, pos, m = stacked[:5]
+        for n in (1, 2, 256, 1025):
+            rows = rng.integers(0, len(ctxs), n)
+            pts = origin[rows] + rng.uniform(0.013, 0.021, n)[:, None] * axis[rows]
+            moments = rng.normal(size=(n, 3))
+            assert_kernels_match_reference(pos[rows], m[rows], pts, moments)
+            assert_kernels_match_reference(pos[rows[0]], m[rows[0]], pts, moments)
+
+
 def test_zero_field_row_takes_its_own_track_axis():
     keyed, bare = _batches()[-1]
     stacked = ls._stack([keyed, bare])
@@ -237,16 +256,16 @@ def _reference_unit_rows(B, fallback):
 
 def _reference_grid(ctx, xs):
     """A grid evaluation written out step by step, with its own zero-field
-    rule: the N-row kernel calls and ``force @ axis``."""
+    rule: N-row calls of the frozen (N, K, 3) kernels and ``force @ axis``."""
     _, _, m_mag, pos, m, key, has_key, const = ctx.args
     axis = np.asarray(ctx.track.axis)
     pts = ctx.track.point(xs)
-    B = mag.dipole_field(pos, m, pts)
+    B = ref_dipole_field(pos, m, pts)
     if has_key:
         B = B + key[None, :]
     moments = float(m_mag) * _reference_unit_rows(B, axis)
     energy = float(const) - np.einsum("nc,nc->n", moments, B)
-    return energy, mag.dipole_forces(pos, m, pts, moments) @ axis
+    return energy, ref_dipole_forces(pos, m, pts, moments) @ axis
 
 
 def test_grids_match_reference_evaluation_bit_for_bit():
@@ -476,12 +495,17 @@ def test_orientation_fixed_point_balances_torque():
 
 
 def _pairwise_orientations(topology, positions, key):
-    """Per-pair ``dipole_field`` fixed point: the loop the array pass replaced."""
+    """Per-pair fixed point on the frozen ``dipole_field``: the loop the
+    array pass replaced."""
     units = list(topology)
     stators = [s for u in units for s in u.stators]
     pts = np.array([u.track.point(positions[u.id]) for u in units])
     mags = np.array([u.track.mover_moment_mag() for u in units])
-    base = np.atleast_2d(mag.field_of_sources(stators, pts, key))
+    base = np.zeros_like(pts)
+    for s in stators:
+        base = base + ref_dipole_field(s.dipole_positions(), s.dipole_moments(), pts)
+    if key is not None:
+        base = base + key.vector[None, :]
     u_dirs = np.empty_like(base)
     for i, u in enumerate(units):
         n = np.linalg.norm(base[i])
@@ -493,7 +517,7 @@ def _pairwise_orientations(topology, positions, key):
             B = base[i].copy()
             for j in range(len(units)):
                 if j != i:
-                    B += mag.dipole_field(
+                    B += ref_dipole_field(
                         pts[j][None, :], (mags[j] * u_dirs[j])[None, :], pts[i])
             n = np.linalg.norm(B)
             new[i] = B / n if n > 1e-30 else u_dirs[i]

@@ -145,6 +145,128 @@ def test_field_batched_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
+# frozen (N, K, 3) reference kernels
+# ---------------------------------------------------------------------------
+# The point-major kernels as they stood before the component-plane layout,
+# kept verbatim: the plane kernels must match them bit for bit, and the
+# landscape tests build their references from them.
+
+
+def ref_dipole_field(src_pos, src_m, points):
+    pts = np.asarray(points, dtype=float)
+    squeeze = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    r = pts[:, None, :] - src_pos  # (N, K, 3)
+    d2 = np.einsum("nkc,nkc->nk", r, r)
+    d = np.sqrt(d2)
+    if np.any(d < mag.COINCIDENCE_EPS):
+        raise SingularConfigError("field point coincides with a dipole")
+    out = ref_field_terms(r, d2, d[:, :, None] ** 3, src_m).sum(axis=1)
+    return out[0] if squeeze else out
+
+
+def ref_field_terms(r, d2, d3, src_m):
+    mdotr = np.einsum("nkc,nkc->nk" if src_m.ndim == 3 else "kc,nkc->nk", src_m, r)
+    coef = mag.MU0 / (4.0 * np.pi)
+    B = coef * (3.0 * mdotr / d2)[:, :, None] * r / d3
+    B -= coef * src_m / d3
+    return B
+
+
+def ref_pair_geometry(test_pos, test_m, src_pos, src_m):
+    r = test_pos[:, None, :] - src_pos
+    d = np.linalg.norm(r, axis=2)
+    if np.any(d < mag.COINCIDENCE_EPS):
+        raise SingularConfigError("a dipole coincides with a source dipole")
+    rhat = r / d[:, :, None]
+    mbr = np.einsum("nc,nkc->nk", test_m, rhat)
+    if src_m.ndim == 3:
+        mar = np.einsum("nkc,nkc->nk", src_m, rhat)
+        mamb = np.matmul(test_m[:, None, :], src_m.transpose(0, 2, 1))[:, 0, :]
+    else:
+        mar = np.einsum("kc,nkc->nk", src_m, rhat)
+        mamb = test_m @ src_m.T
+    return d, rhat, mar, mbr, mamb
+
+
+def ref_dipole_forces(src_pos, src_m, points, moments):
+    mts = np.asarray(moments, dtype=float)
+    d, rhat, mar, mbr, mamb = ref_pair_geometry(
+        np.asarray(points, dtype=float), mts, src_pos, src_m)
+    coef = 3.0 * mag.MU0 / (4.0 * np.pi * d**4)
+    F = coef[:, :, None] * (
+        mar[:, :, None] * mts[:, None, :]
+        + mbr[:, :, None] * src_m
+        + (mamb - 5.0 * mar * mbr)[:, :, None] * rhat
+    )
+    return F.sum(axis=1)
+
+
+def ref_pair_energy(a, b):
+    d, _, mar, mbr, mamb = ref_pair_geometry(
+        b.dipole_positions(), b.dipole_moments(),
+        a.dipole_positions(), a.dipole_moments())
+    U = mag.MU0 / (4.0 * np.pi * d**3) * (mamb - 3.0 * mbr * mar)
+    return float(U.sum())
+
+
+def assert_kernels_match_reference(pos, m, pts, moments):
+    """Field and force of the plane kernels equal the frozen ones, C-ordered."""
+    for got, want in ((mag.dipole_field(pos, m, pts), ref_dipole_field(pos, m, pts)),
+                      (mag.dipole_forces(pos, m, pts, moments),
+                       ref_dipole_forces(pos, m, pts, moments))):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 1025])
+@pytest.mark.parametrize("k", [0, 1, 5, 27])
+def test_kernels_match_frozen_reference(n, k):
+    rng = np.random.default_rng(1000 * n + k)
+    pts = rng.normal(size=(n, 3)) * 0.05
+    moments = rng.normal(size=(n, 3))
+    # shared sources, then per-row sources (every row its own K dipoles)
+    assert_kernels_match_reference(
+        rng.normal(size=(k, 3)) * 0.05, rng.normal(size=(k, 3)), pts, moments)
+    assert_kernels_match_reference(
+        rng.normal(size=(n, k, 3)) * 0.05, rng.normal(size=(n, k, 3)), pts, moments)
+
+
+def test_kernels_match_frozen_reference_on_closed_forms():
+    # the frozen-value geometries above, a discretized magnet (27
+    # sub-dipoles), and a one-point call
+    spec = mag.MagnetSpec("cylinder", (2e-3, 4e-3), 1.2, (0, 0, 1))
+    fine = mag.source_from_spec(spec, [0, 0, 0], discretize=3)
+    pts = np.array([[0, 0, 0.1], [0.1, 0, 0], [0, 0, 0.05], [0, 0, 1.0], [0, 0, 3e-3]])
+    moments = np.array([EZ, -EZ, EX, 3.7 * EZ, EY])
+    for src in (simple_source([0, 0, 0], EZ), simple_source([0, 0, 0], 3.7 * EZ), fine):
+        pos, m = src.dipole_positions(), src.dipole_moments()
+        assert_kernels_match_reference(pos, m, pts, moments)
+        assert_kernels_match_reference(
+            np.broadcast_to(pos, (5, *pos.shape)), np.broadcast_to(m, (5, *m.shape)),
+            pts, moments)
+        for p in pts:
+            assert np.array_equal(mag.dipole_field(pos, m, p), ref_dipole_field(pos, m, p))
+    a = simple_source([0, 0, 0], EZ)
+    far_fine = mag.source_from_spec(spec, [0.01, 0.005, 0.02], (1, 0, 1), discretize=3)
+    for b in (simple_source([0, 0, 1.0], EZ), simple_source([0.3, 0.2, 1.0], EX),
+              far_fine):
+        assert mag.pair_energy(a, b) == ref_pair_energy(a, b)
+        assert mag.pair_energy(b, a) == ref_pair_energy(b, a)
+
+
+def test_plane_kernels_raise_on_coincidence_like_reference():
+    pos, m = np.zeros((2, 3)), np.ones((2, 3))
+    pts = np.array([[1.0, 0, 0], [0, 0, 1e-12]])
+    for kernel in (lambda p, mm: mag.dipole_field(p, mm, pts),
+                   lambda p, mm: mag.dipole_forces(p, mm, pts, np.ones((2, 3)))):
+        with pytest.raises(SingularConfigError):
+            kernel(pos, m)
+        with pytest.raises(SingularConfigError):
+            kernel(np.broadcast_to(pos, (2, 2, 3)), np.broadcast_to(m, (2, 2, 3)))
+
+
+# ---------------------------------------------------------------------------
 # pair energy / force
 # ---------------------------------------------------------------------------
 
