@@ -15,7 +15,10 @@ and the ``selectivity_filter`` matrix of the demo units under the 27
 directions of the keys' 20 degree cones (labelled ``<label>#<i>``), the
 1025-sample ``sample_profile`` energy and force of every demo unit under
 those 27 keys and no key, and ``decisions_for_keys`` under the demo keys
-and no key with every mover latched mid-stroke; with the stator of unit
+and no key with every mover latched mid-stroke; ``decisions_for_keys`` on
+two movers 20 mm apart over weak stators, latched mid-stroke, under no
+key, a repeated key and keys whose orientation solves take 14 to 156
+iterations (two past the damping switch at 100); with the stator of unit
 ``alpha`` split into 27 sub-dipoles (``discretize=3``), its field at one
 point, alpha's 1025-sample profile under ``+x`` and ``decisions_for_keys``
 under ``+x`` and no key; then
@@ -57,7 +60,8 @@ CONSOLE = "import sys; from maglogic.cli import main; sys.exit(main())"
 SEEDS = (1, 2, 3)
 DEMO = ("from maglogic import configio, design as dg, landscape as ls, netbus as nb, "
         "presets as pr\n"
-        "from maglogic.magnetics import FieldKey, dipole_field_at, source_from_spec\n"
+        "from maglogic.magnetics import FieldKey, MagnetSource, MagnetSpec, dipole_field_at, "
+        "source_from_spec\n"
         "import dataclasses\n"
         "cand = dg.CandidateTopology(tuple(pr.demo_topology()), "
         "tuple(pr.demo_keys()))\n"
@@ -92,6 +96,13 @@ LIBRARY = (
     ("decisions_for_keys_mid_stroke",
      "ls.decisions_for_keys(cand.units, [*cand.key_set, None], mover_positions={"
      "u.id: 0.5 * (u.track.x_in + u.track.x_out) for u in cand.units})"),
+    ("decisions_for_keys_coupled_pair",
+     "ls.decisions_for_keys([ls.UnitTriplet(f'm{i}', (MagnetSource((x, 0, -0.01), "
+     "(0, 0, 0.02)),), ls.MoverTrack((0, 0, 1), (x, 0, 0), (0.0, 0.004), MagnetSpec("
+     "'cylinder', (0.004, 0.008), 0.3, (0, 0, 1)), 1e-3)) for i, x in enumerate((0.01, -0.01))], "
+     "[None, *(FieldKey(d, 0.005, l) for d, l in (((1, 0, 0), '+x'), ((0, 1, 0), '+y'), "
+     "((1, 0, 0), '+x'), ((0, 0, -1), '-z'))), FieldKey((0, 0, 1), 0.02, '+z')], "
+     "mover_positions={'m0': 0.002, 'm1': 0.002})"),
     ("discretized_stator_27",
      "(lambda units: (dipole_field_at(units[0].stators[0], (0.004, 0.003, 0.03)).tolist(), "
      "[(p.energy.tolist(), p.force_axial.tolist()) "

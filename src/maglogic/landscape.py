@@ -17,12 +17,12 @@ Non-target movers are frozen at their current latched coordinates with
 orientations equilibrated once per (key, mover positions), with every mover,
 the target included, at its latched coordinate; they are then treated as
 fixed sources while the target sweeps. The equilibrium does not depend on
-which unit sweeps, so :func:`decisions_for_keys` solves it once per key
-for all units, and builds each latched mover source and each pair energy
-of the fixed assembly once per key too (the stator-stator pairs once per
-call). The orientation solve is one array pass per fixed-point iteration.
-This keeps the force/energy consistency exact and captures the
-leading-order coupling between units.
+which unit sweeps, so :func:`decisions_for_keys` sets every key up in one
+pass for all units: one orientation solve runs every key in lockstep, one
+array pass per fixed-point iteration, and one elementwise pass gives the
+pair energies of the fixed assembly under every key. This keeps the
+force/energy consistency exact and captures the leading-order coupling
+between units.
 
 One evaluator computes U(x) and F(x) of a mover everywhere. With one
 profile's sources it evaluates a grid: the 256- and 1025-point grids are
@@ -52,7 +52,6 @@ from .errors import (
     EnergyBudgetError,
     MaglogicError,
     NotAnchoredError,
-    SingularConfigError,
 )
 from .magnetics import FieldKey, MagnetSource, MagnetSpec
 
@@ -153,67 +152,40 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
 
     Fixed point of u_i = unit(B(stators + key + other movers) at mover i),
     iterated to 1e-13. Movers in near-zero total field keep the track axis.
-    Each iteration is one array pass: the mover-to-mover geometry is built
-    once per solve as (3, n, n) component planes (source j, field point i),
-    every mover's field at every other mover comes from
-    :func:`magnetics.dipole_field`'s per-pair terms in one
-    ``magnetics._field_terms`` call, and each mover adds the other movers
-    in index order, so every direction has the bits of a per-pair
-    ``dipole_field`` loop.
+    The one-key case of the lockstep solve that :func:`decisions_for_keys`
+    runs for all of its keys at once.
     """
     units = list(topology)
+    _, _, dirs = _orientations(units, positions, *_key_vectors([key]))
+    return {u.id: dirs[0, i] for i, u in enumerate(units)}
+
+
+def _key_vectors(keys):
+    """Key vectors (Q, 3), zero for a None key, and the (Q,) has-key mask."""
+    return (np.array([np.zeros(3) if k is None else k.vector for k in keys]).reshape(-1, 3),
+            np.array([k is not None for k in keys], dtype=bool))
+
+
+def _orientations(units, positions, kvecs, has_key):
+    """Mover centres (n, 3), moment magnitudes (n,) and the directions
+    (Q, n, 3) of :func:`equilibrate_orientations` under Q keys
+    (:func:`_key_vectors`), solved in lockstep by
+    :func:`magnetics.equilibrium_directions`. The stator field at the
+    movers is computed once and each key added to it.
+    """
     if not units:
         raise ConfigError("topology has no units")
     if len({u.id for u in units}) != len(units):
         raise ConfigError("unit ids must be unique")
-    stator_sources = [s for u in units for s in u.stators]
     pts = np.array([u.track.point(positions[u.id]) for u in units])
     mags = np.array([u.track.mover_moment_mag() for u in units])
-    base = mag.field_of_sources(stator_sources, pts, key)
-    base = np.atleast_2d(base)
-    u_dirs = np.empty_like(base)
-    for i, u in enumerate(units):
-        n = np.linalg.norm(base[i])
-        u_dirs[i] = base[i] / n if n > 1e-30 else np.asarray(u.track.axis)
-    n_units = len(units)
-    # r[:, j, i] points from mover j to mover i; the diagonal is never added
-    planes = np.ascontiguousarray(pts.T)
-    r = planes[:, None, :] - planes[:, :, None]
-    d2 = mag._dot(r, r)
-    off = ~np.eye(n_units, dtype=bool)
-    np.fill_diagonal(d2, 1.0)
-    d = np.sqrt(d2)
-    if np.any(d[off] < mag.COINCIDENCE_EPS):
-        raise SingularConfigError("field point coincides with a dipole")
-    d3 = d ** 3
-    damping = 1.0
-    for it in range(500):
-        F = mag._field_terms(r, d2, d3, (mags[:, None] * u_dirs).T[:, :, None])
-        B = base.copy()
-        for j in range(n_units):
-            np.add(B, F[:, j].T, out=B, where=off[j, :, None])
-        n = np.sqrt(np.vecdot(B, B))
-        ok = n > 1e-30
-        new = u_dirs.copy()
-        new[ok] = B[ok] / n[ok, None]
-        if damping < 1.0:
-            new = u_dirs + damping * (new - u_dirs)
-            norms = np.linalg.norm(new, axis=1, keepdims=True)
-            # an exactly antipodal flip cancels to zero: that mover already
-            # sits at a zero-torque (antiparallel) point, keep its direction
-            dead = norms[:, 0] < 1e-30
-            new[dead] = u_dirs[dead]
-            norms[dead] = 1.0
-            new = new / norms
-        delta = np.abs(new - u_dirs).max()
-        u_dirs = new
-        if delta < 1e-13:
-            break
-        if it == 100:
-            damping = 0.5
-    else:
-        raise MaglogicError("mover orientation fixed point did not converge")
-    return {units[i].id: u_dirs[i] for i in range(n_units)}
+    # summed stator by stator from zeros, then the key
+    base = np.zeros((len(kvecs), *pts.shape))
+    for s in (s for u in units for s in u.stators):
+        base += mag.dipole_field(s.dipole_positions(), s.dipole_moments(), pts)
+    np.add(base, kvecs[:, None, :], out=base, where=has_key[:, None, None])
+    axes = np.array([u.track.axis for u in units])
+    return pts, mags, mag.equilibrium_directions(pts, mags, base, axes)
 
 
 @dataclass(frozen=True)
@@ -397,7 +369,7 @@ def sample_profile(
     units = list(topology)
     target = _unit_index(units, unit_id)
     positions = _latched_positions(units, n_samples, mover_positions)
-    return next(_profiles(units, [target], key, n_samples, positions, {}))
+    return _profiles(units, [target], [key], n_samples, positions)[0]
 
 
 def _latched_positions(units, n_samples, mover_positions) -> dict:
@@ -423,63 +395,44 @@ def _latched_positions(units, n_samples, mover_positions) -> dict:
     return positions
 
 
-def _profiles(units, targets, key, n_samples, positions, stator_pairs):
-    """Profile of each ``targets`` index, every other mover a fixed source.
+def _profiles(units, targets, keys, n_samples, positions) -> list:
+    """Profile of each ``targets`` index under each key, key-major, every
+    other mover a fixed source.
 
-    Movers are latched at ``positions`` with one orientation solve, built
-    once as sources and shared by every target. ``stator_pairs`` caches
-    the key-independent stator-stator pair energies across keys.
+    Movers are latched at ``positions``. One lockstep orientation solve
+    serves every key, and one pass gives every (key, target) constant
+    energy: ``assembly_energy`` of the stators and the other movers.
     """
-    orientations = equilibrate_orientations(units, positions, key)
-    movers = [
-        MagnetSource(u.track.point(positions[u.id]),
-                     u.track.mover_moment_mag() * orientations[u.id])
-        for u in units
-    ]
-    stators = [s for u in units for s in u.stators]
-    consts = _const_energies(stators, movers, key, targets, stator_pairs)
-    empty = np.zeros((0, 3))
-    for t, const in zip(targets, consts):
-        fixed = [s for i, u in enumerate(units)
-                 for s in (u.stators if i == t else (*u.stators, movers[i]))]
-        fixed_pos = np.concatenate([empty, *(s.dipole_positions() for s in fixed)])
-        fixed_m = np.concatenate([empty, *(s.dipole_moments() for s in fixed)])
-        track = units[t].track
-        ctx = _ProfileContext(track, (
-            np.asarray(track.origin), np.asarray(track.axis),
-            np.asarray(track.mover_moment_mag()), fixed_pos, fixed_m,
-            np.zeros(3) if key is None else key.vector,
-            np.asarray(key is not None), np.asarray(const)))
-        xs = np.linspace(track.x_in, track.x_out, n_samples)
-        energy, force = ctx.evaluate(xs)
-        yield LandscapeProfile(units[t].id, key, xs, energy, force, None, ctx)
-
-
-def _const_energies(stators, movers, key, targets, stator_pairs) -> list:
-    """x-independent part of each target's assembly energy.
-
-    For target t the fixed sources are ``stators + movers`` without mover t;
-    their pair energies are summed in :func:`magnetics.assembly_energy`'s
-    i < j order, then the key terms, so each total has its bits. Each pair
-    energy is computed once for all targets, and each stator-stator pair
-    once per ``stator_pairs`` cache, whatever the key.
-    """
-    sources = stators + movers
-    pairs = {}
+    if not keys:
+        return []
+    kvecs, has_key = _key_vectors(keys)
+    pts, mags, dirs = _orientations(units, positions, kvecs, has_key)
+    mover_m = mags[:, None] * dirs
+    consts = mag.assembly_energies([s for u in units for s in u.stators], pts, mover_m,
+                                   kvecs, has_key, targets)
+    # every fixed dipole in unit order, each unit's stators then its mover;
+    # a target drops its own mover's row
+    pos, m, mover_rows = [], [], []
+    for i, u in enumerate(units):
+        for s in u.stators:
+            pos.append(s.dipole_positions())
+            m.append(np.broadcast_to(s.dipole_moments(), (len(keys), len(pos[-1]), 3)))
+        mover_rows.append(sum(map(len, pos)))
+        pos.append(pts[i:i + 1])
+        m.append(mover_m[:, i:i + 1])
+    pos, m = np.concatenate(pos), np.concatenate(m, axis=1)
+    fixed = [np.delete(np.arange(len(pos)), mover_rows[t]) for t in targets]
     out = []
-    for t in targets:
-        keep = [a for a in range(len(sources)) if a != len(stators) + t]
-        total = 0.0
-        for i, a in enumerate(keep):
-            for b in keep[i + 1:]:
-                cache = stator_pairs if b < len(stators) else pairs
-                if (a, b) not in cache:
-                    cache[a, b] = mag.pair_energy(sources[a], sources[b])
-                total += cache[a, b]
-        if key is not None:
-            for a in keep:
-                total += mag.key_energy(sources[a], key)
-        out.append(total)
+    for q, key in enumerate(keys):
+        for t, rows, const in zip(targets, fixed, consts[q]):
+            track = units[t].track
+            ctx = _ProfileContext(track, (
+                np.asarray(track.origin), np.asarray(track.axis),
+                np.asarray(mags[t]), pos[rows], m[q, rows],
+                kvecs[q], np.asarray(has_key[q]), np.asarray(const)))
+            xs = np.linspace(track.x_in, track.x_out, n_samples)
+            energy, force = ctx.evaluate(xs)
+            out.append(LandscapeProfile(units[t].id, key, xs, energy, force, None, ctx))
     return out
 
 
@@ -748,9 +701,9 @@ def decisions_for_keys(
     """Decision of every unit under each key (movers latched elsewhere).
 
     Returns one ``{unit id: LandscapeDecision}`` dict per key, in key order;
-    each entry equals that unit's ``unit_decision``. One orientation solve
-    per key serves every unit, and the stator-stator pair energies are
-    computed once for all keys. The bisections, stability checks and root
+    each entry equals that unit's ``unit_decision``. One lockstep
+    orientation solve and one constant-energy pass serve every key and unit
+    (see :func:`_profiles`). The bisections, stability checks and root
     polishing of every (key, unit) profile then advance in lockstep, with
     one batched evaluation per step (see :func:`_lockstep`).
     """
@@ -763,12 +716,7 @@ def decisions_for_keys(
     if not ok:
         raise ConfigError(f"keys must be a sequence of FieldKey or None, got {keys!r}")
     positions = _latched_positions(units, n_samples, mover_positions)
-    stator_pairs = {}
-    profiles = [
-        p for key in keys
-        for p in _profiles(units, range(len(units)), key, n_samples, positions,
-                           stator_pairs)
-    ]
+    profiles = _profiles(units, range(len(units)), keys, n_samples, positions)
     decided = _lockstep([p._ctx for p in profiles], [_decision(p) for p in profiles])
     n = len(units)
     return [

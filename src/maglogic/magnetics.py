@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingularConfigError
+from .errors import ConfigError, MaglogicError, SingularConfigError
 
 MU0 = 4.0 * np.pi * 1e-7  # vacuum permeability, T*m/A (exact in SI-1948 units)
 COINCIDENCE_EPS = 1e-9  # meters; closer than this counts as "same point"
@@ -426,14 +426,25 @@ def pair_energy(a: MagnetSource, b: MagnetSource) -> float:
     """
     ma, mb = a.dipole_moments(), b.dipole_moments()
     r = b.dipole_positions()[:, None, :] - a.dipole_positions()
-    d = np.linalg.norm(r, axis=2)
+    return float(_pair_energies(r, ma, mb[:, None, :], mb @ ma.T).sum())
+
+
+def _pair_energies(r, ma, mb, mamb):
+    """Energies of dipoles ``ma`` and ``mb`` at offset ``r`` from it,
+    elementwise over broadcast (..., 3) operands, given ``mamb = ma.mb``.
+
+    ``d`` in np.linalg.norm's order and ``m.rhat`` in np.einsum's: a point
+    dipole pair with a stacked 1x1 matmul for ``mamb`` has the bits of
+    :func:`pair_energy`.
+    """
+    r, ma, mb = np.broadcast_arrays(r, ma, mb)
+    d = np.linalg.norm(r, axis=-1)
     if np.any(d < COINCIDENCE_EPS):
         raise SingularConfigError("a dipole coincides with a source dipole")
-    rhat = r / d[:, :, None]
-    mar = np.einsum("kc,nkc->nk", ma, rhat)
-    mbr = np.einsum("nc,nkc->nk", mb, rhat)
-    U = MU0 / (4.0 * np.pi * d**3) * (mb @ ma.T - 3.0 * mbr * mar)
-    return float(U.sum())
+    rhat = np.moveaxis(r / d[..., None], -1, 0)
+    mar = _dot(np.moveaxis(ma, -1, 0), rhat)
+    mbr = _dot(np.moveaxis(mb, -1, 0), rhat)
+    return MU0 / (4.0 * np.pi * d**3) * (mamb - 3.0 * mbr * mar)
 
 
 def pair_force(a: MagnetSource, b: MagnetSource) -> np.ndarray:
@@ -443,22 +454,75 @@ def pair_force(a: MagnetSource, b: MagnetSource) -> np.ndarray:
         b.dipole_positions(), b.dipole_moments()).sum(axis=0)
 
 
+def equilibrium_directions(points, mags, base, fallback) -> np.ndarray:
+    """Torque-equilibrium directions (Q, n, 3) of n free point dipoles in Q
+    fixed fields, solved in lockstep.
+
+    Dipole i at ``points[i]``, of moment magnitude ``mags[i]``, feels
+    ``base[q, i]`` plus the other free dipoles' fields. Each set q iterates
+    u_i = unit(B_i) to 1e-13 from unit(base) and stops on its own; a dipole
+    in near-zero field keeps its direction (``fallback[i]`` at the start),
+    and damping 0.5 starts after iteration 100 for every set. One
+    :func:`_field_terms` call on (3, n, n) planes per iteration serves every
+    open set, and each dipole adds the others in index order, so every set
+    gets the bits of a one-set solve and of a per-pair :func:`dipole_field`
+    loop.
+    """
+    # sqrt(vecdot) has the bits of np.linalg.norm of one 3-vector
+    n = np.sqrt(np.vecdot(base, base))
+    ok = n > 1e-30
+    out = np.empty_like(base)
+    np.divide(base, n[..., None], out=out, where=ok[..., None])
+    out[~ok] = np.broadcast_to(fallback, base.shape)[~ok]
+    n_free = len(points)
+    # r[:, j, i] points from dipole j to dipole i; the diagonal is never added
+    planes = np.ascontiguousarray(points.T)
+    r = planes[:, None, :] - planes[:, :, None]
+    d2 = _dot(r, r)
+    off = ~np.eye(n_free, dtype=bool)
+    np.fill_diagonal(d2, 1.0)
+    d = np.sqrt(d2)
+    if np.any(d[off] < COINCIDENCE_EPS):
+        raise SingularConfigError("field point coincides with a dipole")
+    d3 = d ** 3
+    open_sets = np.arange(len(base))
+    u_dirs = out.copy()
+    damping = 1.0
+    for it in range(500):
+        # (3, set, source j, point i) terms
+        F = _field_terms(r[:, None], d2, d3,
+                         (mags[:, None] * u_dirs).transpose(2, 0, 1)[..., None])
+        B = base.copy()
+        for j in range(n_free):
+            np.add(B, F[:, :, j].transpose(1, 2, 0), out=B, where=off[j, :, None])
+        n = np.sqrt(np.vecdot(B, B))
+        ok = n > 1e-30
+        new = u_dirs.copy()
+        new[ok] = B[ok] / n[ok][:, None]
+        if damping < 1.0:
+            new = u_dirs + damping * (new - u_dirs)
+            norms = np.linalg.norm(new, axis=-1, keepdims=True)
+            # an exactly antipodal flip cancels to zero: that dipole already
+            # sits at a zero-torque (antiparallel) point, keep its direction
+            dead = norms[..., 0] < 1e-30
+            new[dead] = u_dirs[dead]
+            norms[dead] = 1.0
+            new = new / norms
+        done = np.abs(new - u_dirs).max(axis=(1, 2)) < 1e-13
+        out[open_sets[done]] = new[done]
+        open_sets, u_dirs, base = open_sets[~done], new[~done], base[~done]
+        if not len(open_sets):
+            return out
+        if it == 100:
+            damping = 0.5
+    raise MaglogicError("mover orientation fixed point did not converge")
+
+
 def dipole_field_at(source: MagnetSource, point) -> np.ndarray:
     """Field of one source at one point, tesla."""
     return dipole_field(
         source.dipole_positions(), source.dipole_moments(), vector(point, "field point")
     )
-
-
-def field_of_sources(sources, points, key: FieldKey | None = None) -> np.ndarray:
-    """Total field of many sources (plus an optional uniform key) at points."""
-    pts = np.asarray(points, dtype=float)
-    out = np.zeros_like(np.atleast_2d(pts), dtype=float)
-    for s in sources:
-        out = out + dipole_field(s.dipole_positions(), s.dipole_moments(), np.atleast_2d(pts))
-    if key is not None:
-        out = out + key.vector[None, :]
-    return out[0] if pts.ndim == 1 else out
 
 
 def key_energy(source: MagnetSource, key: FieldKey) -> float:
@@ -482,3 +546,40 @@ def assembly_energy(sources, key: FieldKey | None = None) -> float:
         for s in sources:
             total += key_energy(s, key)
     return total
+
+
+def assembly_energies(fixed, free_pos, free_m, key_vectors, has_key, left_out):
+    """:func:`assembly_energy` of Q x T source sets in one pass, (Q, T).
+
+    Set (q, t) is ``fixed``, then the free point dipoles at ``free_pos``
+    with moments ``free_m[q]`` but dipole ``left_out[t]``, under the key
+    vector ``key_vectors[q]`` where ``has_key[q]``. Point-dipole pairs take
+    one :func:`_pair_energies` pass (a stacked 1x1 matmul for ``ma.mb``),
+    pairs with a discretized source :func:`pair_energy`; each set's terms
+    are summed from 0.0 in ``assembly_energy``'s order, so each total has
+    its bits (a missing key's term is -0.0, which adds nothing).
+    """
+    n_keys, n_free, _ = free_m.shape
+    n_fixed = len(fixed)
+    pos = np.concatenate([np.reshape([s.position for s in fixed], (-1, 3)), free_pos])
+    m = np.concatenate([np.broadcast_to(np.reshape([s.moment for s in fixed], (-1, 3)),
+                                        (n_keys, n_fixed, 3)), free_m], axis=1)
+    pairs = [(i, j) for i in range(len(pos)) for j in range(i + 1, len(pos))]
+    point = [s.subdipoles is None for s in fixed] + [True] * n_free
+    fast = [p for p, (i, j) in enumerate(pairs) if point[i] and point[j]]
+    a, b = np.array([pairs[p] for p in fast], dtype=int).reshape(-1, 2).T
+    ma, mb = m[:, a], m[:, b]
+    pair = np.empty((n_keys, len(pairs)))
+    pair[:, fast] = _pair_energies(pos[b] - pos[a], ma, mb,
+                                   np.matmul(mb[..., None, :], ma[..., None])[..., 0, 0])
+    for p, (i, j) in enumerate(pairs):
+        if not (point[i] and point[j]):  # a discretized fixed source, then any
+            pair[:, p] = (pair_energy(fixed[i], fixed[j]) if j < n_fixed else
+                          [pair_energy(fixed[i], MagnetSource(pos[j], m[q, j]))
+                           for q in range(n_keys)])
+    zeeman = np.where(has_key[:, None], np.vecdot(-m, key_vectors[:, None, :]), -0.0)
+    terms = np.concatenate([np.zeros((n_keys, 1)), pair, zeeman], axis=1)
+    cols = [[0] + [1 + p for p, ij in enumerate(pairs) if n_fixed + t not in ij]
+            + [1 + len(pairs) + i for i in range(len(pos)) if i != n_fixed + t]
+            for t in left_out]
+    return np.add.accumulate(terms[:, cols], axis=-1)[..., -1]

@@ -173,6 +173,25 @@ def test_enumeration_sampling_is_seeded():
         assert len(set(sites)) == len(sites)
 
 
+def test_enumeration_sampling_cap_yields_fewer_silently(monkeypatch):
+    """Today's behaviour, pinned: when the lattice has fewer distinct
+    candidates than ``budget`` but more raw combinations, sampling gives up
+    after ``budget * 200`` draws and yields what it found, with no error."""
+    lat = dg.Lattice(0.06, ((0, 2), (0, 0), (0, 0)),
+                     allowed_orientations=((1, 0, 0), (-1, 0, 0)),
+                     allowed_track_axes=((1, 0, 0), (-1, 0, 0)))
+    # 12 single placements, C(12, 2) = 66 combinations: exhaustive at 66
+    every = {c.placements for c in dg.enumerate_candidates(lat, 2, (), template(), 66)}
+    assert len(every) == 14
+    draws = []
+    valid = dg._candidate_valid
+    monkeypatch.setattr(dg, "_candidate_valid", lambda *a: draws.append(1) or valid(*a))
+    sampled = list(dg.enumerate_candidates(lat, 2, (), template(), budget=40, seed=0))
+    assert len(draws) == 40 * 200
+    assert len(sampled) == 14 < 40
+    assert {c.placements for c in sampled} == every
+
+
 def test_selectivity_filter_demo_is_one_hot():
     mat = dg.selectivity_filter(demo_candidate())
     assert mat.passed

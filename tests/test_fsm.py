@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maglogic import fsm
 from maglogic import landscape as ls
@@ -119,6 +121,29 @@ def test_serialize_round_trip():
         canonical = fsm.serialize_program(prog)
         assert fsm.parse_program(canonical) == prog
         assert fsm.serialize_program(fsm.parse_program(canonical)) == canonical
+
+
+_PULSES = st.lists(st.tuples(
+    st.sampled_from(sorted(fsm.AXIS_DIRECTIONS)),
+    st.floats(0.0, 10.0),  # tesla
+    st.floats(1e-9, 100.0),  # duration, s
+    st.floats(0.0, 100.0)), max_size=8)  # gap before the pulse, s
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_PULSES)
+def test_serialize_round_trip_property(pulses):
+    """Any program of non-overlapping axis pulses serializes to text that
+    parses back to the same pulses and serializes to the same text."""
+    prog, t = [], 0.0
+    for label, magnitude, duration, gap in pulses:
+        pulse = fsm.Pulse(FieldKey(fsm.AXIS_DIRECTIONS[label], magnitude, label),
+                          duration, t + gap)
+        prog.append(pulse)
+        t = pulse.t_end
+    text = fsm.serialize_program(prog)
+    assert fsm.parse_program(text) == tuple(prog)
+    assert fsm.serialize_program(fsm.parse_program(text)) == text
 
 
 def test_machine_validation():

@@ -89,6 +89,17 @@ def coupled_topology():
     return [u1, UnitTriplet("u2", (s2,), t2)]
 
 
+def strongly_coupled_pair():
+    """Two movers 20 mm apart over weak stators, so the mover-mover field
+    dominates: at the inner stops the orientation solve takes 109
+    iterations without a key, 12 to 36 under 5 and 20 mT x, y and +z keys,
+    and never settles under a 5 mT -z key; latched mid-stroke it takes 156
+    without a key and 125 under that -z key."""
+    return [UnitTriplet(f"m{i}", (MagnetSource((x, 0, -0.01), (0, 0, 0.02)),),
+                        MoverTrack((0, 0, 1), (x, 0, 0), (0.0, 0.004), MOVER, mass=1e-3))
+            for i, x in enumerate((0.01, -0.01))]
+
+
 # independent scalar formulas for the oracle checks
 
 
@@ -164,9 +175,8 @@ def _zero_field_unit():
 
 def _contexts(topology, keys):
     units = list(topology)
-    return [p._ctx for key in keys
-            for p in ls._profiles(units, range(len(units)), key, 16,
-                                  ls.rest_positions(units), {})]
+    return [p._ctx for p in ls._profiles(units, range(len(units)), keys, 16,
+                                         ls.rest_positions(units))]
 
 
 def _batches():
@@ -557,6 +567,123 @@ def test_equilibrate_orientations_matches_pairwise_loop():
         assert list(got) == list(want)
         for uid in want:
             assert np.array_equal(got[uid], want[uid]), (n, uid)
+
+
+def _solve_lengths(monkeypatch, topology, positions, keys):
+    """Iterations of a one-key orientation solve per key; None where it
+    does not converge. Each iteration makes one ``_field_terms`` call."""
+    calls = []
+    terms = mag._field_terms
+    monkeypatch.setattr(mag, "_field_terms", lambda *a: calls.append(a) or terms(*a))
+    lengths = []
+    for key in keys:
+        calls.clear()
+        try:
+            ls.equilibrate_orientations(topology, positions, key)
+            lengths.append(len(calls))
+        except MaglogicError:
+            lengths.append(None)
+    monkeypatch.undo()
+    return lengths
+
+
+_PAIR_KEYS = [None, *(FieldKey(d, magnitude, "k") for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                      for magnitude in (0.005, 0.02))]
+_STUCK = FieldKey((0, 0, -1), 0.005, "stuck")
+
+
+def test_lockstep_orientations_match_one_solve_per_key(monkeypatch):
+    """Bit for bit: every key of a multi-key solve gets its one-key solve,
+    whatever converges beside it, before or after the damping starts."""
+    rng = np.random.default_rng(2026)
+    pair = strongly_coupled_pair()
+    cases = [(pair, ls.rest_positions(pair), _PAIR_KEYS),
+             (pair, {u.id: 0.002 for u in pair}, [*_PAIR_KEYS, _STUCK, _PAIR_KEYS[3]])]
+    for topo, keys in ((pr.demo_topology(), pr.demo_keys()),
+                       (coupled_topology(), (FieldKey((0, 1, 0), 8e-3, "k"),
+                                             FieldKey((0, 0, -1), 5e-3, "z")))):
+        for _ in range(4):
+            tilted = [None, *(FieldKey(tuple(d / np.linalg.norm(d)), k.magnitude * f, k.label)
+                              for k in keys for d, f in [(np.asarray(k.direction)
+                                                          + 0.4 * rng.normal(size=3),
+                                                          rng.uniform(0.0, 2.5))])]
+            positions = {u.id: rng.uniform(u.track.x_in, u.track.x_out) for u in topo}
+            cases.append((topo, positions, tilted))
+    damped = 0
+    for topo, positions, keys in cases:
+        lengths = _solve_lengths(monkeypatch, topo, positions, keys)
+        assert None not in lengths
+        assert topo is not pair or len(set(lengths)) > 2
+        _, _, dirs = ls._orientations(topo, positions, *ls._key_vectors(keys))
+        assert dirs.shape == (len(keys), len(topo), 3)
+        for q, (key, length) in enumerate(zip(keys, lengths)):
+            one = ls.equilibrate_orientations(topo, positions, key)
+            for i, u in enumerate(topo):
+                assert np.array_equal(dirs[q, i], one[u.id]), (q, u.id)
+            if length > 101:  # damped: the frozen pairwise loop agrees too
+                damped += 1
+                want = _pairwise_orientations(topo, positions, key)
+                assert all(np.array_equal(one[uid], want[uid]) for uid in want)
+    assert damped >= 3
+
+
+def test_orientation_solve_failures_and_empty_calls(monkeypatch):
+    pair = strongly_coupled_pair()
+    rest = ls.rest_positions(pair)
+    assert _solve_lengths(monkeypatch, pair, rest, [_STUCK]) == [None]
+    with pytest.raises(MaglogicError, match="did not converge"):
+        ls.equilibrate_orientations(pair, rest, _STUCK)
+    # keys that converge beside it do not hide the one that does not
+    with pytest.raises(MaglogicError, match="did not converge"):
+        ls.decisions_for_keys(pair, [*_PAIR_KEYS, _STUCK])
+    assert ls.decisions_for_keys(pair, []) == []
+    assert ls.decisions_for_keys(pr.demo_topology(), [], 64) == []
+    for call in (lambda: ls.decisions_for_keys([], [None]),
+                 lambda: ls.decisions_for_keys([], [_STUCK, None]),
+                 lambda: ls.equilibrate_orientations([], {}, None)):
+        with pytest.raises(ConfigError, match="no units"):
+            call()
+
+
+def test_constant_energies_equal_assembly_energy():
+    """Every (key, target) context equals the pair-by-pair construction:
+    the constant energy is ``assembly_energy`` of the target's fixed
+    sources exactly, and the fixed dipoles are those sources in unit
+    order, for point-dipole and discretized stators alike."""
+    from maglogic import design as dg
+
+    demo = pr.demo_topology()
+    cone = [FieldKey(tuple(d), k.magnitude, k.label)
+            for k in pr.demo_keys() for d in dg.cone_directions(k.direction, 20.0)]
+    discretized = [dataclasses.replace(u, stators=tuple(
+        mag.source_from_spec(s.spec, s.position, s.moment, discretize=3)
+        for s in u.stators)) if u.id == "alpha" else u for u in demo]
+    cases = [(demo, [*cone, None]), (discretized, [None, *pr.demo_keys()]),
+             (coupled_topology(), [FieldKey((0, 1, 0), 8e-3, "k"), None]),
+             (strongly_coupled_pair(), _PAIR_KEYS)]
+    checked = 0
+    for topo, keys in cases:
+        for positions in (ls.rest_positions(topo),
+                          {u.id: 0.5 * (u.track.x_in + u.track.x_out) for u in topo}):
+            profiles = iter(ls._profiles(topo, range(len(topo)), keys, 16, positions))
+            for key in keys:
+                ori = ls.equilibrate_orientations(topo, positions, key)
+                movers = [MagnetSource(u.track.point(positions[u.id]),
+                                       u.track.mover_moment_mag() * ori[u.id]) for u in topo]
+                for t in range(len(topo)):
+                    ctx = next(profiles)._ctx
+                    fixed = [s for i, u in enumerate(topo)
+                             for s in (u.stators if i == t else (*u.stators, movers[i]))]
+                    stators = [s for u in topo for s in u.stators]
+                    want = mag.assembly_energy(
+                        stators + [m for i, m in enumerate(movers) if i != t], key)
+                    assert float(ctx.args[7]) == want, (key, t)
+                    assert np.array_equal(
+                        ctx.args[3], np.concatenate([s.dipole_positions() for s in fixed]))
+                    assert np.array_equal(
+                        ctx.args[4], np.concatenate([s.dipole_moments() for s in fixed]))
+                    checked += 1
+    assert checked == 2 * 3 * (28 + 4) + 2 * 2 * 2 + 2 * 2 * 7
 
 
 def test_coincident_movers_are_singular():

@@ -12,6 +12,8 @@ formulas before the implementation existed:
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maglogic import magnetics as mag
 from maglogic.errors import ConfigError, SingularConfigError
@@ -528,3 +530,35 @@ def test_discretized_near_field_differs():
     Bp = mag.dipole_field_at(point, near)
     Bf = mag.dipole_field_at(fine, near)
     assert abs(Bf[2] - Bp[2]) / abs(Bp[2]) > 1e-3
+
+
+def _vec3(scale):
+    return st.tuples(*[st.floats(-scale, scale)] * 3).map(np.array)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.lists(st.tuples(_vec3(0.1), _vec3(1.0)), min_size=2, max_size=5),
+       st.integers(0, 4))
+def test_force_is_minus_energy_gradient(dipoles, k):
+    """On random point-dipole assemblies the kernel force on one dipole is
+    minus the central difference of ``assembly_energy`` in its position."""
+    pos = np.array([p for p, _ in dipoles])
+    gaps = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+    assume(gaps[~np.eye(len(pos), dtype=bool)].min() > 0.02)
+    sources = [mag.MagnetSource(p, m) for p, m in dipoles]
+    k %= len(sources)
+    target, others = sources[k], sources[:k] + sources[k + 1:]
+    force = mag.dipole_forces(np.array([s.position for s in others]),
+                              np.array([s.moment for s in others]),
+                              target.position[None], target.moment[None])[0]
+    h = 1e-7
+    grad = np.empty(3)
+    for c in range(3):
+        step = np.eye(3)[c] * h
+        energies = [mag.assembly_energy(sources[:k] + [mag.MagnetSource(
+            target.position + sign * step, target.moment)] + sources[k + 1:])
+            for sign in (1.0, -1.0)]
+        grad[c] = (energies[0] - energies[1]) / (2 * h)
+    # the scale of the terms, so near-cancelling pair forces do not hide an error
+    scale = sum(np.linalg.norm(mag.pair_force(o, target)) for o in others)
+    assert np.linalg.norm(force + grad) <= 1e-6 * scale + 1e-12
