@@ -23,10 +23,12 @@ iterations (two past the damping switch at 100); with the stator of unit
 point, alpha's 1025-sample profile under ``+x`` and ``decisions_for_keys``
 under ``+x`` and no key; then
 ``run_pipeline`` + ``rank`` on the seed-1 ``design_3x2x3.json`` with
-budget 120 (every candidate's hash, pass flag and fidelity, and the
-ranked hashes); on a 5x5 grid at 10 mm pitch with a 10 mT threshold, where
-neighbours fire, the ``truth_table`` events of the 75 demo commands (so
-their magnitude floats) and three 400-cycle ``endurance_campaign`` runs of
+budget 120 and on the seed-2 one with budget 45 (every candidate's hash,
+full ``SelectivityMatrix`` with its margins and barriers, fidelity,
+compactness and entropy, and the ranked hashes); on a 5x5 grid at 10 mm
+pitch with a 10 mT threshold, where neighbours fire, the ``truth_table``
+events of the 75 demo commands (so their magnitude floats) and three
+400-cycle ``endurance_campaign`` runs of
 a composite master under angle-only, magnitude-only and combined noise;
 and a canonical walk of every ``presets`` fixture and program and of the
 commands for that grid (floats as ``float.hex``, arrays as dtype, shape and
@@ -81,7 +83,14 @@ DEMO = ("from maglogic import configio, design as dg, landscape as ls, netbus as
         "        return ('dict', [(k, walk(v)) for k, v in sorted(o.items())])\n"
         "    if hasattr(o, '__dict__'):\n"
         "        return (type(o).__name__, walk(vars(o)))\n"
-        "    return (type(o).__name__, repr(o))\n")
+        "    return (type(o).__name__, repr(o))\n"
+        "def screened(seed, budget):\n"
+        "    lattice, template, keys, n_units, thresholds, _ = "
+        "configio.load_design(f'seed{seed}/design_3x2x3.json')\n"
+        "    reports = dg.run_pipeline(lattice, n_units, keys, template, budget, "
+        "seed=seed, thresholds=thresholds)\n"
+        "    return ([(r.candidate_hash, r.matrix, r.fidelity, r.compactness, r.entropy) "
+        "for r in reports], [r.candidate_hash for r in dg.rank(reports)])\n")
 LIBRARY = (
     ("sensitivity_sweep_0.1_20_4_1", "dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)"),
     ("sensitivity_sweep_0.3_10_3_7", "dg.sensitivity_sweep(cand, 0.3, 10.0, 3, 7)"),
@@ -110,12 +119,8 @@ LIBRARY = (
      "ls.decisions_for_keys(units, [cand.key_set[0], None])))("
      "[dataclasses.replace(u, stators=tuple(source_from_spec(s.spec, s.position, "
      "discretize=3) for s in u.stators)) if u.id == 'alpha' else u for u in cand.units])"),
-    ("run_pipeline_rank_seed1_3x2x3",
-     "(lambda lattice, template, keys, n_units, thresholds, _: "
-     "(lambda reports: ([(r.candidate_hash, r.matrix.passed, r.fidelity) "
-     "for r in reports], [r.candidate_hash for r in dg.rank(reports)]))("
-     "dg.run_pipeline(lattice, n_units, keys, template, 120, seed=1, "
-     "thresholds=thresholds)))(*configio.load_design('seed1/design_3x2x3.json'))"),
+    ("run_pipeline_rank_seed1_3x2x3", "screened(1, 120)"),
+    ("run_pipeline_rank_seed2_3x2x3_45", "screened(2, 45)"),
     ("truth_table_events_10mm",
      "nb.truth_table(grid10, pr.demo_bus_commands(grid10)).events"),
     ("endurance_composite_10mm",

@@ -51,6 +51,14 @@ MAX_CARTESIAN_KEYS = 6
 _ANGLE_CAP_DEG = 85.0
 _ANGLE_RESOLUTION_DEG = 0.25
 _CONE_RIM = 8  # rim directions per cone, so each key probes 9 directions
+# candidates per run_pipeline batch, by measurement on the benchmark's 3x2x3
+# two-unit space (seeds 1-3, one pinned CPU): a 120-candidate screen took
+# 0.58-0.62 s of CPU in batches of 16, 0.62-0.64 s in batches of 8, 12 or
+# 24, 0.66-0.73 s in batches of 32 and 0.89 s one candidate at a time. A
+# batch holds the profiles of all its candidates, about 35 KiB a candidate,
+# until it is decided: the screen's traced memory peak rose 0.5 MiB over one
+# candidate at a time with batches of 16, 1.1 MiB with 32, 4.2 MiB with 120.
+SCREEN_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -221,30 +229,44 @@ def _canonical_key(placements, group, extents):
     return best
 
 
-def _build_units(placements, lattice, template):
+def _build_units(placements, lattice, template, built=None):
+    """The units ``u0``, ``u1``, ... of ``placements``.
+
+    ``built`` keeps every stator, track and unit made so far, keyed by what
+    it is made from, so the candidates of one enumeration share them: fewer
+    objects to build, and a third less memory per kept candidate on the
+    3x2x3 benchmark space.
+    """
+    built = {} if built is None else built
+
+    def part(key, make):
+        if key not in built:
+            built[key] = make()
+        return built[key]
+
     units = []
     for idx, (site, moment_dir, axis) in enumerate(placements):
         pos = tuple(lattice.spacing * c for c in site)
-        spec = MagnetSpec(
+        stator = part(("stator", site, moment_dir), lambda: mag.source_from_spec(MagnetSpec(
             template.stator.shape, template.stator.dims,
             template.stator.remanence, moment_dir,
-        )
-        stator = mag.source_from_spec(spec, pos)
-        track = MoverTrack(
+        ), pos))
+        track = part(("track", site, axis), lambda: MoverTrack(
             axis, pos,
             (template.inner_offset, template.inner_offset + template.stroke_length),
             template.mover, template.mass, template.friction_force,
-        )
-        units.append(UnitTriplet(f"u{idx}", (stator,), track, None))
+        ))
+        units.append(part(("unit", idx, site, moment_dir, axis),
+                          lambda: UnitTriplet(f"u{idx}", (stator,), track, None)))
     return tuple(units)
 
 
-def _candidate_valid(placements, lattice, template):
+def _candidate_valid(placements, lattice, template, built=None):
     sites = [p[0] for p in placements]
     if len(set(sites)) != len(sites):
         return None
     try:
-        units = _build_units(placements, lattice, template)
+        units = _build_units(placements, lattice, template, built)
     except ConfigError:
         return None
     stator_clear = 0.5 * (_spec_longest(template.stator) + _spec_longest(template.mover))
@@ -290,11 +312,12 @@ def enumerate_candidates(lattice, n_units, key_set, template, budget, seed=0):
     ]
     group = _box_symmetry_group(lattice.extents)
     seen = set()
+    built = {}  # units and their parts, shared by the candidates
     yielded = 0
 
     def emit(placements):
         nonlocal yielded
-        units = _candidate_valid(placements, lattice, template)
+        units = _candidate_valid(placements, lattice, template, built)
         if units is None:
             return None
         canon = _canonical_key(placements, group, lattice.extents)
@@ -363,13 +386,20 @@ def selectivity_filter(
     units, key_set = _units_and_keys(candidate)
     if not key_set:
         raise ConfigError("candidate has no keys")
+    decisions = ls.decisions_for_keys(units, key_set, n_samples)
+    return _selectivity_matrix(units, key_set, decisions, thresholds)
+
+
+def _selectivity_matrix(units, key_set, per_key, thresholds) -> SelectivityMatrix:
+    """:func:`selectivity_filter`'s matrix from the decisions of every unit
+    under each key (one dict per key, as ``decisions_for_keys`` gives)."""
     th = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         th.update(thresholds)
     rows = []
     assignment = []
     passed = True
-    for key, decisions in zip(key_set, ls.decisions_for_keys(units, key_set, n_samples)):
+    for key, decisions in zip(key_set, per_key):
         row = []
         drive_cols = []
         for uid, d in decisions.items():
@@ -697,7 +727,11 @@ class DesignReport:
 def evaluate_candidate(
     candidate, thresholds=None, n_samples: int = ls.DEFAULT_SAMPLES
 ) -> DesignReport:
-    matrix = selectivity_filter(candidate, thresholds, n_samples)
+    return _report(candidate, selectivity_filter(candidate, thresholds, n_samples))
+
+
+def _report(candidate, matrix: SelectivityMatrix) -> DesignReport:
+    """:func:`evaluate_candidate`'s report from the candidate's matrix."""
     if matrix.passed:
         fid = fidelity(matrix)
         comp = compactness(candidate.units)
@@ -732,12 +766,33 @@ def run_pipeline(
 ):
     """enumerate -> filter -> metrics, in deterministic candidate order.
 
+    Candidates are screened SCREEN_BATCH at a time: one set-up and one
+    lockstep root-finding run decide every (candidate, key, unit) profile
+    of a batch (``landscape._decisions_for_topologies``), and each
+    candidate's report equals its :func:`evaluate_candidate`. When a batch
+    raises, its candidates are evaluated one by one, so the error is the
+    one a candidate-by-candidate loop raises first.
+
     ``threads`` is kept only because the benchmark's ``screen`` workload
-    passes ``threads=1``; screening is serial, and any other value raises
-    ConfigError. It goes once the benchmark stops passing it.
+    passes ``threads=1``; any other value raises ConfigError. It goes once
+    the benchmark stops passing it.
     """
     if threads != 1:
         raise ConfigError(f"threads must be 1, got {threads!r}")
     candidates = list(
         enumerate_candidates(lattice, n_units, key_set, template, budget, seed))
-    return [evaluate_candidate(c, thresholds, n_samples) for c in candidates]
+    reports = []
+    for start in range(0, len(candidates), SCREEN_BATCH):
+        batch = candidates[start:start + SCREEN_BATCH]
+        keys = batch[0].key_set
+        try:
+            decided = (ls._decisions_for_topologies([c.units for c in batch], keys, n_samples)
+                       if keys else None)
+        except MaglogicError:
+            decided = None
+        if decided is None:  # raises what the first failing candidate raises
+            reports += [evaluate_candidate(c, thresholds, n_samples) for c in batch]
+            continue
+        reports += [_report(c, _selectivity_matrix(c.units, keys, d, thresholds))
+                    for c, d in zip(batch, decided)]
+    return reports

@@ -17,12 +17,14 @@ Non-target movers are frozen at their current latched coordinates with
 orientations equilibrated once per (key, mover positions), with every mover,
 the target included, at its latched coordinate; they are then treated as
 fixed sources while the target sweeps. The equilibrium does not depend on
-which unit sweeps, so :func:`decisions_for_keys` sets every key up in one
-pass for all units: one orientation solve runs every key in lockstep, one
-array pass per fixed-point iteration, and one elementwise pass gives the
-pair energies of the fixed assembly under every key. This keeps the
-force/energy consistency exact and captures the leading-order coupling
-between units.
+which unit sweeps, so one set-up pass serves every unit, every key and
+every topology of a call: one orientation solve runs a set per (topology,
+key) in lockstep, one array pass per fixed-point iteration, and one
+elementwise pass gives the pair energies of the fixed assembly in every
+set. :func:`decisions_for_keys` is the one-topology case; the design
+screen sets a batch of candidate topologies of one shape up together.
+This keeps the force/energy consistency exact and captures the
+leading-order coupling between units.
 
 One evaluator computes U(x) and F(x) of a mover everywhere. With one
 profile's sources it evaluates a grid: the 256- and 1025-point grids are
@@ -36,8 +38,8 @@ triples, the barrier energies and root polishing are generator "machines"
 on one (key, unit) profile each; every step gathers the points all open
 machines ask for and evaluates them in one per-row pass. Each machine
 keeps its own brackets and stop rules, and each row has the bits of a
-one-point evaluation, so a multi-key call decides exactly what one call
-per key would.
+one-point evaluation, so a multi-key or multi-topology call decides
+exactly what one call per key and topology would.
 """
 
 from __future__ import annotations
@@ -169,23 +171,54 @@ def _key_vectors(keys):
 def _orientations(units, positions, kvecs, has_key):
     """Mover centres (n, 3), moment magnitudes (n,) and the directions
     (Q, n, 3) of :func:`equilibrate_orientations` under Q keys
-    (:func:`_key_vectors`), solved in lockstep by
-    :func:`magnetics.equilibrium_directions`. The stator field at the
-    movers is computed once and each key added to it.
+    (:func:`_key_vectors`): the one-topology case of
+    :func:`_batch_orientations`."""
+    pts, mags, dirs = _batch_orientations([units], [positions], kvecs, has_key)
+    return pts[0], mags[0], dirs[0]
+
+
+def _shape(units) -> tuple:
+    """What topologies must share to be set up and decided together: the
+    unit count, stators per unit and sub-dipoles per stator (None for a
+    point dipole)."""
+    return tuple(tuple(None if s.subdipoles is None else len(s.subdipoles)
+                       for s in u.stators) for u in units)
+
+
+def _batch_orientations(topologies, positions, kvecs, has_key):
+    """Mover centres (T, n, 3), moment magnitudes (T, n) and the directions
+    (T, Q, n, 3) of T topologies of one :func:`_shape`, each latched at its
+    ``positions`` dict, under Q keys.
+
+    One lockstep :func:`magnetics.equilibrium_directions` solve takes a set
+    per (topology, key). The stator field at the movers is summed stator by
+    stator from zeros, one per-row kernel call per stator index over every
+    topology's movers, then each key is added to it.
     """
-    if not units:
-        raise ConfigError("topology has no units")
-    if len({u.id for u in units}) != len(units):
-        raise ConfigError("unit ids must be unique")
-    pts = np.array([u.track.point(positions[u.id]) for u in units])
-    mags = np.array([u.track.mover_moment_mag() for u in units])
-    # summed stator by stator from zeros, then the key
-    base = np.zeros((len(kvecs), *pts.shape))
-    for s in (s for u in units for s in u.stators):
-        base += mag.dipole_field(s.dipole_positions(), s.dipole_moments(), pts)
+    for units in topologies:
+        if not units:
+            raise ConfigError("topology has no units")
+        if len({u.id for u in units}) != len(units):
+            raise ConfigError("unit ids must be unique")
+    pts = np.array([[u.track.point(p[u.id]) for u in units]
+                    for units, p in zip(topologies, positions)])
+    mags = np.array([[u.track.mover_moment_mag() for u in units] for units in topologies])
+    axes = np.array([[u.track.axis for u in units] for units in topologies])
+    n_topo, n = mags.shape
+    base = np.zeros((n_topo, len(kvecs), n, 3))
+    for stators in zip(*([s for u in units for s in u.stators] for units in topologies)):
+        # stator j of each topology, once per mover of that topology
+        per_row = [np.repeat([f(s) for s in stators], n, axis=0)
+                   for f in (MagnetSource.dipole_positions, MagnetSource.dipole_moments)]
+        base += mag.dipole_field(*per_row, pts.reshape(-1, 3)).reshape(n_topo, 1, n, 3)
     np.add(base, kvecs[:, None, :], out=base, where=has_key[:, None, None])
-    axes = np.array([u.track.axis for u in units])
-    return pts, mags, mag.equilibrium_directions(pts, mags, base, axes)
+
+    def per_set(a):  # one copy per key
+        return np.repeat(a, len(kvecs), axis=0)
+
+    dirs = mag.equilibrium_directions(per_set(pts), per_set(mags),
+                                      base.reshape(-1, n, 3), per_set(axes))
+    return pts, mags, dirs.reshape(base.shape)
 
 
 @dataclass(frozen=True)
@@ -224,7 +257,7 @@ class _ProfileContext:
     """Re-evaluation closure bound to one (topology, unit, key) combination.
 
     ``args`` are :func:`_evaluate`'s arguments but ``xs``, built by
-    :func:`_profiles`.
+    :func:`_batch_profiles`.
     """
 
     def __init__(self, track, args):
@@ -273,11 +306,12 @@ def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
 
 
 def _stack(ctxs) -> tuple:
-    """:func:`_evaluate`'s per-row arguments of contexts of one topology.
+    """:func:`_evaluate`'s per-row arguments of contexts of topologies of
+    one :func:`_shape`.
 
-    Every context of a topology has the same fixed-dipole count K (all
-    stators plus every mover but its own), so the fixed dipoles stack into
-    (C, K, 3) arrays without padding.
+    Every such context has the same fixed-dipole count K (all stators plus
+    every mover but its own), so the fixed dipoles stack into (C, K, 3)
+    arrays without padding.
     """
     return tuple(np.stack(a) for a in zip(*(c.args for c in ctxs)))
 
@@ -396,43 +430,57 @@ def _latched_positions(units, n_samples, mover_positions) -> dict:
 
 
 def _profiles(units, targets, keys, n_samples, positions) -> list:
-    """Profile of each ``targets`` index under each key, key-major, every
-    other mover a fixed source.
+    """Profile of each ``targets`` index under each key, key-major, movers
+    latched at ``positions``: the one-topology case of
+    :func:`_batch_profiles`."""
+    return _batch_profiles([units], targets, keys, n_samples, [positions])
 
-    Movers are latched at ``positions``. One lockstep orientation solve
-    serves every key, and one pass gives every (key, target) constant
-    energy: ``assembly_energy`` of the stators and the other movers.
+
+def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
+    """Profile of each ``targets`` index of each topology under each key,
+    topology-major, then key-major, every other mover a fixed source.
+
+    The topologies share one :func:`_shape`, and topology i has its movers
+    latched at ``positions[i]``. One lockstep orientation solve
+    (:func:`_batch_orientations`) serves every (topology, key), and one pass
+    gives every (topology, key, target) constant energy:
+    ``assembly_energy`` of the stators and the other movers.
     """
-    if not keys:
+    if not keys or not topologies:
         return []
     kvecs, has_key = _key_vectors(keys)
-    pts, mags, dirs = _orientations(units, positions, kvecs, has_key)
-    mover_m = mags[:, None] * dirs
-    consts = mag.assembly_energies([s for u in units for s in u.stators], pts, mover_m,
-                                   kvecs, has_key, targets)
-    # every fixed dipole in unit order, each unit's stators then its mover;
-    # a target drops its own mover's row
-    pos, m, mover_rows = [], [], []
-    for i, u in enumerate(units):
-        for s in u.stators:
-            pos.append(s.dipole_positions())
-            m.append(np.broadcast_to(s.dipole_moments(), (len(keys), len(pos[-1]), 3)))
-        mover_rows.append(sum(map(len, pos)))
-        pos.append(pts[i:i + 1])
-        m.append(mover_m[:, i:i + 1])
-    pos, m = np.concatenate(pos), np.concatenate(m, axis=1)
-    fixed = [np.delete(np.arange(len(pos)), mover_rows[t]) for t in targets]
+    pts, mags, dirs = _batch_orientations(topologies, positions, kvecs, has_key)
+    mover_m = mags[:, None, :, None] * dirs
+    n_keys = len(keys)
+    consts = mag.assembly_energies(
+        [[s for u in units for s in u.stators] for units in topologies for _ in keys],
+        np.repeat(pts, n_keys, axis=0), mover_m.reshape(-1, *pts.shape[1:]),
+        np.tile(kvecs, (len(topologies), 1)), np.tile(has_key, len(topologies)),
+        targets).reshape(len(topologies), n_keys, -1)
     out = []
-    for q, key in enumerate(keys):
-        for t, rows, const in zip(targets, fixed, consts[q]):
-            track = units[t].track
-            ctx = _ProfileContext(track, (
-                np.asarray(track.origin), np.asarray(track.axis),
-                np.asarray(mags[t]), pos[rows], m[q, rows],
-                kvecs[q], np.asarray(has_key[q]), np.asarray(const)))
-            xs = np.linspace(track.x_in, track.x_out, n_samples)
-            energy, force = ctx.evaluate(xs)
-            out.append(LandscapeProfile(units[t].id, key, xs, energy, force, None, ctx))
+    for units, t_pts, t_mags, t_m, t_consts in zip(topologies, pts, mags, mover_m, consts):
+        # every fixed dipole in unit order, each unit's stators then its
+        # mover; a target drops its own mover's row
+        pos, m, mover_rows = [], [], []
+        for i, u in enumerate(units):
+            for s in u.stators:
+                pos.append(s.dipole_positions())
+                m.append(np.broadcast_to(s.dipole_moments(), (n_keys, len(pos[-1]), 3)))
+            mover_rows.append(sum(map(len, pos)))
+            pos.append(t_pts[i:i + 1])
+            m.append(t_m[:, i:i + 1])
+        pos, m = np.concatenate(pos), np.concatenate(m, axis=1)
+        fixed = [np.delete(np.arange(len(pos)), mover_rows[t]) for t in targets]
+        for q, key in enumerate(keys):
+            for t, rows, const in zip(targets, fixed, t_consts[q]):
+                track = units[t].track
+                ctx = _ProfileContext(track, (
+                    np.asarray(track.origin), np.asarray(track.axis),
+                    np.asarray(t_mags[t]), pos[rows], m[q, rows],
+                    kvecs[q], np.asarray(has_key[q]), np.asarray(const)))
+                xs = np.linspace(track.x_in, track.x_out, n_samples)
+                energy, force = ctx.evaluate(xs)
+                out.append(LandscapeProfile(units[t].id, key, xs, energy, force, None, ctx))
     return out
 
 
@@ -701,13 +749,27 @@ def decisions_for_keys(
     """Decision of every unit under each key (movers latched elsewhere).
 
     Returns one ``{unit id: LandscapeDecision}`` dict per key, in key order;
-    each entry equals that unit's ``unit_decision``. One lockstep
-    orientation solve and one constant-energy pass serve every key and unit
-    (see :func:`_profiles`). The bisections, stability checks and root
-    polishing of every (key, unit) profile then advance in lockstep, with
-    one batched evaluation per step (see :func:`_lockstep`).
+    each entry equals that unit's ``unit_decision``. The one-topology case
+    of :func:`_decisions_for_topologies`.
     """
-    units = list(topology)
+    return _decisions_for_topologies([topology], keys, n_samples, mover_positions)[0]
+
+
+def _decisions_for_topologies(topologies, keys, n_samples=DEFAULT_SAMPLES,
+                              mover_positions=None) -> list:
+    """:func:`decisions_for_keys` of each topology, with one set-up and one
+    lockstep run for all of them.
+
+    The topologies must share one :func:`_shape` (every candidate of one
+    design template does) and each has its movers latched at
+    ``mover_positions``. One lockstep orientation solve and one
+    constant-energy pass serve every (topology, key, unit) profile (see
+    :func:`_batch_profiles`). Their bisections, stability checks and root
+    polishing then advance in lockstep, with one batched evaluation per
+    step (see :func:`_lockstep`). Each row keeps its one-point bits, so
+    every topology is decided exactly as it would be on its own.
+    """
+    topologies = [list(units) for units in topologies]
     try:
         keys = list(keys)
         ok = all(k is None or isinstance(k, FieldKey) for k in keys)
@@ -715,14 +777,14 @@ def decisions_for_keys(
         ok = False
     if not ok:
         raise ConfigError(f"keys must be a sequence of FieldKey or None, got {keys!r}")
-    positions = _latched_positions(units, n_samples, mover_positions)
-    profiles = _profiles(units, range(len(units)), keys, n_samples, positions)
-    decided = _lockstep([p._ctx for p in profiles], [_decision(p) for p in profiles])
-    n = len(units)
-    return [
-        {p.unit_id: d for p, d in zip(profiles[i:i + n], decided[i:i + n])}
-        for i in range(0, len(profiles), n)
-    ]
+    positions = [_latched_positions(units, n_samples, mover_positions)
+                 for units in topologies]
+    if len({_shape(units) for units in topologies}) > 1:
+        raise MaglogicError("topologies decided together must share one shape")
+    targets = range(len(topologies[0]) if topologies else 0)
+    profiles = _batch_profiles(topologies, targets, keys, n_samples, positions)
+    decided = iter(_lockstep([p._ctx for p in profiles], [_decision(p) for p in profiles]))
+    return [[{u.id: next(decided) for u in units} for _ in keys] for units in topologies]
 
 
 def anchoring_margin(topology, unit_id: str, key: FieldKey | None) -> float:

@@ -34,6 +34,12 @@ Results are bit-identical to the point-major (N, K, 3) formulation:
 
 Elementwise ufuncs round the same in any memory layout; reductions and
 BLAS calls need not, which is what these rules pin.
+
+The set-up solvers take S source sets at once, each with its own
+geometry: :func:`equilibrium_directions` per-set points, magnitudes,
+fixed fields and fallback axes (S, n, ...), and :func:`assembly_energies`
+per-set fixed sources, free positions and moments, and keys. Each set
+gets the bits of a one-set call.
 """
 
 from __future__ import annotations
@@ -455,34 +461,35 @@ def pair_force(a: MagnetSource, b: MagnetSource) -> np.ndarray:
 
 
 def equilibrium_directions(points, mags, base, fallback) -> np.ndarray:
-    """Torque-equilibrium directions (Q, n, 3) of n free point dipoles in Q
-    fixed fields, solved in lockstep.
+    """Torque-equilibrium directions (S, n, 3) of S sets of n free point
+    dipoles, solved in lockstep.
 
-    Dipole i at ``points[i]``, of moment magnitude ``mags[i]``, feels
-    ``base[q, i]`` plus the other free dipoles' fields. Each set q iterates
-    u_i = unit(B_i) to 1e-13 from unit(base) and stops on its own; a dipole
-    in near-zero field keeps its direction (``fallback[i]`` at the start),
-    and damping 0.5 starts after iteration 100 for every set. One
-    :func:`_field_terms` call on (3, n, n) planes per iteration serves every
-    open set, and each dipole adds the others in index order, so every set
-    gets the bits of a one-set solve and of a per-pair :func:`dipole_field`
-    loop.
+    Dipole i of set s sits at ``points[s, i]``, has moment magnitude
+    ``mags[s, i]`` and feels ``base[s, i]`` plus the fields of its set's
+    other free dipoles; every argument is per set, (S, n, ...). Each set
+    iterates u_i = unit(B_i) to 1e-13 from unit(base) and stops on its own;
+    a dipole in near-zero field keeps its direction (``fallback[s, i]`` at
+    the start), and damping 0.5 starts after iteration 100 for every set.
+    One :func:`_field_terms` call on (3, S, n, n) planes per iteration
+    serves every open set, and each dipole adds the others in index order,
+    so every set gets the bits of a one-set solve and of a per-pair
+    :func:`dipole_field` loop.
     """
     # sqrt(vecdot) has the bits of np.linalg.norm of one 3-vector
     n = np.sqrt(np.vecdot(base, base))
     ok = n > 1e-30
     out = np.empty_like(base)
     np.divide(base, n[..., None], out=out, where=ok[..., None])
-    out[~ok] = np.broadcast_to(fallback, base.shape)[~ok]
-    n_free = len(points)
-    # r[:, j, i] points from dipole j to dipole i; the diagonal is never added
-    planes = np.ascontiguousarray(points.T)
-    r = planes[:, None, :] - planes[:, :, None]
+    out[~ok] = fallback[~ok]
+    n_free = points.shape[1]
+    # r[:, s, j, i] points from dipole j to dipole i; the diagonal is never added
+    planes = np.ascontiguousarray(points.transpose(2, 0, 1))
+    r = planes[:, :, None, :] - planes[..., None]
     d2 = _dot(r, r)
     off = ~np.eye(n_free, dtype=bool)
-    np.fill_diagonal(d2, 1.0)
+    d2[:, ~off] = 1.0
     d = np.sqrt(d2)
-    if np.any(d[off] < COINCIDENCE_EPS):
+    if np.any(d[:, off] < COINCIDENCE_EPS):
         raise SingularConfigError("field point coincides with a dipole")
     d3 = d ** 3
     open_sets = np.arange(len(base))
@@ -490,8 +497,7 @@ def equilibrium_directions(points, mags, base, fallback) -> np.ndarray:
     damping = 1.0
     for it in range(500):
         # (3, set, source j, point i) terms
-        F = _field_terms(r[:, None], d2, d3,
-                         (mags[:, None] * u_dirs).transpose(2, 0, 1)[..., None])
+        F = _field_terms(r, d2, d3, (mags[..., None] * u_dirs).transpose(2, 0, 1)[..., None])
         B = base.copy()
         for j in range(n_free):
             np.add(B, F[:, :, j].transpose(1, 2, 0), out=B, where=off[j, :, None])
@@ -510,9 +516,11 @@ def equilibrium_directions(points, mags, base, fallback) -> np.ndarray:
             new = new / norms
         done = np.abs(new - u_dirs).max(axis=(1, 2)) < 1e-13
         out[open_sets[done]] = new[done]
-        open_sets, u_dirs, base = open_sets[~done], new[~done], base[~done]
-        if not len(open_sets):
+        if done.all():
             return out
+        keep = ~done
+        open_sets, u_dirs, base, mags = open_sets[keep], new[keep], base[keep], mags[keep]
+        r, d2, d3 = r[:, keep], d2[keep], d3[keep]
         if it == 100:
             damping = 0.5
     raise MaglogicError("mover orientation fixed point did not converge")
@@ -549,37 +557,41 @@ def assembly_energy(sources, key: FieldKey | None = None) -> float:
 
 
 def assembly_energies(fixed, free_pos, free_m, key_vectors, has_key, left_out):
-    """:func:`assembly_energy` of Q x T source sets in one pass, (Q, T).
+    """:func:`assembly_energy` of S x T source sets in one pass, (S, T).
 
-    Set (q, t) is ``fixed``, then the free point dipoles at ``free_pos``
-    with moments ``free_m[q]`` but dipole ``left_out[t]``, under the key
-    vector ``key_vectors[q]`` where ``has_key[q]``. Point-dipole pairs take
-    one :func:`_pair_energies` pass (a stacked 1x1 matmul for ``ma.mb``),
-    pairs with a discretized source :func:`pair_energy`; each set's terms
-    are summed from 0.0 in ``assembly_energy``'s order, so each total has
-    its bits (a missing key's term is -0.0, which adds nothing).
+    Set (s, t) is the sources ``fixed[s]``, then the free point dipoles at
+    ``free_pos[s]`` with moments ``free_m[s]`` but dipole ``left_out[t]``,
+    under the key vector ``key_vectors[s]`` where ``has_key[s]``. Every
+    ``fixed[s]`` has one length and its discretized sources at the same
+    indices. Point-dipole pairs take one :func:`_pair_energies` pass (a
+    stacked 1x1 matmul for ``ma.mb``), pairs with a discretized source
+    :func:`pair_energy`; each set's terms are summed from 0.0 in
+    ``assembly_energy``'s order, so each total has its bits (a missing
+    key's term is -0.0, which adds nothing).
     """
-    n_keys, n_free, _ = free_m.shape
-    n_fixed = len(fixed)
-    pos = np.concatenate([np.reshape([s.position for s in fixed], (-1, 3)), free_pos])
-    m = np.concatenate([np.broadcast_to(np.reshape([s.moment for s in fixed], (-1, 3)),
-                                        (n_keys, n_fixed, 3)), free_m], axis=1)
-    pairs = [(i, j) for i in range(len(pos)) for j in range(i + 1, len(pos))]
-    point = [s.subdipoles is None for s in fixed] + [True] * n_free
+    n_sets, n_free, _ = free_m.shape
+    n_fixed = len(fixed[0])
+    pos = np.concatenate([np.reshape([[s.position for s in f] for f in fixed],
+                                     (n_sets, n_fixed, 3)), free_pos], axis=1)
+    m = np.concatenate([np.reshape([[s.moment for s in f] for f in fixed],
+                                   (n_sets, n_fixed, 3)), free_m], axis=1)
+    n_all = n_fixed + n_free
+    pairs = [(i, j) for i in range(n_all) for j in range(i + 1, n_all)]
+    point = [s.subdipoles is None for s in fixed[0]] + [True] * n_free
     fast = [p for p, (i, j) in enumerate(pairs) if point[i] and point[j]]
     a, b = np.array([pairs[p] for p in fast], dtype=int).reshape(-1, 2).T
     ma, mb = m[:, a], m[:, b]
-    pair = np.empty((n_keys, len(pairs)))
-    pair[:, fast] = _pair_energies(pos[b] - pos[a], ma, mb,
+    pair = np.empty((n_sets, len(pairs)))
+    pair[:, fast] = _pair_energies(pos[:, b] - pos[:, a], ma, mb,
                                    np.matmul(mb[..., None, :], ma[..., None])[..., 0, 0])
     for p, (i, j) in enumerate(pairs):
         if not (point[i] and point[j]):  # a discretized fixed source, then any
-            pair[:, p] = (pair_energy(fixed[i], fixed[j]) if j < n_fixed else
-                          [pair_energy(fixed[i], MagnetSource(pos[j], m[q, j]))
-                           for q in range(n_keys)])
+            pair[:, p] = [pair_energy(f[i], f[j] if j < n_fixed
+                                      else MagnetSource(pos[q, j], m[q, j]))
+                          for q, f in enumerate(fixed)]
     zeeman = np.where(has_key[:, None], np.vecdot(-m, key_vectors[:, None, :]), -0.0)
-    terms = np.concatenate([np.zeros((n_keys, 1)), pair, zeeman], axis=1)
+    terms = np.concatenate([np.zeros((n_sets, 1)), pair, zeeman], axis=1)
     cols = [[0] + [1 + p for p, ij in enumerate(pairs) if n_fixed + t not in ij]
-            + [1 + len(pairs) + i for i in range(len(pos)) if i != n_fixed + t]
+            + [1 + len(pairs) + i for i in range(n_all) if i != n_fixed + t]
             for t in left_out]
     return np.add.accumulate(terms[:, cols], axis=-1)[..., -1]

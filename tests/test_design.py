@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maglogic import design as dg
 from maglogic import landscape as ls
@@ -38,8 +40,20 @@ from maglogic.errors import (
     DesignSpaceError,
     MaglogicError,
     NoPassingCandidateError,
+    SingularConfigError,
 )
-from maglogic.magnetics import FieldKey, MagnetSpec, source_from_spec
+from maglogic.magnetics import (
+    FieldKey,
+    MagnetSource,
+    MagnetSpec,
+    assembly_energy,
+    source_from_spec,
+)
+from test_landscape import (
+    anchored_unit,
+    coupled_topology,
+    strongly_coupled_pair,
+)
 
 STATOR = MagnetSpec("cylinder", (8e-3, 16e-3), 0.05, (1, 0, 0))
 MOVER = MagnetSpec("cylinder", (4e-3, 8e-3), 0.3, (1, 0, 0))
@@ -471,3 +485,102 @@ def test_segment_distance_helpers():
         math.sqrt(1.0 + 4.0))
     p = np.array([0.5, 2.0, 0.0])
     assert ls.point_segment_distance(p, a0, a1) == pytest.approx(2.0)
+
+
+XZ_AXES = ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
+XZ_LATTICE = dg.Lattice(0.024, ((0, 2), (0, 1), (0, 2)), XZ_AXES, XZ_AXES)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batched_pipeline_matches_candidate_by_candidate(seed):
+    """The 3x2x3 x-z space of the benchmark: every batch, the partial last
+    one included, gives each candidate its ``evaluate_candidate`` report."""
+    _, tmpl, keys, n_units = pr.pair_design_space()
+    reports = dg.run_pipeline(XZ_LATTICE, n_units, keys, tmpl, 120, seed=seed)
+    assert len(reports) == 120 > 3 * dg.SCREEN_BATCH and 45 % dg.SCREEN_BATCH
+    serial = [dg.evaluate_candidate(r.candidate) for r in reports]
+    assert any(r.matrix.passed for r in serial)
+    assert repr(reports) == repr(serial)
+    partial = dg.run_pipeline(XZ_LATTICE, n_units, keys, tmpl, 45, seed=seed)
+    assert repr(partial) == repr(serial[:45])
+
+
+def test_candidates_of_one_enumeration_share_their_parts():
+    _, tmpl, keys, n_units = pr.pair_design_space()
+    cands = list(dg.enumerate_candidates(XZ_LATTICE, n_units, keys, tmpl, 120, 1))
+    units = [u for c in cands for u in c.units]
+    assert len({id(u) for u in units}) < len(units)
+    # one stator per (site, moment) and one track per (site, axis)
+    assert len({id(u.stators[0]) for u in units}) == len(
+        {(tuple(u.stators[0].position), tuple(u.stators[0].moment)) for u in units})
+    assert len({id(u.track) for u in units}) == len({u.track for u in units})
+
+
+def _first_error(call):
+    try:
+        call()
+    except MaglogicError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_batched_pipeline_raises_what_the_serial_loop_raises(monkeypatch):
+    """Two candidates of one batch fail, one while its orientations are
+    solved and one at the set-up's coincidence check. Decided together, the
+    coincidence is found first whatever the order; the pipeline still
+    raises the error of the first failing candidate."""
+    keys = (FieldKey((0, 0, -1), 0.005, "-z"),)
+    ok = dg.CandidateTopology(tuple(coupled_topology()), keys)
+    stuck = dg.CandidateTopology(tuple(strongly_coupled_pair()), keys)
+    twin = ls.UnitTriplet("twin", (MagnetSource((0.04, 0, 0), (0, 0, 0.128)),),
+                       anchored_unit().track)
+    singular = dg.CandidateTopology((anchored_unit(), twin), keys)
+    errors = []
+    for cands in ([ok, stuck, ok, singular], [ok, singular, ok, stuck]):
+        serial = _first_error(lambda: [dg.evaluate_candidate(c) for c in cands])
+        together = _first_error(
+            lambda: ls._decisions_for_topologies([c.units for c in cands], keys))
+        assert together[0] is SingularConfigError
+        monkeypatch.setattr(dg, "enumerate_candidates", lambda *a: iter(cands))
+        assert _first_error(lambda: dg.run_pipeline(None, 2, keys, None, 4)) == serial
+        errors.append(serial)
+    assert errors[0][0] is MaglogicError and "did not converge" in errors[0][1]
+    assert errors[1][0] is SingularConfigError
+    monkeypatch.undo()
+    # candidates without keys fail as selectivity_filter fails them
+    monkeypatch.setattr(dg, "enumerate_candidates",
+                        lambda *a: iter([dg.CandidateTopology(ok.units, ())]))
+    with pytest.raises(ConfigError, match="no keys"):
+        dg.run_pipeline(None, 2, (), None, 1)
+
+
+def _assembly_energy(units):
+    """Energy of the stators and of the movers at their inner stops, each
+    mover at torque equilibrium."""
+    rest = ls.rest_positions(units)
+    ori = ls.equilibrate_orientations(units, rest, None)
+    movers = [MagnetSource(u.track.point(rest[u.id]), u.track.mover_moment_mag() * ori[u.id])
+              for u in units]
+    return assembly_energy([s for u in units for s in u.stators] + movers)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.lists(st.tuples(st.sampled_from(XZ_LATTICE.sites()),
+                          st.sampled_from(XZ_LATTICE.allowed_orientations),
+                          st.sampled_from(XZ_LATTICE.allowed_track_axes)),
+                min_size=1, max_size=3, unique_by=lambda p: p[0]))
+def test_assembly_energy_is_invariant_under_box_symmetry(placements):
+    """Every image of a candidate under the box group has its energy. The
+    energy is bilinear in the moments, so this pins where sites, moments
+    and track axes go, not the pseudovector sign of the moments."""
+    units = dg._candidate_valid(placements, XZ_LATTICE, template())
+    assume(units is not None)
+    want = _assembly_energy(units)
+    group = dg._box_symmetry_group(XZ_LATTICE.extents)
+    assert len(group) == 16  # x and z swap, every sign flips
+    for perm, signs in group:
+        image = [dg._transform_placement(p, perm, signs, XZ_LATTICE.extents)
+                 for p in placements]
+        moved = dg._candidate_valid(image, XZ_LATTICE, template())
+        assert moved is not None
+        assert _assembly_energy(moved) == pytest.approx(want, rel=1e-9, abs=1e-15)

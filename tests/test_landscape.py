@@ -887,3 +887,134 @@ def test_ejection_velocity_scale_invariant():
         scaled = ls.scale_topology([unit], s)
         vs = ls.ejection_velocity(ls.sample_profile(scaled, "d", key))
         assert vs == pytest.approx(v1, rel=1e-9)
+
+
+def _set_geometry(topology, positions, key):
+    """One orientation set of ``magnetics.equilibrium_directions``: mover
+    centres, moment magnitudes, stator field plus key, track axes."""
+    units = list(topology)
+    pts = np.array([u.track.point(positions[u.id]) for u in units])
+    base = np.zeros_like(pts)
+    for s in (s for u in units for s in u.stators):
+        base = base + mag.dipole_field(s.dipole_positions(), s.dipole_moments(), pts)
+    if key is not None:
+        base = base + key.vector
+    return (pts, np.array([u.track.mover_moment_mag() for u in units]), base,
+            np.array([u.track.axis for u in units]))
+
+
+def _set_lengths(monkeypatch, sets):
+    """Iterations of a one-set solve of each set, as in :func:`_solve_lengths`."""
+    calls = []
+    terms = mag._field_terms
+    monkeypatch.setattr(mag, "_field_terms", lambda *a: calls.append(a) or terms(*a))
+    lengths = []
+    for one in sets:
+        calls.clear()
+        mag.equilibrium_directions(*(a[None] for a in one))
+        lengths.append(len(calls))
+    monkeypatch.undo()
+    return lengths
+
+
+def test_per_set_orientation_solve_matches_one_solve_per_set(monkeypatch):
+    """Bit for bit: sets from several topologies, keys and mover positions
+    solved together get their one-set solves, past the damping switch and
+    with a mover in exactly zero field."""
+    pair, coupled = strongly_coupled_pair(), coupled_topology()
+    mid = {u.id: 0.002 for u in pair}
+    sets = [_set_geometry(pair, ls.rest_positions(pair), k) for k in _PAIR_KEYS]
+    sets += [_set_geometry(pair, mid, None), _set_geometry(pair, mid, _STUCK)]
+    sets += [_set_geometry(coupled, ls.rest_positions(coupled), k)
+             for k in (None, FieldKey((0, 1, 0), 8e-3, "k"))]
+    # mover 0 in zero field: no base field and a mover 1 of zero moment
+    zero_pts, _, zero_base, zero_axes = sets[-1]
+    zero_base = zero_base.copy()
+    zero_base[0] = 0.0
+    sets.append((zero_pts, np.array([M_MOVER, 0.0]), zero_base, zero_axes))
+    lengths = _set_lengths(monkeypatch, sets)
+    assert max(lengths) > 101 and min(lengths) < 100  # damped and undamped
+    together = mag.equilibrium_directions(*(np.stack(a) for a in zip(*sets)))
+    assert together.shape == (len(sets), 2, 3)
+    for s, one in enumerate(sets):
+        assert np.array_equal(together[s], mag.equilibrium_directions(*(a[None] for a in one))[0])
+    assert np.array_equal(together[-1, 0], zero_axes[0])  # the zero-field rule
+    assert not np.array_equal(together[-1, 1], zero_axes[1])
+    # one set that never settles fails the whole solve
+    stuck = _set_geometry(pair, ls.rest_positions(pair), _STUCK)
+    with pytest.raises(MaglogicError, match="did not converge"):
+        mag.equilibrium_directions(*(np.stack(a) for a in zip(*sets, stuck)))
+
+
+def test_batch_orientations_match_one_topology_at_a_time():
+    """The per-row stator field over several topologies keeps each
+    topology's shared-source bits, so every (topology, key) direction
+    equals its one-topology solve."""
+    pair, coupled = strongly_coupled_pair(), coupled_topology()
+    shifted = [dataclasses.replace(u, stators=(MagnetSource(
+        np.asarray(u.stators[0].position) + (0.0, 0.003, 0.0), u.stators[0].moment),))
+        for u in pair]
+    topologies = [pair, coupled, shifted]
+    assert len({ls._shape(t) for t in topologies}) == 1
+    positions = [ls.rest_positions(pair), {"a": 0.017, "u2": 0.021}, {"m0": 0.001, "m1": 0.003}]
+    keys = [*_PAIR_KEYS[:4], None]
+    kvecs, has_key = ls._key_vectors(keys)
+    pts, mags, dirs = ls._batch_orientations(topologies, positions, kvecs, has_key)
+    assert dirs.shape == (3, len(keys), 2, 3)
+    for t, (topo, p) in enumerate(zip(topologies, positions)):
+        one_pts, one_mags, one_dirs = ls._orientations(topo, p, kvecs, has_key)
+        assert np.array_equal(pts[t], one_pts) and np.array_equal(mags[t], one_mags)
+        assert np.array_equal(dirs[t], one_dirs)
+
+
+def test_decisions_for_topologies_match_one_topology_at_a_time():
+    pair, coupled = strongly_coupled_pair(), coupled_topology()
+    keys = [None, FieldKey((0, 1, 0), 8e-3, "k"), FieldKey((1, 0, 0), 0.02, "x")]
+    together = ls._decisions_for_topologies([pair, coupled, pair], keys, 64)
+    assert together == [ls.decisions_for_keys(t, keys, 64) for t in (pair, coupled, pair)]
+    assert ls._decisions_for_topologies([pair, coupled], [], 64) == [[], []]
+    assert ls._decisions_for_topologies([], keys) == []
+    with pytest.raises(MaglogicError, match="one shape"):
+        ls._decisions_for_topologies([pair, pr.demo_topology()], keys)
+
+
+def _run_machine(machine, force):
+    """Drive a root-finding machine on the force law ``force``; return its
+    result and every list of points it asked for."""
+    asks, reply = [], None
+    while True:
+        try:
+            xs = machine.send(reply)
+        except StopIteration as done:
+            return done.value, asks
+        asks.append(list(xs))
+        reply = (np.zeros(len(xs)), np.array([force(x) for x in xs]))
+
+
+def test_polish_root_falls_back_to_its_start_point():
+    # a sign change in reach: polished to the root
+    root, _ = _run_machine(ls._polish_root(0.5, 0.4, 0.6), lambda x: x - 0.5003)
+    assert root == pytest.approx(0.5003, abs=1e-15)
+    # no sign change up to both caps: the start point, after asking for the caps
+    x0, asks = _run_machine(ls._polish_root(0.5, 0.4, 0.6), lambda x: 1.0)
+    assert x0 == 0.5 and asks[-1] == [0.4, 0.6] and len(asks) < 60
+    # no sign change within 60 widenings of a bracket that never reaches
+    # the caps: the start point too
+    x0, asks = _run_machine(ls._polish_root(0.5, -1e300, 1e300), lambda x: -1.0)
+    assert x0 == 0.5 and len(asks) == 60
+    assert asks[-1][0] > -1e300 and asks[-1][1] < 1e300
+
+
+def test_zero_field_first_grid_row_takes_the_track_axis():
+    """A grid whose first row sits in zero field gives it the track axis,
+    as a lockstep row there gets; the rows after it keep their own field."""
+    unit = _zero_field_unit()
+    unit = dataclasses.replace(
+        unit, track=dataclasses.replace(unit.track, stroke=(0.015, 0.021)))
+    prof = ls.sample_profile([unit], "z", None, 64)
+    assert prof.xs[0] == 0.015
+    assert prof.force_axial[0] == pytest.approx(0.73728, rel=1e-9)
+    row = ls._evaluate_rows(ls._stack([prof._ctx] * 2), np.array([0, 1]),
+                            np.array([0.015, prof.xs[1]]))[1]
+    assert row[0] == pytest.approx(0.73728, rel=1e-9)
+    assert row[1] == pytest.approx(prof.force_axial[1], rel=1e-12)
