@@ -26,20 +26,26 @@ screen sets a batch of candidate topologies of one shape up together.
 This keeps the force/energy consistency exact and captures the
 leading-order coupling between units.
 
-One evaluator computes U(x) and F(x) of a mover everywhere. With one
-profile's sources it evaluates a grid: the 256- and 1025-point grids are
-one N-row call per profile. With per-row sources it evaluates each row on
-its own profile. A mover in zero field keeps the direction of the row
-before it on its grid, and the first row takes the track axis; a row of
-a per-row pass is a grid of one point, so it takes its own track axis.
+One evaluator computes U(x) and F(x) of a mover everywhere, in groups:
+each group is a run of points on one profile's sources. The 256-point
+grids of every unit under one (topology, key) are one call with a group
+per unit, a 1025-point basin grid is a call with one group, and a
+lockstep step is a call with groups of one point. A mover in zero field
+keeps the direction of the row before it in its group, and a group's
+first row takes the track axis, so every row of a lockstep step takes
+its own track axis.
 
 Root finding runs as a lockstep engine. Bisection, the stability energy
 triples, the barrier energies and root polishing are generator "machines"
 on one (key, unit) profile each; every step gathers the points all open
-machines ask for and evaluates them in one per-row pass. Each machine
-keeps its own brackets and stop rules, and each row has the bits of a
-one-point evaluation, so a multi-key or multi-topology call decides
-exactly what one call per key and topology would.
+machines ask for and evaluates them in one pass. A bisection asks in one
+step for the midpoints of its next BISECT_LEVELS levels, the tree below
+its bracket, and walks them with the sign test and stop rules of a
+one-point loop: it takes the same path to the same root in about a
+quarter of the steps. Each machine keeps its own brackets and stop
+rules, and each row has the bits of a one-point evaluation, so a
+multi-key or multi-topology call decides exactly what one call per key
+and topology would.
 """
 
 from __future__ import annotations
@@ -61,6 +67,13 @@ DEFAULT_SAMPLES = 256
 FORCE_EPS = 1e-12  # newtons; |F| below this is "zero" for classification
 ENERGY_EPS = 1e-18  # joules
 EQUILIBRIUM_XTOL = 1e-9  # meters, bisection stop
+# bisection levels per lockstep step, 2**L - 1 midpoints asked at once.
+# Median CPU time per round over alternating rounds (three runs of 7-15
+# rounds, one pinned CPU of a 2-core x86-64 VM): L = 3, 4 and 5 lie
+# within 5 % of each other on the demo sweep and on the 120-candidate
+# screen, and L = 1, one midpoint per step, is 15-30 % slower on the
+# sweep. L = 4 cuts a demo sweep's lockstep steps from 1093 to 346.
+BISECT_LEVELS = 4
 # fraction of the basin adjacent to a barrier crest excluded from the margin
 # minimum (the restoring force vanishes exactly at the crest, so the literal
 # minimum would always be zero there)
@@ -256,8 +269,8 @@ class LandscapeProfile:
 class _ProfileContext:
     """Re-evaluation closure bound to one (topology, unit, key) combination.
 
-    ``args`` are :func:`_evaluate`'s arguments but ``xs``, built by
-    :func:`_batch_profiles`.
+    ``args`` are one group's rows of :func:`_evaluate`'s arguments but
+    ``xs``, built by :func:`_batch_profiles`.
     """
 
     def __init__(self, track, args):
@@ -266,48 +279,49 @@ class _ProfileContext:
 
     def evaluate(self, xs):
         """Energy and axial force at track coordinates xs (any length)."""
-        return _evaluate(*self.args, xs)
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        energy, force = _evaluate(*(a[None] for a in self.args), xs[None])
+        return energy[0], force[0]
 
 
 def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
-    """Energy and axial force of a mover at track coordinates ``xs``.
+    """Energy and axial force (G, n) of G groups of mover positions.
 
-    The source shape picks the path, as in :func:`magnetics.dipole_field`.
-    Shared sources ``pos``, ``m`` (K, 3) evaluate a grid on one context:
-    N-row kernel calls and ``force @ axis``. Per-row sources (N, K, 3), with
-    every other argument stacked per row too, evaluate row i on its own
-    context with the bits of a 1-point grid there, since the kernels and
-    the stacked matmul keep 1-row bits. The kernels work on component
-    planes but return C-ordered (N, 3) arrays, which the energy's
-    ``einsum("nc,nc->n")`` needs for its bits. ``key`` is added where
-    ``has_key``; the module docstring gives the zero-field rule.
+    Group g is the n track coordinates ``xs[g]`` on the context whose
+    :func:`_evaluate` arguments are the g-th rows of the others, as
+    :func:`_stack` stacks them: sources ``pos``, ``m`` (G, K, 3). One
+    grouped kernel call per quantity serves every group, and ``force .
+    axis`` is a per-group matmul, so a group of n points has the bits of
+    a shared-source call on its context and a group of one point those of
+    a 1-point call. The kernels work on component planes but return
+    C-ordered arrays, which the energy's ``einsum("nc,nc->n")`` needs for
+    its bits. ``key`` is added where ``has_key``; the module docstring
+    gives the zero-field rule, which acts within each group.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    per_row = pos.ndim == 3
-    pts = origin + xs[:, None] * axis
+    n_groups, n = xs.shape
+    pts = origin[:, None, :] + xs[..., None] * axis[:, None, :]
     B = mag.dipole_field(pos, m, pts)
-    np.add(B, key, out=B, where=has_key[..., None])
-    norms = np.linalg.norm(B, axis=1)
+    np.add(B, key[:, None, :], out=B, where=has_key[:, None, None])
+    norms = np.linalg.norm(B, axis=-1)
     ok = norms > 1e-30
     # C-ordered like B: einsum's bits depend on its operands' memory layout
     u_dirs = np.empty_like(B)
-    np.divide(B, norms[:, None], out=u_dirs, where=ok[:, None])
+    np.divide(B, norms[..., None], out=u_dirs, where=ok[..., None])
     if not ok.all():
-        u_dirs[~ok] = np.broadcast_to(axis, B.shape)[~ok]
-        if not per_row:
-            prev = np.maximum.accumulate(np.where(ok, np.arange(len(B)), -1))
-            u_dirs[prev >= 0] = u_dirs[prev[prev >= 0]]
-    moments = m_mag[..., None] * u_dirs
-    energy = const - np.einsum("nc,nc->n", moments, B)
+        u_dirs[~ok] = np.broadcast_to(axis[:, None, :], B.shape)[~ok]
+        prev = np.maximum.accumulate(np.where(ok, np.arange(n), -1), axis=1)
+        fill = ~ok & (prev >= 0)
+        u_dirs[fill] = u_dirs[np.nonzero(fill)[0], prev[fill]]
+    moments = m_mag[:, None, None] * u_dirs
+    energy = const[:, None] - np.einsum(
+        "nc,nc->n", moments.reshape(-1, 3), B.reshape(-1, 3)).reshape(n_groups, n)
     force = mag.dipole_forces(pos, m, pts, moments)
-    if per_row:
-        return energy, np.matmul(force[:, None, :], axis[:, :, None])[:, 0, 0]
-    return energy, force @ axis
+    return energy, np.matmul(force, axis[:, :, None])[..., 0]
 
 
 def _stack(ctxs) -> tuple:
-    """:func:`_evaluate`'s per-row arguments of contexts of topologies of
-    one :func:`_shape`.
+    """:func:`_evaluate`'s arguments, one group per context, of contexts
+    of topologies of one :func:`_shape`.
 
     Every such context has the same fixed-dipole count K (all stators plus
     every mover but its own), so the fixed dipoles stack into (C, K, 3)
@@ -317,8 +331,10 @@ def _stack(ctxs) -> tuple:
 
 
 def _evaluate_rows(stacked, rows, xs):
-    """Energy and axial force of context ``rows[i]`` at ``xs[i]``, one pass."""
-    return _evaluate(*(a[rows] for a in stacked), xs)
+    """Energy and axial force of context ``rows[i]`` at ``xs[i]``, one pass
+    of groups of one point."""
+    energy, force = _evaluate(*(a[rows] for a in stacked), xs[:, None])
+    return energy[:, 0], force[:, 0]
 
 
 def _lockstep(ctxs, machines):
@@ -444,7 +460,9 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
     latched at ``positions[i]``. One lockstep orientation solve
     (:func:`_batch_orientations`) serves every (topology, key), and one pass
     gives every (topology, key, target) constant energy:
-    ``assembly_energy`` of the stators and the other movers.
+    ``assembly_energy`` of the stators and the other movers. The grids of
+    every target under one (topology, key) are one grouped
+    :func:`_evaluate` call, on one ``linspace`` per track and topology.
     """
     if not keys or not topologies:
         return []
@@ -470,17 +488,20 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
             pos.append(t_pts[i:i + 1])
             m.append(t_m[:, i:i + 1])
         pos, m = np.concatenate(pos), np.concatenate(m, axis=1)
-        fixed = [np.delete(np.arange(len(pos)), mover_rows[t]) for t in targets]
+        fixed = np.array([np.delete(np.arange(len(pos)), mover_rows[t]) for t in targets])
+        tracks = [units[t].track for t in targets]
+        grids = np.array([np.linspace(tr.x_in, tr.x_out, n_samples) for tr in tracks])
+        shared = (np.array([tr.origin for tr in tracks]),
+                  np.array([tr.axis for tr in tracks]), t_mags[targets], pos[fixed])
         for q, key in enumerate(keys):
-            for t, rows, const in zip(targets, fixed, t_consts[q]):
-                track = units[t].track
-                ctx = _ProfileContext(track, (
-                    np.asarray(track.origin), np.asarray(track.axis),
-                    np.asarray(t_mags[t]), pos[rows], m[q, rows],
-                    kvecs[q], np.asarray(has_key[q]), np.asarray(const)))
-                xs = np.linspace(track.x_in, track.x_out, n_samples)
-                energy, force = ctx.evaluate(xs)
-                out.append(LandscapeProfile(units[t].id, key, xs, energy, force, None, ctx))
+            # one group per target: its own fixed dipoles and constant energy
+            args = (*shared, m[q][fixed], np.broadcast_to(kvecs[q], (len(tracks), 3)),
+                    np.broadcast_to(has_key[q], len(tracks)), t_consts[q])
+            energy, force = _evaluate(*args, grids)
+            for i, (t, track) in enumerate(zip(targets, tracks)):
+                ctx = _ProfileContext(track, tuple(a[i, ...] for a in args))
+                out.append(LandscapeProfile(units[t].id, key, grids[i], energy[i],
+                                            force[i], None, ctx))
     return out
 
 
@@ -523,25 +544,65 @@ def _equilibria(profile: LandscapeProfile):
                  for r, (lo, mid, hi) in zip(roots, energy.reshape(-1, 3).tolist()))
 
 
+def _midpoints(a: float, b: float, levels: int) -> list:
+    """Midpoints of the next ``levels`` bisection levels of [a, b],
+    breadth first: point j halves the bracket of node j, whose left and
+    right halves are nodes 2j + 1 and 2j + 2."""
+    brackets, xs = [(a, b)], []
+    for j in range(2 ** levels - 1):
+        lo, hi = brackets[j]
+        m = 0.5 * (lo + hi)
+        xs.append(m)
+        brackets += [(lo, m), (m, hi)]
+    return xs
+
+
+def _tree_bisect(a: float, b: float, up: bool, steps: int, done):
+    """Machine: bisect [a, b] for at most ``steps`` halvings, ``up`` the
+    sign test ``F(a) > 0``; returns the final (a, b).
+
+    Each lockstep step asks for the midpoints of the next BISECT_LEVELS
+    levels (:func:`_midpoints`), then walks them as the one-point loop
+    would: a midpoint whose ``F > 0`` matches ``up`` becomes ``a`` (so
+    ``up`` stays the sign test of ``F(a)``), any other becomes ``b``.
+    ``done(a, b, m, fm)``, asked before evaluating midpoint ``m`` (``fm``
+    None) and after each halving, stops the walk, so the bracket is the
+    one-point loop's bit for bit.
+    """
+    while steps:
+        levels = min(BISECT_LEVELS, steps)
+        xs = _midpoints(a, b, levels)
+        force = (yield xs)[1]
+        j = 0
+        for _ in range(levels):
+            m = xs[j]
+            if done(a, b, m, None):
+                return a, b
+            fm = float(force[j])
+            if (fm > 0) == up:
+                a, j = m, 2 * j + 2
+            else:
+                b, j = m, 2 * j + 1
+            steps -= 1
+            if done(a, b, m, fm):
+                return a, b
+    return a, b
+
+
 def _bisect(a: float, b: float, fa: float):
     """Machine: bisect the force sign change in [a, b]; returns the root,
     ``a`` itself when the force vanishes there."""
     if fa == 0.0:
         return a
+
     # keep halving past EQUILIBRIUM_XTOL until the residual force is
     # negligible, so re-evaluating at the root gives |F| < 1e-9 N even
     # for stiff profiles (steep dF/dx)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = float((yield [m])[1][0])
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b = m
-        if b - a < EQUILIBRIUM_XTOL and abs(fm) < 1e-10:
-            break
-        if b - a < 1e-14:
-            break
+    def done(a, b, m, fm):
+        return fm is not None and (
+            b - a < EQUILIBRIUM_XTOL and abs(fm) < 1e-10 or b - a < 1e-14)
+
+    a, b = yield from _tree_bisect(a, b, fa > 0, 200, done)
     return 0.5 * (a + b)
 
 
@@ -675,15 +736,11 @@ def _polish_root(x0: float, lo_cap: float, hi_cap: float):
         delta *= 4.0
     else:
         return x0
-    for _ in range(90):
-        m = 0.5 * (lo + hi)
-        if m <= lo or m >= hi:
-            break
-        fm = float((yield [m])[1][0])
-        if (fm > 0) == (flo > 0):
-            lo, flo = m, fm
-        else:
-            hi = m
+
+    def done(lo, hi, m, fm):  # the bracket is down to adjacent floats
+        return fm is None and (m <= lo or m >= hi)
+
+    lo, hi = yield from _tree_bisect(lo, hi, flo > 0, 90, done)
     return 0.5 * (lo + hi)
 
 

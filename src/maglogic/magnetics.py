@@ -16,21 +16,27 @@ Conventions
 
 Kernel layout
 -------------
-:func:`dipole_field` and :func:`dipole_forces` take K fixed dipoles, shared
-(K, 3) or one set per field point (N, K, 3), and N field points (N, 3).
-They work on component planes: points become (3, 1, N), shared sources
-(3, K, 1) and per-row sources a contiguous (3, K, N) copy, so every
-elementwise step runs over a (K, N) plane with an N-long inner loop.
-Results are bit-identical to the point-major (N, K, 3) formulation:
+:func:`dipole_field` and :func:`dipole_forces` take K fixed dipoles and
+field points in one of three forms: shared sources (K, 3) with points
+(N, 3), one source set per point (N, K, 3) with points (N, 3), or G
+groups, sources (G, K, 3) with points (G, n, 3). All three are one
+grouped layout: shared sources are one group of N points and per-row
+sources N groups of one point. The kernels work on component planes:
+points become (3, 1, G, n) and sources (3, K, G, 1), so every elementwise
+step runs over a (K, G, n) plane with an n-long inner loop. Results are
+bit-identical to the point-major (N, K, 3) formulation:
 
 * ``d^2 = (x x + z z) + y y`` and every ``m.r`` in np.einsum's order for
   3-vectors; the force's ``d = sqrt((x x + y y) + z z)`` in
   np.linalg.norm's order;
-* ``test_m.src_m`` is the BLAS product ``moments @ src_m.T`` for shared
-  sources and a stacked 1-row matmul per row for per-row sources;
+* ``test_m.src_m`` is one matmul per group, ``np.matmul`` of the
+  (G, n, 3) moments with the (G, 3, K) sources: a group of n points gets
+  the BLAS product ``moments @ src_m.T`` of a shared-source call on its
+  points, and a group of one point the 1-row product of a per-row call;
 * the sum over K is a running sum ``k = 0 ... K-1``;
-* outputs are C-ordered (N, 3): callers' reductions, such as an einsum
-  over the components, round differently on F-ordered operands.
+* outputs are C-ordered in the points' shape: callers' reductions, such
+  as an einsum over the components, round differently on F-ordered
+  operands.
 
 Elementwise ufuncs round the same in any memory layout; reductions and
 BLAS calls need not, which is what these rules pin.
@@ -309,17 +315,17 @@ class FieldKey:
 
 
 def _planes(src_pos, src_m, points):
-    """``r = point - source`` (3, K, N) and the source moment planes.
-
-    Shared sources (K, 3) give moment planes (3, K, 1); per-row sources
-    (N, K, 3) give a contiguous (3, K, N) copy. points : (N, 3).
-    """
-    pts = np.asarray(points, dtype=float).T[:, None, :]
-    if src_pos.ndim == 3:
-        pos, m = src_pos.transpose(2, 1, 0), src_m.transpose(2, 1, 0)
-    else:
-        pos, m = src_pos.T[:, :, None], src_m.T[:, :, None]
-    return np.subtract(pts, pos, order="C"), np.ascontiguousarray(m)
+    """Any call form as G groups of n points: ``r = point - source``
+    (3, K, G, n), the source moment planes (3, K, G, 1) and the grouped
+    source moments (G, K, 3)."""
+    pts = np.asarray(points, dtype=float)
+    if src_pos.ndim == 2:  # shared: one group
+        src_pos, src_m, pts = src_pos[None], src_m[None], pts.reshape(1, -1, 3)
+    elif pts.ndim == 2:  # per-row: groups of one point
+        pts = pts[:, None]
+    r = np.subtract(pts.transpose(2, 0, 1)[:, None],
+                    src_pos.transpose(2, 1, 0)[..., None], order="C")
+    return r, np.ascontiguousarray(src_m.transpose(2, 1, 0)[..., None]), src_m
 
 
 def _dot(a, b):
@@ -331,17 +337,21 @@ def _dot(a, b):
     return out
 
 
-def _sum_sources(terms):
-    """C-ordered (N, 3) sum of (3, K, N) terms over K, ``k = 0 ... K-1``.
+def _sum_sources(terms, shape):
+    """C-ordered ``shape`` (..., 3) sum of (3, K, ...) terms over K,
+    ``k = 0 ... K-1``.
 
-    A running sum: ``terms.sum(axis=1)`` sums pairwise when N = 1 and
-    K >= 8, and so rounds differently from a K-long loop.
+    A running sum: ``terms.sum(axis=1)`` sums pairwise when there is one
+    point and K >= 8, and so rounds differently from a K-long loop.
     """
-    _, k, n = terms.shape
+    k = terms.shape[1]
     if k == 0:
-        return np.zeros((n, 3))
-    out = np.empty((n, 3))
-    acc = out.T
+        return np.zeros(shape)
+    # np.empty, not np.zeros: calloc can hand out fresh pages, and a demo
+    # sweep round took about 1.7k more minor page faults with np.zeros
+    out = np.empty(shape)
+    acc = out.reshape(-1, 3).T
+    terms = terms.reshape(3, k, acc.shape[1])
     if k == 1:
         np.copyto(acc, terms[:, 0])
         return out
@@ -355,27 +365,30 @@ def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> 
     """Field of point dipoles summed at ``points``.
 
     src_pos, src_m : (K, 3), shared by every point, or (N, K, 3), one source
-    set per point (row); points : (N, 3) or one point (3,). Returns C-ordered
-    (N, 3) (or (3,)) tesla, computed on component planes with the bit rules
-    of the module docstring. A row of a per-row call has the bits of a
-    1-point call with that row's sources.
+    set per point (row); points : (N, 3) or one point (3,). Grouped: sources
+    (G, K, 3) and points (G, n, 3), group g's n points with its own K
+    sources. Returns C-ordered tesla of the points' shape, computed on
+    component planes with the bit rules of the module docstring. A row of a
+    per-row call has the bits of a 1-point call with that row's sources,
+    and a group those of a shared-source call on its points.
     """
     pts = np.asarray(points, dtype=float)
-    r, m = _planes(src_pos, src_m, pts.reshape(-1, 3))
-    d2 = _dot(r, r)
+    r, m, _ = _planes(src_pos, src_m, pts)
+    # a source so far away that the square overflows has field exactly 0
+    with np.errstate(over="ignore"):
+        d2 = _dot(r, r)
     d = np.sqrt(d2)
     if (d < COINCIDENCE_EPS).any():
         raise SingularConfigError("field point coincides with a dipole")
-    out = _sum_sources(_field_terms(r, d2, d ** 3, m))
-    return out[0] if pts.ndim == 1 else out
+    return _sum_sources(_field_terms(r, d2, d ** 3, m), pts.shape)
 
 
 def _field_terms(r, d2, d3, m):
-    """(3, K, N) field of source k at point n, the terms :func:`dipole_field`
-    sums over K.
+    """(3, K, ...) field of source k at each point, the terms
+    :func:`dipole_field` sums over K.
 
-    r : (3, K, N) point minus source; d2, d3 : (K, N) squared and cubed
-    distances; m : source moment planes (3, K, 1) or (3, K, N).
+    r : (3, K, ...) point minus source; d2, d3 : (K, ...) squared and cubed
+    distances; m : source moment planes that broadcast against r.
     ``m.r = (mx x + mz z) + my y`` in np.einsum's order.
     """
     coef = MU0 / (4.0 * np.pi)
@@ -392,27 +405,28 @@ def _field_terms(r, d2, d3, m):
 def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     """Net force on test dipoles (points[i], moments[i]) from fixed dipoles.
 
-    src_pos, src_m : (K, 3), or per-row (N, K, 3) as in :func:`dipole_field`;
-    points, moments : (N, 3). Returns C-ordered (N, 3) newtons, computed on
-    component planes with the bit rules of the module docstring; the
-    stacked matmul keeps each row of a per-row call equal to a 1-row call.
+    src_pos, src_m : (K, 3), per-row (N, K, 3) or grouped (G, K, 3) as in
+    :func:`dipole_field`; points, moments : (N, 3), or (G, n, 3) grouped.
+    Returns C-ordered newtons of the points' shape, computed on component
+    planes with the bit rules of the module docstring; the per-group
+    matmul keeps each row of a per-row call equal to a 1-row call.
     """
-    mts = np.asarray(moments, dtype=float)
-    r, m = _planes(src_pos, src_m, points)
-    p = r * r
+    pts = np.asarray(points, dtype=float)
+    r, m, src_m = _planes(src_pos, src_m, pts)
+    mts = np.asarray(moments, dtype=float).reshape(*r.shape[2:], 3)
+    # a source so far away that the square overflows exerts exactly 0
+    with np.errstate(over="ignore"):
+        p = r * r
     d = p[0] + p[1]
     d += p[2]
     np.sqrt(d, out=d)
     if (d < COINCIDENCE_EPS).any():
         raise SingularConfigError("a dipole coincides with a source dipole")
     r /= d  # rhat
-    t = np.ascontiguousarray(mts.T)[:, None, :]
+    t = np.ascontiguousarray(mts.transpose(2, 0, 1))[:, None]
     mbr = _dot(t, r)
     mar = _dot(m, r)
-    if src_m.ndim == 3:
-        mamb = np.matmul(mts[:, None, :], src_m.transpose(0, 2, 1))[:, 0, :].T
-    else:
-        mamb = (mts @ src_m.T).T
+    mamb = np.matmul(mts, src_m.transpose(0, 2, 1)).transpose(2, 0, 1)
     coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
     w = 5.0 * mar
     w *= mbr
@@ -421,7 +435,7 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     F += np.multiply(mbr, m, out=p)
     F += np.multiply(w, r, out=p)
     F *= coef
-    return _sum_sources(F)
+    return _sum_sources(F, pts.shape)
 
 
 def pair_energy(a: MagnetSource, b: MagnetSource) -> float:

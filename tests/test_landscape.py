@@ -1018,3 +1018,228 @@ def test_zero_field_first_grid_row_takes_the_track_axis():
                             np.array([0.015, prof.xs[1]]))[1]
     assert row[0] == pytest.approx(0.73728, rel=1e-9)
     assert row[1] == pytest.approx(prof.force_axial[1], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# frozen one-point root finders
+# ---------------------------------------------------------------------------
+# ``_bisect`` and the bisection phase of ``_polish_root`` as they stood when
+# every lockstep step asked for one midpoint, kept verbatim: the tree
+# machines must return their roots bit for bit.
+
+
+def ref_bisect(a, b, fa):
+    if fa == 0.0:
+        return a
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = float((yield [m])[1][0])
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
+        if b - a < ls.EQUILIBRIUM_XTOL and abs(fm) < 1e-10:
+            break
+        if b - a < 1e-14:
+            break
+    return 0.5 * (a + b)
+
+
+def ref_polish_root(x0, lo_cap, hi_cap):
+    delta = max(4e-9, abs(x0) * 1e-8)
+    for _ in range(60):
+        lo = max(lo_cap, x0 - delta)
+        hi = min(hi_cap, x0 + delta)
+        flo, fhi = (float(f) for f in (yield [lo, hi])[1])
+        if (flo > 0) != (fhi > 0):
+            break
+        if lo == lo_cap and hi == hi_cap:
+            return x0
+        delta *= 4.0
+    else:
+        return x0
+    for _ in range(90):
+        m = 0.5 * (lo + hi)
+        if m <= lo or m >= hi:
+            break
+        fm = float((yield [m])[1][0])
+        if (fm > 0) == (flo > 0):
+            lo, flo = m, fm
+        else:
+            hi = m
+    return 0.5 * (lo + hi)
+
+
+def assert_tree_matches_reference(tree, reference, force):
+    """Equal roots; every point the reference asks for is asked for, the
+    widening pairs of ``_polish_root`` alike, and its midpoints in at most
+    one step per BISECT_LEVELS of them (and the step after a
+    float-resolution stop); returns the reference's midpoint count."""
+    root, asks = _run_machine(tree, force)
+    want, want_asks = _run_machine(reference, force)
+    assert root == want
+    assert {x for xs in want_asks for x in xs} <= {x for xs in asks for x in xs}
+    widenings = sum(len(xs) == 2 for xs in want_asks)
+    assert asks[:widenings] == want_asks[:widenings]
+    midpoints = len(want_asks) - widenings
+    assert len(asks) - widenings <= -(-(midpoints + 1) // ls.BISECT_LEVELS)
+    return midpoints
+
+
+_LAW = st.sampled_from(["linear", "cubic", "step", "tanh"])
+
+
+def _force_law(kind, root, slope):
+    if kind == "linear":
+        return lambda x: slope * (x - root)
+    if kind == "cubic":
+        return lambda x: slope * (x - root) ** 3
+    if kind == "step":  # no zero: the sign flips between adjacent floats
+        return lambda x: slope if x > root else -slope
+    return lambda x: slope * np.tanh((x - root) / 1e-6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_LAW, st.floats(0.0, 1.0), st.floats(1e-12, 1e6),
+       st.booleans(), st.floats(0.0, 0.02), st.floats(1e-6, 0.05))
+def test_tree_machines_match_one_point_reference(kind, where, slope, flip, a, width):
+    b = a + width
+    root = a + where * width
+    force = _force_law(kind, root, -slope if flip else slope)
+    assert_tree_matches_reference(ls._bisect(a, b, force(a)), ref_bisect(a, b, force(a)),
+                                  force)
+    for x0 in (root, a + 0.5 * width, root + 3e-9):
+        assert_tree_matches_reference(ls._polish_root(x0, a, b),
+                                      ref_polish_root(x0, a, b), force)
+
+
+def test_tree_bisect_edge_cases():
+    # the force is exactly 0.0 at a midpoint of the first and of a deeper
+    # level, from either sign of F(a)
+    for root in (0.5, 0.375, 0.6875):
+        for sign in (1.0, -1.0):
+            def force(x, root=root, sign=sign):
+                return sign * (x - root)
+            assert force(root) == 0.0
+            assert_tree_matches_reference(ls._bisect(0.0, 1.0, force(0.0)),
+                                          ref_bisect(0.0, 1.0, force(0.0)), force)
+    # F(a) == 0: a itself, with no step
+    assert _run_machine(ls._bisect(0.25, 1.0, 0.0), lambda x: 1.0) == (0.25, [])
+
+    def steep(x):
+        return 1e6 * (x - 0.3)
+
+    # the 1e-14 stop: |F| never falls below 1e-10
+    assert assert_tree_matches_reference(
+        ls._bisect(0.0, 1.0, steep(0.0)), ref_bisect(0.0, 1.0, steep(0.0)), steep) == 47
+    # the 200-step cap: 2e50 / 2**200 is still wider than 1e-14
+    assert assert_tree_matches_reference(
+        ls._bisect(-1e50, 1e50, steep(-1e50)), ref_bisect(-1e50, 1e50, steep(-1e50)),
+        steep) == 200
+
+    # the 1e-14 stop one level before the cap, at the cap, and the cap alone
+    def stiff(x):
+        return 1e6 * x
+
+    for k, midpoints in ((197, 198), (198, 199), (199, 200), (200, 200)):
+        w = 1.5e-14 * 2.0 ** k
+        assert assert_tree_matches_reference(
+            ls._bisect(-0.3 * w, 0.7 * w, -1.0), ref_bisect(-0.3 * w, 0.7 * w, -1.0),
+            stiff) == midpoints
+
+
+def test_tree_polish_edge_cases():
+    # roots near 0, where floats are dense: the float-resolution stop comes
+    # after 80 to 89 midpoints, and the 90 cap stops the rest (one of them
+    # a root whose resolution stop falls on the cap)
+    counts = set()
+    for e in range(55, 75):
+        root = 2.0 ** -e
+
+        def force(x, root=root):
+            return x - root
+
+        counts.add(assert_tree_matches_reference(
+            ls._polish_root(0.0, -1.0, 1.0), ref_polish_root(0.0, -1.0, 1.0),
+            force))
+    assert counts == set(range(80, 91))
+    # the 90 cap far from the float resolution
+    assert assert_tree_matches_reference(
+        ls._polish_root(0.0, -1.0, 1.0), ref_polish_root(0.0, -1.0, 1.0),
+        lambda x: x - 1e-300) == 90
+    # an exact zero at a midpoint, and a wider bracket after widening
+    for force in (lambda x: x - 0.5, lambda x: 0.5 - x, lambda x: x - (0.5 + 1e-6)):
+        for x0 in (0.5, 0.5 + 1e-7):
+            root, asks = _run_machine(ls._polish_root(x0, 0.4, 0.6), force)
+            want, want_asks = _run_machine(ref_polish_root(x0, 0.4, 0.6), force)
+            assert root == want
+            assert {x for xs in want_asks for x in xs} <= {x for xs in asks for x in xs}
+
+
+# ---------------------------------------------------------------------------
+# grouped grids
+# ---------------------------------------------------------------------------
+
+
+def test_grouped_profile_grids_equal_sample_profile(monkeypatch):
+    """The grids of every unit under one (topology, key) are one grouped
+    call; each equals that unit's own ``sample_profile`` bit for bit."""
+    demo = pr.demo_topology()
+    keys = [*pr.demo_keys(), None, FieldKey((0.6, 0.0, 0.8), 0.012, "tilt")]
+    positions = {"beta": 0.5 * sum(demo[1].track.stroke)}
+    calls = []
+    original = ls._evaluate
+
+    def spy(*args):
+        calls.append(args[-1].shape)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ls, "_evaluate", spy)
+        profiles = ls._profiles(demo, range(len(demo)), keys, ls.DEFAULT_SAMPLES,
+                                ls._latched_positions(demo, 256, positions))
+    assert calls == [(len(demo), ls.DEFAULT_SAMPLES)] * len(keys)
+    for prof in profiles:
+        one = ls.sample_profile(demo, prof.unit_id, prof.key, mover_positions=positions)
+        for name in ("xs", "energy", "force_axial"):
+            assert np.array_equal(getattr(prof, name), getattr(one, name))
+        for got, want in zip(prof._ctx.args, one._ctx.args):
+            assert np.array_equal(got, want) and got.shape == want.shape
+
+
+def test_zero_field_rule_stays_inside_each_group():
+    """A group whose first row sits in zero field takes its own track axis,
+    not the direction of the previous group's last row."""
+    keyed, bare = _batches()[-1]
+    xs = np.array([[0.013, 0.017, 0.021], [0.015, 0.016, 0.017]])
+    energy, force = ls._evaluate(*ls._stack([keyed, bare]), xs)
+    for g, ctx in enumerate((keyed, bare)):
+        want_energy, want_force = ctx.evaluate(xs[g])
+        assert np.array_equal(energy[g], want_energy)
+        assert np.array_equal(force[g], want_force)
+    assert force[1, 0] == bare.evaluate([0.015])[1][0] != 0.0
+    # within a group the zero-field row continues the row before it
+    energy, force = ls._evaluate(*ls._stack([bare]), np.array([[0.013, 0.015]]))
+    assert force[0, 1] == pytest.approx(-0.73728, rel=1e-9)
+
+
+_SCALED = {"demo": pr.demo_topology, "pair": pr.pair_orthogonal}
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.sampled_from(sorted(_SCALED)), st.floats(0.5, 4.0))
+def test_scale_covariance_of_every_profile(name, s):
+    """Lengths x s: forces x s^2 and energies x s^3 at corresponding
+    samples, for every unit under every demo key and no key."""
+    topo = _SCALED[name]()
+    keys = [*pr.demo_keys(), None]
+
+    def profiles(units):
+        return ls._profiles(units, range(len(units)), keys, 64, ls.rest_positions(units))
+
+    for prof, prof_s in zip(profiles(topo), profiles(ls.scale_topology(topo, s))):
+        np.testing.assert_allclose(prof_s.xs, s * prof.xs, rtol=1e-12)
+        for got, want, power in ((prof_s.energy, prof.energy, 3),
+                                 (prof_s.force_axial, prof.force_axial, 2)):
+            np.testing.assert_allclose(got, s**power * want, rtol=1e-9,
+                                       atol=1e-9 * s**power * np.abs(want).max())

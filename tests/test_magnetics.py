@@ -10,6 +10,8 @@ formulas before the implementation existed:
     F_coax      = 3 MU0 m^2 / (2 pi r^4) = 6.0e-7, attractive
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -266,6 +268,56 @@ def test_plane_kernels_raise_on_coincidence_like_reference():
             kernel(pos, m)
         with pytest.raises(SingularConfigError):
             kernel(np.broadcast_to(pos, (2, 2, 3)), np.broadcast_to(m, (2, 2, 3)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 27])
+def test_grouped_calls_match_shared_and_per_row_calls(k):
+    """A group of n points has the bits of a shared-source call on them, a
+    group of one point those of a per-row call, C-ordered in the points'
+    shape."""
+    rng = np.random.default_rng(k)
+    for groups, n in ((3, 256), (4, 2), (2, 1025), (7, 1)):
+        pos = rng.normal(size=(groups, k, 3)) * 0.05
+        m = rng.normal(size=(groups, k, 3))
+        pts = rng.normal(size=(groups, n, 3)) * 0.05
+        moments = rng.normal(size=(groups, n, 3))
+        field = mag.dipole_field(pos, m, pts)
+        force = mag.dipole_forces(pos, m, pts, moments)
+        assert field.shape == force.shape == pts.shape
+        assert field.flags.c_contiguous and force.flags.c_contiguous
+        for g in range(groups):
+            assert np.array_equal(field[g], mag.dipole_field(pos[g], m[g], pts[g]))
+            assert np.array_equal(force[g], mag.dipole_forces(pos[g], m[g], pts[g],
+                                                              moments[g]))
+            assert np.array_equal(field[g], ref_dipole_field(pos[g], m[g], pts[g]))
+        if n == 1:
+            assert np.array_equal(field[:, 0], mag.dipole_field(pos, m, pts[:, 0]))
+            assert np.array_equal(force[:, 0], mag.dipole_forces(pos, m, pts[:, 0],
+                                                                 moments[:, 0]))
+            assert np.array_equal(field[:, 0], ref_dipole_field(pos, m, pts[:, 0]))
+
+
+def test_grouped_calls_raise_on_coincidence():
+    pos, m = np.zeros((2, 1, 3)), np.ones((2, 1, 3))
+    pts = np.array([[[1.0, 0, 0], [0, 1.0, 0]], [[0, 0, 1.0], [0, 0, 1e-12]]])
+    with pytest.raises(SingularConfigError):
+        mag.dipole_field(pos, m, pts)
+    with pytest.raises(SingularConfigError):
+        mag.dipole_forces(pos, m, pts, np.ones((2, 2, 3)))
+
+
+def test_far_source_is_exactly_zero_without_warnings():
+    """A source so far away that the squared offset overflows gives the
+    exact far-field limit, zero, and no RuntimeWarning."""
+    far = np.array([[0.0, 0.0, 1e200]])
+    pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pos in (far, np.broadcast_to(far, (2, 1, 3))):
+            m = np.broadcast_to(EZ, pos.shape)
+            assert np.array_equal(mag.dipole_field(pos, m, pts), np.zeros((2, 3)))
+            assert np.array_equal(mag.dipole_forces(pos, m, pts, np.ones((2, 3))),
+                                  np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
