@@ -21,7 +21,10 @@ key, a repeated key and keys whose orientation solves take 14 to 156
 iterations (two past the damping switch at 100); with the stator of unit
 ``alpha`` split into 27 sub-dipoles (``discretize=3``), its field at one
 point, alpha's 1025-sample profile under ``+x`` and ``decisions_for_keys``
-under ``+x`` and no key; then
+under ``+x`` and no key; the canonical placements and hash of
+every candidate that ``enumerate_candidates`` samples (budget 150, seed
+3) from two units on a 2x2x2 cube whose allowed orientations and track
+axes are not axis-aligned, so the images' rounding shows; then
 ``run_pipeline`` + ``rank`` on the seed-1 ``design_3x2x3.json`` with
 budget 120 and on the seed-2 one with budget 45 (every candidate's hash,
 full ``SelectivityMatrix`` with its margins and barriers, fidelity,
@@ -119,6 +122,12 @@ LIBRARY = (
      "ls.decisions_for_keys(units, [cand.key_set[0], None])))("
      "[dataclasses.replace(u, stators=tuple(source_from_spec(s.spec, s.position, "
      "discretize=3) for s in u.stators)) if u.id == 'alpha' else u for u in cand.units])"),
+    ("enumerate_candidates_cube_oblique",
+     "[(c.placements, c.candidate_hash) for c in dg.enumerate_candidates(dg.Lattice("
+     "0.03, ((0, 1), (0, 1), (0, 1)), ((1, 2, 0), (1, 1, 1), (0, -3, 4), (-1, 0, 0)), "
+     "((1, 1, 1), (0, -3, 4), (-1, 0, 0))), 2, (), dg.UnitTemplate(MagnetSpec("
+     "'cylinder', (0.008, 0.016), 0.05, (1, 0, 0)), MagnetSpec('cylinder', (0.004, 0.008), "
+     "0.3, (1, 0, 0)), 0.013, 0.008, 4.5e-4), 150, seed=3)]"),
     ("run_pipeline_rank_seed1_3x2x3", "screened(1, 120)"),
     ("run_pipeline_rank_seed2_3x2x3_45", "screened(2, 45)"),
     ("truth_table_events_10mm",

@@ -572,7 +572,7 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
                                    cdoc.get("dwell", 1.0)))
         command_specs.append((node.id, channel.label, commands[-1].dwell))
     cycles = mag.finite(doc.get("cycles", 0), f"{where}.cycles", 0,
-                        inclusive=True, integer=True)
+                        inclusive=True, integer=True, high=nb.MAX_CYCLES)
     noise = doc.get("noise")
     if noise is not None:
         _check_fields(noise, f"{where}.noise", (),

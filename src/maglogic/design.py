@@ -21,7 +21,11 @@ scores survivors:
 Candidates are deduplicated up to the symmetry group of the lattice box
 (signed axis permutations). Stator moments transform as pseudovectors
 (det(R) * R * m), track axes as ordinary vectors; this is the exact
-invariance group of the dipole physics.
+invariance group of the dipole physics. A candidate's key is the least
+sorted image of its placements over the group. Each element maps sites,
+moments and axes independently, so one enumeration keeps each element's
+images of the sites, moments and axes it has met and builds every key
+from those maps.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ _CONE_RIM = 8  # rim directions per cone, so each key probes 9 directions
 # until it is decided: the screen's traced memory peak rose 0.5 MiB over one
 # candidate at a time with batches of 16, 1.1 MiB with 32, 4.2 MiB with 120.
 SCREEN_BATCH = 16
+# upper bounds on the search and sweep sizes, each over 300 times the
+# largest value a shipped input, test or benchmark uses (budget 300, 100
+# trials)
+MAX_BUDGET = 100_000
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -217,16 +226,30 @@ def _transform_placement(placement, perm, signs, extents):
     return (tuple(new_site), rnd(new_m), rnd(new_ax))
 
 
-def _canonical_key(placements, group, extents):
-    best = None
-    base = tuple(sorted(placements))
-    for perm, signs in group:
-        image = tuple(
-            sorted(_transform_placement(p, perm, signs, extents) for p in base)
-        )
-        if best is None or image < best:
-            best = image
-    return best
+def _canonical_keys(group, extents):
+    """The canonical key of a placement tuple, for the placements of one
+    enumeration: the least sorted image under the box ``group``.
+
+    An element maps a placement's site, moment and axis each on its own,
+    so each element keeps lazily filled maps site -> image, moment ->
+    image and axis -> image, filled from :func:`_transform_placement` and
+    so with its rounded values. A key is then dict lookups, a sort per
+    element and a min.
+    """
+    elements = [(perm, signs, {}, {}, {}) for perm, signs in group]
+
+    def key(placements):
+        images = []
+        for perm, signs, sites, moments, axes in elements:
+            for p in placements:
+                if p[0] not in sites or p[1] not in moments or p[2] not in axes:
+                    sites[p[0]], moments[p[1]], axes[p[2]] = _transform_placement(
+                        p, perm, signs, extents)
+            images.append(tuple(sorted([(sites[s], moments[m], axes[a])
+                                        for s, m, a in placements])))
+        return min(images)
+
+    return key
 
 
 def _build_units(placements, lattice, template, built=None):
@@ -292,7 +315,7 @@ def enumerate_candidates(lattice, n_units, key_set, template, budget, seed=0):
     the budget; otherwise seeded uniform sampling of placements (still
     deduplicated) until the budget is filled.
     """
-    mag.finite(budget, "budget", 1, inclusive=True, integer=True)
+    mag.finite(budget, "budget", 1, inclusive=True, integer=True, high=MAX_BUDGET)
     mag.finite(n_units, "n_units", 1, inclusive=True, integer=True)
     seed = mag.finite(seed, "seed", 0, inclusive=True, integer=True)
     key_set = tuple(key_set)
@@ -310,7 +333,7 @@ def enumerate_candidates(lattice, n_units, key_set, template, budget, seed=0):
         for m in lattice.allowed_orientations
         for ax in lattice.allowed_track_axes
     ]
-    group = _box_symmetry_group(lattice.extents)
+    canonical_key = _canonical_keys(_box_symmetry_group(lattice.extents), lattice.extents)
     seen = set()
     built = {}  # units and their parts, shared by the candidates
     yielded = 0
@@ -320,7 +343,7 @@ def enumerate_candidates(lattice, n_units, key_set, template, budget, seed=0):
         units = _candidate_valid(placements, lattice, template, built)
         if units is None:
             return None
-        canon = _canonical_key(placements, group, lattice.extents)
+        canon = canonical_key(placements)
         if canon in seen:
             return None
         seen.add(canon)
@@ -619,7 +642,8 @@ def sensitivity_sweep(
     key's cone while the margin is searched, so a probe stops deciding at
     the first key whose cone fails.
     """
-    mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True)
+    mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True,
+               high=MAX_TRIALS)
     coax_frac = mag.finite(coax_frac, "coax_frac", 0.0, inclusive=True)
     if not 0.0 < mag.finite(angle_deg, "angle_deg") <= _ANGLE_CAP_DEG:
         raise ConfigError(f"angle_deg must lie in (0, {_ANGLE_CAP_DEG:g}], "

@@ -166,7 +166,8 @@ class MachineDef:
                         f"gate {g.name!r} references unknown gate {term.gate!r}"
                     )
         mag.finite(self.external_load, "external load", 0.0, inclusive=True)
-        mag.finite(self.n_samples, "n_samples", 16, inclusive=True, integer=True)
+        mag.finite(self.n_samples, "n_samples", 16, inclusive=True, integer=True,
+                   high=ls.MAX_SAMPLES)
 
     def unit_index(self, unit_id: str) -> int:
         for i, u in enumerate(self.units):

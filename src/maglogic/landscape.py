@@ -30,10 +30,12 @@ One evaluator computes U(x) and F(x) of a mover everywhere, in groups:
 each group is a run of points on one profile's sources. The 256-point
 grids of every unit under one (topology, key) are one call with a group
 per unit, a 1025-point basin grid is a call with one group, and a
-lockstep step is a call with groups of one point. A mover in zero field
-keeps the direction of the row before it in its group, and a group's
-first row takes the track axis, so every row of a lockstep step takes
-its own track axis.
+lockstep step is a call with groups of one point. Each call is one
+fused field-and-force pass (:func:`magnetics.field_and_forces`) with the
+bits of a field call and then a force call. A mover in zero field keeps
+the direction of the row before it in its group, and a group's first
+row takes the track axis, so every row of a lockstep step takes its own
+track axis.
 
 Root finding runs as a lockstep engine. Bisection, the stability energy
 triples, the barrier energies and root polishing are generator "machines"
@@ -79,6 +81,9 @@ BISECT_LEVELS = 4
 # minimum would always be zero there)
 CREST_EXCLUSION = 0.01
 _BASIN_GRID = 1025
+# the most samples per profile, about 1000 times a basin grid; checked
+# before any grid is built
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -290,33 +295,37 @@ def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
     Group g is the n track coordinates ``xs[g]`` on the context whose
     :func:`_evaluate` arguments are the g-th rows of the others, as
     :func:`_stack` stacks them: sources ``pos``, ``m`` (G, K, 3). One
-    grouped kernel call per quantity serves every group, and ``force .
-    axis`` is a per-group matmul, so a group of n points has the bits of
+    :func:`magnetics.field_and_forces` pass serves every group: the field,
+    ``key`` added where ``has_key``, the mover moments by the zero-field
+    rule of the module docstring, which acts within each group, and the
+    energy ``const - m.B`` all run on (3, G, n) component planes. ``force
+    . axis`` is a per-group matmul, so a group of n points has the bits of
     a shared-source call on its context and a group of one point those of
-    a 1-point call. The kernels work on component planes but return
-    C-ordered arrays, which the energy's ``einsum("nc,nc->n")`` needs for
-    its bits. ``key`` is added where ``has_key``; the module docstring
-    gives the zero-field rule, which acts within each group.
+    a 1-point call.
     """
-    n_groups, n = xs.shape
+    n = xs.shape[1]
     pts = origin[:, None, :] + xs[..., None] * axis[:, None, :]
-    B = mag.dipole_field(pos, m, pts)
-    np.add(B, key[:, None, :], out=B, where=has_key[:, None, None])
-    norms = np.linalg.norm(B, axis=-1)
-    ok = norms > 1e-30
-    # C-ordered like B: einsum's bits depend on its operands' memory layout
-    u_dirs = np.empty_like(B)
-    np.divide(B, norms[..., None], out=u_dirs, where=ok[..., None])
-    if not ok.all():
-        u_dirs[~ok] = np.broadcast_to(axis[:, None, :], B.shape)[~ok]
-        prev = np.maximum.accumulate(np.where(ok, np.arange(n), -1), axis=1)
-        fill = ~ok & (prev >= 0)
-        u_dirs[fill] = u_dirs[np.nonzero(fill)[0], prev[fill]]
-    moments = m_mag[:, None, None] * u_dirs
-    energy = const[:, None] - np.einsum(
-        "nc,nc->n", moments.reshape(-1, 3), B.reshape(-1, 3)).reshape(n_groups, n)
-    force = mag.dipole_forces(pos, m, pts, moments)
-    return energy, np.matmul(force, axis[:, :, None])[..., 0]
+
+    def orient(B):
+        np.add(B, key.T[..., None], out=B, where=has_key[:, None])
+        # np.linalg.norm's order, (x x + y y) + z z
+        norms = B[0] * B[0]
+        norms += B[1] * B[1]
+        norms += B[2] * B[2]
+        np.sqrt(norms, out=norms)
+        ok = norms > 1e-30
+        u = np.empty_like(B)
+        np.divide(B, norms, out=u, where=ok)
+        if not ok.all():
+            u[:, ~ok] = np.broadcast_to(axis.T[..., None], B.shape)[:, ~ok]
+            prev = np.maximum.accumulate(np.where(ok, np.arange(n), -1), axis=1)
+            fill = ~ok & (prev >= 0)
+            u[:, fill] = u[:, np.nonzero(fill)[0], prev[fill]]
+        u *= m_mag[:, None]
+        return u
+
+    mb, force = mag.field_and_forces(pos, m, pts, orient)
+    return const[:, None] - mb, np.matmul(force, axis[:, :, None])[..., 0]
 
 
 def _stack(ctxs) -> tuple:
@@ -428,7 +437,8 @@ def _latched_positions(units, n_samples, mover_positions) -> dict:
     Checks ``n_samples`` too. A position must name a unit of the topology
     and be a finite real inside that unit's stroke, ends included.
     """
-    mag.finite(n_samples, "n_samples", 16, inclusive=True, integer=True)
+    mag.finite(n_samples, "n_samples", 16, inclusive=True, integer=True,
+               high=MAX_SAMPLES)
     if not isinstance(mover_positions, (dict, type(None))):
         raise ConfigError(f"mover positions must be a dict, got {mover_positions!r}")
     positions = rest_positions(units)

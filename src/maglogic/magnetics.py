@@ -41,6 +41,17 @@ bit-identical to the point-major (N, K, 3) formulation:
 Elementwise ufuncs round the same in any memory layout; reductions and
 BLAS calls need not, which is what these rules pin.
 
+:func:`field_and_forces` is both kernels in one pass over grouped points,
+for test dipoles whose moments follow the field: the offsets ``r`` and
+``r * r`` are made once and feed both distance sums, the caller's
+orientation rule runs on the field's planes, and only the moments (for
+the matmul) and the force come back C-ordered. Its results have the
+bits of the two kernels called one after the other. All three share one
+helper per formula, and each runs its overflow-ignoring ``errstate``
+block once per call around the squares and the powers ``d ** 3`` and
+``d**4``: a source so far away that one of them overflows adds exactly
+zero, with no warning.
+
 The set-up solvers take S source sets at once, each with its own
 geometry: :func:`equilibrium_directions` per-set points, magnitudes,
 fixed fields and fallback axes (S, n, ...), and :func:`assembly_energies`
@@ -74,12 +85,12 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 
 def finite(value, what: str, low=None, inclusive: bool = False,
-           integer: bool = False):
+           integer: bool = False, high=None):
     """``value`` as a float (as an int with ``integer``).
 
     Raises ConfigError naming ``what`` unless ``value`` is a finite real that
-    is not a bool (an integral one with ``integer``) and lies above ``low``
-    (or at it, with ``inclusive``).
+    is not a bool (an integral one with ``integer``), lies above ``low``
+    (or at it, with ``inclusive``) and does not exceed ``high``.
     """
     number = math.nan
     if (isinstance(value, numbers.Integral if integer else numbers.Real)
@@ -89,9 +100,12 @@ def finite(value, what: str, low=None, inclusive: bool = False,
         except OverflowError:  # an int beyond the float range
             pass
     if not (-math.inf < number < math.inf
-            and (low is None or number > low or (inclusive and number == low))):
+            and (low is None or number > low or (inclusive and number == low))
+            and (high is None or number <= high)):
         kind = "an integer" if integer else "a finite number"
         bound = "" if low is None else f" {'>=' if inclusive else '>'} {low:g}"
+        if high is not None:
+            bound += f"{'' if low is None else ' and'} <= {high}"
         raise ConfigError(f"{what} must be {kind}{bound}, got {value!r}")
     return number
 
@@ -331,26 +345,42 @@ def _planes(src_pos, src_m, points):
 def _dot(a, b):
     """Plane dot product ``(a0 b0 + a2 b2) + a1 b1``, np.einsum's order
     for 3-vectors."""
-    p = a * b
+    return _einsum_sum(a * b)
+
+
+def _einsum_sum(p):
+    """``(p0 + p2) + p1`` of (3, ...) planes, np.einsum's order."""
     out = p[0] + p[2]
     out += p[1]
     return out
 
 
-def _sum_sources(terms, shape):
-    """C-ordered ``shape`` (..., 3) sum of (3, K, ...) terms over K,
-    ``k = 0 ... K-1``.
+def _norm_sum(p):
+    """``(p0 + p1) + p2`` of (3, ...) planes, np.linalg.norm's order."""
+    out = p[0] + p[1]
+    out += p[2]
+    return out
+
+
+def _sum_sources(terms, shape=None):
+    """Sum of (3, K, ...) terms over K, ``k = 0 ... K-1``: C-ordered in the
+    points' ``shape`` (..., 3), or as (3, ...) planes without one.
 
     A running sum: ``terms.sum(axis=1)`` sums pairwise when there is one
     point and K >= 8, and so rounds differently from a K-long loop.
     """
     k = terms.shape[1]
-    if k == 0:
-        return np.zeros(shape)
     # np.empty, not np.zeros: calloc can hand out fresh pages, and a demo
     # sweep round took about 1.7k more minor page faults with np.zeros
-    out = np.empty(shape)
-    acc = out.reshape(-1, 3).T
+    if shape is None:
+        out = np.empty(terms.shape[:1] + terms.shape[2:])
+        acc = out.reshape(3, -1)
+    else:
+        out = np.empty(shape)
+        acc = out.reshape(-1, 3).T
+    if k == 0:
+        acc[...] = 0.0
+        return out
     terms = terms.reshape(3, k, acc.shape[1])
     if k == 1:
         np.copyto(acc, terms[:, 0])
@@ -361,26 +391,19 @@ def _sum_sources(terms, shape):
     return out
 
 
-def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Field of point dipoles summed at ``points``.
+def _field(r, d2, m, shape=None):
+    """Field of the sources at offsets ``r`` (3, K, ...), squared distances
+    ``d2`` and moment planes ``m``, summed over K as :func:`_sum_sources`
+    lays it out for ``shape``.
 
-    src_pos, src_m : (K, 3), shared by every point, or (N, K, 3), one source
-    set per point (row); points : (N, 3) or one point (3,). Grouped: sources
-    (G, K, 3) and points (G, n, 3), group g's n points with its own K
-    sources. Returns C-ordered tesla of the points' shape, computed on
-    component planes with the bit rules of the module docstring. A row of a
-    per-row call has the bits of a 1-point call with that row's sources,
-    and a group those of a shared-source call on its points.
+    ``d2 = (x x + z z) + y y``, np.einsum's order. Call it where overflow
+    is ignored: a source so far away that ``d2`` or ``d ** 3`` overflows
+    adds exactly 0.
     """
-    pts = np.asarray(points, dtype=float)
-    r, m, _ = _planes(src_pos, src_m, pts)
-    # a source so far away that the square overflows has field exactly 0
-    with np.errstate(over="ignore"):
-        d2 = _dot(r, r)
     d = np.sqrt(d2)
     if (d < COINCIDENCE_EPS).any():
         raise SingularConfigError("field point coincides with a dipole")
-    return _sum_sources(_field_terms(r, d2, d ** 3, m), pts.shape)
+    return _sum_sources(_field_terms(r, d2, d ** 3, m), shape)
 
 
 def _field_terms(r, d2, d3, m):
@@ -402,6 +425,54 @@ def _field_terms(r, d2, d3, m):
     return B
 
 
+def _force(r, d, m, src_m, moments, t, shape):
+    """Force on test moments from the sources at offsets ``r``, summed over
+    K, C-ordered in the points' ``shape``; ``r`` and ``d`` are overwritten.
+
+    ``d`` is the squared distance ``(x x + y y) + z z``, np.linalg.norm's
+    order; ``moments`` are C-ordered (G, n, 3) and ``t`` their
+    (3, 1, G, n) planes; ``m`` and ``src_m`` as :func:`_planes` gives them.
+    ``test_m.src_m`` is one matmul per group. Call it where overflow is
+    ignored: a source so far away that ``d`` or ``d**4`` overflows exerts
+    exactly 0.
+    """
+    np.sqrt(d, out=d)
+    if (d < COINCIDENCE_EPS).any():
+        raise SingularConfigError("a dipole coincides with a source dipole")
+    r /= d  # rhat
+    mbr = _dot(t, r)
+    mar = _dot(m, r)
+    mamb = np.matmul(moments, src_m.transpose(0, 2, 1)).transpose(2, 0, 1)
+    coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
+    w = 5.0 * mar
+    w *= mbr
+    np.subtract(mamb, w, out=w)
+    F = mar * t
+    F += mbr * m
+    r *= w
+    F += r
+    F *= coef
+    return _sum_sources(F, shape)
+
+
+def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Field of point dipoles summed at ``points``.
+
+    src_pos, src_m : (K, 3), shared by every point, or (N, K, 3), one source
+    set per point (row); points : (N, 3) or one point (3,). Grouped: sources
+    (G, K, 3) and points (G, n, 3), group g's n points with its own K
+    sources. Returns C-ordered tesla of the points' shape, computed on
+    component planes with the bit rules of the module docstring. A row of a
+    per-row call has the bits of a 1-point call with that row's sources,
+    and a group those of a shared-source call on its points.
+    """
+    pts = np.asarray(points, dtype=float)
+    r, m, _ = _planes(src_pos, src_m, pts)
+    # a source so far away that its powers overflow has field exactly 0
+    with np.errstate(over="ignore"):
+        return _field(r, _dot(r, r), m, pts.shape)
+
+
 def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     """Net force on test dipoles (points[i], moments[i]) from fixed dipoles.
 
@@ -414,28 +485,41 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     r, m, src_m = _planes(src_pos, src_m, pts)
     mts = np.asarray(moments, dtype=float).reshape(*r.shape[2:], 3)
-    # a source so far away that the square overflows exerts exactly 0
+    t = np.ascontiguousarray(mts.transpose(2, 0, 1))[:, None]
+    # a source so far away that its powers overflow exerts exactly 0
+    with np.errstate(over="ignore"):
+        return _force(r, _norm_sum(r * r), m, src_m, mts, t, pts.shape)
+
+
+def field_and_forces(src_pos, src_m, points, orient):
+    """``m.B`` and the force of test dipoles at grouped points whose
+    moments ``m`` the field ``B`` there sets, in one pass.
+
+    src_pos, src_m : (G, K, 3); points : (G, n, 3). ``orient`` takes the
+    sources' field as (3, G, n) component planes, may add a uniform field
+    to them in place, and returns the moments as (3, G, n) planes.
+    Returns ``m.B`` (G, n) with the field that ``orient`` left, in
+    np.einsum's order, and the force C-ordered (G, n, 3).
+
+    The offsets and their squares are made once and feed both distance
+    sums, and every result has the bits of :func:`dipole_field`, then
+    :func:`dipole_forces` on C-ordered (G, n, 3) moments: the two
+    coincidence checks run in that order, with their messages. Overflow
+    is ignored throughout, ``orient`` included.
+    """
+    r, m, src_m = _planes(src_pos, src_m, points)
     with np.errstate(over="ignore"):
         p = r * r
-    d = p[0] + p[1]
-    d += p[2]
-    np.sqrt(d, out=d)
-    if (d < COINCIDENCE_EPS).any():
-        raise SingularConfigError("a dipole coincides with a source dipole")
-    r /= d  # rhat
-    t = np.ascontiguousarray(mts.transpose(2, 0, 1))[:, None]
-    mbr = _dot(t, r)
-    mar = _dot(m, r)
-    mamb = np.matmul(mts, src_m.transpose(0, 2, 1)).transpose(2, 0, 1)
-    coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
-    w = 5.0 * mar
-    w *= mbr
-    np.subtract(mamb, w, out=w)
-    F = mar * t
-    F += np.multiply(mbr, m, out=p)
-    F += np.multiply(w, r, out=p)
-    F *= coef
-    return _sum_sources(F, pts.shape)
+        d2, d = _einsum_sum(p), _norm_sum(p)
+        # each pass's temporaries are freed before the next one's are made:
+        # kept alive, they made glibc trim and regrow its heap on every call
+        del p
+        B = _field(r, d2, m)
+        del d2
+        t = orient(B)
+        force = _force(r, d, m, src_m, np.ascontiguousarray(t.transpose(1, 2, 0)),
+                       t[:, None], points.shape)
+    return _dot(t, B), force
 
 
 def pair_energy(a: MagnetSource, b: MagnetSource) -> float:

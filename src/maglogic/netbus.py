@@ -40,6 +40,9 @@ DOWN = np.array([0.0, 0.0, -1.0])  # master hovers above its target node
 DEFAULT_ISOLATION_FRAC = 0.75  # neighbor must fall below this x threshold
 _CALIBRATION_HEADROOM = 1e-6  # keeps the target strictly at/above threshold
 _SPACING_XTOL = 1e-6  # m, bisection stop of min_spacing
+# the most endurance cycles: 200 times the shipped campaign's 5000, checked
+# before any per-cycle array is built
+MAX_CYCLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -494,7 +497,8 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     Without noise every cycle is the nominal pose, so that pose is decoded
     once and counted n_cycles times.
     """
-    n_cycles = mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True)
+    n_cycles = mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True,
+                          high=MAX_CYCLES)
     seed = mag.finite(seed, "seed", 0, inclusive=True, integer=True)
     noise = dict(noise or {})
     angle_sigma = mag.finite(noise.pop("angle_sigma_deg", 0.0),

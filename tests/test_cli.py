@@ -229,11 +229,13 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert rc == 2
     assert "+q" in capsys.readouterr().err
 
-    rc = cli.main(["design", shipped("pair_design_space.json"),
-                   "--budget", "0", "--out", str(tmp_path / "r.json")])
-    assert rc == 2
+    for budget in ("0", "1000000000000"):
+        rc = cli.main(["design", shipped("pair_design_space.json"),
+                       "--budget", budget, "--out", str(tmp_path / "r.json")])
+        assert rc == 2
 
-    for samples in ("0", "8"):  # 0 is too few samples, not the default
+    # 0 is too few samples, not the default; 10**12 is past the bound
+    for samples in ("0", "8", "1000000000000"):
         rc = cli.main(["landscape", shipped("demo_topology.json"),
                        "--unit", "alpha", "--samples", samples,
                        "--out", str(tmp_path / "s.csv")])

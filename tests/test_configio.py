@@ -5,8 +5,10 @@ each must parse, re-serialize canonically, and re-parse to the same
 document. Loaders must reject unknown fields at any depth.
 """
 
+import dataclasses
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -322,3 +324,46 @@ def test_dumps_canonical_is_order_insensitive():
     b = {"nested": {"x": True, "y": None}, "a": [1.5, 2.25], "b": 1}
     assert cio.dumps_canonical(a) == cio.dumps_canonical(b)
     assert cio.dumps_canonical(a).endswith("\n")
+
+
+def _sizes():
+    """Each bounded size, its bound and a call that checks it."""
+    from maglogic import design as dg
+    from maglogic import landscape as ls
+
+    lattice = dg.Lattice(0.03, ((0, 2), (0, 0), (0, 0)))
+    spec = pr.demo_topology()[0].track.mover
+    template = dg.UnitTemplate(spec, spec, 0.013, 0.008, 4.5e-4)
+    candidate = dg.CandidateTopology(tuple(pr.demo_topology()), tuple(pr.demo_keys()))
+    grid = pr.demo_grid()
+    return [
+        ("n_samples", ls.MAX_SAMPLES,
+         lambda v: ls.sample_profile(pr.demo_topology(), "alpha", None, v)),
+        ("n_samples", ls.MAX_SAMPLES,
+         lambda v: dataclasses.replace(pr.mission_machine(), n_samples=v)),
+        ("budget", dg.MAX_BUDGET,
+         lambda v: next(dg.enumerate_candidates(lattice, 1, (), template, v))),
+        ("n_trials", dg.MAX_TRIALS,
+         lambda v: dg.sensitivity_sweep(candidate, 0.1, 20.0, v, 3)),
+        ("n_cycles", nb.MAX_CYCLES,
+         lambda v: nb.endurance_campaign(grid, pr.demo_bus_commands(grid)[0], v,
+                                         {"angle_sigma_deg": 1.0})),
+        ("cycles", nb.MAX_CYCLES,
+         lambda v: cio.campaign_from_doc(pr.demo_campaign_doc(cycles=v), "c.json")),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_sizes())))
+def test_sizes_past_their_bound_fail_before_any_array_is_built(case):
+    """One past each bound, and 10**12, are config errors raised while
+    less than 1 MiB has been allocated."""
+    name, bound, call = _sizes()[case]
+    for value in (bound + 1, 10**12):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"{name} must be an integer .*<= {bound}"):
+                call(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

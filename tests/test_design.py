@@ -584,3 +584,87 @@ def test_assembly_energy_is_invariant_under_box_symmetry(placements):
         moved = dg._candidate_valid(image, XZ_LATTICE, template())
         assert moved is not None
         assert _assembly_energy(moved) == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def _frozen_transform_placement(placement, perm, signs, extents):
+    site, moment, axis = placement
+    det = dg._perm_sign(perm) * signs[0] * signs[1] * signs[2]
+    new_site = []
+    new_m = []
+    new_ax = []
+    for i in range(3):
+        lo_i, hi_i = extents[i]
+        lo_p, hi_p = extents[perm[i]]
+        if signs[i] > 0:
+            new_site.append(lo_i + (site[perm[i]] - lo_p))
+        else:
+            new_site.append(lo_i + (hi_p - site[perm[i]]))
+        new_m.append(det * signs[i] * moment[perm[i]])
+        new_ax.append(signs[i] * axis[perm[i]])
+    rnd = lambda v: tuple(round(c, 9) + 0.0 for c in v)
+    return (tuple(new_site), rnd(new_m), rnd(new_ax))
+
+
+def _frozen_canonical_key(placements, group, extents):
+    """The canonical key as it was before the per-element maps, kept
+    verbatim with its placement transform as the reference."""
+    best = None
+    base = tuple(sorted(placements))
+    for perm, signs in group:
+        image = tuple(
+            sorted(_frozen_transform_placement(p, perm, signs, extents) for p in base)
+        )
+        if best is None or image < best:
+            best = image
+    return best
+
+
+# (1, 2, 0), (1, 1, 1) and (0, -3, 4) normalized: their images round to 9
+# digits, and a sign flip of a zero component gives -0.0 before rounding
+OBLIQUE = ((1, 2, 0), (1, 1, 1), (0, -3, 4), (-1, 0, 0))
+CUBE_LATTICE = dg.Lattice(0.03, ((0, 1), (0, 1), (0, 1)), XZ_AXES + ((0, 1, 0),),
+                          XZ_AXES[:2] + ((0, 0, -1),))
+OBLIQUE_LATTICE = dg.Lattice(0.03, ((0, 1), (0, 1), (0, 1)), OBLIQUE, OBLIQUE[1:])
+KEY_LATTICES = {"xz_3x2x3": (XZ_LATTICE, 16), "cube": (CUBE_LATTICE, 48),
+                "cube_oblique": (OBLIQUE_LATTICE, 48)}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_LATTICES))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_canonical_keys_match_the_frozen_key(name, data):
+    """Several placement tuples keyed by one set of maps, as one
+    enumeration keys its candidates, give the frozen key's values and
+    reprs (so a -0.0 would show)."""
+    lattice, n_elements = KEY_LATTICES[name]
+    group = dg._box_symmetry_group(lattice.extents)
+    assert len(group) == n_elements
+    placement = st.tuples(st.sampled_from(lattice.sites()),
+                          st.sampled_from(lattice.allowed_orientations),
+                          st.sampled_from(lattice.allowed_track_axes))
+    tuples = data.draw(st.lists(st.lists(placement, min_size=1, max_size=3).map(tuple),
+                                min_size=1, max_size=6))
+    key = dg._canonical_keys(group, lattice.extents)
+    for placements in tuples:
+        got = key(placements)
+        want = _frozen_canonical_key(placements, group, lattice.extents)
+        assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("lattice, n_units, budget, seed", [
+    (XZ_LATTICE, 2, 120, 1),  # the benchmark's sampled screen
+    (PAIR_LATTICE, 2, 300, 0),  # exhaustive
+    (OBLIQUE_LATTICE, 2, 60, 3),  # sampled
+    (OBLIQUE_LATTICE, 1, 100, 0),  # exhaustive
+])
+def test_enumeration_hashes_match_the_frozen_key(monkeypatch, lattice, n_units, budget,
+                                                 seed):
+    def enumerate_hashes():
+        return [(repr(c.placements), c.candidate_hash) for c in dg.enumerate_candidates(
+            lattice, n_units, (), template(), budget, seed)]
+
+    got = enumerate_hashes()
+    monkeypatch.setattr(dg, "_canonical_keys", lambda group, extents: (
+        lambda placements: _frozen_canonical_key(placements, group, extents)))
+    assert got == enumerate_hashes()
+    assert got

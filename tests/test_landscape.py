@@ -19,6 +19,7 @@ Hand-derived anchors used below (pure point-dipole closed forms):
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -1221,6 +1222,80 @@ def test_zero_field_rule_stays_inside_each_group():
     # within a group the zero-field row continues the row before it
     energy, force = ls._evaluate(*ls._stack([bare]), np.array([[0.013, 0.015]]))
     assert force[0, 1] == pytest.approx(-0.73728, rel=1e-9)
+
+
+def _composed_evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
+    """The evaluator as a ``dipole_field`` call and then a ``dipole_forces``
+    call on C-ordered (G, n, 3) arrays, kept verbatim from before the fused
+    pass as the reference it must match bit for bit."""
+    n_groups, n = xs.shape
+    pts = origin[:, None, :] + xs[..., None] * axis[:, None, :]
+    B = mag.dipole_field(pos, m, pts)
+    np.add(B, key[:, None, :], out=B, where=has_key[:, None, None])
+    norms = np.linalg.norm(B, axis=-1)
+    ok = norms > 1e-30
+    u_dirs = np.empty_like(B)
+    np.divide(B, norms[..., None], out=u_dirs, where=ok[..., None])
+    if not ok.all():
+        u_dirs[~ok] = np.broadcast_to(axis[:, None, :], B.shape)[~ok]
+        prev = np.maximum.accumulate(np.where(ok, np.arange(n), -1), axis=1)
+        fill = ~ok & (prev >= 0)
+        u_dirs[fill] = u_dirs[np.nonzero(fill)[0], prev[fill]]
+    moments = m_mag[:, None, None] * u_dirs
+    energy = const[:, None] - np.einsum(
+        "nc,nc->n", moments.reshape(-1, 3), B.reshape(-1, 3)).reshape(n_groups, n)
+    force = mag.dipole_forces(pos, m, pts, moments)
+    return energy, np.matmul(force, axis[:, :, None])[..., 0]
+
+
+def _assert_fused_is_composed(args, xs):
+    for got, want in zip(ls._evaluate(*args, xs), _composed_evaluate(*args, xs)):
+        assert got.shape == want.shape == xs.shape
+        assert np.array_equal(got, want)
+
+
+def test_fused_evaluator_matches_the_composed_kernels():
+    """Bit for bit on every batch topology: a 1025-point basin grid, three
+    256-point profile grids and a 60-row lockstep step, then zero-field
+    rows first in a group and later in one."""
+    rng = np.random.default_rng(16)
+    for ctxs in _batches():
+        stacked = ls._stack(ctxs)
+        strokes = np.array([c.track.stroke for c in ctxs])
+        for n_groups, n in ((1, ls._BASIN_GRID), (3, ls.DEFAULT_SAMPLES), (60, 1)):
+            rows = rng.integers(0, len(ctxs), n_groups)
+            xs = np.array([np.linspace(*strokes[i], n) if n > 1
+                           else [rng.uniform(*strokes[i])] for i in rows])
+            _assert_fused_is_composed([a[rows] for a in stacked], xs)
+    keyed, bare = _batches()[-1]
+    _assert_fused_is_composed(ls._stack([keyed, bare]),
+                              np.array([[0.015, 0.016, 0.015], [0.015, 0.013, 0.015]]))
+    _assert_fused_is_composed(ls._stack([bare, keyed, bare]), np.full((3, 1), 0.015))
+
+
+def test_fused_evaluator_raises_the_field_coincidence_first():
+    _, bare = _batches()[-1]
+    args = [a.copy() for a in ls._stack([bare])]
+    origin, axis, pos = args[0], args[1], args[3]
+    pos[0, 1] = origin[0] + 0.014 * axis[0]
+    for evaluate in (ls._evaluate, _composed_evaluate):
+        with pytest.raises(SingularConfigError, match="^field point coincides with a dipole$"):
+            evaluate(*args, np.array([[0.013, 0.014]]))
+
+
+def test_fused_evaluator_far_sources_without_warnings():
+    """Fixed dipoles 1e80 m and 1e120 m away exert exactly zero force and
+    raise no RuntimeWarning; the energy is the composed kernels'."""
+    _, bare = _batches()[-1]
+    xs = np.array([[0.013, 0.015, 0.021]])
+    for distance in (1e80, 1e120):
+        args = [a.copy() for a in ls._stack([bare])]
+        args[3][:] = (0.0, 0.0, distance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy, force = ls._evaluate(*args, xs)
+        assert np.array_equal(force, np.zeros_like(xs))
+        assert np.array_equal(energy, _composed_evaluate(*args, xs)[0])
 
 
 _SCALED = {"demo": pr.demo_topology, "pair": pr.pair_orthogonal}

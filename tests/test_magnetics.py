@@ -10,6 +10,7 @@ formulas before the implementation existed:
     F_coax      = 3 MU0 m^2 / (2 pi r^4) = 6.0e-7, attractive
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -88,7 +89,9 @@ def test_finite_and_vector_helpers():
     assert mag.finite(np.int64(3), "n", integer=True) == 3
     assert mag.finite(0, "x", 0.0, inclusive=True) == 0.0
     assert mag.finite(10**400, "n", 1, integer=True) == 10**400
+    assert mag.finite(5, "n", 1, integer=True, high=5) == 5
     for bad, kwargs in ((0.0, {"low": 0.0}), (-1, {"low": 0, "inclusive": True}),
+                        (6, {"high": 5}), (10**400, {"integer": True, "high": 5}),
                         (float("nan"), {}), (float("-inf"), {}), (10**400, {}),
                         (True, {}), (False, {"integer": True}), ("1", {}),
                         (None, {}), (1.0, {"integer": True}), (1.7, {"integer": True})):
@@ -307,17 +310,24 @@ def test_grouped_calls_raise_on_coincidence():
 
 
 def test_far_source_is_exactly_zero_without_warnings():
-    """A source so far away that the squared offset overflows gives the
-    exact far-field limit, zero, and no RuntimeWarning."""
-    far = np.array([[0.0, 0.0, 1e200]])
+    """A source so far away that ``d**4`` (1e80 m), ``d ** 3`` (1e120 m)
+    or the squared offset (1e200 m) overflows exerts exactly zero force,
+    with no RuntimeWarning. Its field is exactly zero once ``d ** 3``
+    overflows, and the frozen reference's tiny value before."""
     pts = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for pos in (far, np.broadcast_to(far, (2, 1, 3))):
-            m = np.broadcast_to(EZ, pos.shape)
-            assert np.array_equal(mag.dipole_field(pos, m, pts), np.zeros((2, 3)))
-            assert np.array_equal(mag.dipole_forces(pos, m, pts, np.ones((2, 3))),
-                                  np.zeros((2, 3)))
+    for distance, shape in itertools.product((1e80, 1e120, 1e200), ((1, 3), (2, 1, 3))):
+        pos = np.broadcast_to([0.0, 0.0, distance], shape)
+        m = np.broadcast_to(EZ, pos.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = mag.dipole_field(pos, m, pts)
+            force = mag.dipole_forces(pos, m, pts, np.ones((2, 3)))
+        assert np.array_equal(force, np.zeros((2, 3)))
+        if distance < 1e100:
+            assert np.array_equal(field, ref_dipole_field(pos, m, pts))
+            assert np.all(field[:, 2] != 0.0)
+        else:
+            assert np.array_equal(field, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
