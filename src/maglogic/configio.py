@@ -51,21 +51,25 @@ def dumps_canonical(doc: dict) -> str:
 
 
 def write_atomic(path, text: str) -> None:
-    """Write text to path via a sibling temp file and an atomic rename."""
+    """Write text to path via a sibling temp file and an atomic rename; a
+    path that cannot be written is a ConfigError."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".maglogic-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.chmod(tmp, 0o644)  # mkstemp defaults to owner-only
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".maglogic-", suffix=".part")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o644)  # mkstemp defaults to owner-only
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def read_text(path) -> str:

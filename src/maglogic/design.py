@@ -415,20 +415,21 @@ def selectivity_filter(
 
 def _selectivity_matrix(units, key_set, per_key, thresholds) -> SelectivityMatrix:
     """:func:`selectivity_filter`'s matrix from the decisions of every unit
-    under each key (one dict per key, as ``decisions_for_keys`` gives)."""
+    under each key (one dict per key, as ``decisions_for_keys`` gives).
+
+    A key is assigned to a unit when exactly that unit DRIVEs, at a peak of
+    at least drive_min, and no cell of the key's row is WEAK; the matrix
+    passes when every key is assigned, each to a different unit.
+    """
     th = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         th.update(thresholds)
-    rows = []
-    assignment = []
-    passed = True
-    for key, decisions in zip(key_set, per_key):
+    rows, targets = [], []
+    for decisions in per_key:
         row = []
-        drive_cols = []
-        for uid, d in decisions.items():
+        for d in decisions.values():
             if d.snap_through:
                 row.append(SelectivityCell("DRIVE", d.driving_peak, None, 0.0))
-                drive_cols.append(uid)
             elif (d.anchoring_force is not None
                   and d.anchoring_force >= th["anchor_min"]):
                 row.append(
@@ -441,29 +442,20 @@ def _selectivity_matrix(units, key_set, per_key, thresholds) -> SelectivityMatri
                     SelectivityCell("WEAK", d.driving_peak, d.anchoring_force, 0.0)
                 )
         rows.append(tuple(row))
-        if len(drive_cols) == 1:
-            target = drive_cols[0]
-            peak_ok = decisions[target].driving_peak >= th["drive_min"]
-            others_ok = all(
-                c.entry == "ANCHOR"
-                for u, c in zip(units, row)
-                if u.id != target
-            )
-            if peak_ok and others_ok:
-                assignment.append((key.label, target))
-            else:
-                passed = False
-        else:
-            passed = False
-    if passed:
-        targets = [t for _, t in assignment]
-        passed = len(set(targets)) == len(targets) and len(assignment) == len(key_set)
+        # with one DRIVE cell, no WEAK cell means every other unit anchors
+        drives = [uid for uid, c in zip(decisions, row) if c.entry == "DRIVE"]
+        one_hot = (len(drives) == 1
+                   and decisions[drives[0]].driving_peak >= th["drive_min"]
+                   and all(c.entry != "WEAK" for c in row))
+        targets.append(drives[0] if one_hot else None)
+    labels = tuple(k.label for k in key_set)
+    passed = None not in targets and len(set(targets)) == len(targets)
     return SelectivityMatrix(
-        tuple(k.label for k in key_set),
+        labels,
         tuple(u.id for u in units),
         tuple(rows),
-        bool(passed),
-        tuple(assignment) if passed else None,
+        passed,
+        tuple(zip(labels, targets)) if passed else None,
         ls.total_magnet_volume(units),
     )
 
@@ -513,32 +505,21 @@ def compactness(candidate) -> float:
     Items in the iterable may be units or bare ``MagnetSource`` stators.
     """
     units, _ = _units_and_keys(candidate)
-    lo = np.full(3, np.inf)
-    hi = np.full(3, -np.inf)
-    divisor = 0.0
-    n_stators = 0
-
-    def add_stator(s):
-        nonlocal divisor, n_stators, lo, hi
-        if s.spec is None:
-            raise ConfigError("compactness needs stator specs")
-        n_stators += 1
-        divisor = max(divisor, _spec_longest(s.spec))
-        b_lo, b_hi = _body_bounds(s.position, s.moment, s.spec)
-        lo, hi = np.minimum(lo, b_lo), np.maximum(hi, b_hi)
-
+    stators, boxes = [], []
     for u in units:
         if isinstance(u, mag.MagnetSource):
-            add_stator(u)
+            stators.append(u)
             continue
-        for s in u.stators:
-            add_stator(s)
-        for xend in u.track.stroke:
-            b_lo, b_hi = _body_bounds(u.track.point(xend), u.track.axis, u.track.mover)
-            lo, hi = np.minimum(lo, b_lo), np.maximum(hi, b_hi)
-    if n_stators == 0:
+        stators += u.stators
+        boxes += [_body_bounds(u.track.point(xend), u.track.axis, u.track.mover)
+                  for xend in u.track.stroke]
+    if not stators:
         raise ConfigError("compactness needs at least one stator")
-    return float((hi - lo).max() / divisor)
+    if any(s.spec is None for s in stators):
+        raise ConfigError("compactness needs stator specs")
+    boxes += [_body_bounds(s.position, s.moment, s.spec) for s in stators]
+    lo, hi = np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
+    return float((hi - lo).max() / max(_spec_longest(s.spec) for s in stators))
 
 
 def activation_pattern(units, key) -> frozenset:

@@ -40,6 +40,10 @@ AXIS_DIRECTIONS = {
     "-z": (0.0, 0.0, -1.0),
 }
 
+# the most pulse statements a program may expand to, repeats included;
+# checked before any repeat is expanded
+MAX_PULSES = 1_000_000
+
 _MAG_UNITS = {"T": 1.0, "mT": 1e-3, "uT": 1e-6}
 _DUR_UNITS = {"s": 1.0, "ms": 1e-3}
 
@@ -210,17 +214,20 @@ def _parse_block(s: str, pos: int, depth: int):
             return items, pos + 1
         m = _REPEAT_RE.match(s, pos)
         if m:
-            count = int(m.group(1))
-            inner, pos = _parse_block(s, m.end(), depth + 1)
-            items.extend(inner * count)
-            continue
-        end = pos
-        while end < n and s[end] not in ";\n}":
-            end += 1
-        stmt = s[pos:end].strip()
-        if stmt:
-            items.append(stmt)
-        pos = end
+            try:
+                count = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                count = MAX_PULSES + 1
+            block, pos = _parse_block(s, m.end(), depth + 1)
+        else:
+            end = pos
+            while end < n and s[end] not in ";\n}":
+                end += 1
+            block, count, pos = [s[pos:end].strip()], 1, end
+        # checked before the block is repeated, so nested repeats are bounded too
+        if len(items) + len(block) * count > MAX_PULSES:
+            raise ProgramParseError(f"program expands to more than {MAX_PULSES:,} pulses")
+        items.extend(block * count)
     if depth > 0:
         raise ProgramParseError("unterminated repeat block")
     return items, pos

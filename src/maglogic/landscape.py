@@ -26,16 +26,14 @@ screen sets a batch of candidate topologies of one shape up together.
 This keeps the force/energy consistency exact and captures the
 leading-order coupling between units.
 
-One evaluator computes U(x) and F(x) of a mover everywhere, in groups:
-each group is a run of points on one profile's sources. The 256-point
-grids of every unit under one (topology, key) are one call with a group
-per unit, a 1025-point basin grid is a call with one group, and a
-lockstep step is a call with groups of one point. Each call is one
-fused field-and-force pass (:func:`magnetics.field_and_forces`) with the
-bits of a field call and then a force call. A mover in zero field keeps
-the direction of the row before it in its group, and a group's first
-row takes the track axis, so every row of a lockstep step takes its own
-track axis.
+One evaluator computes U(x) and F(x) of a mover everywhere, in groups
+of points on one profile's sources: the 256-point grids of every unit
+under one (topology, key) are one call with a group per unit, a
+1025-point basin grid is a call with one group, and a lockstep step is a
+call with groups of one point. The ``magnetics`` module docstring gives
+the layout and the bit rules of its one fused pass. A mover in zero
+field keeps the direction of the row before it in its group, and a
+group's first row takes the track axis.
 
 Root finding runs as a lockstep engine. Bisection, the stability energy
 triples, the barrier energies and root polishing are generator "machines"
@@ -176,23 +174,14 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
     runs for all of its keys at once.
     """
     units = list(topology)
-    _, _, dirs = _orientations(units, positions, *_key_vectors([key]))
-    return {u.id: dirs[0, i] for i, u in enumerate(units)}
+    _, _, dirs = _batch_orientations([units], [positions], *_key_vectors([key]))
+    return {u.id: dirs[0, 0, i] for i, u in enumerate(units)}
 
 
 def _key_vectors(keys):
     """Key vectors (Q, 3), zero for a None key, and the (Q,) has-key mask."""
     return (np.array([np.zeros(3) if k is None else k.vector for k in keys]).reshape(-1, 3),
             np.array([k is not None for k in keys], dtype=bool))
-
-
-def _orientations(units, positions, kvecs, has_key):
-    """Mover centres (n, 3), moment magnitudes (n,) and the directions
-    (Q, n, 3) of :func:`equilibrate_orientations` under Q keys
-    (:func:`_key_vectors`): the one-topology case of
-    :func:`_batch_orientations`."""
-    pts, mags, dirs = _batch_orientations([units], [positions], kvecs, has_key)
-    return pts[0], mags[0], dirs[0]
 
 
 def _shape(units) -> tuple:
@@ -206,7 +195,7 @@ def _shape(units) -> tuple:
 def _batch_orientations(topologies, positions, kvecs, has_key):
     """Mover centres (T, n, 3), moment magnitudes (T, n) and the directions
     (T, Q, n, 3) of T topologies of one :func:`_shape`, each latched at its
-    ``positions`` dict, under Q keys.
+    ``positions`` dict, under Q keys (:func:`_key_vectors`).
 
     One lockstep :func:`magnetics.equilibrium_directions` solve takes a set
     per (topology, key). The stator field at the movers is summed stator by
@@ -251,7 +240,10 @@ class LandscapeProfile:
 
     xs are track coordinates (endpoints included), energy in joules (full
     assembly energy with the target at x), force_axial in newtons (axial
-    component of the net magnetic force on the target mover).
+    component of the net magnetic force on the target mover). ``track`` is
+    the unit's track and ``_args`` the profile's rows of :func:`_evaluate`'s
+    arguments but ``xs``, built by :func:`_batch_profiles`: without them
+    the profile cannot be evaluated off its samples.
     """
 
     unit_id: str
@@ -260,7 +252,8 @@ class LandscapeProfile:
     energy: np.ndarray
     force_axial: np.ndarray
     equilibria: tuple | None = None
-    _ctx: "_ProfileContext | None" = None
+    track: MoverTrack | None = None
+    _args: tuple | None = None
 
     @property
     def x_in(self) -> float:
@@ -271,37 +264,23 @@ class LandscapeProfile:
         return float(self.xs[-1])
 
 
-class _ProfileContext:
-    """Re-evaluation closure bound to one (topology, unit, key) combination.
-
-    ``args`` are one group's rows of :func:`_evaluate`'s arguments but
-    ``xs``, built by :func:`_batch_profiles`.
-    """
-
-    def __init__(self, track, args):
-        self.track = track
-        self.args = args
-
-    def evaluate(self, xs):
-        """Energy and axial force at track coordinates xs (any length)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        energy, force = _evaluate(*(a[None] for a in self.args), xs[None])
-        return energy[0], force[0]
+def _evaluate_at(profile: LandscapeProfile, xs):
+    """Energy and axial force of ``profile`` at track coordinates xs (any
+    length), one group."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    energy, force = _evaluate(*(a[None] for a in profile._args), xs[None])
+    return energy[0], force[0]
 
 
 def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
     """Energy and axial force (G, n) of G groups of mover positions.
 
-    Group g is the n track coordinates ``xs[g]`` on the context whose
+    Group g is the n track coordinates ``xs[g]`` on the profile whose
     :func:`_evaluate` arguments are the g-th rows of the others, as
     :func:`_stack` stacks them: sources ``pos``, ``m`` (G, K, 3). One
-    :func:`magnetics.field_and_forces` pass serves every group: the field,
-    ``key`` added where ``has_key``, the mover moments by the zero-field
-    rule of the module docstring, which acts within each group, and the
-    energy ``const - m.B`` all run on (3, G, n) component planes. ``force
-    . axis`` is a per-group matmul, so a group of n points has the bits of
-    a shared-source call on its context and a group of one point those of
-    a 1-point call.
+    :func:`magnetics.field_and_forces` pass serves every group, ``key``
+    added to the field where ``has_key``, the moments by the zero-field
+    rule of the module docstring; ``force . axis`` is a per-group matmul.
     """
     n = xs.shape[1]
     pts = origin[:, None, :] + xs[..., None] * axis[:, None, :]
@@ -328,28 +307,30 @@ def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
     return const[:, None] - mb, np.matmul(force, axis[:, :, None])[..., 0]
 
 
-def _stack(ctxs) -> tuple:
-    """:func:`_evaluate`'s arguments, one group per context, of contexts
+def _stack(profiles) -> tuple:
+    """:func:`_evaluate`'s arguments, one group per profile, of profiles
     of topologies of one :func:`_shape`.
 
-    Every such context has the same fixed-dipole count K (all stators plus
-    every mover but its own), so the fixed dipoles stack into (C, K, 3)
+    Every such profile has the same fixed-dipole count K (all stators plus
+    every mover but its own), so the fixed dipoles stack into (P, K, 3)
     arrays without padding.
     """
-    return tuple(np.stack(a) for a in zip(*(c.args for c in ctxs)))
+    if any(p._args is None for p in profiles):
+        raise MaglogicError("profile lost its evaluation context")
+    return tuple(np.stack(a) for a in zip(*(p._args for p in profiles)))
 
 
 def _evaluate_rows(stacked, rows, xs):
-    """Energy and axial force of context ``rows[i]`` at ``xs[i]``, one pass
+    """Energy and axial force of profile ``rows[i]`` at ``xs[i]``, one pass
     of groups of one point."""
     energy, force = _evaluate(*(a[rows] for a in stacked), xs[:, None])
     return energy[:, 0], force[:, 0]
 
 
-def _lockstep(ctxs, machines):
+def _lockstep(profiles, machines):
     """Run root-finding machines in lockstep; return their results in order.
 
-    ``machines[i]`` is a generator on context ``ctxs[i]``: it yields a list
+    ``machines[i]`` is a generator on profile ``profiles[i]``: it yields a list
     of track coordinates, is sent their (energy, axial force) arrays back,
     and returns its result. Each step evaluates the points of every open
     machine in one :func:`_evaluate_rows` pass, so a machine sees exactly
@@ -357,7 +338,7 @@ def _lockstep(ctxs, machines):
     """
     if not machines:
         return []
-    stacked = _stack(ctxs)
+    stacked = _stack(profiles)
     run = _gather([_tagged(i, m) for i, m in enumerate(machines)])
     reply = None
     while True:
@@ -370,7 +351,7 @@ def _lockstep(ctxs, machines):
 
 
 def _tagged(i, machine):
-    """``machine``, each point it asks for paired with its context ``i``."""
+    """``machine``, each point it asks for paired with its profile ``i``."""
     reply = None
     while True:
         try:
@@ -428,7 +409,7 @@ def sample_profile(
     units = list(topology)
     target = _unit_index(units, unit_id)
     positions = _latched_positions(units, n_samples, mover_positions)
-    return _profiles(units, [target], [key], n_samples, positions)[0]
+    return _batch_profiles([units], [target], [key], n_samples, [positions])[0]
 
 
 def _latched_positions(units, n_samples, mover_positions) -> dict:
@@ -453,13 +434,6 @@ def _latched_positions(units, n_samples, mover_positions) -> dict:
                 f"{tracks[uid].stroke}, got {x!r}")
         positions[uid] = x
     return positions
-
-
-def _profiles(units, targets, keys, n_samples, positions) -> list:
-    """Profile of each ``targets`` index under each key, key-major, movers
-    latched at ``positions``: the one-topology case of
-    :func:`_batch_profiles`."""
-    return _batch_profiles([units], targets, keys, n_samples, [positions])
 
 
 def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
@@ -509,16 +483,9 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
                     np.broadcast_to(has_key[q], len(tracks)), t_consts[q])
             energy, force = _evaluate(*args, grids)
             for i, (t, track) in enumerate(zip(targets, tracks)):
-                ctx = _ProfileContext(track, tuple(a[i, ...] for a in args))
-                out.append(LandscapeProfile(units[t].id, key, grids[i], energy[i],
-                                            force[i], None, ctx))
+                out.append(LandscapeProfile(units[t].id, key, grids[i], energy[i], force[i],
+                                            None, track, tuple(a[i, ...] for a in args)))
     return out
-
-
-def _context(profile: LandscapeProfile) -> "_ProfileContext":
-    if profile._ctx is None:
-        raise MaglogicError("profile lost its evaluation context")
-    return profile._ctx
 
 
 def refine_equilibria(profile: LandscapeProfile):
@@ -529,7 +496,7 @@ def refine_equilibria(profile: LandscapeProfile):
     The one-profile case of the lockstep engine that
     :func:`decisions_for_keys` runs over many profiles.
     """
-    eqs = _lockstep([_context(profile)], [_equilibria(profile)])[0]
+    eqs = _lockstep([profile], [_equilibria(profile)])[0]
     return replace(profile, equilibria=eqs)
 
 
@@ -634,37 +601,20 @@ class LandscapeDecision:
 
 
 def _attractor_from(side_inner: bool, profile: LandscapeProfile):
-    xs, F = profile.xs, profile.force_axial
-    eqs = profile.equilibria or ()
-    if side_inner:
-        order = range(len(xs))
-        stop, other = profile.x_in, profile.x_out
-        outward = 1.0
-        eq_candidates = list(eqs)
-    else:
-        order = range(len(xs) - 1, -1, -1)
-        stop, other = profile.x_out, profile.x_in
-        outward = -1.0
-        eq_candidates = list(reversed(eqs))
-    start_sign = 0.0
-    start_x = stop
-    for i in order:
-        if abs(F[i]) > FORCE_EPS:
-            start_sign = np.sign(F[i]) * outward
-            start_x = float(xs[i])
-            break
-    if start_sign == 0.0:
-        return stop  # flat: stays where it rests
-    if start_sign < 0.0:
-        return stop  # pressed into this stop
-    # slides away from the stop: lands on the first equilibrium ahead
-    for eq in eq_candidates:
-        ahead = eq.position > start_x if side_inner else eq.position < start_x
-        # an unstable point ahead is a U-maximum the force pushed toward,
-        # only possible from a tangency: the mover keeps sliding past it
-        if ahead and eq.stable:
-            return eq.position
-    return other
+    """Where a mover left at the inner (``side_inner``) or the outer stop
+    comes to rest, walking from that stop: the first force above FORCE_EPS
+    either presses it into the stop or slides it to the first stable
+    equilibrium ahead, else to the other stop."""
+    step = 1 if side_inner else -1
+    xs, F = profile.xs[::step], profile.force_axial[::step]
+    eqs = (profile.equilibria or ())[::step]
+    i = next((i for i, f in enumerate(F) if abs(f) > FORCE_EPS), None)
+    if i is None or F[i] * step < 0:
+        return float(xs[0])  # flat, or pressed into this stop
+    # an unstable point ahead is a U-maximum the force pushed toward,
+    # only possible from a tangency: the mover keeps sliding past it
+    return next((e.position for e in eqs if step * e.position > step * xs[i] and e.stable),
+                float(xs[-1]))
 
 
 def decide(profile: LandscapeProfile) -> LandscapeDecision:
@@ -674,7 +624,7 @@ def decide(profile: LandscapeProfile) -> LandscapeDecision:
     of the lockstep engine that :func:`decisions_for_keys` runs over many
     profiles.
     """
-    return _lockstep([_context(profile)], [_decision(profile)])[0]
+    return _lockstep([profile], [_decision(profile)])[0]
 
 
 def _decision(profile: LandscapeProfile):
@@ -701,7 +651,7 @@ def _decision(profile: LandscapeProfile):
         clazz = "monostable_inner" if a_in <= mid else "monostable_outer"
     anchored = abs(a_in - profile.x_out) > 1e-9
     snap = (not anchored) and bool(
-        F[1:-1].min() > profile._ctx.track.friction_force)
+        F[1:-1].min() > profile.track.friction_force)
     barrier = 0.0
     margin = None
     if anchored:
@@ -764,7 +714,7 @@ def _basin_margin(profile: LandscapeProfile, a_in: float, crest: float | None):
     pressed against the inner stop, force nonzero out to the outer stop) is
     evaluated over its full extent. The crest is polished first, then the
     inner attractor capped by the polished crest; the grid is one N-row
-    call on the profile's own context.
+    call on the profile's own sources.
     """
     start = a_in
     end = crest if crest is not None else profile.x_out
@@ -780,7 +730,7 @@ def _basin_margin(profile: LandscapeProfile, a_in: float, crest: float | None):
     if end - start < 1e-12:
         return 0.0
     grid = np.linspace(start, end, _BASIN_GRID)
-    _, F = profile._ctx.evaluate(grid)
+    _, F = _evaluate_at(profile, grid)
     return float(np.min(-F))
 
 
@@ -850,7 +800,7 @@ def _decisions_for_topologies(topologies, keys, n_samples=DEFAULT_SAMPLES,
         raise MaglogicError("topologies decided together must share one shape")
     targets = range(len(topologies[0]) if topologies else 0)
     profiles = _batch_profiles(topologies, targets, keys, n_samples, positions)
-    decided = iter(_lockstep([p._ctx for p in profiles], [_decision(p) for p in profiles]))
+    decided = iter(_lockstep(profiles, [_decision(p) for p in profiles]))
     return [[{u.id: next(decided) for u in units} for _ in keys] for units in topologies]
 
 
@@ -878,11 +828,10 @@ def ejection_velocity(
     v = sqrt(2 (U(x_in) - U(x_out) - friction * stroke) / mass). Raises
     EnergyBudgetError when the budget is negative.
     """
-    ctx = profile._ctx
-    track = ctx.track if ctx is not None else None
+    track = profile.track
     if mass is None:
         if track is None:
-            raise ConfigError("mass required when the profile has no context")
+            raise ConfigError("mass required when the profile has no track")
         mass = track.mass
     if friction_force is None:
         friction_force = track.friction_force if track is not None else 0.0

@@ -420,6 +420,29 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_unwritable_outputs_and_oversized_programs_exit_2(tmp_path):
+    """An --out path in a missing directory or on a directory, and a
+    repeat count past the pulse bound, each end a fresh process with exit
+    code 2 and one error line, no traceback and no temp file left."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maglogic.__file__))
+    prog = tmp_path / "big.prog"
+    prog.write_text("repeat 99999999999999999999 { +x 20mT 1s }\n", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    landscape = ["landscape", shipped("demo_topology.json"), "--unit", "alpha", "--out"]
+    calls = [([*landscape, str(tmp_path / "missing" / "a.csv")], "error: cannot write "),
+             ([*landscape, str(tmp_path / "sub")], "error: cannot write "),
+             (["validate", str(prog)], "error: program expands to more than ")]
+    for args, line in calls:
+        out = subprocess.run([sys.executable, "-m", "maglogic.cli", *args],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith(line) and out.stderr.count("\n") == 1, out.stderr
+        assert "Traceback" not in out.stderr
+    assert sorted(os.listdir(tmp_path)) == ["big.prog", "sub"]
+    assert os.listdir(tmp_path / "sub") == []
+
+
 def test_outputs_leave_no_temp_files(tmp_path):
     out = tmp_path / "trace.csv"
     assert cli.main(["fsm", shipped("engine_machine.json"),

@@ -239,6 +239,120 @@ def test_selectivity_filter_rejections():
         dg.selectivity_filter(dg.CandidateTopology(tuple(pr.demo_topology()), ()))
 
 
+def _flag_selectivity_matrix(units, key_set, per_key, thresholds):
+    """``_selectivity_matrix`` as it stood with a mutable pass flag and a
+    final count check, kept verbatim as the reference of the one rule."""
+    th = dict(dg.DEFAULT_THRESHOLDS)
+    if thresholds:
+        th.update(thresholds)
+    rows = []
+    assignment = []
+    passed = True
+    for key, decisions in zip(key_set, per_key):
+        row = []
+        drive_cols = []
+        for uid, d in decisions.items():
+            if d.snap_through:
+                row.append(dg.SelectivityCell("DRIVE", d.driving_peak, None, 0.0))
+                drive_cols.append(uid)
+            elif (d.anchoring_force is not None
+                  and d.anchoring_force >= th["anchor_min"]):
+                row.append(
+                    dg.SelectivityCell(
+                        "ANCHOR", d.driving_peak, d.anchoring_force, d.barrier_out
+                    )
+                )
+            else:
+                row.append(
+                    dg.SelectivityCell("WEAK", d.driving_peak, d.anchoring_force, 0.0)
+                )
+        rows.append(tuple(row))
+        if len(drive_cols) == 1:
+            target = drive_cols[0]
+            peak_ok = decisions[target].driving_peak >= th["drive_min"]
+            others_ok = all(
+                c.entry == "ANCHOR"
+                for u, c in zip(units, row)
+                if u.id != target
+            )
+            if peak_ok and others_ok:
+                assignment.append((key.label, target))
+            else:
+                passed = False
+        else:
+            passed = False
+    if passed:
+        targets = [t for _, t in assignment]
+        passed = len(set(targets)) == len(targets) and len(assignment) == len(key_set)
+    return dg.SelectivityMatrix(
+        tuple(k.label for k in key_set),
+        tuple(u.id for u in units),
+        tuple(rows),
+        bool(passed),
+        tuple(assignment) if passed else None,
+        ls.total_magnet_volume(units),
+    )
+
+
+# hand-made decisions: peak (N), anchoring force (N, None when not
+# anchored); the "_edge" kinds sit exactly at the default thresholds
+_CELLS = {"drive": (0.3, None), "drive_edge": (0.1, None), "drive_low": (0.05, None),
+          "anchor": (0.02, 5e-3), "anchor_edge": (0.02, 1e-3), "weak": (0.02, 5e-4),
+          "free": (0.01, None)}
+
+
+def _hand_decisions(units, row):
+    out = {}
+    for u, kind in zip(units, row):
+        peak, anchor = _CELLS[kind]
+        out[u.id] = ls.LandscapeDecision(
+            u.id, "k", "monostable_inner", kind.startswith("drive"), False,
+            0.0 if anchor is None else 2e-6, anchor, peak, None, None, 0.0)
+    return out
+
+
+def test_selectivity_rule_matches_the_flag_based_reference():
+    """Every rejection of the one assignment rule, by hand and seeded at
+    random: the matrix, its verdict and its assignment equal the
+    reference's."""
+    units, keys = pr.demo_topology(), pr.demo_keys()
+    one_hot = [["drive", "anchor", "anchor"], ["anchor", "drive", "anchor"],
+               ["anchor", "anchor", "drive"]]
+
+    def swap(i, row):
+        return [row if j == i else r for j, r in enumerate(one_hot)]
+
+    cases = {
+        "one-hot": (one_hot, True),
+        "no drive": (swap(1, ["anchor", "anchor", "anchor"]), False),
+        "two drives": (swap(1, ["drive", "drive", "anchor"]), False),
+        "drive at drive_min": (swap(0, ["drive_edge", "anchor_edge", "anchor"]), True),
+        "drive below drive_min": (swap(0, ["drive_low", "anchor", "anchor"]), False),
+        "weak non-target": (swap(2, ["anchor", "weak", "drive"]), False),
+        "free non-target": (swap(2, ["free", "anchor", "drive"]), False),
+        "repeated target": (swap(1, ["drive", "anchor", "anchor"]), False),
+    }
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        rows = [list(rng.choice(sorted(_CELLS), 3, p=[0.3, 0.1, 0.2, 0.1, 0.1, 0.1, 0.1]))
+                for _ in keys]
+        cases[f"random {len(cases)}"] = (rows, None)
+    verdicts = set()
+    for name, (rows, passed) in cases.items():
+        per_key = [_hand_decisions(units, row) for row in rows]
+        for th in (None, {"drive_min": 0.04}, {"anchor_min": 1e-4}):
+            got = dg._selectivity_matrix(units, keys, per_key, th)
+            want = _flag_selectivity_matrix(units, keys, per_key, th)
+            assert repr(got) == repr(want), (name, th)
+            verdicts.add(got.passed)
+            if th is None and passed is not None:
+                assert got.passed is passed, name
+    assert verdicts == {True, False}
+    assert dg._selectivity_matrix(units, keys, [_hand_decisions(units, r) for r in one_hot],
+                                  None).assignment == (("+x", "alpha"), ("+z", "beta"),
+                                                       ("-x", "gamma"))
+
+
 def test_fidelity_value_and_errors():
     mat = dg.selectivity_filter(demo_candidate())
     fid = dg.fidelity(mat)

@@ -12,6 +12,7 @@ Frozen expectations:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,32 @@ def test_parse_program_errors():
         fsm.parse_program("repeat 2 { +x 1mT 1s")
     with pytest.raises(ProgramParseError):
         fsm.parse_program("+x one_mT 1s")
+
+
+def test_repeat_expansion_is_bounded_before_it_is_built():
+    """Programs that expand past MAX_PULSES statements are parse errors
+    raised while less than 1 MiB has been allocated: one repeat, a count
+    of 10**30, a count past int()'s digit limit, a nested pair whose
+    product crosses the bound and a repeat after other statements."""
+    bound = fsm.MAX_PULSES
+    programs = [
+        f"repeat {bound + 1} {{ +x 1mT 1s }}",
+        f"repeat {10**30} {{ +x 20mT 1s }}",
+        f"repeat {'9' * 5000} {{ +x 1mT 1s }}",
+        "repeat 1001 { +z 1mT 1s; repeat 999 { +x 1mT 1s } }",
+        f"repeat 1000 {{ +x 1mT 1s }}\nrepeat {bound - 999} {{ +z 1mT 1s }}",
+    ]
+    for text in programs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProgramParseError, match="more than 1,000,000 pulses"):
+                fsm.parse_program(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, text
+    # an empty body repeats to nothing, whatever its count
+    assert fsm.parse_program(f"repeat {'9' * 5000} {{ }}; +x 1mT 1s")[0].t_start == 0.0
 
 
 def test_parse_custom_labels():

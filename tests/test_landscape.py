@@ -174,14 +174,14 @@ def _zero_field_unit():
     return UnitTriplet("z", (s1, s2), track)
 
 
-def _contexts(topology, keys):
+def _grid_profiles(topology, keys):
     units = list(topology)
-    return [p._ctx for p in ls._profiles(units, range(len(units)), keys, 16,
-                                         ls.rest_positions(units))]
+    return ls._batch_profiles([units], range(len(units)), keys, 16,
+                              [ls.rest_positions(units)])
 
 
 def _batches():
-    """Context lists of one topology each, as the engine stacks them."""
+    """Profile lists of one topology each, as the engine stacks them."""
     from maglogic import design as dg
 
     demo = pr.demo_topology()
@@ -194,38 +194,38 @@ def _batches():
               UnitTriplet("u2", (discretized,), coupled_topology()[1].track)]
     zero = [_zero_field_unit()]
     return [
-        _contexts(demo, [*cone, None]),
-        _contexts(coupled_topology(), [None, FieldKey((0, 0, -1), 0.01, "k")]),
-        _contexts(uneven, [None, FieldKey((1, 0, 0), 0.02, "k")]),
+        _grid_profiles(demo, [*cone, None]),
+        _grid_profiles(coupled_topology(), [None, FieldKey((0, 0, -1), 0.01, "k")]),
+        _grid_profiles(uneven, [None, FieldKey((1, 0, 0), 0.02, "k")]),
         # a +y key first, so a row that inherited the previous row's
         # direction would push across the track instead of along it
-        _contexts(zero, [FieldKey((0, 1, 0), 0.01, "k"), None]),
+        _grid_profiles(zero, [FieldKey((0, 1, 0), 0.01, "k"), None]),
     ]
 
 
 def test_batched_rows_match_one_point_evaluate():
     rng = np.random.default_rng(8)
     batches = _batches()
-    assert len({len(b[0].args[3]) for b in batches}) == len(batches)  # K differs
-    for ctxs in batches:
-        stacked = ls._stack(ctxs)
+    assert len({len(b[0]._args[3]) for b in batches}) == len(batches)  # K differs
+    for profs in batches:
+        stacked = ls._stack(profs)
         for _ in range(10):
-            rows = rng.integers(0, len(ctxs), 3 * len(ctxs))
-            xs = np.array([rng.uniform(*ctxs[i].track.stroke) for i in rows])
+            rows = rng.integers(0, len(profs), 3 * len(profs))
+            xs = np.array([rng.uniform(*profs[i].track.stroke) for i in rows])
             energy, force = ls._evaluate_rows(stacked, rows, xs)
             for i, x, e, f in zip(rows, xs, energy, force):
-                one_e, one_f = ctxs[i].evaluate([x])
+                one_e, one_f = ls._evaluate_at(profs[i], [x])
                 assert np.array_equal(one_e, [e]) and np.array_equal(one_f, [f])
 
 
 def test_batched_kernel_calls_match_frozen_reference():
     """The kernel calls of grids and lockstep rows, on every batch topology."""
     rng = np.random.default_rng(12)
-    for ctxs in _batches():
-        stacked = ls._stack(ctxs)
+    for profs in _batches():
+        stacked = ls._stack(profs)
         origin, axis, _, pos, m = stacked[:5]
         for n in (1, 2, 256, 1025):
-            rows = rng.integers(0, len(ctxs), n)
+            rows = rng.integers(0, len(profs), n)
             pts = origin[rows] + rng.uniform(0.013, 0.021, n)[:, None] * axis[rows]
             moments = rng.normal(size=(n, 3))
             assert_kernels_match_reference(pos[rows], m[rows], pts, moments)
@@ -237,9 +237,9 @@ def test_zero_field_row_takes_its_own_track_axis():
     stacked = ls._stack([keyed, bare])
     energy, force = ls._evaluate_rows(stacked, np.array([0, 1]),
                                       np.array([0.015, 0.015]))
-    assert np.array_equal(force[1:], bare.evaluate([0.015])[1])
+    assert np.array_equal(force[1:], ls._evaluate_at(bare, [0.015])[1])
     assert force[1] != 0.0  # the fallback direction moves the force
-    assert abs(keyed.evaluate([0.015])[1][0]) < 1e-12 * abs(force[1])
+    assert abs(ls._evaluate_at(keyed, [0.015])[1][0]) < 1e-12 * abs(force[1])
     # on a grid, the zero-field row at the outer stop continues the row
     # before it, whose mover points the other way along the track
     unit = _zero_field_unit()
@@ -247,7 +247,7 @@ def test_zero_field_row_takes_its_own_track_axis():
         unit, track=dataclasses.replace(unit.track, stroke=(0.009, 0.015)))
     prof = ls.sample_profile([unit], "z", None, 64)
     assert prof.xs[-1] == 0.015
-    one = prof._ctx.evaluate([0.015])[1][0]
+    one = ls._evaluate_at(prof, [0.015])[1][0]
     assert one == pytest.approx(0.73728, rel=1e-9)
     assert prof.force_axial[-1] == pytest.approx(-0.73728, rel=1e-9)
 
@@ -265,12 +265,12 @@ def _reference_unit_rows(B, fallback):
     return out
 
 
-def _reference_grid(ctx, xs):
+def _reference_grid(prof, xs):
     """A grid evaluation written out step by step, with its own zero-field
     rule: N-row calls of the frozen (N, K, 3) kernels and ``force @ axis``."""
-    _, _, m_mag, pos, m, key, has_key, const = ctx.args
-    axis = np.asarray(ctx.track.axis)
-    pts = ctx.track.point(xs)
+    _, _, m_mag, pos, m, key, has_key, const = prof._args
+    axis = np.asarray(prof.track.axis)
+    pts = prof.track.point(xs)
     B = ref_dipole_field(pos, m, pts)
     if has_key:
         B = B + key[None, :]
@@ -281,12 +281,12 @@ def _reference_grid(ctx, xs):
 
 def test_grids_match_reference_evaluation_bit_for_bit():
     demo, coupled, uneven, _ = _batches()
-    for ctxs in (demo, coupled, uneven):
-        for ctx in ctxs:
+    for profs in (demo, coupled, uneven):
+        for prof in profs:
             for n in (ls.DEFAULT_SAMPLES, ls._BASIN_GRID):
-                xs = np.linspace(ctx.track.x_in, ctx.track.x_out, n)
-                energy, force = ctx.evaluate(xs)
-                want_energy, want_force = _reference_grid(ctx, xs)
+                xs = np.linspace(prof.track.x_in, prof.track.x_out, n)
+                energy, force = ls._evaluate_at(prof, xs)
+                want_energy, want_force = _reference_grid(prof, xs)
                 assert np.array_equal(energy, want_energy)
                 assert np.array_equal(force, want_force)
 
@@ -369,7 +369,7 @@ def test_decide_needs_the_evaluation_context():
     for unit, uid in ((anchored_unit(), "a"), (outward_unit(), "b")):
         prof = ls.refine_equilibria(ls.sample_profile([unit], uid, None))
         with pytest.raises(MaglogicError, match="context"):
-            ls.decide(dataclasses.replace(prof, _ctx=None))
+            ls.decide(dataclasses.replace(prof, _args=None))
 
 
 def test_unknown_unit_id():
@@ -480,11 +480,10 @@ def test_force_matches_energy_gradient():
     ]
     for topo, uid, key in cases:
         prof = ls.sample_profile(topo, uid, key, 96)
-        ctx = prof._ctx
         h = (prof.x_out - prof.x_in) * 1e-6
         for j in range(1, len(prof.xs) - 1):
-            up = ctx.evaluate([prof.xs[j] + h])[0][0]
-            um = ctx.evaluate([prof.xs[j] - h])[0][0]
+            up = ls._evaluate_at(prof, [prof.xs[j] + h])[0][0]
+            um = ls._evaluate_at(prof, [prof.xs[j] - h])[0][0]
             fd = -(up - um) / (2 * h)
             assert prof.force_axial[j] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
@@ -615,7 +614,7 @@ def test_lockstep_orientations_match_one_solve_per_key(monkeypatch):
         lengths = _solve_lengths(monkeypatch, topo, positions, keys)
         assert None not in lengths
         assert topo is not pair or len(set(lengths)) > 2
-        _, _, dirs = ls._orientations(topo, positions, *ls._key_vectors(keys))
+        dirs = ls._batch_orientations([topo], [positions], *ls._key_vectors(keys))[2][0]
         assert dirs.shape == (len(keys), len(topo), 3)
         for q, (key, length) in enumerate(zip(keys, lengths)):
             one = ls.equilibrate_orientations(topo, positions, key)
@@ -647,7 +646,7 @@ def test_orientation_solve_failures_and_empty_calls(monkeypatch):
 
 
 def test_constant_energies_equal_assembly_energy():
-    """Every (key, target) context equals the pair-by-pair construction:
+    """Every (key, target) profile equals the pair-by-pair construction:
     the constant energy is ``assembly_energy`` of the target's fixed
     sources exactly, and the fixed dipoles are those sources in unit
     order, for point-dipole and discretized stators alike."""
@@ -666,23 +665,24 @@ def test_constant_energies_equal_assembly_energy():
     for topo, keys in cases:
         for positions in (ls.rest_positions(topo),
                           {u.id: 0.5 * (u.track.x_in + u.track.x_out) for u in topo}):
-            profiles = iter(ls._profiles(topo, range(len(topo)), keys, 16, positions))
+            profiles = iter(ls._batch_profiles([topo], range(len(topo)), keys, 16,
+                                               [positions]))
             for key in keys:
                 ori = ls.equilibrate_orientations(topo, positions, key)
                 movers = [MagnetSource(u.track.point(positions[u.id]),
                                        u.track.mover_moment_mag() * ori[u.id]) for u in topo]
                 for t in range(len(topo)):
-                    ctx = next(profiles)._ctx
+                    prof = next(profiles)
                     fixed = [s for i, u in enumerate(topo)
                              for s in (u.stators if i == t else (*u.stators, movers[i]))]
                     stators = [s for u in topo for s in u.stators]
                     want = mag.assembly_energy(
                         stators + [m for i, m in enumerate(movers) if i != t], key)
-                    assert float(ctx.args[7]) == want, (key, t)
+                    assert float(prof._args[7]) == want, (key, t)
                     assert np.array_equal(
-                        ctx.args[3], np.concatenate([s.dipole_positions() for s in fixed]))
+                        prof._args[3], np.concatenate([s.dipole_positions() for s in fixed]))
                     assert np.array_equal(
-                        ctx.args[4], np.concatenate([s.dipole_moments() for s in fixed]))
+                        prof._args[4], np.concatenate([s.dipole_moments() for s in fixed]))
                     checked += 1
     assert checked == 2 * 3 * (28 + 4) + 2 * 2 * 2 + 2 * 2 * 7
 
@@ -714,7 +714,7 @@ def test_double_well_symmetric_equilibria():
     assert abs(mid.position) < 1e-9
     assert abs(lo.position + hi.position) < 2e-9
     for e in eqs:
-        assert abs(prof._ctx.evaluate([e.position])[1][0]) < 1e-9
+        assert abs(ls._evaluate_at(prof, [e.position])[1][0]) < 1e-9
     dec = ls.decide(prof)
     assert dec.clazz == "bistable"
     assert dec.barrier_out > 0
@@ -963,7 +963,8 @@ def test_batch_orientations_match_one_topology_at_a_time():
     pts, mags, dirs = ls._batch_orientations(topologies, positions, kvecs, has_key)
     assert dirs.shape == (3, len(keys), 2, 3)
     for t, (topo, p) in enumerate(zip(topologies, positions)):
-        one_pts, one_mags, one_dirs = ls._orientations(topo, p, kvecs, has_key)
+        one_pts, one_mags, one_dirs = (
+            a[0] for a in ls._batch_orientations([topo], [p], kvecs, has_key))
         assert np.array_equal(pts[t], one_pts) and np.array_equal(mags[t], one_mags)
         assert np.array_equal(dirs[t], one_dirs)
 
@@ -1015,7 +1016,7 @@ def test_zero_field_first_grid_row_takes_the_track_axis():
     prof = ls.sample_profile([unit], "z", None, 64)
     assert prof.xs[0] == 0.015
     assert prof.force_axial[0] == pytest.approx(0.73728, rel=1e-9)
-    row = ls._evaluate_rows(ls._stack([prof._ctx] * 2), np.array([0, 1]),
+    row = ls._evaluate_rows(ls._stack([prof] * 2), np.array([0, 1]),
                             np.array([0.015, prof.xs[1]]))[1]
     assert row[0] == pytest.approx(0.73728, rel=1e-9)
     assert row[1] == pytest.approx(prof.force_axial[1], rel=1e-12)
@@ -1197,14 +1198,14 @@ def test_grouped_profile_grids_equal_sample_profile(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(ls, "_evaluate", spy)
-        profiles = ls._profiles(demo, range(len(demo)), keys, ls.DEFAULT_SAMPLES,
-                                ls._latched_positions(demo, 256, positions))
+        profiles = ls._batch_profiles([demo], range(len(demo)), keys, ls.DEFAULT_SAMPLES,
+                                      [ls._latched_positions(demo, 256, positions)])
     assert calls == [(len(demo), ls.DEFAULT_SAMPLES)] * len(keys)
     for prof in profiles:
         one = ls.sample_profile(demo, prof.unit_id, prof.key, mover_positions=positions)
         for name in ("xs", "energy", "force_axial"):
             assert np.array_equal(getattr(prof, name), getattr(one, name))
-        for got, want in zip(prof._ctx.args, one._ctx.args):
+        for got, want in zip(prof._args, one._args):
             assert np.array_equal(got, want) and got.shape == want.shape
 
 
@@ -1214,11 +1215,11 @@ def test_zero_field_rule_stays_inside_each_group():
     keyed, bare = _batches()[-1]
     xs = np.array([[0.013, 0.017, 0.021], [0.015, 0.016, 0.017]])
     energy, force = ls._evaluate(*ls._stack([keyed, bare]), xs)
-    for g, ctx in enumerate((keyed, bare)):
-        want_energy, want_force = ctx.evaluate(xs[g])
+    for g, prof in enumerate((keyed, bare)):
+        want_energy, want_force = ls._evaluate_at(prof, xs[g])
         assert np.array_equal(energy[g], want_energy)
         assert np.array_equal(force[g], want_force)
-    assert force[1, 0] == bare.evaluate([0.015])[1][0] != 0.0
+    assert force[1, 0] == ls._evaluate_at(bare, [0.015])[1][0] != 0.0
     # within a group the zero-field row continues the row before it
     energy, force = ls._evaluate(*ls._stack([bare]), np.array([[0.013, 0.015]]))
     assert force[0, 1] == pytest.approx(-0.73728, rel=1e-9)
@@ -1259,11 +1260,11 @@ def test_fused_evaluator_matches_the_composed_kernels():
     256-point profile grids and a 60-row lockstep step, then zero-field
     rows first in a group and later in one."""
     rng = np.random.default_rng(16)
-    for ctxs in _batches():
-        stacked = ls._stack(ctxs)
-        strokes = np.array([c.track.stroke for c in ctxs])
+    for profs in _batches():
+        stacked = ls._stack(profs)
+        strokes = np.array([p.track.stroke for p in profs])
         for n_groups, n in ((1, ls._BASIN_GRID), (3, ls.DEFAULT_SAMPLES), (60, 1)):
-            rows = rng.integers(0, len(ctxs), n_groups)
+            rows = rng.integers(0, len(profs), n_groups)
             xs = np.array([np.linspace(*strokes[i], n) if n > 1
                            else [rng.uniform(*strokes[i])] for i in rows])
             _assert_fused_is_composed([a[rows] for a in stacked], xs)
@@ -1310,7 +1311,8 @@ def test_scale_covariance_of_every_profile(name, s):
     keys = [*pr.demo_keys(), None]
 
     def profiles(units):
-        return ls._profiles(units, range(len(units)), keys, 64, ls.rest_positions(units))
+        return ls._batch_profiles([units], range(len(units)), keys, 64,
+                                  [ls.rest_positions(units)])
 
     for prof, prof_s in zip(profiles(topo), profiles(ls.scale_topology(topo, s))):
         np.testing.assert_allclose(prof_s.xs, s * prof.xs, rtol=1e-12)
@@ -1318,3 +1320,79 @@ def test_scale_covariance_of_every_profile(name, s):
                                  (prof_s.force_axial, prof.force_axial, 2)):
             np.testing.assert_allclose(got, s**power * want, rtol=1e-9,
                                        atol=1e-9 * s**power * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# frozen attractor rule
+# ---------------------------------------------------------------------------
+# ``_attractor_from`` as it stood with one branch per stop, kept verbatim:
+# the one walk on reversed arrays must return the same attractor, bit for
+# bit, on the edge cases the shipped profiles never reach.
+
+
+def _two_branch_attractor_from(side_inner: bool, profile: LandscapeProfile):
+    xs, F = profile.xs, profile.force_axial
+    eqs = profile.equilibria or ()
+    if side_inner:
+        order = range(len(xs))
+        stop, other = profile.x_in, profile.x_out
+        outward = 1.0
+        eq_candidates = list(eqs)
+    else:
+        order = range(len(xs) - 1, -1, -1)
+        stop, other = profile.x_out, profile.x_in
+        outward = -1.0
+        eq_candidates = list(reversed(eqs))
+    start_sign = 0.0
+    start_x = stop
+    for i in order:
+        if abs(F[i]) > ls.FORCE_EPS:
+            start_sign = np.sign(F[i]) * outward
+            start_x = float(xs[i])
+            break
+    if start_sign == 0.0:
+        return stop  # flat: stays where it rests
+    if start_sign < 0.0:
+        return stop  # pressed into this stop
+    # slides away from the stop: lands on the first equilibrium ahead
+    for eq in eq_candidates:
+        ahead = eq.position > start_x if side_inner else eq.position < start_x
+        # an unstable point ahead is a U-maximum the force pushed toward,
+        # only possible from a tangency: the mover keeps sliding past it
+        if ahead and eq.stable:
+            return eq.position
+    return other
+
+
+def test_attractor_walk_matches_the_two_branch_rule():
+    """Seeded synthetic profiles: exact zeros (of both signs) and forces
+    at, just above and just below FORCE_EPS; equilibria None, empty,
+    all unstable, or mixed, at sample points, between them and past the
+    stops. Both stops give the reference's attractor, type and bits."""
+    rng = np.random.default_rng(17)
+    eps = ls.FORCE_EPS
+    near = [0.0, -0.0, eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0), 2 * eps, 1e-3]
+    forces = np.array(near + [-f for f in near])
+    kinds = {"none": 0, "empty": 0, "unstable": 0, "mixed": 0}
+    outcomes = set()
+    for _ in range(3000):
+        n = int(rng.integers(2, 10))
+        xs = np.sort(rng.choice(np.round(rng.uniform(0.0, 0.01, 12), 4), n))
+        F = rng.choice(forces, n)
+        if rng.random() < 0.5:
+            F[: int(rng.integers(0, n + 1))] = 0.0  # a flat run from the inner stop
+        kind = rng.choice(sorted(kinds))
+        kinds[kind] += 1
+        eqs = None
+        if kind != "none":
+            spots = np.concatenate([xs, rng.uniform(-0.001, 0.011, 3)])
+            eqs = tuple(ls.Equilibrium(float(x), kind == "mixed" and bool(rng.random() < 0.6))
+                        for x in np.sort(rng.choice(spots, 0 if kind == "empty" else 4)))
+        prof = LandscapeProfile("s", None, xs, np.zeros(n), F, eqs)
+        for side in (True, False):
+            got, want = ls._attractor_from(side, prof), _two_branch_attractor_from(side, prof)
+            assert repr(got) == repr(want), (side, xs, F, eqs)
+            outcomes.add((side, "stop" if got == (xs[0] if side else xs[-1])
+                          else "other" if got == (xs[-1] if side else xs[0]) else "eq"))
+    assert min(kinds.values()) > 600
+    assert len(outcomes) == 6  # each stop: stays, crosses, lands between
