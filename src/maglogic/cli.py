@@ -16,6 +16,11 @@ Exit codes: 0 success, 1 domain failure (physics or empty search),
 default to seed 0 (campaign files may carry their own). Output files
 are written atomically; numbers are emitted with 17 significant
 digits, locale-independent.
+
+Importing this module loads ``configio``, ``errors``, ``landscape`` and
+``magnetics`` only; ``design``, ``fsm`` and ``netbus`` are imported by
+the subcommands that use them, because every CLI call is a fresh process
+that compiles and runs each module it imports.
 """
 
 from __future__ import annotations
@@ -28,10 +33,7 @@ import os
 import sys
 
 from . import configio as cio
-from . import design as dg
-from . import fsm
 from . import landscape as ls
-from . import netbus as nb
 from .errors import ConfigError, MaglogicError, NoPassingCandidateError
 
 DEFAULT_SEED = 0
@@ -92,6 +94,8 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from . import design as dg
+
     lattice, template, keys, n_units, thresholds, _ = cio.load_design(args.space)
     reports = dg.run_pipeline(
         lattice, n_units, keys, template, args.budget, seed=args.seed,
@@ -138,6 +142,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_fsm(args) -> int:
+    from . import fsm
+
     machine, _ = cio.load_machine(args.machine)
     program = fsm.parse_program(cio.read_text(args.program))
     trace = fsm.run(machine, program)
@@ -155,6 +161,8 @@ def cmd_fsm(args) -> int:
 
 
 def cmd_net(args) -> int:
+    from . import netbus as nb
+
     campaign = cio.load_campaign(args.campaign)
     table = nb.truth_table(campaign.grid, campaign.commands)
     header = ["command", "intended_node", "intended_channel"]
@@ -208,6 +216,8 @@ def cmd_net(args) -> int:
 def cmd_validate(args) -> int:
     for path in args.files:
         if os.fspath(path).endswith(".prog"):
+            from . import fsm
+
             program = fsm.parse_program(cio.read_text(path))
             print(f"ok {path} (pulse program, {len(program)} pulses)")
             continue

@@ -11,6 +11,12 @@ Four JSON document kinds, discriminated by a ``format`` header field:
 Pulse programs are the separate plain-text format handled by
 :func:`maglogic.fsm.parse_program` (conventionally ``*.prog``).
 
+Importing this module loads ``errors``, ``landscape`` and ``magnetics``
+only; each document kind's own module (``design``, ``fsm`` or ``netbus``)
+is imported the first time a document of that kind is read or written,
+because every CLI call is a fresh process that compiles and runs each
+module it imports.
+
 Loaders reject unknown fields so that typos fail loudly instead of being
 silently ignored. Serialization is canonical (sorted keys, two-space
 indent, trailing newline) so identical inputs produce byte-identical
@@ -23,15 +29,17 @@ import json
 import math
 import os
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import design as dg
-from . import fsm
 from . import landscape as ls
 from . import magnetics as mag
-from . import netbus as nb
 from .errors import ConfigError
+
+if TYPE_CHECKING:  # for the annotations; loaded on first use (see above)
+    from . import design as dg
+    from . import fsm
 
 SCHEMA_VERSION = 1
 TOPOLOGY_FORMAT = "maglogic-topology"
@@ -73,12 +81,16 @@ def write_atomic(path, text: str) -> None:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of ``path``; an unreadable file is a ConfigError."""
+    """The UTF-8 text of ``path``; an unreadable or non-UTF-8 file is a
+    ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text "
+                          f"(byte {exc.object[exc.start]:#04x})") from exc
 
 
 def load_document(path) -> dict:
@@ -97,6 +109,8 @@ def load_document(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
@@ -315,6 +329,8 @@ def save_topology(path, units, keys, metadata: dict | None = None) -> None:
 def design_to_doc(lattice: dg.Lattice, template: dg.UnitTemplate, keys,
                   n_units: int, thresholds: dict | None = None,
                   metadata: dict | None = None) -> dict:
+    from . import design as dg
+
     doc = _header(DESIGN_FORMAT, metadata)
     doc["lattice"] = {
         "spacing": float(lattice.spacing),
@@ -339,6 +355,8 @@ def design_to_doc(lattice: dg.Lattice, template: dg.UnitTemplate, keys,
 
 def design_from_doc(doc: dict, where: str = "design") -> tuple:
     """-> (lattice, template, keys tuple, n_units, thresholds, metadata)."""
+    from . import design as dg
+
     metadata = _check_header(
         doc, DESIGN_FORMAT, where,
         ("lattice", "template", "key_set", "n_units"), ("thresholds",))
@@ -380,12 +398,16 @@ def load_design(path) -> tuple:
 
 
 def _term_to_doc(term) -> dict:
+    from . import fsm
+
     if isinstance(term, fsm.GateDone):
         return {"done": term.gate}
     return {"unit": term.unit, "op": term.op, "value": int(term.value)}
 
 
 def _term_from_doc(doc, where: str):
+    from . import fsm
+
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object")
     if "done" in doc:
@@ -431,6 +453,8 @@ def machine_from_doc(doc: dict, where: str = "machine") -> tuple:
     decode.topology.units (same unit layout as a topology file); pulses
     carry their own field vectors, so no key set is stored here.
     """
+    from . import fsm
+
     metadata = _check_header(
         doc, MACHINE_FORMAT, where, ("units", "decode"),
         ("gates", "external_load", "n_samples"))
@@ -521,6 +545,8 @@ def campaign_to_doc(campaign: Campaign) -> dict:
 
 
 def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
+    from . import netbus as nb
+
     metadata = _check_header(
         doc, CAMPAIGN_FORMAT, where, ("grid", "master", "commands"),
         ("cycles", "noise", "seed"))

@@ -248,7 +248,10 @@ def parse_program(text: str, directions: dict | None = None) -> tuple:
     known = dict(AXIS_DIRECTIONS)
     if directions:
         known.update(directions)
-    statements, _ = _parse_block(_strip_comments(text), 0, 0)
+    try:
+        statements, _ = _parse_block(_strip_comments(text), 0, 0)
+    except RecursionError:
+        raise ProgramParseError("repeat blocks nested too deeply") from None
     pulses = []
     cursor = 0.0
     for stmt in statements:

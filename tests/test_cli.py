@@ -452,3 +452,71 @@ def test_outputs_leave_no_temp_files(tmp_path):
     # nine engine pulses, all three counters end at 3
     assert len(rows) == 10
     assert rows[-1][1:4] == ["3", "3", "3"]
+
+
+def _run_fresh(*args):
+    """``python *args`` in a fresh interpreter that imports maglogic from
+    this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maglogic.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("args, loaded", [
+    ((), []),
+    (("landscape", "demo_topology.json", "--unit", "alpha"), []),
+    (("design", "pair_design_space.json", "--budget", "20"), ["maglogic.design"]),
+    (("fsm", "mission_machine.json", "mission.prog"), ["maglogic.fsm"]),
+    (("net", "demo_campaign.json"), ["maglogic.netbus"]),
+    (("validate", "demo_topology.json"), []),
+    (("validate", "mission.prog"), ["maglogic.fsm"]),
+], ids=["import", "landscape", "design", "fsm", "net", "validate-topology",
+        "validate-prog"])
+def test_each_subcommand_loads_only_its_modules(tmp_path, args, loaded):
+    """Every CLI call is a fresh process that compiles what it imports, so
+    ``design``, ``fsm`` and ``netbus`` load only when a subcommand needs them."""
+    argv = [shipped(a) if a.endswith((".json", ".prog")) else a for a in args]
+    if argv and argv[0] != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    code = ("import sys\nfrom maglogic import cli\n"
+            "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(rc, [m for m in ('maglogic.design', 'maglogic.fsm', "
+            "'maglogic.netbus') if m in sys.modules])")
+    out = _run_fresh("-c", code, *argv)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_undecodable_and_over_deep_inputs_exit_2(tmp_path):
+    """A document or program that is not UTF-8, JSON nested 100,000 deep and
+    repeat blocks nested 2,000 deep each end a fresh process with exit code
+    2 and one error line, no traceback."""
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_bytes(b'{"format": "maglogic-topology", \xff}\n')
+    bad_prog = tmp_path / "bad.prog"
+    bad_prog.write_bytes(b"+x 20mT 1s\n\xff\n")
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 100_000, encoding="utf-8")
+    deep_prog = tmp_path / "deep.prog"
+    deep_prog.write_text("repeat 1 { " * 2000 + "+x 20mT 1s" + " }" * 2000,
+                         encoding="utf-8")
+    machine = shipped("mission_machine.json")
+    calls = [(["validate", str(bad_json)],
+              f"error: cannot read {bad_json}: not UTF-8 text"),
+             (["validate", str(bad_prog)],
+              f"error: cannot read {bad_prog}: not UTF-8 text"),
+             (["fsm", machine, str(bad_prog), "--out", str(tmp_path / "x.csv")],
+              f"error: cannot read {bad_prog}: not UTF-8 text"),
+             (["validate", str(deep_json)],
+              f"error: {deep_json}: JSON nested too deeply"),
+             (["validate", str(deep_prog)],
+              "error: repeat blocks nested too deeply"),
+             (["fsm", machine, str(deep_prog), "--out", str(tmp_path / "x.csv")],
+              "error: repeat blocks nested too deeply")]
+    for args, line in calls:
+        out = _run_fresh("-m", "maglogic.cli", *args)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith(line) and out.stderr.count("\n") == 1, out.stderr
+        assert "Traceback" not in out.stderr
+    assert not os.path.exists(tmp_path / "x.csv")

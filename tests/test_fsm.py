@@ -127,6 +127,17 @@ def test_repeat_expansion_is_bounded_before_it_is_built():
     assert fsm.parse_program(f"repeat {'9' * 5000} {{ }}; +x 1mT 1s")[0].t_start == 0.0
 
 
+def test_deeply_nested_repeats_are_a_parse_error():
+    """Nesting deep enough to exhaust the parser's recursion is a parse
+    error, not a raw RecursionError; 300 levels still parse."""
+    def nested(depth):
+        return "repeat 1 { " * depth + "+x 20mT 1s" + " }" * depth
+
+    with pytest.raises(ProgramParseError, match="nested too deeply"):
+        fsm.parse_program(nested(2000))
+    assert len(fsm.parse_program(nested(300))) == 1
+
+
 def test_parse_custom_labels():
     prog = fsm.parse_program("lift 5mT 1s", directions={"lift": (0, 1, 0)})
     assert prog[0].key.direction == (0.0, 1.0, 0.0)
