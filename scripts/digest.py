@@ -8,8 +8,10 @@ The calls cover the shipped configs (every unit of the demo topology
 under every key and under no key, ``--key=-x`` and the rejected
 ``--key -x`` form, ``design``, both machines, ``net`` with and without
 ``--seed 7``, ``validate``) and the inputs that ``bench/gen_inputs.py``
-writes for seeds 1-3. Library calls follow, each printing the ``repr``
-of its result: on the demo candidate two ``sensitivity_sweep`` runs,
+writes for seeds 1-3. Library calls follow, each printing the ``repr`` of
+its result: on the demo candidate four ``sensitivity_sweep`` runs (coaxial
+fraction, cone angle, trials and seed 0.1, 20, 4, 1 and 0.3, 10, 3, 7;
+0.1, 60, 2, 1, whose first cone fails; 0.0, 20, 3, 1, without offsets),
 ``evaluate_candidate`` (matrix, fidelity, entropy), ``cross_interference``
 and the ``selectivity_filter`` matrix of the demo units under the 27
 directions of the keys' 20 degree cones (labelled ``<label>#<i>``), the
@@ -21,22 +23,21 @@ key, a repeated key and keys whose orientation solves take 14 to 156
 iterations (two past the damping switch at 100); with the stator of unit
 ``alpha`` split into 27 sub-dipoles (``discretize=3``), its field at one
 point, alpha's 1025-sample profile under ``+x`` and ``decisions_for_keys``
-under ``+x`` and no key; the canonical placements and hash of
-every candidate that ``enumerate_candidates`` samples (budget 150, seed
-3) from two units on a 2x2x2 cube whose allowed orientations and track
-axes are not axis-aligned, so the images' rounding shows; then
-``run_pipeline`` + ``rank`` on the seed-1 ``design_3x2x3.json`` with
-budget 120 and on the seed-2 one with budget 45 (every candidate's hash,
-full ``SelectivityMatrix`` with its margins and barriers, fidelity,
-compactness and entropy, and the ranked hashes); on a 5x5 grid at 10 mm
-pitch with a 10 mT threshold, where neighbours fire, the ``truth_table``
-events of the 75 demo commands (so their magnitude floats) and three
-400-cycle ``endurance_campaign`` runs of
-a composite master under angle-only, magnitude-only and combined noise;
-and a canonical walk of every ``presets`` fixture and program and of the
-commands for that grid (floats as ``float.hex``, arrays as dtype, shape and
-bytes, dicts with sorted keys, lists and tuples kept apart), so the demo
-data cannot move unseen.
+under ``+x`` and no key; the canonical placements and hash of every
+candidate that ``enumerate_candidates`` samples (budget 150, seed 3) from
+two units on a 2x2x2 cube whose allowed orientations and track axes are
+not axis-aligned, so the images' rounding shows; then ``run_pipeline`` +
+``rank`` on the seed-1 ``design_3x2x3.json`` with budget 120 and on the
+seed-2 one with budget 45 (every candidate's hash, full
+``SelectivityMatrix`` with its margins and barriers, fidelity, compactness
+and entropy, and the ranked hashes); on a 5x5 grid at 10 mm pitch with a
+10 mT threshold, where neighbours fire, the ``truth_table`` events of the
+75 demo commands (so their magnitude floats) and three 400-cycle
+``endurance_campaign`` runs of a composite master under angle-only,
+magnitude-only and combined noise; and a canonical walk of every
+``presets`` fixture and program and of the commands for that grid (floats
+as ``float.hex``, arrays as dtype, shape and bytes, dicts with sorted
+keys, lists and tuples kept apart), so the demo data cannot move unseen.
 Each call is a fresh interpreter importing the ``src/`` of CHECKOUT
 (default: the checkout holding this script), run in a temporary directory
 on copies of the inputs, so printed paths are relative and two checkouts
@@ -97,6 +98,8 @@ DEMO = ("from maglogic import configio, design as dg, landscape as ls, netbus as
 LIBRARY = (
     ("sensitivity_sweep_0.1_20_4_1", "dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)"),
     ("sensitivity_sweep_0.3_10_3_7", "dg.sensitivity_sweep(cand, 0.3, 10.0, 3, 7)"),
+    ("sensitivity_sweep_0.1_60_2_1", "dg.sensitivity_sweep(cand, 0.1, 60.0, 2, 1)"),
+    ("sensitivity_sweep_0.0_20_3_1", "dg.sensitivity_sweep(cand, 0.0, 20.0, 3, 1)"),
     ("evaluate_candidate", "(lambda r: (r.matrix, r.fidelity, r.entropy))"
                            "(dg.evaluate_candidate(cand))"),
     ("cross_interference", "dg.cross_interference(cand)"),

@@ -616,12 +616,16 @@ def sensitivity_sweep(
     The angle margin is the largest cone half-angle (up to 85 deg, 0.25 deg
     resolution) at which the full rim grid stays clean. Each distinct key is
     decided once on the nominal topology, so a cone centre equal to a key
-    (or to an earlier probe's direction) is not decided again; offset
-    topologies are decided afresh. Keys go through the multi-key lockstep
-    pass (:func:`landscape.decisions_for_keys`): one call for every key of
-    a coaxial trial, one for the whole cone at ``angle_deg``, and one per
-    key's cone while the margin is searched, so a probe stops deciding at
-    the first key whose cone fails.
+    (or to an earlier probe's direction) is not decided again. The nominal
+    keys and the cone at ``angle_deg`` are decided in one multi-key lockstep
+    pass (:func:`landscape.decisions_for_keys`). The offset topologies are
+    drawn trial by trial and decided afresh, SCREEN_BATCH trials to one
+    set-up (``landscape._decisions_for_topologies``). While the margin is
+    searched, a probe first decides the rim direction that failed last and
+    stops if it fails again; otherwise it decides one key's cone per call,
+    in key order, and stops at the first key whose cone fails. Every
+    decision has the same bits in any batch, so the report does not depend
+    on how the work is grouped.
     """
     mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True,
                high=MAX_TRIALS)
@@ -637,36 +641,58 @@ def sensitivity_sweep(
 
     def decided(keys):
         new = [k for k in dict.fromkeys(keys) if k not in nominal]
-        nominal.update(zip(new, ls.decisions_for_keys(units, new)))
+        if new:
+            nominal.update(zip(new, ls.decisions_for_keys(units, new)))
         return [nominal[k] for k in keys]
 
-    expected = {k.label: _snapped(d) for k, d in zip(key_set, decided(key_set))}
+    def cones(half_deg):  # every key's cone, key by key, centre first
+        return [FieldKey(tuple(d), k.magnitude, k.label)
+                for k in key_set for d in cone_directions(k.direction, half_deg)]
+
+    probes = cones(angle_deg)
+    n_dirs = len(probes)
+    expected = {k.label: _snapped(d)
+                for k, d in zip(key_set, decided([*key_set, *probes]))}
     margins = []
 
     radius = coax_frac * max(_mover_diameter(u.track.mover) for u in units)
     rng = np.random.default_rng(seed)
     coax_viol = 0
-    for _ in range(n_trials):
-        topo = _offset_topology(units, rng, radius) if radius > 0 else None
-        trial = (decided(key_set) if topo is None
-                 else ls.decisions_for_keys(topo, key_set))
-        for k, decs in zip(key_set, trial):
-            if not _one_hot_ok(decs, expected[k.label], margins):
-                coax_viol += 1
+    # SCREEN_BATCH offset topologies per set-up only caps a set-up's memory
+    # when n_trials is large; the chunk size was not tuned for sweeps
+    for start in range(0, n_trials, SCREEN_BATCH):
+        count = min(SCREEN_BATCH, n_trials - start)
+        if radius > 0:  # each chunk is drawn just before it is decided
+            trials = ls._decisions_for_topologies(
+                [_offset_topology(units, rng, radius) for _ in range(count)], key_set)
+        else:
+            trials = [decided(key_set)] * count
+        for trial in trials:
+            for k, decs in zip(key_set, trial):
+                if not _one_hot_ok(decs, expected[k.label], margins):
+                    coax_viol += 1
 
-    def cone(k, half_deg):
-        return [FieldKey(tuple(d), k.magnitude, k.label)
-                for d in cone_directions(k.direction, half_deg)]
+    failing = [i for i, (fk, decs) in enumerate(zip(probes, decided(probes)))
+               if not _one_hot_ok(decs, expected[fk.label], margins)]
+    cone_viol = len(failing)
+    # index in cones() of the direction that failed last: the next probe
+    # decides it first, in a call of its own, since one decision when it
+    # fails again saves more than the set-up costs when it passes (measured
+    # on five demo sweeps against deciding that key's whole cone first)
+    last_fail = failing[0] if failing else None
 
     def cone_clean(half_deg):
-        # one call per key's cone: a failing cone leaves the later ones undecided
-        return all(_one_hot_ok(decs, expected[k.label])
-                   for k in key_set for decs in decided(cone(k, half_deg)))
-
-    probes = [fk for k in key_set for fk in cone(k, angle_deg)]
-    n_dirs = len(probes)
-    cone_viol = sum(not _one_hot_ok(decs, expected[fk.label], margins)
-                    for fk, decs in zip(probes, decided(probes)))
+        nonlocal last_fail
+        dirs = cones(half_deg)
+        groups = [range(s, s + _CONE_RIM + 1) for s in range(0, len(dirs), _CONE_RIM + 1)]
+        if last_fail is not None:
+            groups.insert(0, [last_fail])
+        for group in groups:
+            for i, decs in zip(group, decided([dirs[i] for i in group])):
+                if not _one_hot_ok(decs, expected[dirs[i].label]):
+                    last_fail = i
+                    return False
+        return True
 
     if cone_viol > 0:
         lo, hi = 0.0, angle_deg

@@ -436,25 +436,48 @@ def test_sensitivity_sweep_demo_quick():
 
 
 def test_sensitivity_sweep_decides_each_nominal_key_once(monkeypatch):
+    """Work counts of the seed-1 demo sweep and of the same sweep with 40
+    trials, whose offset topologies take three set-ups of at most
+    SCREEN_BATCH, each drawn just before the set-up that decides it."""
     cand = demo_candidate()
-    decided = []
-    original = ls.decisions_for_keys
+    log = []  # "draw" per offset topology, (topologies, keys) per engine call
+    engine, offset_topology = ls._decisions_for_topologies, dg._offset_topology
 
-    def counted(units, keys, *args, **kwargs):
-        keys = list(keys)
-        decided.extend((list(units), key) for key in keys)
-        return original(units, keys, *args, **kwargs)
+    def spied(topologies, keys, *args, **kwargs):
+        topologies, keys = [list(units) for units in topologies], list(keys)
+        log.append((topologies, keys))
+        return engine(topologies, keys, *args, **kwargs)
 
-    monkeypatch.setattr(ls, "decisions_for_keys", counted)
-    rep = dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)
-    # 196 when each cone centre was decided again, 175 when every failing
-    # direction stopped its probe; a probe now stops after a failing cone
-    assert len(decided) == 183
-    nominal = [key for units, key in decided if units == list(cand.units)]
-    assert len(nominal) == 183 - 4 * 3  # every coax trial moves the movers
-    assert len(set(nominal)) == len(nominal)
-    assert rep.angle_margin_deg == 36.09375
-    assert rep.coax_violations == 0 and rep.cone_violations == 0
+    monkeypatch.setattr(ls, "_decisions_for_topologies", spied)
+    monkeypatch.setattr(dg, "_offset_topology",
+                        lambda *a: log.append("draw") or offset_topology(*a))
+    # 183 pairs in 24 calls at 4 trials when each coax trial had its own
+    # call and every margin probe decided the cones key by key from the
+    # first key
+    for n_trials, n_pairs, n_calls, offset_sizes in (
+            (4, 161, 23, [4]), (40, 269, 25, [16, 16, 8])):
+        log.clear()
+        rep = dg.sensitivity_sweep(cand, 0.1, 20.0, n_trials, 1)
+        # the report of the sweep that decided each trial in its own call
+        assert rep == dg.SensitivityReport(
+            n_trials, 0, 27, 0, 36.09375, 7.98395354036645e-05)
+        calls = [entry for entry in log if entry != "draw"]
+        decided = [(repr(units), key) for topologies, keys in calls
+                   for units in topologies for key in keys]
+        assert (len(decided), len(calls)) == (n_pairs, n_calls)
+        assert all(keys for _, keys in calls)
+        assert len(set(decided)) == len(decided)
+        nominal = [key for units, key in decided if units == repr(list(cand.units))]
+        assert len(nominal) == 161 - 4 * 3  # every coax trial moves the movers
+        sizes, pending = [], 0
+        for entry in log:
+            if entry == "draw":
+                pending += 1
+            elif entry[0] != [list(cand.units)]:  # an offset set-up: only its own draws
+                assert len(entry[0]) == pending
+                sizes.append(pending)
+                pending = 0
+        assert sizes == offset_sizes and pending == 0
 
 
 _SEEDED = {
