@@ -269,13 +269,6 @@ def _unit_from_doc(doc, where: str) -> ls.UnitTriplet:
     return ls.UnitTriplet(doc["id"], stators, track, doc.get("assigned_key"))
 
 
-def _topology_body_to_doc(units, keys) -> dict:
-    return {
-        "units": [_unit_to_doc(u) for u in units],
-        "key_set": [_key_to_doc(k) for k in keys],
-    }
-
-
 def _units_from_doc(items, where: str) -> tuple:
     """The unit list at ``where.units``; unit ids must be unique."""
     units = tuple(_unit_from_doc(u, f"{where}.units[{i}]")
@@ -286,7 +279,17 @@ def _units_from_doc(items, where: str) -> tuple:
     return units
 
 
-def _topology_body_from_doc(doc, where: str) -> tuple:
+def topology_to_doc(units, keys, metadata: dict | None = None) -> dict:
+    doc = _header(TOPOLOGY_FORMAT, metadata)
+    doc["units"] = [_unit_to_doc(u) for u in units]
+    doc["key_set"] = [_key_to_doc(k) for k in keys]
+    return doc
+
+
+def topology_from_doc(doc: dict, where: str = "topology") -> tuple:
+    """-> (units tuple, keys tuple, metadata dict)."""
+    metadata = _check_header(doc, TOPOLOGY_FORMAT, where,
+                             ("units", "key_set"), ())
     units = _units_from_doc(doc["units"], where)
     if not units:
         raise ConfigError(f"{where}.units must not be empty")
@@ -297,20 +300,6 @@ def _topology_body_from_doc(doc, where: str) -> tuple:
             raise ConfigError(
                 f"{where}: unit {u.id!r} assigned to unknown key "
                 f"{u.assigned_key!r}")
-    return units, keys
-
-
-def topology_to_doc(units, keys, metadata: dict | None = None) -> dict:
-    doc = _header(TOPOLOGY_FORMAT, metadata)
-    doc.update(_topology_body_to_doc(units, keys))
-    return doc
-
-
-def topology_from_doc(doc: dict, where: str = "topology") -> tuple:
-    """-> (units tuple, keys tuple, metadata dict)."""
-    metadata = _check_header(doc, TOPOLOGY_FORMAT, where,
-                             ("units", "key_set"), ())
-    units, keys = _topology_body_from_doc(doc, where)
     return units, keys, metadata
 
 

@@ -35,7 +35,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,13 +55,16 @@ MAX_CARTESIAN_KEYS = 6
 _ANGLE_CAP_DEG = 85.0
 _ANGLE_RESOLUTION_DEG = 0.25
 _CONE_RIM = 8  # rim directions per cone, so each key probes 9 directions
-# candidates per run_pipeline batch, by measurement on the benchmark's 3x2x3
-# two-unit space (seeds 1-3, one pinned CPU): a 120-candidate screen took
-# 0.58-0.62 s of CPU in batches of 16, 0.62-0.64 s in batches of 8, 12 or
-# 24, 0.66-0.73 s in batches of 32 and 0.89 s one candidate at a time. A
-# batch holds the profiles of all its candidates, about 35 KiB a candidate,
-# until it is decided: the screen's traced memory peak rose 0.5 MiB over one
-# candidate at a time with batches of 16, 1.1 MiB with 32, 4.2 MiB with 120.
+# topologies per engine call: run_pipeline's candidate batches and
+# sensitivity_sweep's chunks of coaxial trials (there it only caps a
+# set-up's memory and was not tuned). Measured for run_pipeline on the
+# benchmark's 3x2x3 two-unit space (seeds 1-3, one pinned CPU): a
+# 120-candidate screen took 0.58-0.62 s of CPU in batches of 16, 0.62-0.64
+# s in batches of 8, 12 or 24, 0.66-0.73 s in batches of 32 and 0.89 s one
+# candidate at a time. A batch holds the profiles of all its candidates,
+# about 35 KiB a candidate, until it is decided: the screen's traced memory
+# peak rose 0.5 MiB over one candidate at a time with batches of 16, 1.1 MiB
+# with 32, 4.2 MiB with 120.
 SCREEN_BATCH = 16
 # upper bounds on the search and sweep sizes, each over 300 times the
 # largest value a shipped input, test or benchmark uses (budget 300, 100
@@ -270,10 +273,8 @@ def _build_units(placements, lattice, template, built=None):
     units = []
     for idx, (site, moment_dir, axis) in enumerate(placements):
         pos = tuple(lattice.spacing * c for c in site)
-        stator = part(("stator", site, moment_dir), lambda: mag.source_from_spec(MagnetSpec(
-            template.stator.shape, template.stator.dims,
-            template.stator.remanence, moment_dir,
-        ), pos))
+        stator = part(("stator", site, moment_dir), lambda: mag.source_from_spec(
+            replace(template.stator, easy_axis=moment_dir), pos))
         track = part(("track", site, axis), lambda: MoverTrack(
             axis, pos,
             (template.inner_offset, template.inner_offset + template.stroke_length),
@@ -404,13 +405,21 @@ def selectivity_filter(
 
     Passes iff every key drives exactly one unit (peak >= drive_min), those
     units are all distinct, and every other unit anchors with margin >=
-    anchor_min.
+    anchor_min. The one-candidate case of :func:`_matrices`, which the
+    screen runs on a batch of candidates.
     """
     units, key_set = _units_and_keys(candidate)
-    if not key_set:
+    return _matrices([units], key_set, thresholds, n_samples)[0]
+
+
+def _matrices(topologies, keys, thresholds, n_samples) -> list:
+    """:func:`selectivity_filter`'s matrix of each topology under ``keys``,
+    all decided in one ``landscape._decisions_for_topologies`` call."""
+    if not keys:
         raise ConfigError("candidate has no keys")
-    decisions = ls.decisions_for_keys(units, key_set, n_samples)
-    return _selectivity_matrix(units, key_set, decisions, thresholds)
+    decided = ls._decisions_for_topologies(topologies, keys, n_samples)
+    return [_selectivity_matrix(units, keys, d, thresholds)
+            for units, d in zip(topologies, decided)]
 
 
 def _selectivity_matrix(units, key_set, per_key, thresholds) -> SelectivityMatrix:
@@ -588,11 +597,8 @@ def _offset_topology(units, rng, radius):
         r = radius * np.sqrt(rng.uniform())
         ph = rng.uniform(0.0, 2 * np.pi)
         off = r * (np.cos(ph) * e1 + np.sin(ph) * e2)
-        track = MoverTrack(
-            u.track.axis, tuple(np.asarray(u.track.origin) + off), u.track.stroke,
-            u.track.mover, u.track.mass, u.track.friction_force,
-        )
-        out.append(UnitTriplet(u.id, u.stators, track, u.assigned_key))
+        out.append(replace(u, track=replace(
+            u.track, origin=tuple(np.asarray(u.track.origin) + off))))
     return out
 
 
@@ -658,8 +664,6 @@ def sensitivity_sweep(
     radius = coax_frac * max(_mover_diameter(u.track.mover) for u in units)
     rng = np.random.default_rng(seed)
     coax_viol = 0
-    # SCREEN_BATCH offset topologies per set-up only caps a set-up's memory
-    # when n_trials is large; the chunk size was not tuned for sweeps
     for start in range(0, n_trials, SCREEN_BATCH):
         count = min(SCREEN_BATCH, n_trials - start)
         if radius > 0:  # each chunk is drawn just before it is decided
@@ -703,8 +707,6 @@ def sensitivity_sweep(
             probe = min(probe * 1.5, _ANGLE_CAP_DEG)
             if cone_clean(probe):
                 lo = probe
-                if probe >= _ANGLE_CAP_DEG:
-                    break
             else:
                 hi = probe
     if hi is not None:
@@ -797,12 +799,12 @@ def run_pipeline(
 ):
     """enumerate -> filter -> metrics, in deterministic candidate order.
 
-    Candidates are screened SCREEN_BATCH at a time: one set-up and one
-    lockstep root-finding run decide every (candidate, key, unit) profile
-    of a batch (``landscape._decisions_for_topologies``), and each
-    candidate's report equals its :func:`evaluate_candidate`. When a batch
-    raises, its candidates are evaluated one by one, so the error is the
-    one a candidate-by-candidate loop raises first.
+    Candidates are screened SCREEN_BATCH at a time, a batch per
+    :func:`_matrices` call: one set-up and one lockstep root-finding run
+    decide every (candidate, key, unit) profile of a batch, and each
+    candidate's report equals its :func:`evaluate_candidate`. When a batch raises, each of its
+    candidates goes through :func:`selectivity_filter` on its own, so the
+    error is the one a candidate-by-candidate loop raises first.
 
     ``threads`` is kept only because the benchmark's ``screen`` workload
     passes ``threads=1``; any other value raises ConfigError. It goes once
@@ -815,15 +817,10 @@ def run_pipeline(
     reports = []
     for start in range(0, len(candidates), SCREEN_BATCH):
         batch = candidates[start:start + SCREEN_BATCH]
-        keys = batch[0].key_set
         try:
-            decided = (ls._decisions_for_topologies([c.units for c in batch], keys, n_samples)
-                       if keys else None)
-        except MaglogicError:
-            decided = None
-        if decided is None:  # raises what the first failing candidate raises
-            reports += [evaluate_candidate(c, thresholds, n_samples) for c in batch]
-            continue
-        reports += [_report(c, _selectivity_matrix(c.units, keys, d, thresholds))
-                    for c, d in zip(batch, decided)]
+            matrices = _matrices([c.units for c in batch], batch[0].key_set,
+                                 thresholds, n_samples)
+        except MaglogicError:  # raises what the first failing candidate raises
+            matrices = (selectivity_filter(c, thresholds, n_samples) for c in batch)
+        reports += [_report(c, m) for c, m in zip(batch, matrices)]
     return reports

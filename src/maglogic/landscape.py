@@ -198,9 +198,11 @@ def _batch_orientations(topologies, positions, kvecs, has_key):
     ``positions`` dict, under Q keys (:func:`_key_vectors`).
 
     One lockstep :func:`magnetics.equilibrium_directions` solve takes a set
-    per (topology, key). The stator field at the movers is summed stator by
-    stator from zeros, one per-row kernel call per stator index over every
-    topology's movers, then each key is added to it.
+    per (topology, key). The stator field at the movers is one per-row
+    kernel call over every stator dipole of each topology, in unit order,
+    added to zeros, then each key is added to it. The kernel's running sum
+    then has the bits of summing stator by stator from zeros wherever no
+    stator after a topology's first has sub-dipoles.
     """
     for units in topologies:
         if not units:
@@ -212,12 +214,13 @@ def _batch_orientations(topologies, positions, kvecs, has_key):
     mags = np.array([[u.track.mover_moment_mag() for u in units] for units in topologies])
     axes = np.array([[u.track.axis for u in units] for units in topologies])
     n_topo, n = mags.shape
+    # every stator dipole of each topology, once per mover of that topology
+    per_row = [np.repeat(np.reshape([d for units in topologies for u in units
+                                     for s in u.stators for d in f(s)], (n_topo, -1, 3)),
+                         n, axis=0)
+               for f in (MagnetSource.dipole_positions, MagnetSource.dipole_moments)]
     base = np.zeros((n_topo, len(kvecs), n, 3))
-    for stators in zip(*([s for u in units for s in u.stators] for units in topologies)):
-        # stator j of each topology, once per mover of that topology
-        per_row = [np.repeat([f(s) for s in stators], n, axis=0)
-                   for f in (MagnetSource.dipole_positions, MagnetSource.dipole_moments)]
-        base += mag.dipole_field(*per_row, pts.reshape(-1, 3)).reshape(n_topo, 1, n, 3)
+    base += mag.dipole_field(*per_row, pts.reshape(-1, 3)).reshape(n_topo, 1, n, 3)
     np.add(base, kvecs[:, None, :], out=base, where=has_key[:, None, None])
 
     def per_set(a):  # one copy per key
@@ -875,45 +878,30 @@ def scale_topology(topology, s: float):
     """Geometrically similar topology: lengths x s, masses x s^3, friction x s^2.
 
     Moments then scale as s^3 and dipole fields are scale-invariant, so
-    orientations are preserved, energies scale s^3 and forces s^2.
+    orientations are preserved, energies scale s^3 and forces s^2. Every
+    copy is a ``dataclasses.replace`` of the original, so a field it does
+    not scale is kept as it is.
     """
     mag.finite(s, "scale factor", 0.0)
+
+    def spec(sp):
+        return replace(sp, dims=tuple(d * s for d in sp.dims))
+
+    def stator(st):
+        subs = (None if st.subdipoles is None
+                else tuple((np.asarray(o) * s, f) for o, f in st.subdipoles))
+        if st.spec is None:
+            # bare dipole: |m| = B_r V / mu0 scales with volume
+            return replace(st, position=st.position * s, moment=st.moment * s**3,
+                           subdipoles=subs)
+        src = mag.source_from_spec(spec(st.spec), st.position * s, mag.unit(st.moment))
+        return replace(src, subdipoles=subs)
+
     out = []
     for u in topology:
-        stators = []
-        for st in u.stators:
-            if st.spec is None:
-                # bare dipole: |m| = B_r V / mu0 scales with volume
-                stators.append(
-                    MagnetSource(np.asarray(st.position) * s, np.asarray(st.moment) * s**3)
-                )
-                continue
-            spec = MagnetSpec(
-                st.spec.shape,
-                tuple(d * s for d in st.spec.dims),
-                st.spec.remanence,
-                st.spec.easy_axis,
-            )
-            axis = mag.unit(st.moment)
-            src = mag.source_from_spec(spec, np.asarray(st.position) * s, axis)
-            if st.subdipoles is not None:
-                subs = tuple((np.asarray(o) * s, f) for o, f in st.subdipoles)
-                src = MagnetSource(src.position, src.moment, spec=spec, subdipoles=subs)
-            stators.append(src)
-        mt = u.track
-        mover = MagnetSpec(
-            mt.mover.shape,
-            tuple(d * s for d in mt.mover.dims),
-            mt.mover.remanence,
-            mt.mover.easy_axis,
-        )
-        track = MoverTrack(
-            mt.axis,
-            tuple(np.asarray(mt.origin) * s),
-            (mt.x_in * s, mt.x_out * s),
-            mover,
-            mt.mass * s**3,
-            mt.friction_force * s**2,
-        )
-        out.append(UnitTriplet(u.id, tuple(stators), track, u.assigned_key))
+        t = u.track
+        track = replace(t, origin=tuple(np.asarray(t.origin) * s),
+                        stroke=(t.x_in * s, t.x_out * s), mover=spec(t.mover),
+                        mass=t.mass * s**3, friction_force=t.friction_force * s**2)
+        out.append(replace(u, stators=tuple(map(stator, u.stators)), track=track))
     return out

@@ -880,6 +880,29 @@ def test_scale_covariance():
         ls.scale_topology(topo, 0.0)
 
 
+def alpha_discretized():
+    """The demo topology with alpha's stator split into 27 sub-dipoles."""
+    return [dataclasses.replace(u, stators=tuple(
+        mag.source_from_spec(s.spec, s.position, s.moment, discretize=3)
+        for s in u.stators)) if u.id == "alpha" else u for u in pr.demo_topology()]
+
+
+def split_unit():
+    """``anchored_unit`` with its spec-less stator split into two
+    half-moment dipoles 4 mm apart along its moment."""
+    stator = MagnetSource((0, 0, 0), (0, 0, 0.128),
+                          subdipoles=(((0, 0, -0.002), 0.5), ((0, 0, 0.002), 0.5)))
+    return dataclasses.replace(anchored_unit(), stators=(stator,))
+
+
+def test_scale_keeps_the_subdipoles_of_a_bare_stator():
+    """A stator without a spec keeps its sub-dipoles, their offsets x s,
+    so the scaled topology is the same model."""
+    scaled = ls.scale_topology([split_unit()], 2.0)[0].stators[0]
+    assert scaled == MagnetSource((0, 0, 0), (0, 0, 1.024),
+                                  subdipoles=(((0, 0, -0.004), 0.5), ((0, 0, 0.004), 0.5)))
+
+
 def test_ejection_velocity_scale_invariant():
     unit = collapse_unit()
     key = FieldKey((0, 0, -1), 15e-3, "k")
@@ -967,6 +990,24 @@ def test_batch_orientations_match_one_topology_at_a_time():
             a[0] for a in ls._batch_orientations([topo], [p], kvecs, has_key))
         assert np.array_equal(pts[t], one_pts) and np.array_equal(mags[t], one_mags)
         assert np.array_equal(dirs[t], one_dirs)
+
+
+def test_stator_field_keeps_the_per_stator_bits(monkeypatch):
+    """The set-up's one kernel call over every stator dipole gives the
+    fixed field of summing stator by stator from zeros
+    (``_set_geometry``) byte for byte, signed zeros included: for point
+    dipoles, a stator whose field across the track is -0.0, opposed
+    stators whose fields cancel and a discretized first stator."""
+    fields = []
+    solve = mag.equilibrium_directions
+    monkeypatch.setattr(mag, "equilibrium_directions",
+                        lambda *a: fields.append(a[2]) or solve(*a))
+    for topo in (pr.demo_topology(), alpha_discretized(), [outward_unit()],
+                 [collapse_unit()], [_zero_field_unit()], coupled_topology()):
+        positions = ls.rest_positions(topo)
+        for key in (None, *pr.demo_keys()):
+            ls.equilibrate_orientations(topo, positions, key)
+            assert fields.pop()[0].tobytes() == _set_geometry(topo, positions, key)[2].tobytes()
 
 
 def test_decisions_for_topologies_match_one_topology_at_a_time():
@@ -1299,7 +1340,12 @@ def test_fused_evaluator_far_sources_without_warnings():
         assert np.array_equal(energy, _composed_evaluate(*args, xs)[0])
 
 
-_SCALED = {"demo": pr.demo_topology, "pair": pr.pair_orthogonal}
+_SCALED = {
+    "demo": pr.demo_topology,
+    "pair": pr.pair_orthogonal,
+    "demo_discretized": alpha_discretized,  # a spec'd stator with sub-dipoles
+    "split": lambda: [split_unit()],  # a stator with sub-dipoles and no spec
+}
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
