@@ -5,9 +5,11 @@ that each carry a release threshold and a set of channel directions. Field
 magnitude is the address bus: a node only listens when |B| meets its
 threshold, which confines addressing to the volume right under the master.
 Field direction is the control bus: the nearest channel direction within
-the node's acceptance cone is the one that fires. A command evaluates the
-master's field at every node in one kernel call, and one batched pass
-decodes a channel at every node that reaches its threshold.
+the node's acceptance cone is the one that fires. A list of commands is
+decided in blocks: the masters of a block's commands are stacked as
+grouped kernel sources, one kernel call gives every master's field at
+every node, and one batched pass decodes each (command, node) row. A
+single command is the one-command block.
 
 The master's moment is calibrated against a target field at a working
 depth, so the shipped demos state their assumptions as two numbers (120 mT
@@ -27,6 +29,7 @@ they used.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +44,8 @@ DEFAULT_ISOLATION_FRAC = 0.75  # neighbor must fall below this x threshold
 _CALIBRATION_HEADROOM = 1e-6  # keeps the target strictly at/above threshold
 _SPACING_XTOL = 1e-6  # m, bisection stop of min_spacing
 # the most endurance cycles: 200 times the shipped campaign's 5000, checked
-# before any per-cycle array is built
+# before any per-cycle array is built; also the most (command, node) rows
+# of one truth-table block
 MAX_CYCLES = 1_000_000
 
 
@@ -146,15 +150,24 @@ class _Nodes:
     """A grid as arrays, built once per call.
 
     ``positions`` (n, 3); ``thresholds`` and ``cones`` (n,); ``dirs``
-    (n, C, 3), C the most channels of any node; ``pad`` (n, C) is 0 on a
-    node's own channels and +inf past them, so a padded slot is never the
-    nearest channel.
+    (n, C, 3), C the most channels of any node (1 for an empty grid);
+    ``pad`` (n, C) is 0 on a node's own channels and +inf past them, so a
+    padded slot is never the nearest channel. ``columns`` are the truth
+    table's (node id, channel label) pairs and ``offsets`` (n,) each
+    node's first column, so channel k of node j is column offsets[j] + k.
+    Raises ConfigError unless every node is a NodeSpec with its own id.
     """
 
     def __init__(self, grid):
         self.grid = list(grid)
+        for node in self.grid:
+            if not isinstance(node, NodeSpec):
+                raise ConfigError(f"grid node must be a NodeSpec, got {node!r}")
+        ids = [node.id for node in self.grid]
+        if len(set(ids)) != len(ids):
+            raise ConfigError("grid has duplicate node ids")
         n = len(self.grid)
-        width = max((len(node.channels) for node in self.grid), default=0)
+        width = max((len(node.channels) for node in self.grid), default=1)
         self.dirs = np.zeros((n, width, 3))
         self.pad = np.full((n, width), np.inf)
         for i, node in enumerate(self.grid):
@@ -164,6 +177,9 @@ class _Nodes:
                                   dtype=float).reshape(-1, 3)
         self.thresholds = np.array([node.threshold for node in self.grid], dtype=float)
         self.cones = np.array([node.cone_half_angle for node in self.grid], dtype=float)
+        self.columns = tuple((node.id, c.label) for node in self.grid
+                             for c in node.channels)
+        self.offsets = np.cumsum([0] + [len(node.channels) for node in self.grid])[:-1]
 
 
 def _decode_rows(nodes: _Nodes, which: np.ndarray, fields: np.ndarray) -> tuple:
@@ -201,23 +217,70 @@ def decode_node(node: NodeSpec, field) -> str | None:
     return None if fired[0] < 0 else node.channels[fired[0]].label
 
 
-def _events(nodes: _Nodes, command: Command, t: float) -> list:
-    """Events of one command: one kernel call for the field at every node,
-    one :func:`_decode_rows` pass over all of them."""
-    fields = _master_field(command.pose, nodes.positions)
-    norms, fired = _decode_rows(nodes, np.arange(len(nodes.grid)), fields)
-    events = []
-    for node, k, norm in zip(nodes.grid, fired.tolist(), norms.tolist()):
-        if k >= 0:
-            label = node.channels[k].label
-            events.append(Event(t, node.id, label, norm,
-                                (node.id, label) == command.intended))
-    return events
+def _commands(commands) -> list:
+    """``commands`` as a list; raises ConfigError unless each is a Command."""
+    commands = list(commands)
+    for cmd in commands:
+        if not isinstance(cmd, Command):
+            raise ConfigError(f"command must be a Command, got {cmd!r}")
+    return commands
+
+
+def _block_hits(nodes: _Nodes, block: list) -> list:
+    """Per command of ``block``, whose masters all have D dipoles, the
+    (column, |B|) of every node that fires, in node order.
+
+    The masters are grouped kernel sources (commands, D, 3) and the node
+    positions every group's points (commands, nodes, 3), so one kernel
+    call gives every field, and one :func:`_decode_rows` pass decodes
+    every (command, node) row.
+    """
+    n = len(nodes.grid)
+    dipoles = np.array([cmd.pose.dipoles for cmd in block])  # (G, D, 2, 3)
+    base = np.array([cmd.pose.position for cmd in block])[:, None]
+    fields = mag.dipole_field(base + dipoles[:, :, 0], dipoles[:, :, 1],
+                              np.broadcast_to(nodes.positions, (len(block), n, 3)))
+    norms, fired = _decode_rows(nodes, np.tile(np.arange(n), len(block)),
+                                fields.reshape(-1, 3))
+    fired, norms = fired.reshape(len(block), n), norms.reshape(len(block), n)
+    at, j = np.nonzero(fired >= 0)
+    hits = [[] for _ in block]
+    for g, col, norm in zip(at.tolist(), (nodes.offsets[j] + fired[at, j]).tolist(),
+                            norms[at, j].tolist()):
+        hits[g].append((col, norm))
+    return hits
+
+
+def _decide(nodes: _Nodes, commands: list, t: float) -> list:
+    """Per command, in order, the columns it fires and its events; the
+    first command acts at ``t`` and each later one a dwell after the one
+    before (``t += cmd.dwell``).
+
+    Commands are decided in blocks (see :func:`truth_table`).
+    """
+    per_block = max(1, MAX_CYCLES // max(len(nodes.grid), 1))
+    out = []
+    for _, run in itertools.groupby(commands, key=lambda cmd: len(cmd.pose.dipoles)):
+        run = list(run)
+        for lo in range(0, len(run), per_block):
+            block = run[lo:lo + per_block]
+            for cmd, hits in zip(block, _block_hits(nodes, block)):
+                cols = tuple(col for col, _ in hits)
+                out.append((cols, [Event(t, *nodes.columns[col], norm,
+                                         nodes.columns[col] == cmd.intended)
+                                   for col, norm in hits]))
+                t += cmd.dwell
+    return out
 
 
 def execute_command(grid, command: Command, t: float = 0.0) -> list:
-    """Decode one command at every node; events carry the intended flag."""
-    return _events(_Nodes(grid), command, t)
+    """Decode one command at every node; events carry the intended flag.
+
+    ``t`` is the events' time, a finite number.
+    """
+    t = mag.finite(t, "command time")
+    (_, events), = _decide(_Nodes(grid), _commands([command]), t)
+    return events
 
 
 @dataclass(frozen=True)
@@ -244,20 +307,27 @@ class TruthTable:
 
 
 def truth_table(grid, commands) -> TruthTable:
+    """Decode every command at every node: the 0/1 table and the event log.
+
+    Command i acts at the sum of the dwells before it. The commands are
+    decided in blocks: a block is a run of consecutive commands whose
+    masters have the same dipole count, at most ``MAX_CYCLES`` (command,
+    node) rows, and takes one grouped kernel call and one decode. A
+    campaign's commands share one master, so a campaign is one block. The
+    events have the bits of :func:`execute_command` at each command's
+    time: the dipole kernel is elementwise with a running sum over the
+    dipoles, so a group gets the bits of a shared-source call on its
+    points, and the decode is per row.
+    """
     nodes = _Nodes(grid)
-    columns = tuple((n.id, c.label) for n in nodes.grid for c in n.channels)
-    fired, exclusive, intended, log = [], [], [], []
-    t = 0.0
-    for cmd in commands:
-        events = _events(nodes, cmd, t)
-        t += cmd.dwell
-        hits = {(e.node_id, e.channel) for e in events}
-        fired.append(tuple(i for i, col in enumerate(columns) if col in hits))
-        exclusive.append(hits == {cmd.intended})
-        intended.append(cmd.intended)
-        log.extend(events)
-    return TruthTable(columns, tuple(fired), tuple(exclusive), tuple(intended),
-                      tuple(log))
+    commands = _commands(commands)
+    decided = _decide(nodes, commands, 0.0)
+    return TruthTable(
+        nodes.columns,
+        tuple(cols for cols, _ in decided),
+        tuple(len(events) == 1 and events[0].intended for _, events in decided),
+        tuple(cmd.intended for cmd in commands),
+        tuple(e for _, events in decided for e in events))
 
 
 class ErrorRate(float):
@@ -456,7 +526,7 @@ def _noisy_sources(pose: MasterPose, rng, n_cycles: int, angle_sigma_deg: float,
     return np.asarray(pose.position) + offsets, moments
 
 
-def _noisy_hits(grid: list, pos: np.ndarray, moments: np.ndarray) -> list:
+def _noisy_hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> list:
     """The set of (node id, channel label) fired in each cycle.
 
     ``pos`` and ``moments`` (n_cycles, D, 3) are every cycle's master, as
@@ -466,7 +536,6 @@ def _noisy_hits(grid: list, pos: np.ndarray, moments: np.ndarray) -> list:
     arrays at n_cycles rows rather than n_cycles x nodes.
     """
     n_cycles = len(pos)
-    nodes = _Nodes(grid)
     hits = [set() for _ in range(n_cycles)]
     for j, (node, p) in enumerate(zip(nodes.grid, nodes.positions)):
         fields = mag.dipole_field(pos, moments, np.broadcast_to(p, (n_cycles, 3)))
@@ -507,12 +576,13 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
                            "magnitude_sigma_T", 0.0, inclusive=True)
     if noise:
         raise ConfigError(f"unknown noise fields {sorted(noise)}")
-    grid = list(grid)
-    node = next((n for n in grid if n.id == command.intended[0]), None)
+    nodes = _Nodes(grid)
+    _commands([command])
+    node = next((n for n in nodes.grid if n.id == command.intended[0]), None)
     if node is None:
         raise ConfigError(f"intended node {command.intended[0]!r} not in grid")
     if angle_sigma == 0.0 and mag_sigma == 0.0:
-        hits = {(e.node_id, e.channel) for e in execute_command(grid, command)}
+        hits = {(e.node_id, e.channel) for e in execute_command(nodes.grid, command)}
         totals = [n_cycles * c for c in _outcome(hits, command.intended)]
     else:
         nominal_B = float(np.linalg.norm(
@@ -520,7 +590,7 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
         if mag_sigma > 0.0 and nominal_B == 0.0:
             raise ConfigError("magnitude_sigma_T needs a non-zero master field "
                               f"at node {node.id!r}; it is 0 there")
-        hits = _noisy_hits(grid, *_noisy_sources(
+        hits = _noisy_hits(nodes, *_noisy_sources(
             command.pose, np.random.default_rng(seed), n_cycles,
             angle_sigma, mag_sigma, nominal_B))
         totals = [sum(col) for col in

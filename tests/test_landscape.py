@@ -1348,8 +1348,9 @@ _SCALED = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(_SCALED))
 @settings(derandomize=True, deadline=None, max_examples=10)
-@given(st.sampled_from(sorted(_SCALED)), st.floats(0.5, 4.0))
+@given(s=st.floats(0.5, 4.0))
 def test_scale_covariance_of_every_profile(name, s):
     """Lengths x s: forces x s^2 and energies x s^3 at corresponding
     samples, for every unit under every demo key and no key."""

@@ -301,7 +301,7 @@ def test_batched_endurance_matches_per_cycle_poses():
                 [list(np.add(p.position, off)) for off, _ in p.dipoles] for p in poses]
             assert moments.tolist() == [[list(m) for _, m in p.dipoles] for p in poses]
             want = [_hits_reference(grid, p) for p in poses]
-            assert nb._noisy_hits(grid, pos, moments) == want
+            assert nb._noisy_hits(nb._Nodes(grid), pos, moments) == want
             counts = [sum(col) for col in
                       zip(*(nb._outcome(h, cmd.intended) for h in want))]
             stats = nb.endurance_campaign(grid, cmd, 120, noise, seed=seed)
@@ -370,6 +370,168 @@ def test_execute_command_matches_node_by_node_decode():
         assert got == want  # the same labels and the same magnitude floats
         fired.append(len(got))
     assert min(fired) == 0 and max(fired) > 2
+
+
+def _hex_events(events):
+    """Events with their floats as ``float.hex``, so equality is bitwise."""
+    return [(e.time.hex(), e.node_id, e.channel, e.magnitude.hex(), e.intended)
+            for e in events]
+
+
+def _assert_table_matches_commands(grid, commands):
+    """The one-pass table against one ``execute_command`` per command at
+    the accumulated dwell times; returns the number of events."""
+    table = nb.truth_table(grid, commands)
+    columns = tuple((n.id, c.label) for n in grid for c in n.channels)
+    log, t = [], 0.0
+    for i, cmd in enumerate(commands):
+        events = nb.execute_command(grid, cmd, t)
+        t += cmd.dwell
+        hits = [(e.node_id, e.channel) for e in events]
+        assert table.fired[i] == tuple(columns.index(h) for h in hits)
+        assert table.exclusive[i] == (hits == [cmd.intended])
+        log.extend(events)
+    assert table.columns == columns
+    assert _hex_events(table.events) == _hex_events(log)
+    assert table.events == tuple(log)
+    return len(log)
+
+
+def _counted_kernel(monkeypatch):
+    """Record the sources shape of every ``dipole_field`` call."""
+    shapes = []
+    real = nb.mag.dipole_field
+
+    def counted(src_pos, *args):
+        shapes.append(np.shape(src_pos))
+        return real(src_pos, *args)
+
+    monkeypatch.setattr(nb.mag, "dipole_field", counted)
+    return shapes
+
+
+def test_truth_table_matches_execute_command_on_dense_grid(monkeypatch):
+    # 5x5 at 10 mm pitch with a 10 mT threshold: neighbours fire as well
+    grid = [nb.NodeSpec(f"n{i}{j}", (0.01 * i, 0.01 * j, 0.0),
+                        pr.demo_grid()[0].channels, 0.010)
+            for i in range(5) for j in range(5)]
+    commands = pr.demo_bus_commands(grid)
+    rng = np.random.default_rng(5)
+    # tilted and rescaled poses with uneven dwells
+    commands += [nb.Command(_tilted(cmd.pose, rng.normal(0.0, 15.0),
+                                    (*rng.normal(size=2), 0.0), scale),
+                            cmd.intended, dwell)
+                 for cmd, scale, dwell in zip(commands[::19], (0.9, 1.3, 25.0, 1.0),
+                                              (0.5, 0.1, 3.0, 1e-3))]
+    shapes = _counted_kernel(monkeypatch)
+    table = nb.truth_table(grid, commands)
+    assert shapes == [(len(commands), 1, 3)]  # one block, one kernel call
+    monkeypatch.undo()
+    assert _assert_table_matches_commands(grid, commands) > 2 * len(commands)
+    assert not all(table.exclusive) and any(table.exclusive)
+
+
+def test_truth_table_blocks_follow_the_dipole_count(monkeypatch):
+    grid = pr.demo_grid()
+    composite = nb.calibrate_master(DEPTH, FIELD, "composite",
+                                    field_direction=(0, 0, 1))
+    singles = pr.demo_bus_commands(grid)
+    pairs = [nb.Command(nb.pose_over(node, composite, 0.7 * DEPTH),
+                        (node.id, "gamma"), 0.25) for node in grid]
+    commands = singles[:4] + pairs[:2] + singles[4:5] + pairs[2:] + singles[5:]
+    shapes = _counted_kernel(monkeypatch)
+    nb.truth_table(grid, commands)
+    assert shapes == [(4, 1, 3), (2, 2, 3), (1, 1, 3), (1, 2, 3), (4, 1, 3)]
+    # MAX_CYCLES caps the (command, node) rows of one block: 2 commands here
+    shapes.clear()
+    monkeypatch.setattr(nb, "MAX_CYCLES", 2 * len(grid) + 1)
+    capped = nb.truth_table(grid, singles)
+    assert shapes == [(2, 1, 3)] * 4 + [(1, 1, 3)]
+    monkeypatch.undo()
+    whole = nb.truth_table(grid, singles)
+    assert capped == whole
+    assert _hex_events(capped.events) == _hex_events(whole.events)
+    assert _assert_table_matches_commands(grid, commands) >= len(commands)
+
+
+def test_truth_table_matches_execute_command_on_mixed_channel_counts():
+    diagonal = (math.sqrt(0.5), math.sqrt(0.5), 0.0)
+    channel_sets = (
+        (nb.Channel("down", (0, 0, -1)),),
+        (nb.Channel("x", (1, 0, 0)), nb.Channel("up", (0, 0, 1))),
+        (nb.Channel("y", (0, 1, 0)), nb.Channel("diag", diagonal),
+         nb.Channel("-x", (-1, 0, 0))),
+        (nb.Channel("a", (1, 0, 0)), nb.Channel("b", (0, 1, 0)),
+         nb.Channel("c", (0, 0, 1)), nb.Channel("d", (0, 0, -1))),
+    )
+    # 8 mm pitch at an eighth of the threshold: neighbours fire too
+    grid = [nb.NodeSpec(f"m{i}{j}", (0.008 * i, 0.008 * j, 0.0),
+                        channel_sets[(i + 2 * j) % 4], FIELD / 8, 30.0)
+            for i in range(3) for j in range(3)]
+    composite = nb.calibrate_master(DEPTH, FIELD, "composite")
+    commands = pr.demo_bus_commands(grid)
+    commands[3:3] = [nb.Command(nb.pose_over(node, composite, DEPTH),
+                                (node.id, node.channels[-1].label))
+                     for node in grid[::2]]
+    assert _assert_table_matches_commands(grid, commands) > len(commands)
+
+
+def test_empty_grid_decides_no_events():
+    commands = pr.demo_bus_commands()
+    assert nb.execute_command([], commands[0]) == []
+    table = nb.truth_table([], commands)
+    assert table.columns == () and table.events == ()
+    assert table.rows == ((),) * len(commands)
+    assert table.fired == ((),) * len(commands)
+    assert table.exclusive == (False,) * len(commands)
+    assert nb.truth_table([], []) == nb.TruthTable((), (), (), (), ())
+
+
+def test_execute_command_time_must_be_a_finite_number():
+    grid = pr.demo_grid()
+    cmd = pr.demo_bus_commands(grid)[0]
+    for bad in ("x", float("nan"), float("inf"), -float("inf"), None, True, 1j):
+        with pytest.raises(ConfigError, match="command time"):
+            nb.execute_command(grid, cmd, bad)
+    assert [e.time for e in nb.execute_command(grid, cmd, 2)] == [2.0]
+
+
+def test_commands_must_be_commands():
+    grid = pr.demo_grid()
+    commands = pr.demo_bus_commands(grid)
+    for bad in ("cmd", None, commands[0].pose, (commands[0].pose, ("node0", "alpha"))):
+        with pytest.raises(ConfigError, match="must be a Command"):
+            nb.truth_table(grid, [*commands[:2], bad])
+        with pytest.raises(ConfigError, match="must be a Command"):
+            nb.execute_command(grid, bad)
+        with pytest.raises(ConfigError, match="must be a Command"):
+            nb.endurance_campaign(grid, bad, 10)
+
+
+def test_grid_nodes_must_be_node_specs():
+    grid = pr.demo_grid()
+    commands = pr.demo_bus_commands(grid)
+    for bad in ("node3", None, grid[0].channels[0], {"id": "node3"}):
+        with pytest.raises(ConfigError, match="must be a NodeSpec"):
+            nb.truth_table([*grid, bad], commands)
+        with pytest.raises(ConfigError, match="must be a NodeSpec"):
+            nb.execute_command([bad, *grid], commands[0])
+        with pytest.raises(ConfigError, match="must be a NodeSpec"):
+            nb.endurance_campaign([*grid, bad], commands[0], 10)
+
+
+def test_grid_node_ids_must_be_unique():
+    grid = pr.demo_grid()
+    commands = pr.demo_bus_commands(grid)
+    twin = nb.NodeSpec(grid[0].id, (0.0, 0.09, 0.0), grid[0].channels,
+                       grid[0].threshold)
+    for bad in ([*grid, twin], [twin, *grid]):
+        with pytest.raises(ConfigError, match="duplicate node ids"):
+            nb.truth_table(bad, commands)
+        with pytest.raises(ConfigError, match="duplicate node ids"):
+            nb.execute_command(bad, commands[0])
+        with pytest.raises(ConfigError, match="duplicate node ids"):
+            nb.endurance_campaign(bad, commands[0], 10)
 
 
 def test_demo_commands_leave_neighbors_far_below_threshold():
