@@ -190,8 +190,6 @@ def cmd_net(args) -> int:
         f"exclusive_rows {sum(table.exclusive)}/{len(table.rows)}",
     ]
     if campaign.cycles > 0:
-        if not campaign.commands:
-            raise ConfigError("endurance cycles need at least one command")
         seed = campaign.seed if args.seed is None else args.seed
         stats = nb.endurance_campaign(
             campaign.grid, campaign.commands[0], campaign.cycles,

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -487,25 +488,23 @@ def load_machine(path) -> tuple:
 # campaign documents
 
 
+@dataclass(frozen=True)
 class Campaign:
     """A loaded campaign: grid, calibrated commands, endurance settings.
 
     ``master`` keeps the declarative calibration record (style, depth,
-    field, separation) and ``command_specs`` the (node, channel, dwell)
-    schedule, so the campaign re-serializes without loss. ``commands``
-    are the posed, calibrated netbus commands in schedule order.
+    field, separation), so the campaign re-serializes without loss.
+    ``commands`` are the posed, calibrated netbus commands in schedule
+    order; each one's intended (node, channel) and dwell is the schedule.
     """
 
-    def __init__(self, grid, master, command_specs, commands, cycles,
-                 noise, seed, metadata):
-        self.grid = tuple(grid)
-        self.master = dict(master)
-        self.command_specs = tuple(command_specs)
-        self.commands = tuple(commands)
-        self.cycles = cycles
-        self.noise = dict(noise) if noise is not None else None
-        self.seed = seed
-        self.metadata = dict(metadata)
+    grid: tuple
+    master: dict
+    commands: tuple
+    cycles: int
+    noise: dict | None
+    seed: int
+    metadata: dict
 
 
 def campaign_to_doc(campaign: Campaign) -> dict:
@@ -523,8 +522,8 @@ def campaign_to_doc(campaign: Campaign) -> dict:
     ]
     doc["master"] = dict(campaign.master)
     doc["commands"] = [
-        {"node": node, "channel": channel, "dwell": float(dwell)}
-        for node, channel, dwell in campaign.command_specs
+        {"node": cmd.intended[0], "channel": cmd.intended[1], "dwell": float(cmd.dwell)}
+        for cmd in campaign.commands
     ]
     doc["cycles"] = int(campaign.cycles)
     if campaign.noise is not None:
@@ -567,7 +566,7 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
     for name in ("depth", "field", "separation"):  # checked with no command too
         if name in master:
             mag.finite(master[name], f"{where}.master.{name}", 0.0)
-    command_specs, commands = [], []
+    commands = []
     for i, cdoc in enumerate(_list(doc["commands"], f"{where}.commands")):
         cw = f"{where}.commands[{i}]"
         _check_fields(cdoc, cw, ("node", "channel"), ("dwell",))
@@ -589,9 +588,10 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
         pose = nb.pose_over(node, reference, master["depth"])
         commands.append(nb.Command(pose, (node.id, channel.label),
                                    cdoc.get("dwell", 1.0)))
-        command_specs.append((node.id, channel.label, commands[-1].dwell))
     cycles = mag.finite(doc.get("cycles", 0), f"{where}.cycles", 0,
                         inclusive=True, integer=True, high=nb.MAX_CYCLES)
+    if cycles > 0 and not commands:
+        raise ConfigError(f"{where}: endurance cycles need at least one command")
     noise = doc.get("noise")
     if noise is not None:
         _check_fields(noise, f"{where}.noise", (),
@@ -600,8 +600,8 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
             mag.finite(value, f"{where}.noise.{name}", 0.0, inclusive=True)
     seed = mag.finite(doc.get("seed", 0), f"{where}.seed", 0, inclusive=True,
                       integer=True)
-    return Campaign(grid, master, command_specs, commands, cycles,
-                    noise, seed, metadata)
+    return Campaign(tuple(grid), master, tuple(commands), cycles,
+                    None if noise is None else dict(noise), seed, metadata)
 
 
 def load_campaign(path) -> Campaign:

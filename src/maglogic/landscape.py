@@ -50,6 +50,7 @@ and topology would.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,7 +180,14 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
 
 
 def _key_vectors(keys):
-    """Key vectors (Q, 3), zero for a None key, and the (Q,) has-key mask."""
+    """Key vectors (Q, 3), zero for a None key, and the (Q,) has-key mask.
+
+    Every entry point passes its keys through here; raises ConfigError
+    unless ``keys`` is a list or tuple of FieldKey or None.
+    """
+    if not (isinstance(keys, (list, tuple))
+            and all(k is None or isinstance(k, FieldKey) for k in keys)):
+        raise ConfigError(f"keys must be a sequence of FieldKey or None, got {keys!r}")
     return (np.array([np.zeros(3) if k is None else k.vector for k in keys]).reshape(-1, 3),
             np.array([k is not None for k in keys], dtype=bool))
 
@@ -451,9 +459,9 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
     every target under one (topology, key) are one grouped
     :func:`_evaluate` call, on one ``linspace`` per track and topology.
     """
+    kvecs, has_key = _key_vectors(keys)
     if not keys or not topologies:
         return []
-    kvecs, has_key = _key_vectors(keys)
     pts, mags, dirs = _batch_orientations(topologies, positions, kvecs, has_key)
     mover_m = mags[:, None, :, None] * dirs
     n_keys = len(keys)
@@ -790,13 +798,8 @@ def _decisions_for_topologies(topologies, keys, n_samples=DEFAULT_SAMPLES,
     every topology is decided exactly as it would be on its own.
     """
     topologies = [list(units) for units in topologies]
-    try:
+    if isinstance(keys, Iterable):  # a bare key or None is refused by _key_vectors
         keys = list(keys)
-        ok = all(k is None or isinstance(k, FieldKey) for k in keys)
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"keys must be a sequence of FieldKey or None, got {keys!r}")
     positions = [_latched_positions(units, n_samples, mover_positions)
                  for units in topologies]
     if len({_shape(units) for units in topologies}) > 1:

@@ -17,10 +17,10 @@ at 5 mm) rather than a hardware model; every style aims the master along
 the commanded channel direction. Endurance campaigns perturb the master
 pose with seeded Gaussian angle/magnitude noise and report exact binomial
 (Clopper-Pearson) upper confidence bounds on the failure rate. The noise
-is drawn cycle by cycle, then every cycle runs in one pass: the tilted and
-rescaled masters as stacked arrays, one per-row kernel call per node over
-all cycles, and one batched decode of every (cycle, node) row. Without
-noise, the one nominal pose is decoded once and counted for every cycle.
+is drawn cycle by cycle, then the tilted and rescaled masters are decided
+like a truth table's commands: stacked as grouped kernel sources, one
+kernel call and one decode per block of (cycle, node) rows. Without noise,
+the one nominal pose is decoded once and counted for every cycle.
 The bounds are found by bisection on the exact binomial tail. Zero-failure
 bounds are reported in both conventions, one-sided 1 - 0.05^(1/n) and
 two-sided 1 - 0.025^(1/n), because published figures rarely say which one
@@ -44,8 +44,8 @@ DEFAULT_ISOLATION_FRAC = 0.75  # neighbor must fall below this x threshold
 _CALIBRATION_HEADROOM = 1e-6  # keeps the target strictly at/above threshold
 _SPACING_XTOL = 1e-6  # m, bisection stop of min_spacing
 # the most endurance cycles: 200 times the shipped campaign's 5000, checked
-# before any per-cycle array is built; also the most (command, node) rows
-# of one truth-table block
+# before any per-cycle array is built; also the one cap on a block of
+# _hits, in (master, node) rows
 MAX_CYCLES = 1_000_000
 
 
@@ -90,7 +90,8 @@ class MasterPose:
     """Master magnet as 1-2 point dipoles; orientation lives in the moments.
 
     ``dipoles`` is a tuple of (offset, moment) pairs in the world frame,
-    offsets relative to ``position``.
+    offsets relative to ``position``. Raises ConfigError unless each
+    dipole is such a pair of 3-vectors.
     """
 
     position: tuple
@@ -99,8 +100,15 @@ class MasterPose:
     def __post_init__(self):
         object.__setattr__(self, "position",
                            mag.vector(self.position, "master position"))
+        try:
+            pairs = [tuple(d) for d in self.dipoles]
+        except TypeError:
+            pairs = [()]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigError("master dipoles must be (offset, moment) pairs, "
+                              f"got {self.dipoles!r}")
         dips = [(mag.vector(off, "dipole offset"), mag.vector(m, "dipole moment"))
-                for off, m in self.dipoles]
+                for off, m in pairs]
         if not dips:
             raise ConfigError("master needs at least one dipole")
         total = sum(np.linalg.norm(m) for _, m in dips)
@@ -115,13 +123,25 @@ class MasterPose:
 
 @dataclass(frozen=True)
 class Command:
+    """One master pose held for ``dwell`` seconds, meant to fire the
+    ``intended`` (node id, channel label). Raises ConfigError unless
+    ``pose`` is a MasterPose and ``intended`` two strings."""
+
     pose: MasterPose
-    intended: tuple  # (node id, channel label)
+    intended: tuple
     dwell: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.pose, MasterPose):
+            raise ConfigError(f"command pose must be a MasterPose, got {self.pose!r}")
+        intended = tuple(self.intended) if isinstance(self.intended, (tuple, list)) else ()
+        if len(intended) != 2:
+            raise ConfigError("intended must be a (node id, channel label) pair, "
+                              f"got {self.intended!r}")
+        mag.text(intended[0], "intended node id")
+        mag.text(intended[1], "intended channel label")
         mag.finite(self.dwell, "dwell", 0.0)
-        object.__setattr__(self, "intended", tuple(self.intended))
+        object.__setattr__(self, "intended", intended)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,28 +246,28 @@ def _commands(commands) -> list:
     return commands
 
 
-def _block_hits(nodes: _Nodes, block: list) -> list:
-    """Per command of ``block``, whose masters all have D dipoles, the
-    (column, |B|) of every node that fires, in node order.
+def _hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> list:
+    """Per master, the (column, |B|) of every node it fires, in node order.
 
-    The masters are grouped kernel sources (commands, D, 3) and the node
-    positions every group's points (commands, nodes, 3), so one kernel
-    call gives every field, and one :func:`_decode_rows` pass decodes
-    every (command, node) row.
+    ``pos`` and ``moments`` (G, D, 3) are G masters of D dipoles each,
+    decided in blocks of at most ``MAX_CYCLES`` (master, node) rows. A
+    block's masters are grouped kernel sources and the node positions
+    every group's points, so one kernel call gives every field, and one
+    :func:`_decode_rows` pass decodes every (master, node) row.
     """
     n = len(nodes.grid)
-    dipoles = np.array([cmd.pose.dipoles for cmd in block])  # (G, D, 2, 3)
-    base = np.array([cmd.pose.position for cmd in block])[:, None]
-    fields = mag.dipole_field(base + dipoles[:, :, 0], dipoles[:, :, 1],
-                              np.broadcast_to(nodes.positions, (len(block), n, 3)))
-    norms, fired = _decode_rows(nodes, np.tile(np.arange(n), len(block)),
-                                fields.reshape(-1, 3))
-    fired, norms = fired.reshape(len(block), n), norms.reshape(len(block), n)
-    at, j = np.nonzero(fired >= 0)
-    hits = [[] for _ in block]
-    for g, col, norm in zip(at.tolist(), (nodes.offsets[j] + fired[at, j]).tolist(),
-                            norms[at, j].tolist()):
-        hits[g].append((col, norm))
+    per_block = max(1, MAX_CYCLES // max(n, 1))
+    hits = [[] for _ in pos]
+    for lo in range(0, len(pos), per_block):
+        sources = pos[lo:lo + per_block], moments[lo:lo + per_block]
+        g = len(sources[0])
+        fields = mag.dipole_field(*sources, np.broadcast_to(nodes.positions, (g, n, 3)))
+        norms, fired = _decode_rows(nodes, np.tile(np.arange(n), g), fields.reshape(-1, 3))
+        fired, norms = fired.reshape(g, n), norms.reshape(g, n)
+        at, j = np.nonzero(fired >= 0)
+        cols = nodes.offsets[j] + fired[at, j]
+        for m, col, norm in zip((lo + at).tolist(), cols.tolist(), norms[at, j].tolist()):
+            hits[m].append((col, norm))
     return hits
 
 
@@ -256,20 +276,20 @@ def _decide(nodes: _Nodes, commands: list, t: float) -> list:
     first command acts at ``t`` and each later one a dwell after the one
     before (``t += cmd.dwell``).
 
-    Commands are decided in blocks (see :func:`truth_table`).
+    Each run of commands whose masters have the same dipole count is
+    stacked and decided by one :func:`_hits` call.
     """
-    per_block = max(1, MAX_CYCLES // max(len(nodes.grid), 1))
     out = []
     for _, run in itertools.groupby(commands, key=lambda cmd: len(cmd.pose.dipoles)):
         run = list(run)
-        for lo in range(0, len(run), per_block):
-            block = run[lo:lo + per_block]
-            for cmd, hits in zip(block, _block_hits(nodes, block)):
-                cols = tuple(col for col, _ in hits)
-                out.append((cols, [Event(t, *nodes.columns[col], norm,
-                                         nodes.columns[col] == cmd.intended)
-                                   for col, norm in hits]))
-                t += cmd.dwell
+        dipoles = np.array([cmd.pose.dipoles for cmd in run])  # (G, D, 2, 3)
+        base = np.array([cmd.pose.position for cmd in run])[:, None]
+        for cmd, hits in zip(run, _hits(nodes, base + dipoles[:, :, 0], dipoles[:, :, 1])):
+            out.append((tuple(col for col, _ in hits),
+                        [Event(t, *nodes.columns[col], norm,
+                               nodes.columns[col] == cmd.intended)
+                         for col, norm in hits]))
+            t += cmd.dwell
     return out
 
 
@@ -366,14 +386,15 @@ def calibrate_master(depth: float, field: float, style: str = "lateral",
     """
     mag.finite(depth, "master depth", 0.0)
     mag.finite(field, "master field", 0.0)
+    if field_direction is not None:
+        field_direction = mag.unit(mag.vector(field_direction, "field direction"))
     boost = 1.0 + _CALIBRATION_HEADROOM
     position = (0.0, 0.0, depth)
     if style == "auto":
         style = "axial" if field_direction is not None \
-            and abs(mag.unit(field_direction)[2]) > 0.5 else "lateral"
+            and abs(field_direction[2]) > 0.5 else "lateral"
     if style in ("axial", "composite"):
-        fdir = np.array([0.0, 0.0, -1.0]) if field_direction is None \
-            else mag.unit(field_direction)
+        fdir = np.array([0.0, 0.0, -1.0]) if field_direction is None else field_direction
         if abs(fdir[0]) > 1e-12 or abs(fdir[1]) > 1e-12:
             raise ConfigError(f"{style} master needs a +-z field direction")
         if style == "axial":
@@ -389,8 +410,7 @@ def calibrate_master(depth: float, field: float, style: str = "lateral",
         return MasterPose(position, tuple(
             (off, field / got * boost * np.asarray(m)) for off, m in raw.dipoles))
     if style == "lateral":
-        fdir = np.array([1.0, 0.0, 0.0]) if field_direction is None \
-            else mag.unit(field_direction)
+        fdir = np.array([1.0, 0.0, 0.0]) if field_direction is None else field_direction
         if abs(fdir[2]) > 1e-12:
             raise ConfigError("lateral master needs a transverse field direction")
         m = 4.0 * np.pi * depth**3 * field / mag.MU0 * boost
@@ -526,26 +546,6 @@ def _noisy_sources(pose: MasterPose, rng, n_cycles: int, angle_sigma_deg: float,
     return np.asarray(pose.position) + offsets, moments
 
 
-def _noisy_hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> list:
-    """The set of (node id, channel label) fired in each cycle.
-
-    ``pos`` and ``moments`` (n_cycles, D, 3) are every cycle's master, as
-    from :func:`_noisy_sources`. Per node, one per-row kernel call gives
-    the field of every cycle's master (row c is cycle c) and one
-    :func:`_decode_rows` pass decodes them; going node by node keeps the
-    arrays at n_cycles rows rather than n_cycles x nodes.
-    """
-    n_cycles = len(pos)
-    hits = [set() for _ in range(n_cycles)]
-    for j, (node, p) in enumerate(zip(nodes.grid, nodes.positions)):
-        fields = mag.dipole_field(pos, moments, np.broadcast_to(p, (n_cycles, 3)))
-        _, fired = _decode_rows(nodes, np.full(n_cycles, j), fields)
-        cycles = np.flatnonzero(fired >= 0)
-        for c, k in zip(cycles.tolist(), fired[cycles].tolist()):
-            hits[c].add((node.id, node.channels[k].label))
-    return hits
-
-
 def _outcome(hits: set, intended: tuple) -> tuple:
     """(false triggers, missed, failed) of one cycle's fired columns."""
     bad = len(hits - {intended})
@@ -560,11 +560,11 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     ``noise`` keys: "angle_sigma_deg" (tilt of the whole master) and
     "magnitude_sigma_T" (field error at the intended node, converted to a
     moment scale factor), each >= 0. A failure is any cycle with a false
-    trigger or a missed intended activation. With noise, the cycles are
-    decoded together in one pass (see :func:`_noisy_hits`);
-    magnitude noise needs a non-zero nominal field at the intended node.
-    Without noise every cycle is the nominal pose, so that pose is decoded
-    once and counted n_cycles times.
+    trigger or a missed intended activation. Every cycle's master comes
+    from :func:`_noisy_sources` and one :func:`_hits` call decodes them
+    all, like a truth table's commands; magnitude noise needs a non-zero
+    nominal field at the intended node. Without noise every cycle is the
+    nominal pose, so one cycle is decoded and counted n_cycles times.
     """
     n_cycles = mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True,
                           high=MAX_CYCLES)
@@ -581,21 +581,21 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     node = next((n for n in nodes.grid if n.id == command.intended[0]), None)
     if node is None:
         raise ConfigError(f"intended node {command.intended[0]!r} not in grid")
-    if angle_sigma == 0.0 and mag_sigma == 0.0:
-        hits = {(e.node_id, e.channel) for e in execute_command(nodes.grid, command)}
-        totals = [n_cycles * c for c in _outcome(hits, command.intended)]
-    else:
-        nominal_B = float(np.linalg.norm(
-            master_field_at(command.pose, node.position)))
-        if mag_sigma > 0.0 and nominal_B == 0.0:
+    nominal_B = 0.0
+    if mag_sigma > 0.0:
+        nominal_B = float(np.linalg.norm(master_field_at(command.pose, node.position)))
+        if nominal_B == 0.0:
             raise ConfigError("magnitude_sigma_T needs a non-zero master field "
                               f"at node {node.id!r}; it is 0 there")
-        hits = _noisy_hits(nodes, *_noisy_sources(
-            command.pose, np.random.default_rng(seed), n_cycles,
-            angle_sigma, mag_sigma, nominal_B))
-        totals = [sum(col) for col in
-                  zip(*(_outcome(h, command.intended) for h in hits))]
-    false_triggers, misses, failures = totals
+    noisy = angle_sigma > 0.0 or mag_sigma > 0.0
+    drawn = n_cycles if noisy else 1
+    # without draws no generator is made: numpy loads numpy.random (about
+    # 6 MiB) on first use
+    rng = np.random.default_rng(seed) if noisy else None
+    hits = _hits(nodes, *_noisy_sources(command.pose, rng, drawn, angle_sigma,
+                                        mag_sigma, nominal_B))
+    outcomes = [_outcome({nodes.columns[c] for c, _ in h}, command.intended) for h in hits]
+    false_triggers, misses, failures = (n_cycles // drawn * sum(c) for c in zip(*outcomes))
     return EnduranceStats(
         n_cycles, false_triggers, misses, failures,
         _cp_upper(failures, n_cycles, 0.05),

@@ -213,6 +213,19 @@ def test_net_seed_flag_overrides_campaign_seed(tmp_path):
     assert "endurance_seed 11" in stats
 
 
+def test_endurance_without_commands_fails_validate_and_net_alike(tmp_path, capsys):
+    doc = pr.demo_campaign_doc(cycles=10)
+    doc["commands"] = []
+    path = _write_json(tmp_path / "campaign.json", doc)
+    for argv in (["validate", path], ["net", path, "--out", str(tmp_path / "n.csv")]):
+        assert cli.main(argv) == 2
+        assert f"{path}: endurance cycles need at least one command" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "n.csv").exists()
+    doc["cycles"] = 0  # a table without commands is empty, not an error
+    assert cli.main(["validate", _write_json(tmp_path / "campaign.json", doc)]) == 0
+
+
 def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     rc = cli.main(["landscape", str(tmp_path / "missing.json"),
                    "--unit", "alpha", "--out", str(tmp_path / "x.csv")])
@@ -486,6 +499,18 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, args, loaded):
     out = _run_fresh("-c", code, *argv)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_noise_free_net_leaves_numpy_random_unloaded(tmp_path):
+    """The shipped campaign has no noise, so its endurance run draws
+    nothing and makes no generator: numpy.random, about 6 MiB resident
+    once loaded, stays unloaded."""
+    code = ("import sys\nfrom maglogic import cli\nrc = cli.main(sys.argv[1:])\n"
+            "print(rc, 'numpy.random' in sys.modules)")
+    out = _run_fresh("-c", code, "net", shipped("demo_campaign.json"),
+                     "--out", str(tmp_path / "net.csv"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_undecodable_and_over_deep_inputs_exit_2(tmp_path):

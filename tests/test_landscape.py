@@ -323,6 +323,20 @@ def test_decisions_for_keys_rejects_non_key_lists(keys):
         ls.decisions_for_keys(pr.demo_topology(), keys)
 
 
+@pytest.mark.parametrize("call", [
+    lambda topo, key: ls.sample_profile(topo, "alpha", key),
+    lambda topo, key: ls.unit_decision(topo, "alpha", key),
+    lambda topo, key: ls.anchoring_margin(topo, "alpha", key),
+    lambda topo, key: ls.equilibrate_orientations(topo, ls.rest_positions(topo), key),
+    lambda topo, key: ls.decisions_for_key(topo, key),
+], ids=["sample_profile", "unit_decision", "anchoring_margin",
+        "equilibrate_orientations", "decisions_for_key"])
+@pytest.mark.parametrize("key", ["+x", 3, (1.0, 0.0, 0.0)], ids=["label", "int", "vector"])
+def test_every_entry_point_rejects_a_non_key(call, key):
+    with pytest.raises(ConfigError, match="FieldKey"):
+        call(pr.demo_topology(), key)
+
+
 @pytest.mark.parametrize("positions, match", [
     ({"zzz": 0.0}, "unknown unit id 'zzz'"),
     ({"alpha": "x"}, "unit 'alpha' must be a finite number"),

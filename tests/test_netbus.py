@@ -69,6 +69,41 @@ def test_node_and_master_validation():
         nb.Command(nb.MasterPose.single((0, 0, 0), (0, 0, 1)), ("n", "a"), 0.0)
 
 
+_POSE = nb.MasterPose.single((0.0, 0.0, DEPTH), (0.15, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: nb.Command(_POSE, 5), "intended must be"),
+    (lambda: nb.Command(_POSE, "ab"), "intended must be"),
+    (lambda: nb.Command(_POSE, ("node0",)), "intended must be"),
+    (lambda: nb.Command(_POSE, ("node0", "alpha", "beta")), "intended must be"),
+    (lambda: nb.Command(_POSE, ("node0", 1)), "intended channel label"),
+    (lambda: nb.Command(_POSE, (None, "alpha")), "intended node id"),
+    (lambda: nb.Command("notapose", ("node0", "alpha")), "MasterPose"),
+    (lambda: nb.MasterPose((0, 0, 0), 5), "pairs"),
+    (lambda: nb.MasterPose((0, 0, 0), (5,)), "pairs"),
+    (lambda: nb.MasterPose((0, 0, 0), (((0, 0, 0),),)), "pairs"),
+    (lambda: nb.MasterPose((0, 0, 0), (((0, 0, 0), (0, 0, 1), (0, 0, 0)),)), "pairs"),
+    (lambda: nb.MasterPose((0, 0, 0), (((0, 0), (0, 0, 1)),)), "dipole offset"),
+    (lambda: nb.calibrate_master(DEPTH, FIELD, field_direction="xyz"), "field direction"),
+    (lambda: nb.calibrate_master(DEPTH, FIELD, "auto", field_direction=5), "field direction"),
+    (lambda: nb.calibrate_master(DEPTH, FIELD, "axial", field_direction=(0, 0, "z")),
+     "field direction"),
+    (lambda: nb.calibrate_master(DEPTH, FIELD, "composite", field_direction=(0, 0, 0)),
+     "zero vector"),
+], ids=["int_intended", "string_intended", "one_string", "three_strings",
+        "int_label", "none_id", "string_pose", "int_dipoles", "int_dipole",
+        "one_vector", "three_vectors", "short_offset", "string_direction",
+        "int_direction", "string_component", "zero_direction"])
+def test_netbus_boundary_types_are_config_errors(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
+def test_command_intended_accepts_a_list_pair():
+    assert nb.Command(_POSE, ["node0", "alpha"]).intended == ("node0", "alpha")
+
+
 def test_master_field_matches_dipole_closed_forms():
     m = 0.075
     pose = nb.MasterPose.single((0.0, 0.0, 0.0), (0.0, 0.0, m))
@@ -301,7 +336,9 @@ def test_batched_endurance_matches_per_cycle_poses():
                 [list(np.add(p.position, off)) for off, _ in p.dipoles] for p in poses]
             assert moments.tolist() == [[list(m) for _, m in p.dipoles] for p in poses]
             want = [_hits_reference(grid, p) for p in poses]
-            assert nb._noisy_hits(nb._Nodes(grid), pos, moments) == want
+            nodes = nb._Nodes(grid)
+            assert [{nodes.columns[col] for col, _ in hits}
+                    for hits in nb._hits(nodes, pos, moments)] == want
             counts = [sum(col) for col in
                       zip(*(nb._outcome(h, cmd.intended) for h in want))]
             stats = nb.endurance_campaign(grid, cmd, 120, noise, seed=seed)
@@ -658,19 +695,26 @@ def test_endurance_with_angle_noise_is_seeded_and_can_miss():
 def test_noise_free_endurance_decodes_one_cycle(monkeypatch):
     grid = pr.demo_grid()
     cmd = pr.demo_bus_commands(grid)[0]
-    calls = []
-    real = nb.execute_command
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(nb, "execute_command", counted)
+    shapes = _counted_kernel(monkeypatch)
     for noise in (None, {"angle_sigma_deg": 0.0, "magnitude_sigma_T": 0.0}):
-        calls.clear()
+        shapes.clear()
         stats = nb.endurance_campaign(grid, cmd, 5000, noise, seed=0)
-        assert len(calls) == 1
+        assert shapes == [(1, 1, 3)]  # one kernel call, one master row
         assert stats.failures == 0
+
+
+def test_capped_endurance_blocks_match_the_uncapped_run(monkeypatch):
+    grid = pr.demo_grid()
+    cmd = pr.demo_bus_commands(grid)[4]
+    noise = {"angle_sigma_deg": 20.0, "magnitude_sigma_T": 0.03}
+    whole = nb.endurance_campaign(grid, cmd, 100, noise, seed=4)
+    shapes = _counted_kernel(monkeypatch)
+    # MAX_CYCLES caps the (cycle, node) rows of one block: 33 cycles here
+    monkeypatch.setattr(nb, "MAX_CYCLES", 100)
+    capped = nb.endurance_campaign(grid, cmd, 100, noise, seed=4)
+    assert shapes[1:] == [(33, 1, 3)] * 3 + [(1, 1, 3)]  # after the nominal field
+    assert capped == whole
+    assert 0 < whole.failures < 100
 
 
 def test_noise_free_endurance_counts_every_cycle():
