@@ -17,7 +17,9 @@ at 5 mm) rather than a hardware model; every style aims the master along
 the commanded channel direction. Endurance campaigns perturb the master
 pose with seeded Gaussian angle/magnitude noise and report exact binomial
 (Clopper-Pearson) upper confidence bounds on the failure rate. The noise
-is drawn cycle by cycle, then the tilted and rescaled masters are decided
+stream keeps its cycle-by-cycle order but is drawn in one pass as
+primitive standard normals and uniforms, then scaled, with the bits of
+one scaled draw at a time. The tilted and rescaled masters are decided
 like a truth table's commands: stacked as grouped kernel sources, one
 kernel call and one decode per block of (cycle, node) rows. Without noise,
 the one nominal pose is decoded once and counted for every cycle.
@@ -246,8 +248,9 @@ def _commands(commands) -> list:
     return commands
 
 
-def _hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> list:
-    """Per master, the (column, |B|) of every node it fires, in node order.
+def _hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> tuple:
+    """Every fired (master, node) row, in that order: three arrays of the
+    master's index, the column it fires and |B| at the node.
 
     ``pos`` and ``moments`` (G, D, 3) are G masters of D dipoles each,
     decided in blocks of at most ``MAX_CYCLES`` (master, node) rows. A
@@ -257,7 +260,7 @@ def _hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> list:
     """
     n = len(nodes.grid)
     per_block = max(1, MAX_CYCLES // max(n, 1))
-    hits = [[] for _ in pos]
+    blocks = []
     for lo in range(0, len(pos), per_block):
         sources = pos[lo:lo + per_block], moments[lo:lo + per_block]
         g = len(sources[0])
@@ -265,10 +268,8 @@ def _hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> list:
         norms, fired = _decode_rows(nodes, np.tile(np.arange(n), g), fields.reshape(-1, 3))
         fired, norms = fired.reshape(g, n), norms.reshape(g, n)
         at, j = np.nonzero(fired >= 0)
-        cols = nodes.offsets[j] + fired[at, j]
-        for m, col, norm in zip((lo + at).tolist(), cols.tolist(), norms[at, j].tolist()):
-            hits[m].append((col, norm))
-    return hits
+        blocks.append((lo + at, nodes.offsets[j] + fired[at, j], norms[at, j]))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _decide(nodes: _Nodes, commands: list, t: float) -> list:
@@ -284,11 +285,14 @@ def _decide(nodes: _Nodes, commands: list, t: float) -> list:
         run = list(run)
         dipoles = np.array([cmd.pose.dipoles for cmd in run])  # (G, D, 2, 3)
         base = np.array([cmd.pose.position for cmd in run])[:, None]
-        for cmd, hits in zip(run, _hits(nodes, base + dipoles[:, :, 0], dipoles[:, :, 1])):
-            out.append((tuple(col for col, _ in hits),
+        master, cols, norms = _hits(nodes, base + dipoles[:, :, 0], dipoles[:, :, 1])
+        bounds = np.searchsorted(master, np.arange(len(run) + 1)).tolist()
+        cols, norms = cols.tolist(), norms.tolist()
+        for cmd, lo, hi in zip(run, bounds, bounds[1:]):
+            out.append((tuple(cols[lo:hi]),
                         [Event(t, *nodes.columns[col], norm,
                                nodes.columns[col] == cmd.intended)
-                         for col, norm in hits]))
+                         for col, norm in zip(cols[lo:hi], norms[lo:hi])]))
             t += cmd.dwell
     return out
 
@@ -517,17 +521,24 @@ def _noisy_sources(pose: MasterPose, rng, n_cycles: int, angle_sigma_deg: float,
     Each cycle draws, in this order, a tilt (normal, degrees) and the
     azimuth of its in-plane axis (uniform), then a field error at the
     intended node (normal, tesla) that scales the moments by
-    1 + error / ``nominal_B``; a sigma of 0 draws nothing. The tilt
-    rotates the offsets and moments about ``pose.position`` with one
-    stacked matmul, which keeps each cycle's bits equal to ``R @ v``.
+    1 + error / ``nominal_B``; a sigma of 0 draws nothing. The stream is
+    drawn in one pass as ``standard_normal`` and ``random`` primitives,
+    then scaled as numpy's ``normal(0, s)`` and ``uniform(0, 2 pi)`` scale
+    them (``0.0 + s * x``, signed zeros included), so its bits equal
+    those of one scaled call per draw. The tilt rotates the offsets and
+    moments about ``pose.position`` with one stacked matmul, which keeps
+    each cycle's bits equal to ``R @ v``.
     """
-    draws = np.zeros((n_cycles, 3))
-    for row in range(n_cycles):
-        if angle_sigma_deg > 0.0:
-            draws[row, 0] = rng.normal(0.0, angle_sigma_deg)
-            draws[row, 1] = rng.uniform(0.0, 2 * np.pi)
-        if magnitude_sigma_T > 0.0:
-            draws[row, 2] = rng.normal(0.0, magnitude_sigma_T)
+    calls, scales = [], []
+    if angle_sigma_deg > 0.0:
+        calls += [rng.standard_normal, rng.random]
+        scales += [angle_sigma_deg, 2 * np.pi]
+    if magnitude_sigma_T > 0.0:
+        calls.append(rng.standard_normal)
+        scales.append(magnitude_sigma_T)
+    draws = np.fromiter((f() for _ in range(n_cycles) for f in calls), float,
+                        n_cycles * len(calls)).reshape(n_cycles, len(calls))
+    draws = draws * scales + 0.0
     offsets = np.broadcast_to([off for off, _ in pose.dipoles],
                               (n_cycles, len(pose.dipoles), 3))
     moments = np.broadcast_to([m for _, m in pose.dipoles], offsets.shape)
@@ -542,15 +553,8 @@ def _noisy_sources(pose: MasterPose, rng, n_cycles: int, angle_sigma_deg: float,
         offsets = np.matmul(R[:, None], offsets[..., None])[..., 0]
         moments = np.matmul(R[:, None], moments[..., None])[..., 0]
     if magnitude_sigma_T > 0.0:
-        moments = (1.0 + draws[:, 2] / nominal_B)[:, None, None] * moments
+        moments = (1.0 + draws[:, -1] / nominal_B)[:, None, None] * moments
     return np.asarray(pose.position) + offsets, moments
-
-
-def _outcome(hits: set, intended: tuple) -> tuple:
-    """(false triggers, missed, failed) of one cycle's fired columns."""
-    bad = len(hits - {intended})
-    missed = intended not in hits
-    return bad, int(missed), int(bad > 0 or missed)
 
 
 def endurance_campaign(grid, command: Command, n_cycles: int,
@@ -562,13 +566,17 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     moment scale factor), each >= 0. A failure is any cycle with a false
     trigger or a missed intended activation. Every cycle's master comes
     from :func:`_noisy_sources` and one :func:`_hits` call decodes them
-    all, like a truth table's commands; magnitude noise needs a non-zero
-    nominal field at the intended node. Without noise every cycle is the
-    nominal pose, so one cycle is decoded and counted n_cycles times.
+    all, like a truth table's commands; the counts come from its arrays,
+    per cycle against the intended column. Magnitude noise needs a
+    non-zero nominal field at the intended node. Without noise every
+    cycle is the nominal pose, so one cycle is decoded and counted
+    n_cycles times.
     """
     n_cycles = mag.finite(n_cycles, "n_cycles", 1, inclusive=True, integer=True,
                           high=MAX_CYCLES)
     seed = mag.finite(seed, "seed", 0, inclusive=True, integer=True)
+    if not isinstance(noise, dict | None):
+        raise ConfigError(f"noise must be a dict or None, got {noise!r}")
     noise = dict(noise or {})
     angle_sigma = mag.finite(noise.pop("angle_sigma_deg", 0.0),
                              "angle_sigma_deg", 0.0, inclusive=True)
@@ -581,6 +589,8 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     node = next((n for n in nodes.grid if n.id == command.intended[0]), None)
     if node is None:
         raise ConfigError(f"intended node {command.intended[0]!r} not in grid")
+    if command.intended not in nodes.columns:
+        raise ConfigError(f"node {node.id!r} has no channel {command.intended[1]!r}")
     nominal_B = 0.0
     if mag_sigma > 0.0:
         nominal_B = float(np.linalg.norm(master_field_at(command.pose, node.position)))
@@ -592,10 +602,13 @@ def endurance_campaign(grid, command: Command, n_cycles: int,
     # without draws no generator is made: numpy loads numpy.random (about
     # 6 MiB) on first use
     rng = np.random.default_rng(seed) if noisy else None
-    hits = _hits(nodes, *_noisy_sources(command.pose, rng, drawn, angle_sigma,
-                                        mag_sigma, nominal_B))
-    outcomes = [_outcome({nodes.columns[c] for c, _ in h}, command.intended) for h in hits]
-    false_triggers, misses, failures = (n_cycles // drawn * sum(c) for c in zip(*outcomes))
+    master, cols, _ = _hits(nodes, *_noisy_sources(command.pose, rng, drawn, angle_sigma,
+                                                   mag_sigma, nominal_B))
+    hit = cols == nodes.columns.index(command.intended)
+    bad = np.bincount(master[~hit], minlength=drawn)
+    missed = np.bincount(master[hit], minlength=drawn) == 0
+    false_triggers, misses, failures = (n_cycles // drawn * int(c.sum())
+                                        for c in (bad, missed, missed | (bad > 0)))
     return EnduranceStats(
         n_cycles, false_triggers, misses, failures,
         _cp_upper(failures, n_cycles, 0.05),

@@ -305,6 +305,53 @@ def _hits_reference(grid, pose):
             if (label := _decode_reference(n, f)) is not None}
 
 
+def _scalar_noisy_sources(pose, rng, n_cycles, angle_sigma_deg, magnitude_sigma_T,
+                          nominal_B):
+    """``_noisy_sources`` as it was with one scalar ``normal``/``uniform``
+    call per draw, the loop kept verbatim, then the same rotation and
+    scaling."""
+    draws = np.zeros((n_cycles, 3))
+    for row in range(n_cycles):
+        if angle_sigma_deg > 0.0:
+            draws[row, 0] = rng.normal(0.0, angle_sigma_deg)
+            draws[row, 1] = rng.uniform(0.0, 2 * np.pi)
+        if magnitude_sigma_T > 0.0:
+            draws[row, 2] = rng.normal(0.0, magnitude_sigma_T)
+    offsets = np.broadcast_to([off for off, _ in pose.dipoles],
+                              (n_cycles, len(pose.dipoles), 3))
+    moments = np.broadcast_to([m for _, m in pose.dipoles], offsets.shape)
+    if angle_sigma_deg > 0.0:
+        theta, phi = np.radians(draws[:, 0]), draws[:, 1]
+        ux, uy, uz = np.cos(phi), np.sin(phi), np.zeros(n_cycles)
+        zero = np.zeros(n_cycles)
+        K = np.stack([np.stack(row, axis=-1) for row in (
+            (zero, -uz, uy), (uz, zero, -ux), (-uy, ux, zero))], axis=-2)
+        c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+        R = np.eye(3) + s * K + (1 - c) * (K @ K)
+        offsets = np.matmul(R[:, None], offsets[..., None])[..., 0]
+        moments = np.matmul(R[:, None], moments[..., None])[..., 0]
+    if magnitude_sigma_T > 0.0:
+        moments = (1.0 + draws[:, 2] / nominal_B)[:, None, None] * moments
+    return np.asarray(pose.position) + offsets, moments
+
+
+def test_primitive_draws_match_the_scalar_draw_loop():
+    # numpy defines normal(loc, scale) as loc + scale * standard_normal()
+    # and uniform(low, high) as low + (high - low) * random(); 2000 cycles
+    # reach the ziggurat's slow path (about 0.7 % of normal draws)
+    composite = nb.calibrate_master(DEPTH, FIELD, "composite")
+    pose = nb.pose_over(pr.demo_grid()[2], composite, DEPTH)
+    for seed in range(3):
+        for args in ((12.0, 0.0, 0.0), (0.0, 0.03, FIELD), (7.0, 0.02, FIELD)):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            pos, moments = nb._noisy_sources(pose, rng, 2000, *args)
+            ref_pos, ref_moments = _scalar_noisy_sources(pose, ref_rng, 2000, *args)
+            assert pos.shape == moments.shape == (2000, 2, 3)
+            assert pos.tobytes() == ref_pos.tobytes()
+            assert moments.tobytes() == ref_moments.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_batched_endurance_matches_per_cycle_poses():
     demo = pr.demo_grid()
     # 8 mm pitch at a quarter of the threshold: neighbours fire too
@@ -332,15 +379,21 @@ def test_batched_endurance_matches_per_cycle_poses():
             poses = [_perturbed_reference(cmd.pose, rng, *args) for _ in range(120)]
             pos, moments = nb._noisy_sources(
                 cmd.pose, np.random.default_rng(seed), 120, *args)
-            assert pos.tolist() == [
-                [list(np.add(p.position, off)) for off, _ in p.dipoles] for p in poses]
-            assert moments.tolist() == [[list(m) for _, m in p.dipoles] for p in poses]
+            assert pos.tobytes() == np.array(
+                [[np.add(p.position, off) for off, _ in p.dipoles] for p in poses]).tobytes()
+            assert moments.tobytes() == np.array(
+                [[m for _, m in p.dipoles] for p in poses], dtype=float).tobytes()
             want = [_hits_reference(grid, p) for p in poses]
             nodes = nb._Nodes(grid)
-            assert [{nodes.columns[col] for col, _ in hits}
-                    for hits in nb._hits(nodes, pos, moments)] == want
-            counts = [sum(col) for col in
-                      zip(*(nb._outcome(h, cmd.intended) for h in want))]
+            got = [set() for _ in poses]
+            master, cols, _ = nb._hits(nodes, pos, moments)
+            for m, col in zip(master.tolist(), cols.tolist()):
+                got[m].add(nodes.columns[col])
+            assert got == want
+            bad = [len(h - {cmd.intended}) for h in want]
+            missed = [cmd.intended not in h for h in want]
+            counts = [sum(bad), sum(missed),
+                      sum(b > 0 or m for b, m in zip(bad, missed))]
             stats = nb.endurance_campaign(grid, cmd, 120, noise, seed=seed)
             assert (stats.false_triggers, stats.misses, stats.failures) == tuple(counts)
             totals += counts
@@ -510,7 +563,14 @@ def test_truth_table_matches_execute_command_on_mixed_channel_counts():
     commands[3:3] = [nb.Command(nb.pose_over(node, composite, DEPTH),
                                 (node.id, node.channels[-1].label))
                      for node in grid[::2]]
+    # a master 1 m above the grid fires no node: a block of its own between
+    # blocks that fire several, and the first command of a block
+    commands[11:11] = [nb.Command(nb.pose_over(grid[4], composite, 1.0), ("m11", "up"))]
+    commands[0:0] = [nb.Command(nb.pose_over(grid[4], commands[0].pose, 1.0), ("m11", "up"))]
     assert _assert_table_matches_commands(grid, commands) > len(commands)
+    fired = nb.truth_table(grid, commands).fired
+    assert fired[0] == fired[12] == ()
+    assert sum(map(len, fired[9:12])) > 3 and sum(map(len, fired[13:])) > 3
 
 
 def test_empty_grid_decides_no_events():
@@ -743,6 +803,12 @@ def test_endurance_argument_errors():
     stranger = nb.Command(cmd.pose, ("ghost", "alpha"))
     with pytest.raises(ConfigError):
         nb.endurance_campaign(grid, stranger, 10)
+    unlabelled = nb.Command(cmd.pose, ("node0", "nolabel"))
+    with pytest.raises(ConfigError, match="node 'node0' has no channel 'nolabel'"):
+        nb.endurance_campaign(grid, unlabelled, 10)
+    for bad in ("abc", 5, [], ()):
+        with pytest.raises(ConfigError, match="noise must be a dict"):
+            nb.endurance_campaign(grid, cmd, 10, bad)
     for name in ("angle_sigma_deg", "magnitude_sigma_T"):
         for bad in (float("nan"), float("inf"), -1.0, "3", None, True):
             with pytest.raises(ConfigError, match=name):
