@@ -38,6 +38,15 @@ magnitude-only and combined noise; and a canonical walk of every
 ``presets`` fixture and program and of the commands for that grid (floats
 as ``float.hex``, arrays as dtype, shape and bytes, dicts with sorted
 keys, lists and tuples kept apart), so the demo data cannot move unseen.
+The last line, ``config_mutants``, pins what ``configio`` makes of broken
+documents: in one process, every shipped JSON config has each node (the
+root included) replaced in turn by ``"x"``, ``[]``, ``{}``, ``None``,
+``True``, ``0``, ``-1``, ``2.5``, ``1e308`` and ``-1e308``, each field of
+each object dropped, and an ``extra`` field added to each object; for
+each mutant it prints ``validate_document``'s outcome (the class and
+message of a ``MaglogicError``, ``ok`` and the sha256 of the canonical
+``*_to_doc`` re-serialization, or the class of any other exception) with
+the warnings raised on the way.
 Each call is a fresh interpreter importing the ``src/`` of CHECKOUT
 (default: the checkout holding this script), run in a temporary directory
 on copies of the inputs, so printed paths are relative and two checkouts
@@ -66,6 +75,7 @@ CONSOLE = "import sys; from maglogic.cli import main; sys.exit(main())"
 SEEDS = (1, 2, 3)
 DEMO = ("from maglogic import configio, design as dg, landscape as ls, netbus as nb, "
         "presets as pr\n"
+        "from maglogic.errors import MaglogicError\n"
         "from maglogic.magnetics import FieldKey, MagnetSource, MagnetSpec, dipole_field_at, "
         "source_from_spec\n"
         "import dataclasses\n"
@@ -94,7 +104,55 @@ DEMO = ("from maglogic import configio, design as dg, landscape as ls, netbus as
         "    reports = dg.run_pipeline(lattice, n_units, keys, template, budget, "
         "seed=seed, thresholds=thresholds)\n"
         "    return ([(r.candidate_hash, r.matrix, r.fidelity, r.compactness, r.entropy) "
-        "for r in reports], [r.candidate_hash for r in dg.rank(reports)])\n")
+        "for r in reports], [r.candidate_hash for r in dg.rank(reports)])\n"
+        "def json_paths(o, path=()):\n"
+        "    yield path, o\n"
+        "    items = o.items() if isinstance(o, dict) else "
+        "enumerate(o) if isinstance(o, list) else ()\n"
+        "    for k, v in items:\n"
+        "        yield from json_paths(v, path + (k,))\n"
+        "def outcome(doc):\n"
+        "    import hashlib, warnings\n"
+        "    with warnings.catch_warnings(record=True) as caught:\n"
+        "        warnings.simplefilter('always')\n"
+        "        try:\n"
+        "            loaded = configio.validate_document(doc)\n"
+        "            to_doc = getattr(configio, doc['format'].split('-')[1] + '_to_doc')\n"
+        "            text = configio.dumps_canonical(to_doc(*loaded) if "
+        "isinstance(loaded, tuple) else to_doc(loaded))\n"
+        "            result = 'ok ' + hashlib.sha256(text.encode()).hexdigest()\n"
+        "        except MaglogicError as exc:\n"
+        "            result = f'{type(exc).__name__}: {exc}'\n"
+        "        except Exception as exc:\n"
+        "            result = type(exc).__name__\n"
+        "    return result, [f'{w.category.__name__}: {w.message}' for w in caught]\n"
+        "def config_mutants():\n"
+        "    import json, os\n"
+        "    out = []\n"
+        "    for name in sorted(n for n in os.listdir('shipped') if n.endswith('.json')):\n"
+        "        with open(f'shipped/{name}', encoding='utf-8') as fh:\n"
+        "            text = fh.read()\n"
+        "        for path, node in json_paths(json.loads(text)):\n"
+        "            edits = [('=', v) for v in ('x', [], {}, None, True, 0, -1, 2.5, "
+        "1e308, -1e308)]\n"
+        "            if isinstance(node, dict):\n"
+        "                edits += [('-', k) for k in node] + [('+', 'extra')]\n"
+        "            for op, arg in edits:\n"
+        "                doc = json.loads(text)\n"
+        "                if op == '=' and not path:\n"
+        "                    doc = arg\n"
+        "                else:\n"
+        "                    parent = doc\n"
+        "                    for step in path[:-1 if op == '=' else None]:\n"
+        "                        parent = parent[step]\n"
+        "                    if op == '=':\n"
+        "                        parent[path[-1]] = arg\n"
+        "                    elif op == '-':\n"
+        "                        del parent[arg]\n"
+        "                    else:\n"
+        "                        parent[arg] = 1.0\n"
+        "                out.append((name, path, op, arg, outcome(doc)))\n"
+        "    return out\n")
 LIBRARY = (
     ("sensitivity_sweep_0.1_20_4_1", "dg.sensitivity_sweep(cand, 0.1, 20.0, 4, 1)"),
     ("sensitivity_sweep_0.3_10_3_7", "dg.sensitivity_sweep(cand, 0.3, 10.0, 3, 7)"),
@@ -148,6 +206,7 @@ LIBRARY = (
      "pr.MISSION_PROGRAM, pr.engine_machine(), pr.ENGINE_PROGRAM, pr.engine_coupler(), "
      "pr.demo_grid(), pr.demo_bus_commands(), pr.demo_bus_commands(grid10), "
      "pr.node_ejector(), pr.pair_design_space(), pr.demo_campaign_doc()])"),
+    ("config_mutants", "config_mutants()"),
 )
 
 
