@@ -17,6 +17,12 @@ is imported the first time a document of that kind is read or written,
 because every CLI call is a fresh process that compiles and runs each
 module it imports.
 
+An object's document fields are its dataclass's parameters: ``_build``
+reads them (checked, then passed to the constructor by name) and
+``_plain`` writes them. Only parts whose document shape differs from
+their dataclass (sources, channels, gates, terms, the campaign's master
+and commands, the header) are read and written by hand.
+
 Loaders reject unknown fields so that typos fail loudly instead of being
 silently ignored. Serialization is canonical (sorted keys, two-space
 indent, trailing newline) so identical inputs produce byte-identical
@@ -25,14 +31,13 @@ files, and all writes go through a temp file plus rename.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import landscape as ls
 from . import magnetics as mag
@@ -128,6 +133,35 @@ def _check_fields(obj, where: str, required, optional=()) -> None:
         raise ConfigError(f"{where}: unknown fields {unknown}")
 
 
+def _build(cls, doc, where: str, required, optional=(), /, **parse):
+    """``cls`` built from the fields of the object ``doc`` at ``where``.
+
+    Each field is read in ``required`` then ``optional`` order, by
+    ``parse[name](value, f"{where}.{name}")`` if ``parse`` names it and as
+    it is otherwise; a missing optional takes the dataclass default.
+    """
+    _check_fields(doc, where, required, optional)
+    fields = {name: parse[name](doc[name], f"{where}.{name}") if name in parse
+              else doc[name] for name in (*required, *optional) if name in doc}
+    return cls(**fields)
+
+
+def _plain(value, /, **given):
+    """The document form of ``value``: a dataclass becomes a dict of its
+    non-None fields, each field named in ``given`` written by its
+    function; a string stays itself, any other number becomes a float and
+    any other sequence a list."""
+    if dataclasses.is_dataclass(value):
+        fields = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {name: given[name](v) if name in given else _plain(v)
+                for name, v in fields if v is not None}
+    if isinstance(value, str):
+        return value
+    if isinstance(value, numbers.Number):
+        return float(value)
+    return [_plain(v) for v in value]
+
+
 def _list(value, where: str, size: int | None = None) -> list:
     if not isinstance(value, list) or size not in (None, len(value)):
         raise ConfigError(f"{where} must be a list"
@@ -165,47 +199,22 @@ def _header(fmt: str, metadata: dict | None) -> dict:
     return doc
 
 
-def _vec(x) -> list:
-    return [float(v) for v in np.asarray(x, dtype=float)]
-
-
 # ---------------------------------------------------------------------------
 # magnet specs and keys (shared fragments)
 
 
-def _spec_to_doc(spec: mag.MagnetSpec) -> dict:
-    return {
-        "shape": spec.shape,
-        "dims": [float(d) for d in spec.dims],
-        "remanence": float(spec.remanence),
-        "easy_axis": _vec(spec.easy_axis),
-    }
-
-
 def _spec_from_doc(doc, where: str) -> mag.MagnetSpec:
-    _check_fields(doc, where, ("shape", "dims", "remanence", "easy_axis"))
-    return mag.MagnetSpec(doc["shape"], doc["dims"], doc["remanence"],
-                          doc["easy_axis"])
-
-
-def _key_to_doc(key: mag.FieldKey) -> dict:
-    return {
-        "label": key.label,
-        "direction": _vec(key.direction),
-        "magnitude": float(key.magnitude),
-    }
+    return _build(mag.MagnetSpec, doc, where, ("shape", "dims", "remanence", "easy_axis"))
 
 
 def _keys_from_doc(items, where: str) -> tuple:
-    keys = []
-    for i, entry in enumerate(_list(items, where)):
-        _check_fields(entry, f"{where}[{i}]", ("label", "direction", "magnitude"))
-        keys.append(mag.FieldKey(entry["direction"], entry["magnitude"],
-                                 entry["label"]))
+    keys = tuple(_build(mag.FieldKey, entry, f"{where}[{i}]",
+                        ("label", "direction", "magnitude"))
+                 for i, entry in enumerate(_list(items, where)))
     labels = [k.label for k in keys]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"{where}: duplicate key labels")
-    return tuple(keys)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +227,9 @@ def _source_to_doc(source: mag.MagnetSource, where: str) -> dict:
     if source.subdipoles is not None:
         raise ConfigError(f"{where}: discretized sources are not serializable")
     return {
-        "position": _vec(source.position),
-        "axis": _vec(mag.unit(source.moment)),
-        "spec": _spec_to_doc(source.spec),
+        "position": _plain(source.position),
+        "axis": _plain(mag.unit(source.moment)),
+        "spec": _plain(source.spec),
     }
 
 
@@ -233,41 +242,26 @@ def _source_from_doc(doc, where: str) -> mag.MagnetSource:
 
 
 def _unit_to_doc(unit: ls.UnitTriplet) -> dict:
-    track = unit.track
-    doc = {
-        "id": unit.id,
-        "stators": [_source_to_doc(s, f"unit {unit.id!r} stator")
-                    for s in unit.stators],
-        "track": {
-            "axis": _vec(track.axis),
-            "origin": _vec(track.origin),
-            "stroke": [float(track.x_in), float(track.x_out)],
-            "mover": _spec_to_doc(track.mover),
-            "mass": float(track.mass),
-            "friction_force": float(track.friction_force),
-        },
-    }
-    if unit.assigned_key is not None:
-        doc["assigned_key"] = unit.assigned_key
-    return doc
+    where = f"unit {unit.id!r} stator"
+    return _plain(unit, stators=lambda stators: [_source_to_doc(s, where)
+                                                 for s in stators])
+
+
+def _track_from_doc(doc, where: str) -> ls.MoverTrack:
+    return _build(ls.MoverTrack, doc, where,
+                  ("axis", "origin", "stroke", "mover", "mass"),
+                  ("friction_force",), mover=_spec_from_doc)
+
+
+def _stators_from_doc(items, where: str) -> tuple:
+    return tuple(_source_from_doc(s, f"{where}[{i}]")
+                 for i, s in enumerate(_list(items, where)))
 
 
 def _unit_from_doc(doc, where: str) -> ls.UnitTriplet:
-    _check_fields(doc, where, ("id", "stators", "track"), ("assigned_key",))
-    tdoc = doc["track"]
-    _check_fields(tdoc, f"{where}.track",
-                  ("axis", "origin", "stroke", "mover", "mass"),
-                  ("friction_force",))
-    track = ls.MoverTrack(
-        tdoc["axis"], tdoc["origin"], tdoc["stroke"],
-        _spec_from_doc(tdoc["mover"], f"{where}.track.mover"),
-        tdoc["mass"], tdoc.get("friction_force", 0.0),
-    )
-    stators = tuple(
-        _source_from_doc(s, f"{where}.stators[{i}]")
-        for i, s in enumerate(_list(doc["stators"], f"{where}.stators"))
-    )
-    return ls.UnitTriplet(doc["id"], stators, track, doc.get("assigned_key"))
+    return _build(ls.UnitTriplet, doc, where, ("id", "track", "stators"),
+                  ("assigned_key",), track=_track_from_doc,
+                  stators=_stators_from_doc)
 
 
 def _units_from_doc(items, where: str) -> tuple:
@@ -283,7 +277,7 @@ def _units_from_doc(items, where: str) -> tuple:
 def topology_to_doc(units, keys, metadata: dict | None = None) -> dict:
     doc = _header(TOPOLOGY_FORMAT, metadata)
     doc["units"] = [_unit_to_doc(u) for u in units]
-    doc["key_set"] = [_key_to_doc(k) for k in keys]
+    doc["key_set"] = _plain(keys)
     return doc
 
 
@@ -322,21 +316,10 @@ def design_to_doc(lattice: dg.Lattice, template: dg.UnitTemplate, keys,
     from . import design as dg
 
     doc = _header(DESIGN_FORMAT, metadata)
-    doc["lattice"] = {
-        "spacing": float(lattice.spacing),
-        "extents": [[int(lo), int(hi)] for lo, hi in lattice.extents],
-        "allowed_orientations": [_vec(v) for v in lattice.allowed_orientations],
-        "allowed_track_axes": [_vec(v) for v in lattice.allowed_track_axes],
-    }
-    doc["template"] = {
-        "stator": _spec_to_doc(template.stator),
-        "mover": _spec_to_doc(template.mover),
-        "inner_offset": float(template.inner_offset),
-        "stroke_length": float(template.stroke_length),
-        "mass": float(template.mass),
-        "friction_force": float(template.friction_force),
-    }
-    doc["key_set"] = [_key_to_doc(k) for k in keys]
+    doc["lattice"] = _plain(lattice, extents=lambda extents: [
+        [int(lo), int(hi)] for lo, hi in extents])
+    doc["template"] = _plain(template)
+    doc["key_set"] = _plain(keys)
     doc["n_units"] = int(n_units)
     doc["thresholds"] = dict(
         dg.DEFAULT_THRESHOLDS if thresholds is None else thresholds)
@@ -350,22 +333,15 @@ def design_from_doc(doc: dict, where: str = "design") -> tuple:
     metadata = _check_header(
         doc, DESIGN_FORMAT, where,
         ("lattice", "template", "key_set", "n_units"), ("thresholds",))
-    ldoc = doc["lattice"]
-    _check_fields(ldoc, f"{where}.lattice", ("spacing", "extents"),
-                  ("allowed_orientations", "allowed_track_axes"))
-    lists = {field: _list(value, f"{where}.lattice.{field}")
-             for field, value in ldoc.items() if field != "spacing"}
-    lattice = dg.Lattice(ldoc["spacing"], **lists)
-    tdoc = doc["template"]
-    _check_fields(tdoc, f"{where}.template",
-                  ("stator", "mover", "inner_offset", "stroke_length", "mass"),
-                  ("friction_force",))
-    template = dg.UnitTemplate(
-        _spec_from_doc(tdoc["stator"], f"{where}.template.stator"),
-        _spec_from_doc(tdoc["mover"], f"{where}.template.mover"),
-        tdoc["inner_offset"], tdoc["stroke_length"], tdoc["mass"],
-        tdoc.get("friction_force", 0.0),
-    )
+    lattice = _build(dg.Lattice, doc["lattice"], f"{where}.lattice",
+                     ("spacing", "extents"),
+                     ("allowed_orientations", "allowed_track_axes"),
+                     extents=_list, allowed_orientations=_list,
+                     allowed_track_axes=_list)
+    template = _build(dg.UnitTemplate, doc["template"], f"{where}.template",
+                      ("stator", "mover", "inner_offset", "stroke_length", "mass"),
+                      ("friction_force",), stator=_spec_from_doc,
+                      mover=_spec_from_doc)
     keys = _keys_from_doc(doc["key_set"], f"{where}.key_set")
     n_units = mag.finite(doc["n_units"], f"{where}.n_units", 1, inclusive=True,
                          integer=True)
@@ -392,7 +368,7 @@ def _term_to_doc(term) -> dict:
 
     if isinstance(term, fsm.GateDone):
         return {"done": term.gate}
-    return {"unit": term.unit, "op": term.op, "value": int(term.value)}
+    return _plain(term, value=int)
 
 
 def _term_from_doc(doc, where: str):
@@ -403,22 +379,13 @@ def _term_from_doc(doc, where: str):
     if "done" in doc:
         _check_fields(doc, where, ("done",))
         return fsm.GateDone(doc["done"])
-    _check_fields(doc, where, ("unit", "op", "value"))
-    return fsm.UnitPredicate(doc["unit"], doc["op"], doc["value"])
+    return _build(fsm.UnitPredicate, doc, where, ("unit", "op", "value"))
 
 
 def machine_to_doc(machine: fsm.MachineDef,
                    metadata: dict | None = None) -> dict:
     doc = _header(MACHINE_FORMAT, metadata)
-    units = []
-    for u in machine.units:
-        entry = {"id": u.id, "role": u.role}
-        if u.max_count is not None:
-            entry["max_count"] = int(u.max_count)
-        if u.reset_key is not None:
-            entry["reset_key"] = u.reset_key
-        units.append(entry)
-    doc["units"] = units
+    doc["units"] = [_plain(u, max_count=int) for u in machine.units]
     decode = {"mode": machine.decode_mode}
     if machine.decode_map:
         decode["map"] = [[label, unit] for label, unit in machine.decode_map]
@@ -448,13 +415,9 @@ def machine_from_doc(doc: dict, where: str = "machine") -> tuple:
     metadata = _check_header(
         doc, MACHINE_FORMAT, where, ("units", "decode"),
         ("gates", "external_load", "n_samples"))
-    units = []
-    for i, entry in enumerate(_list(doc["units"], f"{where}.units")):
-        _check_fields(entry, f"{where}.units[{i}]", ("id", "role"),
-                      ("max_count", "reset_key"))
-        units.append(fsm.UnitDef(entry["id"], entry["role"],
-                                 entry.get("max_count"),
-                                 entry.get("reset_key")))
+    units = tuple(_build(fsm.UnitDef, entry, f"{where}.units[{i}]", ("id", "role"),
+                         ("max_count", "reset_key"))
+                  for i, entry in enumerate(_list(doc["units"], f"{where}.units")))
     ddoc = doc["decode"]
     _check_fields(ddoc, f"{where}.decode", ("mode",), ("map", "topology"))
     topology = None
@@ -473,7 +436,7 @@ def machine_from_doc(doc: dict, where: str = "machine") -> tuple:
                       for j, t in enumerate(_list(g["terms"], f"{gw}.terms")))
         gates.append(fsm.GateExpr(g["name"], terms, g["action"]))
     machine = fsm.MachineDef(
-        tuple(units), ddoc["mode"], decode_map, topology, tuple(gates),
+        units, ddoc["mode"], decode_map, topology, tuple(gates),
         doc.get("external_load", 0.0),
         doc.get("n_samples", ls.DEFAULT_SAMPLES),
     )
@@ -488,7 +451,7 @@ def load_machine(path) -> tuple:
 # campaign documents
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Campaign:
     """A loaded campaign: grid, calibrated commands, endurance settings.
 
@@ -508,18 +471,11 @@ class Campaign:
 
 
 def campaign_to_doc(campaign: Campaign) -> dict:
+    def channels(items) -> list:
+        return [{"label": c.label, "direction": _plain(c.key_direction)} for c in items]
+
     doc = _header(CAMPAIGN_FORMAT, campaign.metadata)
-    doc["grid"] = [
-        {
-            "id": n.id,
-            "position": _vec(n.position),
-            "channels": [{"label": c.label, "direction": _vec(c.key_direction)}
-                         for c in n.channels],
-            "threshold": float(n.threshold),
-            "cone_half_angle": float(n.cone_half_angle),
-        }
-        for n in campaign.grid
-    ]
+    doc["grid"] = [_plain(n, channels=channels) for n in campaign.grid]
     doc["master"] = dict(campaign.master)
     doc["commands"] = [
         {"node": cmd.intended[0], "channel": cmd.intended[1], "dwell": float(cmd.dwell)}
@@ -538,18 +494,18 @@ def campaign_from_doc(doc: dict, where: str = "campaign") -> Campaign:
     metadata = _check_header(
         doc, CAMPAIGN_FORMAT, where, ("grid", "master", "commands"),
         ("cycles", "noise", "seed"))
-    grid = []
-    for i, ndoc in enumerate(_list(doc["grid"], f"{where}.grid")):
-        nw = f"{where}.grid[{i}]"
-        _check_fields(ndoc, nw, ("id", "position", "channels", "threshold"),
-                      ("cone_half_angle",))
-        channels = []
-        for j, cdoc in enumerate(_list(ndoc["channels"], f"{nw}.channels")):
-            _check_fields(cdoc, f"{nw}.channels[{j}]", ("label", "direction"))
-            channels.append(nb.Channel(cdoc["label"], cdoc["direction"]))
-        grid.append(nb.NodeSpec(ndoc["id"], ndoc["position"],
-                                tuple(channels), ndoc["threshold"],
-                                ndoc.get("cone_half_angle", 20.0)))
+
+    def channel(cdoc, cw: str) -> nb.Channel:
+        _check_fields(cdoc, cw, ("label", "direction"))
+        return nb.Channel(cdoc["label"], cdoc["direction"])
+
+    def channels(items, cw: str) -> tuple:
+        return tuple(channel(c, f"{cw}[{j}]") for j, c in enumerate(_list(items, cw)))
+
+    grid = [_build(nb.NodeSpec, ndoc, f"{where}.grid[{i}]",
+                   ("id", "position", "channels", "threshold"),
+                   ("cone_half_angle",), channels=channels)
+            for i, ndoc in enumerate(_list(doc["grid"], f"{where}.grid"))]
     ids = [n.id for n in grid]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{where}: duplicate node ids")

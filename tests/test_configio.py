@@ -10,6 +10,7 @@ import json
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import maglogic
@@ -317,6 +318,82 @@ def test_write_atomic_overwrites_and_leaves_no_temp(tmp_path):
     assert target.read_text() == "second\n"
     leftovers = [p for p in os.listdir(tmp_path) if p != "out.json"]
     assert leftovers == []
+
+
+def _writer_fixtures():
+    from maglogic import design as dg
+    from maglogic import landscape as ls
+    from maglogic.magnetics import FieldKey, MagnetSpec, source_from_spec
+
+    spec = MagnetSpec("cylinder", (0.004, 0.008), 1, (0, 0, 1))
+    track = ls.MoverTrack((0, 0, 1), (0, 0, 0), (0.01, 0.02), spec, 1, 0)
+    unit = ls.UnitTriplet("alpha", (source_from_spec(spec, (0, 0, -0.01)),), track)
+    key = FieldKey((1, 0, 0), 0, "+x")
+    lattice = dg.Lattice(1, ((np.int64(0), np.int64(2)), (0, 0), (-1, 1)))
+    template = dg.UnitTemplate(spec, spec, 1, 1, 1, 0)
+    machine = fsm.MachineDef(
+        (fsm.UnitDef("a", "accumulator", np.int64(3)), fsm.UnitDef("b", "buffer")),
+        "declared", (("+x", "a"),), n_samples=np.int64(64))
+    campaign = dataclasses.replace(
+        cio.campaign_from_doc(pr.demo_campaign_doc(cycles=0)),
+        cycles=np.int64(7), seed=np.int64(3))
+    return unit, key, lattice, template, machine, campaign
+
+
+def test_writers_keep_floats_and_integers_apart():
+    """Integer-valued float fields are written as floats; counts, extents
+    and seeds stay integers (numpy integers included); a None optional
+    field is left out."""
+    unit, key, lattice, template, machine, campaign = _writer_fixtures()
+    doc = json.loads(cio.dumps_canonical(cio.topology_to_doc([unit], [key])))
+    (udoc,) = doc["units"]
+    assert "assigned_key" not in udoc
+    track = udoc["track"]
+    assert (track["mass"], track["friction_force"]) == (1.0, 0.0)
+    assert type(track["mass"]) is float and type(track["friction_force"]) is float
+    assert type(track["mover"]["remanence"]) is float
+    assert type(udoc["stators"][0]["spec"]["remanence"]) is float
+    assert type(doc["key_set"][0]["magnitude"]) is float
+    assert '"remanence": 1.0' in cio.dumps_canonical(doc)
+
+    doc = cio.design_to_doc(lattice, template, [key], np.int64(2))
+    assert doc["lattice"]["extents"] == [[0, 2], [0, 0], [-1, 1]]
+    assert all(type(v) is int for pair in doc["lattice"]["extents"] for v in pair)
+    assert type(doc["lattice"]["spacing"]) is float
+    assert type(doc["n_units"]) is int
+    assert all(type(doc["template"][k]) is float
+               for k in ("inner_offset", "stroke_length", "mass", "friction_force"))
+
+    doc = cio.machine_to_doc(machine)
+    assert doc["units"] == [{"id": "a", "role": "accumulator", "max_count": 3},
+                            {"id": "b", "role": "buffer"}]
+    assert type(doc["units"][0]["max_count"]) is int
+    assert type(doc["n_samples"]) is int and type(doc["external_load"]) is float
+
+    doc = cio.campaign_to_doc(campaign)
+    assert (doc["cycles"], doc["seed"]) == (7, 3)
+    assert type(doc["cycles"]) is int and type(doc["seed"]) is int
+    assert "noise" not in doc
+    assert all(type(n["cone_half_angle"]) is float for n in doc["grid"])
+    # every document above is JSON as written, numpy scalars included
+    for written in (cio.topology_to_doc([unit], [key]), cio.machine_to_doc(machine),
+                    cio.design_to_doc(lattice, template, [key], np.int64(2)), doc):
+        json.loads(cio.dumps_canonical(written))
+
+
+def test_bare_and_discretized_stators_are_not_serializable():
+    from maglogic.magnetics import MagnetSource, source_from_spec
+
+    unit, key, *_ = _writer_fixtures()
+    spec = unit.stators[0].spec
+    for stator, what in ((MagnetSource((0, 0, -0.01), (0, 0, 1)), "bare dipole"),
+                         (source_from_spec(spec, (0, 0, -0.01), discretize=3),
+                          "discretized")):
+        broken = dataclasses.replace(unit, stators=(stator,))
+        with pytest.raises(ConfigError) as exc:
+            cio.topology_to_doc([broken], [key])
+        assert str(exc.value) == (
+            f"unit 'alpha' stator: {what} sources are not serializable")
 
 
 def test_dumps_canonical_is_order_insensitive():
