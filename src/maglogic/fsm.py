@@ -150,7 +150,7 @@ class MachineDef:
                 raise ConfigError("declared decode map must be injective")
             unknown = set(targets) - set(ids)
             if unknown:
-                raise ConfigError(f"decode map targets unknown units {unknown}")
+                raise ConfigError(f"decode map targets unknown units {sorted(unknown)}")
         if self.topology is not None:
             object.__setattr__(self, "topology", tuple(self.topology))
             if not self.topology:
@@ -455,7 +455,7 @@ class CrankCoupler:
         if isinstance(self.stroke_to_angle, dict):
             missing = set(units) - set(self.stroke_to_angle)
             if missing:
-                raise ConfigError(f"stroke_to_angle missing units {missing}")
+                raise ConfigError(f"stroke_to_angle missing units {sorted(missing)}")
             object.__setattr__(
                 self, "stroke_to_angle",
                 {k: mag.finite(v, f"stroke_to_angle[{k!r}]")

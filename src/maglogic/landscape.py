@@ -154,8 +154,11 @@ class UnitTriplet:
                 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def point_segment_distance(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance from ``point`` to the segment from ``a`` to ``b``."""
+    """Distance from ``point`` to the segment from ``a`` to ``b``. A segment
+    whose squared length overflows or rounds to zero can give NaN, which
+    is below no distance."""
     ab = b - a
     t = float(np.clip((point - a) @ ab / (ab @ ab), 0.0, 1.0))
     return float(np.linalg.norm(point - (a + t * ab)))

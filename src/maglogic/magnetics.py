@@ -75,12 +75,16 @@ COINCIDENCE_EPS = 1e-9  # meters; closer than this counts as "same point"
 _UNIT_TOL = 1e-9
 
 
+@np.errstate(over="ignore")
 def unit(v: np.ndarray) -> np.ndarray:
-    """Return v/|v|, raising on (near-)zero input."""
+    """Return v/|v|, raising on (near-)zero input and on a length that
+    overflows a double."""
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
     if n < 1e-300:
         raise ConfigError("cannot normalize a zero vector")
+    if n == math.inf:
+        raise ConfigError(f"cannot normalize {v.tolist()}: its length overflows")
     return v / n
 
 
@@ -110,6 +114,7 @@ def finite(value, what: str, low=None, inclusive: bool = False,
     return number
 
 
+@np.errstate(over="ignore")  # an overflowing norm is not a unit length
 def vector(value, what: str, n: int = 3, unit_norm: bool = False,
            **bounds) -> tuple:
     """``n`` numbers checked by :func:`finite` (with ``bounds``) as a tuple;
@@ -148,6 +153,8 @@ class MagnetSpec:
         Remanent flux density B_r in tesla, strictly positive.
     easy_axis : tuple of float
         Unit magnetization direction in the world frame.
+
+    The moment ``B_r * V / MU0`` must be finite.
     """
 
     shape: str
@@ -164,6 +171,7 @@ class MagnetSpec:
         finite(self.remanence, "remanence", 0.0)
         object.__setattr__(self, "easy_axis", vector(
             self.easy_axis, "easy_axis", unit_norm=True))
+        finite(self.remanence * volume(self) / MU0, f"{self.shape} magnet moment")
 
 
 def volume(spec: MagnetSpec) -> float:

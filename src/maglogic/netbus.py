@@ -386,8 +386,18 @@ def calibrate_master(depth: float, field: float, style: str = "lateral",
     "composite" splits the moment over two dipoles separated along y
     (default ``depth/2``), which is the variant with anisotropic lateral
     decay. A tiny headroom factor keeps the target strictly at threshold
-    under float round-off.
+    under float round-off. A master whose moment overflows, or whose field
+    at the target underflows to zero, is a ConfigError.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _calibrate(depth, field, style, field_direction, separation)
+    except ArithmeticError:
+        raise ConfigError(f"{style} master cannot be calibrated in floating point "
+                          f"(depth {depth:g}, field {field:g})") from None
+
+
+def _calibrate(depth, field, style, field_direction, separation) -> MasterPose:
     mag.finite(depth, "master depth", 0.0)
     mag.finite(field, "master field", 0.0)
     if field_direction is not None:

@@ -372,7 +372,7 @@ def _json_paths(node, path=()):
 
 
 RAW_1E999 = "__raw_1e999__"  # written into the file as the bare literal 1e999
-MUTANTS = (float("nan"), RAW_1E999, "x", [], {}, None, True)
+MUTANTS = (float("nan"), RAW_1E999, "x", [], {}, None, True, 1e308, -1e308)
 
 
 def test_every_config_mutation_is_a_result_or_a_config_error(
@@ -465,6 +465,20 @@ def test_outputs_leave_no_temp_files(tmp_path):
     # nine engine pulses, all three counters end at 3
     assert len(rows) == 10
     assert rows[-1][1:4] == ["3", "3", "3"]
+
+
+def test_validate_of_an_overflowing_master_exits_2(tmp_path):
+    """A campaign whose master cannot be calibrated in floating point is a
+    config error in a fresh process: exit 2, one error line, no traceback."""
+    doc = pr.demo_campaign_doc()
+    doc["master"]["depth"] = 1e308
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = _run_fresh("-m", "maglogic.cli", "validate", str(path))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert "cannot be calibrated in floating point" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def _run_fresh(*args):

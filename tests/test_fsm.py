@@ -416,6 +416,17 @@ def test_crank_validation():
         fsm.crank_trace(machine, (), beta_coupler)
 
 
+def test_unknown_unit_errors_list_ids_sorted():
+    """The ids print as a sorted list, so the text does not depend on the
+    string hash seed."""
+    with pytest.raises(ConfigError) as exc:
+        fsm.MachineDef((), "declared", (("+x", "gamma"), ("+z", "alpha"), ("-x", "beta")))
+    assert str(exc.value) == "decode map targets unknown units ['alpha', 'beta', 'gamma']"
+    with pytest.raises(ConfigError) as exc:
+        fsm.CrankCoupler(("gamma", "alpha", "beta", "delta"), {"delta": 40.0})
+    assert str(exc.value) == "stroke_to_angle missing units ['alpha', 'beta', 'gamma']"
+
+
 @pytest.mark.parametrize("stroke", [
     float("nan"), float("inf"), -40.0, "40", True,
     {"a": float("nan")}, {"a": float("-inf")}, {"a": "40"},

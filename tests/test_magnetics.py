@@ -83,6 +83,31 @@ def test_bad_dims_and_axis_rejected():
             mag.MagnetSpec("cylinder", bad, 1.0, (0, 0, 1))
 
 
+def test_a_direction_whose_length_overflows_is_a_config_error():
+    """``unit`` rejects a vector whose norm overflows a double instead of
+    dividing by it (which gave the zero vector), with no warning; a
+    MoverTrack axis goes through it. Finite norms keep their bits."""
+    from maglogic import landscape as ls
+
+    spec = mag.MagnetSpec("cylinder", (0.004, 0.008), 0.3, (0, 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ((1e308, 0, 0), (0, -1e308, 0), (1e200, 1.0, 0), (1e155, 1e155, 1e155)):
+            with pytest.raises(ConfigError, match="length overflows"):
+                mag.unit(v)
+            with pytest.raises(ConfigError, match="length overflows"):
+                ls.MoverTrack(v, (0, 0, 0), (0.0, 0.004), spec, 1e-3)
+        with pytest.raises(ConfigError, match="key direction must have unit length"):
+            mag.FieldKey((1e308, 0, 0), 0.01)
+        with pytest.raises(ConfigError, match="cylinder magnet moment must be a finite"):
+            mag.MagnetSpec("cylinder", (1e308, 0.008), 0.3, (0, 0, 1))
+        for v in ((3e153, 4e153, 0.0), (1e-150, 0.0, 2e-150), (0.6, -0.8, 0.0)):
+            expected = np.asarray(v) / np.linalg.norm(v)
+            assert mag.unit(v).tobytes() == expected.tobytes()
+        track = ls.MoverTrack((3e153, 4e153, 0.0), (0, 0, 0), (0.0, 0.004), spec, 1e-3)
+        assert track.axis == pytest.approx((0.6, 0.8, 0.0))
+
+
 def test_finite_and_vector_helpers():
     assert mag.finite(np.float32(0.5), "x") == 0.5
     assert type(mag.finite(3, "x")) is float

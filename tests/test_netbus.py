@@ -21,6 +21,7 @@ Frozen oracles, all recomputable by hand from mu0 = 4*pi*1e-7:
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -881,3 +882,24 @@ def test_node_ejector_jet_clears_target_speed():
     for friction in (float("nan"), "0.01", -0.01):
         with pytest.raises(ConfigError):
             nb.jet_velocity(profile, payload, friction_force=friction)
+
+
+@pytest.mark.parametrize("style, depth, field, separation", [
+    ("axial", 1e308, FIELD, None),
+    ("lateral", 1e308, FIELD, None),
+    ("auto", 1e308, FIELD, None),
+    ("composite", 1e200, FIELD, None),  # the field at the target underflows to 0
+    ("composite", DEPTH, FIELD, 1e308),
+    ("composite", 1e308, FIELD, None),
+    ("composite", DEPTH, 1e308, None),
+    ("axial", DEPTH, 1e308, None),
+])
+def test_calibrate_master_out_of_float_range_is_a_config_error(
+        style, depth, field, separation):
+    """No OverflowError, ZeroDivisionError or RuntimeWarning escapes."""
+    direction = (1.0, 0.0, 0.0) if style == "lateral" else (0.0, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="cannot be calibrated in floating point"):
+            nb.calibrate_master(depth, field, style, field_direction=direction,
+                                separation=separation)
