@@ -20,8 +20,8 @@ module it imports.
 An object's document fields are its dataclass's parameters: ``_build``
 reads them (checked, then passed to the constructor by name) and
 ``_plain`` writes them. Only parts whose document shape differs from
-their dataclass (sources, channels, gates, terms, the campaign's master
-and commands, the header) are read and written by hand.
+their dataclass (sources, channels, gates, ``done`` terms, the campaign's
+master and commands, the header) are read and written by hand.
 
 Loaders reject unknown fields so that typos fail loudly instead of being
 silently ignored. Serialization is canonical (sorted keys, two-space
@@ -147,18 +147,18 @@ def _build(cls, doc, where: str, required, optional=(), /, **parse):
 
 
 def _plain(value, /, **given):
-    """The document form of ``value``: a dataclass becomes a dict of its
-    non-None fields, each field named in ``given`` written by its
-    function; a string stays itself, any other number becomes a float and
-    any other sequence a list."""
+    """The document form of ``value``: a string stays itself, a number
+    becomes a float, a dataclass a dict of its non-None fields (each field
+    named in ``given`` written by its function) and any other sequence a
+    list."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (float, int, numbers.Number)):  # the ABC check last: it is slow
+        return float(value)
     if dataclasses.is_dataclass(value):
         fields = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
         return {name: given[name](v) if name in given else _plain(v)
                 for name, v in fields if v is not None}
-    if isinstance(value, str):
-        return value
-    if isinstance(value, numbers.Number):
-        return float(value)
     return [_plain(v) for v in value]
 
 
