@@ -114,7 +114,6 @@ def finite(value, what: str, low=None, inclusive: bool = False,
     return number
 
 
-@np.errstate(over="ignore")  # an overflowing norm is not a unit length
 def vector(value, what: str, n: int = 3, unit_norm: bool = False,
            **bounds) -> tuple:
     """``n`` numbers checked by :func:`finite` (with ``bounds``) as a tuple;
@@ -126,7 +125,9 @@ def vector(value, what: str, n: int = 3, unit_norm: bool = False,
     if len(items) != n:
         raise ConfigError(f"{what} must be {n} numbers, got {value!r}")
     out = tuple(finite(v, what, **bounds) for v in items)
-    if unit_norm and not abs(np.linalg.norm(out) - 1.0) <= _UNIT_TOL:
+    # a component past 2 is no unit vector, and its square could overflow the norm
+    if unit_norm and not (max(map(abs, out)) <= 2.0
+                          and abs(np.linalg.norm(out) - 1.0) <= _UNIT_TOL):
         raise ConfigError(f"{what} must have unit length, got {value!r}")
     return out
 
