@@ -228,7 +228,7 @@ def _source_to_doc(source: mag.MagnetSource, where: str) -> dict:
         raise ConfigError(f"{where}: discretized sources are not serializable")
     return {
         "position": _plain(source.position),
-        "axis": _plain(mag.unit(source.moment)),
+        "axis": _plain(mag.unit(source.moment, f"{where} moment")),
         "spec": _plain(source.spec),
     }
 

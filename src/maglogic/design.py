@@ -94,7 +94,7 @@ class Lattice:
             raise ConfigError("extents must be three inclusive integer ranges")
         object.__setattr__(self, "extents", ext)
         for name in ("allowed_orientations", "allowed_track_axes"):
-            vecs = tuple(tuple(float(c) for c in mag.unit(mag.vector(v, name)))
+            vecs = tuple(tuple(float(c) for c in mag.unit(mag.vector(v, name), name))
                          for v in getattr(self, name))
             if not vecs:
                 raise ConfigError(f"{name} must be non-empty")
@@ -499,7 +499,7 @@ def _body_bounds(center, axis, spec):
     center = np.asarray(center, float)
     if spec.shape == "cylinder":
         r, length = spec.dims
-        a = mag.unit(axis)
+        a = mag.unit(axis, "body axis")
         half = np.abs(a) * (length / 2) + r * np.sqrt(np.maximum(0.0, 1.0 - a**2))
     else:
         half = np.asarray(spec.dims, float) / 2

@@ -27,12 +27,16 @@ This keeps the force/energy consistency exact and captures the
 leading-order coupling between units.
 
 One evaluator computes U(x) and F(x) of a mover everywhere, in groups
-of points on one profile's sources: the 256-point grids of every unit
-under one (topology, key) are one call with a group per unit, a
-1025-point basin grid is a call with one group, and a lockstep step is a
+of points, each on one profile's sources. The 256-point grids of every
+(topology, key, unit) of an engine call, and the 1025-point basin grids
+asked for in one lockstep step, are one group each, and consecutive
+groups share a call while they hold at most ``magnetics.GROUP_PAIRS``
+(fixed dipole x point) pairs: 6 demo profile grids, or 2 basin grids of
+a two-unit screen candidate, per call. A lockstep step's rows are one
 call with groups of one point. The ``magnetics`` module docstring gives
-the layout and the bit rules of its one fused pass. A mover in zero
-field keeps the direction of the row before it in its group, and a
+the layout and the bit rules of its one fused pass; groups are
+independent, so how they are split into calls moves no bit. A mover in
+zero field keeps the direction of the row before it in its group, and a
 group's first row takes the track axis.
 
 Root finding runs as a lockstep engine. Bisection, the stability energy
@@ -90,8 +94,9 @@ class MoverTrack:
     """Straight 1-DoF track: mover center sits at ``origin + x * axis``.
 
     stroke = (x_in, x_out) are the hard-stop coordinates in meters along the
-    axis, x_out > x_in. ``mover`` fixes the mover magnet's |m|; its moment
-    direction is a fast rotational degree of freedom (see module docstring).
+    axis, x_out > x_in, at two distinct finite points. ``mover`` fixes the
+    mover magnet's |m|; its moment direction is a fast rotational degree of
+    freedom (see module docstring).
     """
 
     axis: tuple
@@ -102,13 +107,19 @@ class MoverTrack:
     friction_force: float = 0.0
 
     def __post_init__(self):
-        axis = mag.unit(mag.vector(self.axis, "track axis"))
+        axis = mag.unit(mag.vector(self.axis, "track axis"), "track axis")
         object.__setattr__(self, "axis", tuple(float(c) for c in axis))
         object.__setattr__(self, "origin", mag.vector(self.origin, "track origin"))
         x_in, x_out = mag.vector(self.stroke, "stroke", 2)
         if not x_out > x_in:
             raise ConfigError("stroke must satisfy x_out > x_in")
         object.__setattr__(self, "stroke", (x_in, x_out))
+        # far from the origin the stops can overflow or round to one point
+        with np.errstate(over="ignore"):
+            ends = self.point(self.stroke)
+        if not (np.isfinite(ends).all() and (ends[0] != ends[1]).any()):
+            raise ConfigError(f"track stops must be two distinct finite points, "
+                              f"got {ends.tolist()}")
         mag.finite(self.mass, "mover mass", 0.0)
         mag.finite(self.friction_force, "friction force", 0.0, inclusive=True)
 
@@ -278,14 +289,6 @@ class LandscapeProfile:
         return float(self.xs[-1])
 
 
-def _evaluate_at(profile: LandscapeProfile, xs):
-    """Energy and axial force of ``profile`` at track coordinates xs (any
-    length), one group."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    energy, force = _evaluate(*(a[None] for a in profile._args), xs[None])
-    return energy[0], force[0]
-
-
 def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
     """Energy and axial force (G, n) of G groups of mover positions.
 
@@ -334,50 +337,94 @@ def _stack(profiles) -> tuple:
     return tuple(np.stack(a) for a in zip(*(p._args for p in profiles)))
 
 
+def _group_calls(stacked, rows, xs):
+    """Yield (slice, energy, axial force) of each :func:`_evaluate` call on
+    the groups ``xs``, a sequence of G equal-length grids, group g on
+    profile ``rows[g]`` of :func:`_stack`'s ``stacked``.
+
+    Consecutive groups go to one call while their (fixed dipole x point)
+    pairs stay within ``magnetics.GROUP_PAIRS``, so a call passes it only
+    when a single group does. Groups are independent, so the split moves
+    no bit.
+    """
+    per_call = max(1, mag.GROUP_PAIRS // max(1, stacked[3].shape[1] * len(xs[0])))
+    for at in range(0, len(xs), per_call):
+        part = slice(at, at + per_call)
+        yield part, *_evaluate(*(a[rows[part]] for a in stacked), np.asarray(xs[part]))
+
+
+def _evaluate_groups(stacked, rows, xs):
+    """Energy and axial force (G, n) of the groups ``xs`` (G, n), as
+    :func:`_group_calls` evaluates them."""
+    energy, force = np.empty(xs.shape), np.empty(xs.shape)
+    for part, part_energy, part_force in _group_calls(stacked, rows, xs):
+        energy[part], force[part] = part_energy, part_force
+    return energy, force
+
+
 def _evaluate_rows(stacked, rows, xs):
-    """Energy and axial force of profile ``rows[i]`` at ``xs[i]``, one pass
-    of groups of one point."""
-    energy, force = _evaluate(*(a[rows] for a in stacked), xs[:, None])
+    """Energy and axial force of profile ``rows[i]`` at ``xs[i]``, each
+    row a group of one point."""
+    energy, force = _evaluate_groups(stacked, rows, xs[:, None])
     return energy[:, 0], force[:, 0]
+
+
+def _step(stacked, asks):
+    """Yield (machine, reply) for one lockstep step's (machine, points)
+    asks, machine i on profile i of ``stacked``.
+
+    A list of track coordinates asks for rows, each a group of one point,
+    and an array for one group of its points. The rows of every ask are
+    one :func:`_evaluate_rows` pass; the grids of each length follow in
+    :func:`_group_calls` calls, each call's replies yielded before the
+    next call is made. A reply is the (energy, axial force) arrays of its
+    points.
+    """
+    rows = [(i, xs) for i, xs in asks if isinstance(xs, list)]
+    if rows:
+        yield from _split(rows, *_evaluate_rows(
+            stacked, np.repeat([i for i, _ in rows], [len(xs) for _, xs in rows]),
+            np.array([x for _, xs in rows for x in xs])))
+    grids = [(i, xs) for i, xs in asks if not isinstance(xs, list)]
+    for n in dict.fromkeys(len(xs) for _, xs in grids):
+        same = [(i, xs) for i, xs in grids if len(xs) == n]
+        for part, energy, force in _group_calls(stacked, np.array([i for i, _ in same]),
+                                                [xs for _, xs in same]):
+            yield from zip((i for i, _ in same[part]), zip(energy, force))
 
 
 def _lockstep(profiles, machines):
     """Run root-finding machines in lockstep; return their results in order.
 
-    ``machines[i]`` is a generator on profile ``profiles[i]``: it yields a list
-    of track coordinates, is sent their (energy, axial force) arrays back,
-    and returns its result. Each step evaluates the points of every open
-    machine in one :func:`_evaluate_rows` pass, so a machine sees exactly
-    what 1-point calls would give it, whatever else runs beside it.
+    ``machines[i]`` is a generator on profile ``profiles[i]``: it yields
+    track coordinates, a list of rows or an array for one grid, is sent
+    their (energy, axial force) arrays back, and returns its result. Each
+    step evaluates every open machine's points together (:func:`_step`),
+    so a machine sees exactly what a call on its points alone would give
+    it, whatever else runs beside it.
     """
     if not machines:
         return []
     stacked = _stack(profiles)
-    run = _gather([_tagged(i, m) for i, m in enumerate(machines)])
-    reply = None
+    run = _gather(machines, flat=False)
+    replies = None
     while True:
         try:
-            asks = run.send(reply)
+            asks = run.send(replies)
         except StopIteration as done:
             return done.value
-        reply = _evaluate_rows(stacked, np.array([i for i, _ in asks]),
-                               np.array([x for _, x in asks]))
+        replies = _step(stacked, asks)
 
 
-def _tagged(i, machine):
-    """``machine``, each point it asks for paired with its profile ``i``."""
-    reply = None
-    while True:
-        try:
-            xs = machine.send(reply)
-        except StopIteration as done:
-            return done.value
-        reply = yield [(i, x) for x in xs]
-
-
-def _gather(machines):
+def _gather(machines, flat=True):
     """Machines in lockstep as one machine: each step asks for every open
-    machine's points at once; returns their results in order."""
+    machine's points at once; returns their results in order.
+
+    Flat, a step asks for the concatenated list of their points and is
+    sent one (energy, force) pair of arrays to split. Otherwise it asks
+    for the (machine index, points) pairs and is sent an iterable of
+    (machine index, reply) pairs, which it sends on as they come.
+    """
     results = [None] * len(machines)
     asks = {}
 
@@ -392,13 +439,20 @@ def _gather(machines):
         send(i, None)
     while asks:
         order = list(asks.items())
-        energy, force = yield [x for _, xs in order for x in xs]
-        at = 0
-        for i, xs in order:
-            n = len(xs)
-            send(i, (energy[at:at + n], force[at:at + n]))
-            at += n
+        if flat:
+            replies = _split(order, *(yield [x for _, xs in order for x in xs]))
+        else:
+            replies = yield order
+        for i, reply in replies:
+            send(i, reply)
     return results
+
+
+def _split(asks, energy, force):
+    """(machine, reply) of each (machine, points) ask, in order, from the
+    energy and force arrays of all their points in a row."""
+    at = np.cumsum([0, *(len(xs) for _, xs in asks)])
+    return ((i, (energy[a:b], force[a:b])) for (i, _), a, b in zip(asks, at, at[1:]))
 
 
 def _unit_index(units, unit_id: str) -> int:
@@ -458,9 +512,9 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
     latched at ``positions[i]``. One lockstep orientation solve
     (:func:`_batch_orientations`) serves every (topology, key), and one pass
     gives every (topology, key, target) constant energy:
-    ``assembly_energy`` of the stators and the other movers. The grids of
-    every target under one (topology, key) are one grouped
-    :func:`_evaluate` call, on one ``linspace`` per track and topology.
+    ``assembly_energy`` of the stators and the other movers. The grids,
+    one ``linspace`` per track and topology, are one group each of one
+    :func:`_evaluate_groups` pass over every (topology, key, target).
     """
     kvecs, has_key = _key_vectors(keys)
     if not keys or not topologies:
@@ -473,7 +527,7 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
         np.repeat(pts, n_keys, axis=0), mover_m.reshape(-1, *pts.shape[1:]),
         np.tile(kvecs, (len(topologies), 1)), np.tile(has_key, len(topologies)),
         targets).reshape(len(topologies), n_keys, -1)
-    out = []
+    args, grids, named = [], [], []  # per (topology, key): every target's rows
     for units, t_pts, t_mags, t_m, t_consts in zip(topologies, pts, mags, mover_m, consts):
         # every fixed dipole in unit order, each unit's stators then its
         # mover; a target drops its own mover's row
@@ -488,18 +542,21 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
         pos, m = np.concatenate(pos), np.concatenate(m, axis=1)
         fixed = np.array([np.delete(np.arange(len(pos)), mover_rows[t]) for t in targets])
         tracks = [units[t].track for t in targets]
-        grids = np.array([np.linspace(tr.x_in, tr.x_out, n_samples) for tr in tracks])
+        grid = np.array([np.linspace(tr.x_in, tr.x_out, n_samples) for tr in tracks])
         shared = (np.array([tr.origin for tr in tracks]),
                   np.array([tr.axis for tr in tracks]), t_mags[targets], pos[fixed])
         for q, key in enumerate(keys):
             # one group per target: its own fixed dipoles and constant energy
-            args = (*shared, m[q][fixed], np.broadcast_to(kvecs[q], (len(tracks), 3)),
-                    np.broadcast_to(has_key[q], len(tracks)), t_consts[q])
-            energy, force = _evaluate(*args, grids)
-            for i, (t, track) in enumerate(zip(targets, tracks)):
-                out.append(LandscapeProfile(units[t].id, key, grids[i], energy[i], force[i],
-                                            None, track, tuple(a[i, ...] for a in args)))
-    return out
+            args.append((*shared, m[q][fixed], np.broadcast_to(kvecs[q], (len(tracks), 3)),
+                         np.broadcast_to(has_key[q], len(tracks)), t_consts[q]))
+            grids.append(grid)
+            named += [(units[t].id, key, track) for t, track in zip(targets, tracks)]
+    stacked = tuple(np.concatenate(a) for a in zip(*args))
+    xs = np.concatenate(grids)
+    energy, force = _evaluate_groups(stacked, np.arange(len(xs)), xs)
+    return [LandscapeProfile(uid, key, xs[g], energy[g], force[g], None, track,
+                             tuple(a[g, ...] for a in stacked))
+            for g, (uid, key, track) in enumerate(named)]
 
 
 def refine_equilibria(profile: LandscapeProfile):
@@ -727,8 +784,8 @@ def _basin_margin(profile: LandscapeProfile, a_in: float, crest: float | None):
     is trimmed at each such end; a boundary-anchored crestless basin (mover
     pressed against the inner stop, force nonzero out to the outer stop) is
     evaluated over its full extent. The crest is polished first, then the
-    inner attractor capped by the polished crest; the grid is one N-row
-    call on the profile's own sources.
+    inner attractor capped by the polished crest; the grid is asked for as
+    one group on the profile's own sources.
     """
     start = a_in
     end = crest if crest is not None else profile.x_out
@@ -743,8 +800,7 @@ def _basin_margin(profile: LandscapeProfile, a_in: float, crest: float | None):
         start = start + CREST_EXCLUSION * span
     if end - start < 1e-12:
         return 0.0
-    grid = np.linspace(start, end, _BASIN_GRID)
-    _, F = _evaluate_at(profile, grid)
+    _, F = yield np.linspace(start, end, _BASIN_GRID)
     return float(np.min(-F))
 
 
@@ -900,7 +956,8 @@ def scale_topology(topology, s: float):
             # bare dipole: |m| = B_r V / mu0 scales with volume
             return replace(st, position=st.position * s, moment=st.moment * s**3,
                            subdipoles=subs)
-        src = mag.source_from_spec(spec(st.spec), st.position * s, mag.unit(st.moment))
+        src = mag.source_from_spec(spec(st.spec), st.position * s,
+                                   mag.unit(st.moment, "stator moment"))
         return replace(src, subdipoles=subs)
 
     out = []

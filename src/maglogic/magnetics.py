@@ -52,6 +52,21 @@ block once per call around the squares and the powers ``d ** 3`` and
 ``d**4``: a source so far away that one of them overflows adds exactly
 zero, with no warning.
 
+:func:`field_and_forces` writes its temporaries into one scratch buffer
+owned by this module, with ``out=`` and the operands and operation order
+above (a power or a product may overwrite its operand: elementwise, the
+bits are the same): 14 (K, G, n) and 6 (G, n) planes, in blocks that
+each start on a 64-byte boundary. The buffer is made at the first call
+with room for GROUP_PAIRS (source x point) pairs, 20 * GROUP_PAIRS
+doubles (1.3 MB, of which a call touches what it uses), and is replaced
+by a larger one only when one call needs more (in ``landscape``, only a
+group past the cap does); no result is a view of it. So a grouped call
+reuses the pages of the last one instead of asking glibc for fresh ones:
+one call on eight grouped 1025-point demo basin grids took about 1900
+minor page faults with temporaries of its own and takes none. The
+buffer is shared by every caller in the process, so the kernel is for
+use from one thread at a time.
+
 The set-up solvers take S source sets at once, each with its own
 geometry: :func:`equilibrium_directions` per-set points, magnitudes,
 fixed fields and fallback axes (S, n, ...), and :func:`assembly_energies`
@@ -73,18 +88,26 @@ MU0 = 4.0 * np.pi * 1e-7  # vacuum permeability, T*m/A (exact in SI-1948 units)
 COINCIDENCE_EPS = 1e-9  # meters; closer than this counts as "same point"
 
 _UNIT_TOL = 1e-9
+# the most (source x point) pairs that one grouped field_and_forces call
+# is given, unless a single group has more; its scratch buffer is sized
+# for this many. In benchmark runs on a 2-core x86-64 VM, a `screen`
+# round took 252 minor page faults here, 661 at 12288 and 1205 at 16384
+# pairs, as the per-call arrays that stay outside the buffer grow; 12288
+# read 3 % faster in 3 of 4 pairs but kept about 0.6 MB more resident.
+GROUP_PAIRS = 8192
+_buffer = np.empty(0)  # field_and_forces' scratch, see _scratch
 
 
 @np.errstate(over="ignore")
-def unit(v: np.ndarray) -> np.ndarray:
-    """Return v/|v|, raising on (near-)zero input and on a length that
-    overflows a double."""
+def unit(v: np.ndarray, what: str = "vector") -> np.ndarray:
+    """Return v/|v|, raising ConfigError naming ``what`` on (near-)zero
+    input and on a length that overflows a double."""
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
     if n < 1e-300:
-        raise ConfigError("cannot normalize a zero vector")
+        raise ConfigError(f"cannot normalize {what} {v.tolist()}: it is a zero vector")
     if n == math.inf:
-        raise ConfigError(f"cannot normalize {v.tolist()}: its length overflows")
+        raise ConfigError(f"cannot normalize {what} {v.tolist()}: its length overflows")
     return v / n
 
 
@@ -192,11 +215,11 @@ def moment_from_spec(spec: MagnetSpec) -> np.ndarray:
 
 def basis_from_axis(axis) -> np.ndarray:
     """Right-handed orthonormal basis rows (e1, e2, unit(axis)), deterministic."""
-    a = unit(axis)
+    a = unit(axis, "basis axis")
     helper = np.array([1.0, 0.0, 0.0])
     if abs(a[0]) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
-    e1 = unit(np.cross(helper, a))
+    e1 = unit(np.cross(helper, a), "basis vector")
     e2 = np.cross(a, e1)
     return np.stack([e1, e2, a])
 
@@ -294,7 +317,8 @@ def source_from_spec(
         the net moment exactly.
     """
     m_mag = np.linalg.norm(moment_from_spec(spec))
-    direction = unit(spec.easy_axis if axis is None else vector(axis, "source axis"))
+    direction = unit(spec.easy_axis if axis is None else vector(axis, "source axis"),
+                     "source axis")
     moment = m_mag * direction
     if discretize <= 1:
         return MagnetSource(position, moment, spec=spec)
@@ -337,41 +361,67 @@ class FieldKey:
 # ---------------------------------------------------------------------------
 
 
-def _planes(src_pos, src_m, points):
+def _planes(src_pos, src_m, points, out=None):
     """Any call form as G groups of n points: ``r = point - source``
-    (3, K, G, n), the source moment planes (3, K, G, 1) and the grouped
-    source moments (G, K, 3)."""
+    (3, K, G, n), written to ``out`` if given, the source moment planes
+    (3, K, G, 1) and the grouped source moments (G, K, 3)."""
     pts = np.asarray(points, dtype=float)
     if src_pos.ndim == 2:  # shared: one group
         src_pos, src_m, pts = src_pos[None], src_m[None], pts.reshape(1, -1, 3)
     elif pts.ndim == 2:  # per-row: groups of one point
         pts = pts[:, None]
     r = np.subtract(pts.transpose(2, 0, 1)[:, None],
-                    src_pos.transpose(2, 1, 0)[..., None], order="C")
+                    src_pos.transpose(2, 1, 0)[..., None], out=out, order="C")
     return r, np.ascontiguousarray(src_m.transpose(2, 1, 0)[..., None]), src_m
 
 
-def _dot(a, b):
+def _scratch(k, g, n) -> tuple:
+    """The module's scratch buffer as the temporaries of one
+    :func:`field_and_forces` call: three (3, K, G, n) and five (K, G, n)
+    blocks, then a (3, G, n) and a (G, n, 3) block, each C-ordered and
+    starting on a 64-byte boundary.
+
+    The buffer is made at the first call, for GROUP_PAIRS (K, G, n) pairs,
+    and replaced by a larger one only when a call needs more, so a grouped
+    call reuses the pages of the last one instead of asking glibc for
+    fresh ones. Aligned starts keep the SIMD stores of a whole-block ufunc
+    off cache-line boundaries, which halves the time of a store-bound one.
+    """
+    global _buffer
+    size, points = k * g * n, 3 * g * n
+    plane, block = -(-size // 8) * 8, -(-points // 8) * 8  # whole 64-byte lines
+    if _buffer.size < 14 * plane + 2 * block:
+        raw = np.empty(max(14 * plane + 2 * block, 20 * GROUP_PAIRS) + 7)
+        _buffer = raw[(-raw.ctypes.data // 8) % 8:]
+    triples = [_buffer[j * plane:j * plane + 3 * size].reshape(3, k, g, n) for j in (0, 3, 6)]
+    singles = [_buffer[j * plane:j * plane + size].reshape(k, g, n) for j in range(9, 14)]
+    at = 14 * plane
+    return (*triples, *singles, _buffer[at:at + points].reshape(3, g, n),
+            _buffer[at + block:at + block + points].reshape(g, n, 3))
+
+
+def _dot(a, b, tmp=None, out=None):
     """Plane dot product ``(a0 b0 + a2 b2) + a1 b1``, np.einsum's order
-    for 3-vectors."""
-    return _einsum_sum(a * b)
+    for 3-vectors; the products go to ``tmp`` and the sum to ``out`` if
+    given."""
+    return _einsum_sum(np.multiply(a, b, out=tmp), out)
 
 
-def _einsum_sum(p):
+def _einsum_sum(p, out=None):
     """``(p0 + p2) + p1`` of (3, ...) planes, np.einsum's order."""
-    out = p[0] + p[2]
+    out = np.add(p[0], p[2], out=out)
     out += p[1]
     return out
 
 
-def _norm_sum(p):
+def _norm_sum(p, out=None):
     """``(p0 + p1) + p2`` of (3, ...) planes, np.linalg.norm's order."""
-    out = p[0] + p[1]
+    out = np.add(p[0], p[1], out=out)
     out += p[2]
     return out
 
 
-def _sum_sources(terms, shape=None):
+def _sum_sources(terms, shape=None, out=None):
     """Sum of (3, K, ...) terms over K, ``k = 0 ... K-1``: C-ordered in the
     points' ``shape`` (..., 3), or as (3, ...) planes without one.
 
@@ -382,7 +432,8 @@ def _sum_sources(terms, shape=None):
     # np.empty, not np.zeros: calloc can hand out fresh pages, and a demo
     # sweep round took about 1.7k more minor page faults with np.zeros
     if shape is None:
-        out = np.empty(terms.shape[:1] + terms.shape[2:])
+        if out is None:
+            out = np.empty(terms.shape[:1] + terms.shape[2:])
         acc = out.reshape(3, -1)
     else:
         out = np.empty(shape)
@@ -400,43 +451,54 @@ def _sum_sources(terms, shape=None):
     return out
 
 
-def _field(r, d2, m, shape=None):
+def _field(r, d2, m, shape=None, work=(None,) * 4, out=None):
     """Field of the sources at offsets ``r`` (3, K, ...), squared distances
     ``d2`` and moment planes ``m``, summed over K as :func:`_sum_sources`
-    lays it out for ``shape``.
+    lays it out for ``shape``, or into ``out``.
+
+    ``work`` gives where the temporaries go, None for a new array: the
+    distances, then their cubes, and the terms' ``m.r`` (like ``d2``), the
+    terms' products and the terms (like ``r``).
 
     ``d2 = (x x + z z) + y y``, np.einsum's order. Call it where overflow
     is ignored: a source so far away that ``d2`` or ``d ** 3`` overflows
     adds exactly 0.
     """
-    d = np.sqrt(d2)
+    d, t, tmp, terms = work
+    d = np.sqrt(d2, out=d)
     if (d < COINCIDENCE_EPS).any():
         raise SingularConfigError("field point coincides with a dipole")
-    return _sum_sources(_field_terms(r, d2, d ** 3, m), shape)
+    d3 = np.power(d, 3, out=d)  # d ** 3, in place with the same bits
+    return _sum_sources(_field_terms(r, d2, d3, m, tmp, t, terms), shape, out)
 
 
-def _field_terms(r, d2, d3, m):
+def _field_terms(r, d2, d3, m, tmp=None, t=None, out=None):
     """(3, K, ...) field of source k at each point, the terms
     :func:`dipole_field` sums over K.
 
     r : (3, K, ...) point minus source; d2, d3 : (K, ...) squared and cubed
     distances; m : source moment planes that broadcast against r.
-    ``m.r = (mx x + mz z) + my y`` in np.einsum's order.
+    ``m.r = (mx x + mz z) + my y`` in np.einsum's order. ``tmp`` (like r),
+    ``t`` (like d2) and ``out`` (like r) take the temporaries if given.
     """
     coef = MU0 / (4.0 * np.pi)
-    t = _dot(m, r)
+    t = _dot(m, r, tmp, t)
     t *= 3.0
     t /= d2
     t *= coef
-    B = r * t
+    B = np.multiply(r, t, out=out)
     B /= d3
-    B -= coef * m / d3
+    B -= np.divide(coef * m, d3, out=tmp)
     return B
 
 
-def _force(r, d, m, src_m, moments, t, shape):
+def _force(r, d, m, src_m, moments, t, shape, work=(None,) * 6):
     """Force on test moments from the sources at offsets ``r``, summed over
     K, C-ordered in the points' ``shape``; ``r`` and ``d`` are overwritten.
+    ``work`` gives where the temporaries go, None for a new array: two
+    like ``r`` (products, terms), then four like ``d`` (``m.rhat`` of the
+    test and the source moments, ``ma.mb``, the weight); the coefficient
+    takes ``d``'s place.
 
     ``d`` is the squared distance ``(x x + y y) + z z``, np.linalg.norm's
     order; ``moments`` are C-ordered (G, n, 3) and ``t`` their
@@ -445,19 +507,24 @@ def _force(r, d, m, src_m, moments, t, shape):
     ignored: a source so far away that ``d`` or ``d**4`` overflows exerts
     exactly 0.
     """
+    tmp, F, mbr, mar, mamb, w = work
     np.sqrt(d, out=d)
     if (d < COINCIDENCE_EPS).any():
         raise SingularConfigError("a dipole coincides with a source dipole")
     r /= d  # rhat
-    mbr = _dot(t, r)
-    mar = _dot(m, r)
-    mamb = np.matmul(moments, src_m.transpose(0, 2, 1)).transpose(2, 0, 1)
-    coef = 3.0 * MU0 / (4.0 * np.pi * d**4)
-    w = 5.0 * mar
+    mbr = _dot(t, r, tmp, mbr)
+    mar = _dot(m, r, tmp, mar)
+    if mamb is not None:  # the (G, n, K) product, C-ordered as np.matmul makes it
+        mamb = mamb.reshape(*moments.shape[:2], src_m.shape[1])
+    mamb = np.matmul(moments, src_m.transpose(0, 2, 1), out=mamb).transpose(2, 0, 1)
+    coef = np.power(d, 4, out=d)  # 3 MU0 / (4 pi d**4)
+    coef *= 4.0 * np.pi
+    np.divide(3.0 * MU0, coef, out=coef)
+    w = np.multiply(5.0, mar, out=w)
     w *= mbr
     np.subtract(mamb, w, out=w)
-    F = mar * t
-    F += mbr * m
+    F = np.multiply(mar, t, out=F)
+    F += np.multiply(mbr, m, out=tmp)
     r *= w
     F += r
     F *= coef
@@ -514,21 +581,26 @@ def field_and_forces(src_pos, src_m, points, orient):
     sums, and every result has the bits of :func:`dipole_field`, then
     :func:`dipole_forces` on C-ordered (G, n, 3) moments: the two
     coincidence checks run in that order, with their messages. Overflow
-    is ignored throughout, ``orient`` included.
+    is ignored throughout, ``orient`` included. Every temporary, the field
+    planes passed to ``orient`` included, lives in the module's scratch
+    buffer until the next call; the two results are arrays of their own.
+    Not for use from two threads at once.
     """
-    r, m, src_m = _planes(src_pos, src_m, points)
+    # r * r and the products go to tmp, the field's and the force's terms
+    # to terms; w1 and w2 take the field's distances and m.r, then with d2
+    # and w3 the force's m.rhat, ma.mb and weight
+    r, tmp, terms, d, d2, w1, w2, w3, fields, moments = _scratch(
+        src_m.shape[1], *points.shape[:2])
+    r, m, src_m = _planes(src_pos, src_m, points, r)
     with np.errstate(over="ignore"):
-        p = r * r
-        d2, d = _einsum_sum(p), _norm_sum(p)
-        # each pass's temporaries are freed before the next one's are made:
-        # kept alive, they made glibc trim and regrow its heap on every call
-        del p
-        B = _field(r, d2, m)
-        del d2
+        p = np.multiply(r, r, out=tmp)
+        d, d2 = _norm_sum(p, d), _einsum_sum(p, d2)
+        B = _field(r, d2, m, None, (w1, w2, tmp, terms), fields)
         t = orient(B)
-        force = _force(r, d, m, src_m, np.ascontiguousarray(t.transpose(1, 2, 0)),
-                       t[:, None], points.shape)
-    return _dot(t, B), force
+        np.copyto(moments, t.transpose(1, 2, 0))
+        force = _force(r, d, m, src_m, moments, t[:, None], points.shape,
+                       (tmp, terms, d2, w1, w2, w3))
+    return _dot(t, B, moments.reshape(t.shape)), force
 
 
 def pair_energy(a: MagnetSource, b: MagnetSource) -> float:

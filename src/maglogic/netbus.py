@@ -58,7 +58,7 @@ class Channel:
 
     def __post_init__(self):
         mag.text(self.label, "channel label")
-        d = mag.unit(mag.vector(self.key_direction, "channel direction"))
+        d = mag.unit(mag.vector(self.key_direction, "channel direction"), "channel direction")
         object.__setattr__(self, "key_direction", tuple(float(c) for c in d))
 
 
@@ -401,7 +401,8 @@ def _calibrate(depth, field, style, field_direction, separation) -> MasterPose:
     mag.finite(depth, "master depth", 0.0)
     mag.finite(field, "master field", 0.0)
     if field_direction is not None:
-        field_direction = mag.unit(mag.vector(field_direction, "field direction"))
+        field_direction = mag.unit(mag.vector(field_direction, "field direction"),
+                                   "field direction")
     boost = 1.0 + _CALIBRATION_HEADROOM
     position = (0.0, 0.0, depth)
     if style == "auto":
@@ -451,7 +452,7 @@ def min_spacing(pose: MasterPose, threshold: float, axis, depth: float,
     depth = mag.finite(depth, "depth", 0.0)
     if not mag.finite(isolation_frac, "isolation_frac", 0.0) <= 1.0:
         raise ConfigError("isolation_frac must lie in (0, 1]")
-    a = mag.unit(mag.vector(axis, "spacing axis"))
+    a = mag.unit(mag.vector(axis, "spacing axis"), "spacing axis")
     target = np.asarray(pose.position) + depth * DOWN
     level = isolation_frac * threshold
 

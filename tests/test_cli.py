@@ -43,6 +43,20 @@ def test_validate_all_shipped_configs(capsys):
     assert out.count("ok ") == len(files)
 
 
+def test_landscape_on_a_collapsed_stroke_exits_2(tmp_path, capsys):
+    """A track origin so far out that both stops round to one point was a
+    flat profile with exit 0; it is a config error now."""
+    with open(shipped("demo_topology.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["units"][0]["track"]["origin"][0] = 1e308
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(doc))
+    rc = cli.main(["landscape", str(far), "--unit", "alpha", "--out", str(tmp_path / "far.csv")])
+    assert rc == 2
+    assert "track stops must be two distinct finite points" in capsys.readouterr().err
+    assert not (tmp_path / "far.csv").exists()
+
+
 def test_landscape_profile_and_decision(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     rc = cli.main(["landscape", shipped("demo_topology.json"),

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from maglogic import design as dg
 from maglogic import landscape as ls
+from maglogic import magnetics as mag
 from maglogic import netbus as nb
 from maglogic import presets as pr
 from maglogic.errors import (
@@ -640,6 +641,48 @@ def test_batched_pipeline_matches_candidate_by_candidate(seed):
     assert repr(reports) == repr(serial)
     partial = dg.run_pipeline(XZ_LATTICE, n_units, keys, tmpl, 45, seed=seed)
     assert repr(partial) == repr(serial[:45])
+
+
+def test_grouped_grids_equal_one_group_per_call(monkeypatch):
+    """A seed-1 screen batch of the benchmark's x-z space and the seed-1
+    demo sweep decide bit for bit alike whether their profile and basin
+    grids are grouped under GROUP_PAIRS or evaluated one grid per call."""
+    _, tmpl, keys, n_units = pr.pair_design_space()
+    shapes = []
+    original = ls._evaluate
+
+    def spy(*args):
+        shapes.append(args[-1].shape)
+        return original(*args)
+
+    def outputs():
+        return (repr(dg.run_pipeline(XZ_LATTICE, n_units, keys, tmpl, dg.SCREEN_BATCH,
+                                     seed=1)),
+                repr(dg.sensitivity_sweep(demo_candidate(), 0.1, 20.0, 4, 1)))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ls, "_evaluate", spy)
+        grouped = outputs()
+    # grids were grouped: several profile grids and several basin grids per call
+    assert max(g for g, n in shapes if n == ls.DEFAULT_SAMPLES) > 1
+    assert max(g for g, n in shapes if n == ls._BASIN_GRID) > 1
+    monkeypatch.setattr(mag, "GROUP_PAIRS", 1)
+    assert outputs() == grouped
+
+
+def test_unit_errors_of_design_and_bus_inputs_name_their_field():
+    for call, text in (
+            (lambda: dg.Lattice(0.01, ((0, 1),) * 3, ((0, 0, 0),), ((1, 0, 0),)),
+             "cannot normalize allowed_orientations [0.0, 0.0, 0.0]: it is a zero vector"),
+            (lambda: dg.Lattice(0.01, ((0, 1),) * 3, ((1, 0, 0),), ((0, 1e308, 0),)),
+             "cannot normalize allowed_track_axes [0.0, 1e+308, 0.0]: its length overflows"),
+            (lambda: nb.Channel("a", (0, 0, 0)),
+             "cannot normalize channel direction [0.0, 0.0, 0.0]: it is a zero vector"),
+            (lambda: nb.calibrate_master(0.005, 0.12, "composite", field_direction=(0, 0, 0)),
+             "cannot normalize field direction [0.0, 0.0, 0.0]: it is a zero vector")):
+        with pytest.raises(ConfigError) as exc:
+            call()
+        assert str(exc.value) == text
 
 
 def test_candidates_of_one_enumeration_share_their_parts():

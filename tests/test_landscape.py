@@ -49,6 +49,14 @@ from test_magnetics import (
     ref_dipole_forces,
 )
 
+def _evaluate_at(profile, xs):
+    """Energy and axial force of ``profile`` at track coordinates xs (any
+    length), one group."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    energy, force = ls._evaluate(*(a[None] for a in profile._args), xs[None])
+    return energy[0], force[0]
+
+
 MOVER = MagnetSpec("cylinder", (4e-3, 8e-3), 0.3, (0.0, 0.0, 1.0))
 M_MOVER = 0.3 * np.pi * (4e-3) ** 2 * 8e-3 / MU0  # |m| of MOVER
 
@@ -146,6 +154,44 @@ def test_track_validation():
             dataclasses.replace(track, **{field: value})
 
 
+def test_track_stops_must_be_distinct_finite_points():
+    """Far from the origin the two stops overflow or round to one point:
+    the track is a ConfigError, with no RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as exc:
+            MoverTrack((1, 0, 0), (1e308, 0, 0), (0.013, 0.021), MOVER, mass=1e-3)
+        assert str(exc.value) == ("track stops must be two distinct finite points, "
+                                  "got [[1e+308, 0.0, 0.0], [1e+308, 0.0, 0.0]]")
+        with pytest.raises(ConfigError) as exc:
+            MoverTrack((0, 0, -1), (0, 0, -1.5e308), (0.0, 1e308), MOVER, mass=1e-3)
+        assert str(exc.value) == ("track stops must be two distinct finite points, "
+                                  "got [[0.0, 0.0, -1.5e+308], [0.0, 0.0, -inf]]")
+        # far out, but the stops still land on distinct points
+        track = MoverTrack((1, 0, 0), (1e5, 0, 0), (0.013, 0.021), MOVER, mass=1e-3)
+        assert track.point(track.x_out)[0] > track.point(track.x_in)[0]
+
+
+def test_unit_errors_name_their_field():
+    spec = mag.MagnetSpec("cylinder", (0.004, 0.008), 0.3, (0, 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, text in (
+                (lambda: mag.unit((0, 0, 0), "track axis"),
+                 "cannot normalize track axis [0.0, 0.0, 0.0]: it is a zero vector"),
+                (lambda: MoverTrack((1e308, 0, 0), (0, 0, 0), (0.0, 0.004), spec, 1e-3),
+                 "cannot normalize track axis [1e+308, 0.0, 0.0]: its length overflows"),
+                (lambda: MoverTrack((0, 0, 0), (0, 0, 0), (0.0, 0.004), spec, 1e-3),
+                 "cannot normalize track axis [0.0, 0.0, 0.0]: it is a zero vector"),
+                (lambda: mag.source_from_spec(spec, (0, 0, 0), (0, -1e308, 0)),
+                 "cannot normalize source axis [0.0, -1e+308, 0.0]: its length overflows"),
+                (lambda: mag.unit((1e-310, 0, 0)),
+                 "cannot normalize vector [1e-310, 0.0, 0.0]: it is a zero vector")):
+            with pytest.raises(ConfigError) as exc:
+                call()
+            assert str(exc.value) == text
+
+
 _COMPONENT = st.floats(-1.0, 1.0)
 _FRACTION = st.floats(0.0, 1.0)
 
@@ -214,7 +260,7 @@ def test_batched_rows_match_one_point_evaluate():
             xs = np.array([rng.uniform(*profs[i].track.stroke) for i in rows])
             energy, force = ls._evaluate_rows(stacked, rows, xs)
             for i, x, e, f in zip(rows, xs, energy, force):
-                one_e, one_f = ls._evaluate_at(profs[i], [x])
+                one_e, one_f = _evaluate_at(profs[i], [x])
                 assert np.array_equal(one_e, [e]) and np.array_equal(one_f, [f])
 
 
@@ -237,9 +283,9 @@ def test_zero_field_row_takes_its_own_track_axis():
     stacked = ls._stack([keyed, bare])
     energy, force = ls._evaluate_rows(stacked, np.array([0, 1]),
                                       np.array([0.015, 0.015]))
-    assert np.array_equal(force[1:], ls._evaluate_at(bare, [0.015])[1])
+    assert np.array_equal(force[1:], _evaluate_at(bare, [0.015])[1])
     assert force[1] != 0.0  # the fallback direction moves the force
-    assert abs(ls._evaluate_at(keyed, [0.015])[1][0]) < 1e-12 * abs(force[1])
+    assert abs(_evaluate_at(keyed, [0.015])[1][0]) < 1e-12 * abs(force[1])
     # on a grid, the zero-field row at the outer stop continues the row
     # before it, whose mover points the other way along the track
     unit = _zero_field_unit()
@@ -247,7 +293,7 @@ def test_zero_field_row_takes_its_own_track_axis():
         unit, track=dataclasses.replace(unit.track, stroke=(0.009, 0.015)))
     prof = ls.sample_profile([unit], "z", None, 64)
     assert prof.xs[-1] == 0.015
-    one = ls._evaluate_at(prof, [0.015])[1][0]
+    one = _evaluate_at(prof, [0.015])[1][0]
     assert one == pytest.approx(0.73728, rel=1e-9)
     assert prof.force_axial[-1] == pytest.approx(-0.73728, rel=1e-9)
 
@@ -285,7 +331,7 @@ def test_grids_match_reference_evaluation_bit_for_bit():
         for prof in profs:
             for n in (ls.DEFAULT_SAMPLES, ls._BASIN_GRID):
                 xs = np.linspace(prof.track.x_in, prof.track.x_out, n)
-                energy, force = ls._evaluate_at(prof, xs)
+                energy, force = _evaluate_at(prof, xs)
                 want_energy, want_force = _reference_grid(prof, xs)
                 assert np.array_equal(energy, want_energy)
                 assert np.array_equal(force, want_force)
@@ -496,8 +542,8 @@ def test_force_matches_energy_gradient():
         prof = ls.sample_profile(topo, uid, key, 96)
         h = (prof.x_out - prof.x_in) * 1e-6
         for j in range(1, len(prof.xs) - 1):
-            up = ls._evaluate_at(prof, [prof.xs[j] + h])[0][0]
-            um = ls._evaluate_at(prof, [prof.xs[j] - h])[0][0]
+            up = _evaluate_at(prof, [prof.xs[j] + h])[0][0]
+            um = _evaluate_at(prof, [prof.xs[j] - h])[0][0]
             fd = -(up - um) / (2 * h)
             assert prof.force_axial[j] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
@@ -728,7 +774,7 @@ def test_double_well_symmetric_equilibria():
     assert abs(mid.position) < 1e-9
     assert abs(lo.position + hi.position) < 2e-9
     for e in eqs:
-        assert abs(ls._evaluate_at(prof, [e.position])[1][0]) < 1e-9
+        assert abs(_evaluate_at(prof, [e.position])[1][0]) < 1e-9
     dec = ls.decide(prof)
     assert dec.clazz == "bistable"
     assert dec.barrier_out > 0
@@ -1239,8 +1285,9 @@ def test_tree_polish_edge_cases():
 
 
 def test_grouped_profile_grids_equal_sample_profile(monkeypatch):
-    """The grids of every unit under one (topology, key) are one grouped
-    call; each equals that unit's own ``sample_profile`` bit for bit."""
+    """The grids of every (key, unit) of an engine call are grouped into
+    calls of at most GROUP_PAIRS (fixed dipole x point) pairs; each equals
+    that unit's own ``sample_profile`` bit for bit."""
     demo = pr.demo_topology()
     keys = [*pr.demo_keys(), None, FieldKey((0.6, 0.0, 0.8), 0.012, "tilt")]
     positions = {"beta": 0.5 * sum(demo[1].track.stroke)}
@@ -1255,13 +1302,58 @@ def test_grouped_profile_grids_equal_sample_profile(monkeypatch):
         patch.setattr(ls, "_evaluate", spy)
         profiles = ls._batch_profiles([demo], range(len(demo)), keys, ls.DEFAULT_SAMPLES,
                                       [ls._latched_positions(demo, 256, positions)])
-    assert calls == [(len(demo), ls.DEFAULT_SAMPLES)] * len(keys)
+    per_call = mag.GROUP_PAIRS // (5 * ls.DEFAULT_SAMPLES)  # 3 stators, 2 movers
+    groups = len(demo) * len(keys)
+    assert 1 < per_call < groups
+    assert calls == [(min(per_call, groups - at), ls.DEFAULT_SAMPLES)
+                     for at in range(0, groups, per_call)]
     for prof in profiles:
         one = ls.sample_profile(demo, prof.unit_id, prof.key, mover_positions=positions)
         for name in ("xs", "energy", "force_axial"):
             assert np.array_equal(getattr(prof, name), getattr(one, name))
         for got, want in zip(prof._args, one._args):
             assert np.array_equal(got, want) and got.shape == want.shape
+
+
+def test_evaluate_results_outlive_the_next_call():
+    """``_evaluate`` returns arrays of its own, not views of the kernel's
+    scratch buffer: a later call of another shape leaves them unchanged."""
+    keyed, bare = _batches()[-1]
+    energy, force = ls._evaluate(*ls._stack([keyed, bare]),
+                                 np.array([[0.013, 0.017, 0.021], [0.015, 0.016, 0.017]]))
+    kept = energy.copy(), force.copy()
+    demo = _batches()[0]
+    ls._evaluate(*ls._stack(demo[:4]),
+                 np.array([np.linspace(*p.track.stroke, 300) for p in demo[:4]]))
+    assert np.array_equal(energy, kept[0]) and np.array_equal(force, kept[1])
+    assert not np.shares_memory(energy, mag._buffer)
+    assert not np.shares_memory(force, mag._buffer)
+
+
+def test_no_kernel_call_passes_the_cap_unless_one_grid_does(monkeypatch):
+    """Every ``_evaluate`` call of an engine call, profile grids, basin
+    grids and lockstep rows, holds at most GROUP_PAIRS (fixed dipole x
+    point) pairs or one group. At 3000 pairs a demo basin grid (5 x 1025)
+    is a call of its own and two profile grids (5 x 256) share one."""
+    demo = pr.demo_topology()
+    keys = [*pr.demo_keys(), None, FieldKey((0.6, 0.0, 0.8), 0.012, "tilt")]
+    want = ls.decisions_for_keys(demo, keys)
+    original = ls._evaluate
+    for cap in (mag.GROUP_PAIRS, 3000):
+        shapes = []
+
+        def spy(*args):
+            shapes.append((*args[-1].shape, args[3].shape[1]))
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ls, "_evaluate", spy)
+            patch.setattr(mag, "GROUP_PAIRS", cap)
+            assert ls.decisions_for_keys(demo, keys) == want
+        assert all(g * n * k <= cap or g == 1 for g, n, k in shapes)
+        grids = {n: max(g for g, m, _ in shapes if m == n) for _, n, _ in shapes}
+        assert grids[ls.DEFAULT_SAMPLES] == cap // (5 * ls.DEFAULT_SAMPLES)
+        assert grids[ls._BASIN_GRID] == max(1, cap // (5 * ls._BASIN_GRID))
 
 
 def test_zero_field_rule_stays_inside_each_group():
@@ -1271,10 +1363,10 @@ def test_zero_field_rule_stays_inside_each_group():
     xs = np.array([[0.013, 0.017, 0.021], [0.015, 0.016, 0.017]])
     energy, force = ls._evaluate(*ls._stack([keyed, bare]), xs)
     for g, prof in enumerate((keyed, bare)):
-        want_energy, want_force = ls._evaluate_at(prof, xs[g])
+        want_energy, want_force = _evaluate_at(prof, xs[g])
         assert np.array_equal(energy[g], want_energy)
         assert np.array_equal(force[g], want_force)
-    assert force[1, 0] == ls._evaluate_at(bare, [0.015])[1][0] != 0.0
+    assert force[1, 0] == _evaluate_at(bare, [0.015])[1][0] != 0.0
     # within a group the zero-field row continues the row before it
     energy, force = ls._evaluate(*ls._stack([bare]), np.array([[0.013, 0.015]]))
     assert force[0, 1] == pytest.approx(-0.73728, rel=1e-9)
