@@ -41,31 +41,36 @@ bit-identical to the point-major (N, K, 3) formulation:
 Elementwise ufuncs round the same in any memory layout; reductions and
 BLAS calls need not, which is what these rules pin.
 
-:func:`field_and_forces` is both kernels in one pass over grouped points,
-for test dipoles whose moments follow the field: the offsets ``r`` and
-``r * r`` are made once and feed both distance sums, the caller's
+All three kernels take one path. :func:`_planes` turns a call into G
+groups of n points on the blocks of the scratch buffer below, makes the
+offsets ``r`` and ``r * r`` once and writes both distance sums from
+them; one helper per formula then works on those blocks.
+:func:`field_and_forces` is both kernels in one pass over grouped
+points, for test dipoles whose moments follow the field: the caller's
 orientation rule runs on the field's planes, and only the moments (for
-the matmul) and the force come back C-ordered. Its results have the
-bits of the two kernels called one after the other. All three share one
-helper per formula, and each runs its overflow-ignoring ``errstate``
-block once per call around the squares and the powers ``d ** 3`` and
-``d**4``: a source so far away that one of them overflows adds exactly
-zero, with no warning.
+the matmul) and the force come back C-ordered. Its results have the bits
+of the two kernels called one after the other. Each kernel runs its
+overflow-ignoring ``errstate`` blocks once per call around the squares
+and the powers ``d ** 3`` and ``d**4``: a source so far away that one of
+them overflows adds exactly zero, with no warning.
 
-:func:`field_and_forces` writes its temporaries into one scratch buffer
-owned by this module, with ``out=`` and the operands and operation order
-above (a power or a product may overwrite its operand: elementwise, the
-bits are the same): 14 (K, G, n) and 6 (G, n) planes, in blocks that
-each start on a 64-byte boundary. The buffer is made at the first call
-with room for GROUP_PAIRS (source x point) pairs, 20 * GROUP_PAIRS
-doubles (1.3 MB, of which a call touches what it uses), and is replaced
-by a larger one only when one call needs more (in ``landscape``, only a
-group past the cap does); no result is a view of it. So a grouped call
+Every kernel call writes its temporaries into one scratch buffer owned
+by this module, with ``out=`` and the operands and operation order above
+(a power or a product may overwrite its operand: elementwise, the bits
+are the same): 14 (K, G, n) and 6 (G, n) planes, in blocks that each
+start on a 64-byte boundary. The buffer is made at the first call with
+room for GROUP_PAIRS (source x point) pairs, 20 * GROUP_PAIRS doubles
+(1.3 MB, of which a call touches what it uses), and is replaced by a
+larger one only when one call needs more (in ``landscape``, only a group
+past the cap does). Each result is an array of its own, copied out of
+the buffer or summed into a new one, never a view of it. So a call
 reuses the pages of the last one instead of asking glibc for fresh ones:
 one call on eight grouped 1025-point demo basin grids took about 1900
-minor page faults with temporaries of its own and takes none. The
-buffer is shared by every caller in the process, so the kernel is for
-use from one thread at a time.
+minor page faults with temporaries of its own and takes none. The buffer
+is shared by every caller in the process, so :func:`dipole_field`,
+:func:`dipole_forces`, :func:`field_and_forces` and everything that calls
+them are for use from one thread at a time; separate processes each have
+their own buffer.
 
 The set-up solvers take S source sets at once, each with its own
 geometry: :func:`equilibrium_directions` per-set points, magnitudes,
@@ -95,7 +100,7 @@ _UNIT_TOL = 1e-9
 # pairs, as the per-call arrays that stay outside the buffer grow; 12288
 # read 3 % faster in 3 of 4 pairs but kept about 0.6 MB more resident.
 GROUP_PAIRS = 8192
-_buffer = np.empty(0)  # field_and_forces' scratch, see _scratch
+_buffer = np.empty(0)  # the kernels' scratch, see _scratch
 
 
 @np.errstate(over="ignore")
@@ -314,13 +319,15 @@ def source_from_spec(
     discretize : int
         1 = single point dipole (default). n > 1 = n^3 grid of sub-dipoles
         (cells outside a cylindrical envelope are dropped); moments sum to
-        the net moment exactly.
+        the net moment exactly. Anything but an integer >= 1 is a
+        ConfigError.
     """
     m_mag = np.linalg.norm(moment_from_spec(spec))
     direction = unit(spec.easy_axis if axis is None else vector(axis, "source axis"),
                      "source axis")
     moment = m_mag * direction
-    if discretize <= 1:
+    discretize = finite(discretize, "discretize", 1, inclusive=True, integer=True)
+    if discretize == 1:
         return MagnetSource(position, moment, spec=spec)
     # magnet-frame offsets with the local z along the moment direction
     local = (
@@ -361,25 +368,39 @@ class FieldKey:
 # ---------------------------------------------------------------------------
 
 
-def _planes(src_pos, src_m, points, out=None):
-    """Any call form as G groups of n points: ``r = point - source``
-    (3, K, G, n), written to ``out`` if given, the source moment planes
-    (3, K, G, 1) and the grouped source moments (G, K, 3)."""
+def _planes(src_pos, src_m, points):
+    """Any call form as G groups of n points, on the blocks of
+    :func:`_scratch`: ``r = point - source`` (3, K, G, n), the distances
+    ``d = sqrt((x x + y y) + z z)`` before the root, in np.linalg.norm's
+    order, and ``d2 = (x x + z z) + y y``, np.einsum's, both (K, G, n)
+    from one ``r * r``; then the source moment planes (3, K, G, 1), the
+    grouped source moments (G, K, 3) and the call's free blocks: two like
+    ``r``, three like ``d``, a (3, G, n) and a (G, n, 3) one.
+
+    Overflow is ignored: a source so far away that its squared offset
+    overflows has ``d`` and ``d2`` inf.
+    """
     pts = np.asarray(points, dtype=float)
     if src_pos.ndim == 2:  # shared: one group
         src_pos, src_m, pts = src_pos[None], src_m[None], pts.reshape(1, -1, 3)
     elif pts.ndim == 2:  # per-row: groups of one point
         pts = pts[:, None]
-    r = np.subtract(pts.transpose(2, 0, 1)[:, None],
-                    src_pos.transpose(2, 1, 0)[..., None], out=out, order="C")
-    return r, np.ascontiguousarray(src_m.transpose(2, 1, 0)[..., None]), src_m
+    r, p, terms, d, d2, *free = _scratch(src_m.shape[1], *pts.shape[:2])
+    np.subtract(pts.transpose(2, 0, 1)[:, None], src_pos.transpose(2, 1, 0)[..., None], out=r)
+    with np.errstate(over="ignore"):
+        np.multiply(r, r, out=p)
+        np.add(p[0], p[1], out=d)
+        d += p[2]
+        np.add(p[0], p[2], out=d2)
+        d2 += p[1]
+    m = np.ascontiguousarray(src_m.transpose(2, 1, 0)[..., None])
+    return r, d, d2, m, src_m, (p, terms, *free)
 
 
 def _scratch(k, g, n) -> tuple:
-    """The module's scratch buffer as the temporaries of one
-    :func:`field_and_forces` call: three (3, K, G, n) and five (K, G, n)
-    blocks, then a (3, G, n) and a (G, n, 3) block, each C-ordered and
-    starting on a 64-byte boundary.
+    """The module's scratch buffer as the temporaries of one kernel call:
+    three (3, K, G, n) and five (K, G, n) blocks, then a (3, G, n) and a
+    (G, n, 3) block, each C-ordered and starting on a 64-byte boundary.
 
     The buffer is made at the first call, for GROUP_PAIRS (K, G, n) pairs,
     and replaced by a larger one only when a call needs more, so a grouped
@@ -404,72 +425,51 @@ def _dot(a, b, tmp=None, out=None):
     """Plane dot product ``(a0 b0 + a2 b2) + a1 b1``, np.einsum's order
     for 3-vectors; the products go to ``tmp`` and the sum to ``out`` if
     given."""
-    return _einsum_sum(np.multiply(a, b, out=tmp), out)
-
-
-def _einsum_sum(p, out=None):
-    """``(p0 + p2) + p1`` of (3, ...) planes, np.einsum's order."""
+    p = np.multiply(a, b, out=tmp)
     out = np.add(p[0], p[2], out=out)
     out += p[1]
     return out
 
 
-def _norm_sum(p, out=None):
-    """``(p0 + p1) + p2`` of (3, ...) planes, np.linalg.norm's order."""
-    out = np.add(p[0], p[1], out=out)
-    out += p[2]
-    return out
-
-
-def _sum_sources(terms, shape=None, out=None):
-    """Sum of (3, K, ...) terms over K, ``k = 0 ... K-1``: C-ordered in the
-    points' ``shape`` (..., 3), or as (3, ...) planes without one.
+def _sum_sources(terms, out):
+    """Sum of (3, K, ...) terms over K, ``k = 0 ... K-1``, into ``out``:
+    (3, ...) planes, or the transposed view of a C-ordered (..., 3) result.
 
     A running sum: ``terms.sum(axis=1)`` sums pairwise when there is one
     point and K >= 8, and so rounds differently from a K-long loop.
     """
-    k = terms.shape[1]
-    # np.empty, not np.zeros: calloc can hand out fresh pages, and a demo
-    # sweep round took about 1.7k more minor page faults with np.zeros
-    if shape is None:
-        if out is None:
-            out = np.empty(terms.shape[:1] + terms.shape[2:])
-        acc = out.reshape(3, -1)
-    else:
-        out = np.empty(shape)
-        acc = out.reshape(-1, 3).T
+    k, acc = terms.shape[1], out.reshape(3, -1)
+    terms = terms.reshape(3, k, acc.shape[1])
     if k == 0:
         acc[...] = 0.0
-        return out
-    terms = terms.reshape(3, k, acc.shape[1])
-    if k == 1:
+    elif k == 1:
         np.copyto(acc, terms[:, 0])
-        return out
-    np.add(terms[:, 0], terms[:, 1], acc)
+    else:
+        np.add(terms[:, 0], terms[:, 1], acc)
     for j in range(2, k):
         acc += terms[:, j]
     return out
 
 
-def _field(r, d2, m, shape=None, work=(None,) * 4, out=None):
+def _field(r, d2, m, work, out):
     """Field of the sources at offsets ``r`` (3, K, ...), squared distances
-    ``d2`` and moment planes ``m``, summed over K as :func:`_sum_sources`
-    lays it out for ``shape``, or into ``out``.
+    ``d2`` and moment planes ``m``, summed over K into the (3, ...) planes
+    ``out``.
 
-    ``work`` gives where the temporaries go, None for a new array: the
-    distances, then their cubes, and the terms' ``m.r`` (like ``d2``), the
-    terms' products and the terms (like ``r``).
+    ``work`` gives where the temporaries go: the distances, then their
+    cubes, and the terms' ``m.r`` (like ``d2``), the terms' products and
+    the terms (like ``r``).
 
     ``d2 = (x x + z z) + y y``, np.einsum's order. Call it where overflow
     is ignored: a source so far away that ``d2`` or ``d ** 3`` overflows
     adds exactly 0.
     """
     d, t, tmp, terms = work
-    d = np.sqrt(d2, out=d)
+    np.sqrt(d2, out=d)
     if (d < COINCIDENCE_EPS).any():
         raise SingularConfigError("field point coincides with a dipole")
-    d3 = np.power(d, 3, out=d)  # d ** 3, in place with the same bits
-    return _sum_sources(_field_terms(r, d2, d3, m, tmp, t, terms), shape, out)
+    np.power(d, 3, out=d)  # d ** 3, in place with the same bits
+    return _sum_sources(_field_terms(r, d2, d, m, tmp, t, terms), out)
 
 
 def _field_terms(r, d2, d3, m, tmp=None, t=None, out=None):
@@ -492,13 +492,13 @@ def _field_terms(r, d2, d3, m, tmp=None, t=None, out=None):
     return B
 
 
-def _force(r, d, m, src_m, moments, t, shape, work=(None,) * 6):
+def _force(r, d, m, src_m, moments, t, work):
     """Force on test moments from the sources at offsets ``r``, summed over
-    K, C-ordered in the points' ``shape``; ``r`` and ``d`` are overwritten.
-    ``work`` gives where the temporaries go, None for a new array: two
-    like ``r`` (products, terms), then four like ``d`` (``m.rhat`` of the
-    test and the source moments, ``ma.mb``, the weight); the coefficient
-    takes ``d``'s place.
+    K into a new C-ordered (G, n, 3) array; ``r`` and ``d`` are
+    overwritten. ``work`` gives where the temporaries go: two like ``r``
+    (products, terms), then four like ``d`` (``m.rhat`` of the test and
+    the source moments, ``ma.mb``, the weight); the coefficient takes
+    ``d``'s place.
 
     ``d`` is the squared distance ``(x x + y y) + z z``, np.linalg.norm's
     order; ``moments`` are C-ordered (G, n, 3) and ``t`` their
@@ -514,8 +514,8 @@ def _force(r, d, m, src_m, moments, t, shape, work=(None,) * 6):
     r /= d  # rhat
     mbr = _dot(t, r, tmp, mbr)
     mar = _dot(m, r, tmp, mar)
-    if mamb is not None:  # the (G, n, K) product, C-ordered as np.matmul makes it
-        mamb = mamb.reshape(*moments.shape[:2], src_m.shape[1])
+    # the (G, n, K) product, C-ordered as np.matmul makes it
+    mamb = mamb.reshape(*moments.shape[:2], src_m.shape[1])
     mamb = np.matmul(moments, src_m.transpose(0, 2, 1), out=mamb).transpose(2, 0, 1)
     coef = np.power(d, 4, out=d)  # 3 MU0 / (4 pi d**4)
     coef *= 4.0 * np.pi
@@ -528,7 +528,11 @@ def _force(r, d, m, src_m, moments, t, shape, work=(None,) * 6):
     r *= w
     F += r
     F *= coef
-    return _sum_sources(F, shape)
+    # np.empty, not np.zeros: calloc can hand out fresh pages, and a demo
+    # sweep round took about 1.7k more minor page faults with np.zeros
+    out = np.empty(moments.shape)
+    _sum_sources(F, out.transpose(2, 0, 1))
+    return out
 
 
 def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -540,13 +544,15 @@ def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> 
     sources. Returns C-ordered tesla of the points' shape, computed on
     component planes with the bit rules of the module docstring. A row of a
     per-row call has the bits of a 1-point call with that row's sources,
-    and a group those of a shared-source call on its points.
+    and a group those of a shared-source call on its points. Computed in
+    the module's scratch buffer, so not for use from two threads at once;
+    the result is an array of its own.
     """
-    pts = np.asarray(points, dtype=float)
-    r, m, _ = _planes(src_pos, src_m, pts)
+    r, d, d2, m, _, (tmp, terms, t, _, _, fields, _) = _planes(src_pos, src_m, points)
     # a source so far away that its powers overflow has field exactly 0
     with np.errstate(over="ignore"):
-        return _field(r, _dot(r, r), m, pts.shape)
+        B = _field(r, d2, m, (d, t, tmp, terms), fields)
+    return B.transpose(1, 2, 0).copy().reshape(np.shape(points))
 
 
 def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
@@ -557,14 +563,16 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     Returns C-ordered newtons of the points' shape, computed on component
     planes with the bit rules of the module docstring; the per-group
     matmul keeps each row of a per-row call equal to a 1-row call.
+    Computed in the module's scratch buffer, so not for use from two
+    threads at once; the result is an array of its own.
     """
-    pts = np.asarray(points, dtype=float)
-    r, m, src_m = _planes(src_pos, src_m, pts)
-    mts = np.asarray(moments, dtype=float).reshape(*r.shape[2:], 3)
-    t = np.ascontiguousarray(mts.transpose(2, 0, 1))[:, None]
+    r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, t, mts) = _planes(src_pos, src_m, points)
+    np.copyto(mts, np.reshape(moments, mts.shape))
+    np.copyto(t, mts.transpose(2, 0, 1))
     # a source so far away that its powers overflow exerts exactly 0
     with np.errstate(over="ignore"):
-        return _force(r, _norm_sum(r * r), m, src_m, mts, t, pts.shape)
+        force = _force(r, d, m, src_m, mts, t[:, None], (tmp, terms, d2, w1, w2, w3))
+    return force.reshape(np.shape(points))
 
 
 def field_and_forces(src_pos, src_m, points, orient):
@@ -589,17 +597,13 @@ def field_and_forces(src_pos, src_m, points, orient):
     # r * r and the products go to tmp, the field's and the force's terms
     # to terms; w1 and w2 take the field's distances and m.r, then with d2
     # and w3 the force's m.rhat, ma.mb and weight
-    r, tmp, terms, d, d2, w1, w2, w3, fields, moments = _scratch(
-        src_m.shape[1], *points.shape[:2])
-    r, m, src_m = _planes(src_pos, src_m, points, r)
+    r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, fields, moments) = _planes(
+        src_pos, src_m, points)
     with np.errstate(over="ignore"):
-        p = np.multiply(r, r, out=tmp)
-        d, d2 = _norm_sum(p, d), _einsum_sum(p, d2)
-        B = _field(r, d2, m, None, (w1, w2, tmp, terms), fields)
+        B = _field(r, d2, m, (w1, w2, tmp, terms), fields)
         t = orient(B)
         np.copyto(moments, t.transpose(1, 2, 0))
-        force = _force(r, d, m, src_m, moments, t[:, None], points.shape,
-                       (tmp, terms, d2, w1, w2, w3))
+        force = _force(r, d, m, src_m, moments, t[:, None], (tmp, terms, d2, w1, w2, w3))
     return _dot(t, B, moments.reshape(t.shape)), force
 
 

@@ -11,6 +11,7 @@ formulas before the implementation existed:
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -251,7 +252,7 @@ def assert_kernels_match_reference(pos, m, pts, moments):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [1, 2, 256, 1025])
+@pytest.mark.parametrize("n", [0, 1, 2, 256, 1025])
 @pytest.mark.parametrize("k", [0, 1, 5, 27])
 def test_kernels_match_frozen_reference(n, k):
     rng = np.random.default_rng(1000 * n + k)
@@ -298,13 +299,19 @@ def test_plane_kernels_raise_on_coincidence_like_reference():
             kernel(np.broadcast_to(pos, (2, 2, 3)), np.broadcast_to(m, (2, 2, 3)))
 
 
+def _dot_reference(a, b):
+    """``(a0 b0 + a2 b2) + a1 b1`` over the last axis, np.einsum's order."""
+    return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
+
+
 @pytest.mark.parametrize("k", [0, 1, 5, 27])
 def test_grouped_calls_match_shared_and_per_row_calls(k):
     """A group of n points has the bits of a shared-source call on them, a
     group of one point those of a per-row call, C-ordered in the points'
-    shape."""
+    shape; ``field_and_forces`` with fixed moments has the bits of both
+    kernels, zero groups included."""
     rng = np.random.default_rng(k)
-    for groups, n in ((3, 256), (4, 2), (2, 1025), (7, 1)):
+    for groups, n in ((3, 256), (4, 2), (2, 1025), (7, 1), (0, 5)):
         pos = rng.normal(size=(groups, k, 3)) * 0.05
         m = rng.normal(size=(groups, k, 3))
         pts = rng.normal(size=(groups, n, 3)) * 0.05
@@ -313,6 +320,10 @@ def test_grouped_calls_match_shared_and_per_row_calls(k):
         force = mag.dipole_forces(pos, m, pts, moments)
         assert field.shape == force.shape == pts.shape
         assert field.flags.c_contiguous and force.flags.c_contiguous
+        energy, both = mag.field_and_forces(pos, m, pts, lambda B: moments.transpose(2, 0, 1))
+        assert energy.shape == pts.shape[:2] and both.shape == pts.shape
+        assert np.array_equal(energy, _dot_reference(moments, field))
+        assert np.array_equal(both, force) and both.flags.c_contiguous
         for g in range(groups):
             assert np.array_equal(field[g], mag.dipole_field(pos[g], m[g], pts[g]))
             assert np.array_equal(force[g], mag.dipole_forces(pos[g], m[g], pts[g],
@@ -323,6 +334,36 @@ def test_grouped_calls_match_shared_and_per_row_calls(k):
             assert np.array_equal(force[:, 0], mag.dipole_forces(pos, m, pts[:, 0],
                                                                  moments[:, 0]))
             assert np.array_equal(field[:, 0], ref_dipole_field(pos, m, pts[:, 0]))
+
+
+def test_kernel_results_are_never_views_of_the_scratch_buffer(monkeypatch):
+    """Every kernel result is an array of its own: it shares no memory with
+    the scratch buffer, and keeps its values across a later call that
+    reuses the buffer and one that grows it."""
+    monkeypatch.setattr(mag, "_buffer", np.empty(0))
+    rng = np.random.default_rng(7)
+
+    def calls(k, g, n):
+        pos, m = rng.normal(size=(g, k, 3)) * 0.05, rng.normal(size=(g, k, 3))
+        pts, moments = rng.normal(size=(g, n, 3)) * 0.05, rng.normal(size=(g, n, 3))
+        return [mag.dipole_field(pos, m, pts), mag.dipole_forces(pos, m, pts, moments),
+                mag.dipole_field(pos[0], m[0], pts[0, 0]),  # one point, shape (3,)
+                mag.dipole_forces(pos[:, 0], m[:, 0], pts[:, 0], moments[:, 0]),
+                *mag.field_and_forces(pos, m, pts, lambda B: B.copy())]
+
+    results = calls(3, 1, 1) + calls(2, 4, 50)
+    kept = [r.copy() for r in results]
+    buffer = mag._buffer
+    for r in results:
+        assert not np.shares_memory(r, buffer)
+    calls(2, 4, 50)  # reuses the buffer
+    assert mag._buffer is buffer
+    assert all(np.array_equal(r, want) for r, want in zip(results, kept))
+    grown = calls(5, 2, mag.GROUP_PAIRS)  # needs more than the first buffer holds
+    assert mag._buffer.size > buffer.size
+    assert all(np.array_equal(r, want) for r, want in zip(results, kept))
+    for r in grown:
+        assert not np.shares_memory(r, mag._buffer)
 
 
 def test_grouped_calls_raise_on_coincidence():
@@ -596,6 +637,15 @@ def test_subdipole_offsets_inside_envelope():
     radial = np.linalg.norm(offs - axial[:, None] * np.array([1.0, 0, 0]), axis=1)
     assert np.all(np.abs(axial) <= 2e-3 + 1e-12)
     assert np.all(radial <= 2e-3 + 1e-12)
+
+
+@pytest.mark.parametrize("discretize", [0, -1, 2.5, 1.0, math.nan, "3", None, True])
+def test_discretize_must_be_an_integer_of_at_least_one(discretize):
+    spec = mag.MagnetSpec("cylinder", (2e-3, 4e-3), 1.2, (0, 0, 1))
+    with pytest.raises(ConfigError, match="discretize must be an integer >= 1"):
+        mag.source_from_spec(spec, [0, 0, 0], discretize=discretize)
+    assert mag.source_from_spec(spec, [0, 0, 0], discretize=1).subdipoles is None
+    assert len(mag.source_from_spec(spec, [0, 0, 0], discretize=np.int64(2)).subdipoles) == 8
 
 
 def test_discretized_far_field_matches_point_dipole():
