@@ -370,12 +370,13 @@ class FieldKey:
 
 def _planes(src_pos, src_m, points):
     """Any call form as G groups of n points, on the blocks of
-    :func:`_scratch`: ``r = point - source`` (3, K, G, n), the distances
-    ``d = sqrt((x x + y y) + z z)`` before the root, in np.linalg.norm's
-    order, and ``d2 = (x x + z z) + y y``, np.einsum's, both (K, G, n)
-    from one ``r * r``; then the source moment planes (3, K, G, 1), the
-    grouped source moments (G, K, 3) and the call's free blocks: two like
-    ``r``, three like ``d``, a (3, G, n) and a (G, n, 3) one.
+    :func:`_scratch`: ``r = point - source`` (3, K, G, n) and, from one
+    ``r * r``, two (K, G, n) squared distances, ``d = (x x + y y) + z z``
+    in np.linalg.norm's order (the force takes its root in place) and
+    ``d2 = (x x + z z) + y y`` in np.einsum's; then the source moment
+    planes (3, K, G, 1), the grouped source moments (G, K, 3) and the
+    call's free blocks: two like ``r``, three like ``d``, a (3, G, n) and
+    a (G, n, 3) one.
 
     Overflow is ignored: a source so far away that its squared offset
     overflows has ``d`` and ``d2`` inf.

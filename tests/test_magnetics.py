@@ -244,10 +244,12 @@ def ref_pair_energy(a, b):
 
 
 def assert_kernels_match_reference(pos, m, pts, moments):
-    """Field and force of the plane kernels equal the frozen ones, C-ordered."""
+    """Field and force of the plane kernels equal the frozen ones, C-ordered,
+    whatever the memory layout of the test moments."""
+    force = ref_dipole_forces(pos, m, pts, moments)
     for got, want in ((mag.dipole_field(pos, m, pts), ref_dipole_field(pos, m, pts)),
-                      (mag.dipole_forces(pos, m, pts, moments),
-                       ref_dipole_forces(pos, m, pts, moments))):
+                      (mag.dipole_forces(pos, m, pts, moments), force),
+                      (mag.dipole_forces(pos, m, pts, np.asfortranarray(moments)), force)):
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.array_equal(got, want)
 
