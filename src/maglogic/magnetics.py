@@ -50,7 +50,7 @@ points, for test dipoles whose moments follow the field: the caller's
 orientation rule runs on the field's planes, and only the moments (for
 the matmul) and the force come back C-ordered. Its results have the bits
 of the two kernels called one after the other. Each kernel runs its
-overflow-ignoring ``errstate`` blocks once per call around the squares
+overflow-ignoring ``errstate`` block once per call around the squares
 and the powers ``d ** 3`` and ``d**4``: a source so far away that one of
 them overflows adds exactly zero, with no warning.
 
@@ -378,8 +378,8 @@ def _planes(src_pos, src_m, points):
     call's free blocks: two like ``r``, three like ``d``, a (3, G, n) and
     a (G, n, 3) one.
 
-    Overflow is ignored: a source so far away that its squared offset
-    overflows has ``d`` and ``d2`` inf.
+    Call it where overflow is ignored: a source so far away that its
+    squared offset overflows has ``d`` and ``d2`` inf.
     """
     pts = np.asarray(points, dtype=float)
     if src_pos.ndim == 2:  # shared: one group
@@ -388,12 +388,11 @@ def _planes(src_pos, src_m, points):
         pts = pts[:, None]
     r, p, terms, d, d2, *free = _scratch(src_m.shape[1], *pts.shape[:2])
     np.subtract(pts.transpose(2, 0, 1)[:, None], src_pos.transpose(2, 1, 0)[..., None], out=r)
-    with np.errstate(over="ignore"):
-        np.multiply(r, r, out=p)
-        np.add(p[0], p[1], out=d)
-        d += p[2]
-        np.add(p[0], p[2], out=d2)
-        d2 += p[1]
+    np.multiply(r, r, out=p)
+    np.add(p[0], p[1], out=d)
+    d += p[2]
+    np.add(p[0], p[2], out=d2)
+    d2 += p[1]
     m = np.ascontiguousarray(src_m.transpose(2, 1, 0)[..., None])
     return r, d, d2, m, src_m, (p, terms, *free)
 
@@ -549,9 +548,9 @@ def dipole_field(src_pos: np.ndarray, src_m: np.ndarray, points: np.ndarray) -> 
     the module's scratch buffer, so not for use from two threads at once;
     the result is an array of its own.
     """
-    r, d, d2, m, _, (tmp, terms, t, _, _, fields, _) = _planes(src_pos, src_m, points)
     # a source so far away that its powers overflow has field exactly 0
     with np.errstate(over="ignore"):
+        r, d, d2, m, _, (tmp, terms, t, _, _, fields, _) = _planes(src_pos, src_m, points)
         B = _field(r, d2, m, (d, t, tmp, terms), fields)
     return B.transpose(1, 2, 0).copy().reshape(np.shape(points))
 
@@ -567,11 +566,11 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     Computed in the module's scratch buffer, so not for use from two
     threads at once; the result is an array of its own.
     """
-    r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, t, mts) = _planes(src_pos, src_m, points)
-    np.copyto(mts, np.reshape(moments, mts.shape))
-    np.copyto(t, mts.transpose(2, 0, 1))
     # a source so far away that its powers overflow exerts exactly 0
     with np.errstate(over="ignore"):
+        r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, t, mts) = _planes(src_pos, src_m, points)
+        np.copyto(mts, np.reshape(moments, mts.shape))
+        np.copyto(t, mts.transpose(2, 0, 1))
         force = _force(r, d, m, src_m, mts, t[:, None], (tmp, terms, d2, w1, w2, w3))
     return force.reshape(np.shape(points))
 
@@ -598,9 +597,9 @@ def field_and_forces(src_pos, src_m, points, orient):
     # r * r and the products go to tmp, the field's and the force's terms
     # to terms; w1 and w2 take the field's distances and m.r, then with d2
     # and w3 the force's m.rhat, ma.mb and weight
-    r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, fields, moments) = _planes(
-        src_pos, src_m, points)
     with np.errstate(over="ignore"):
+        r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, fields, moments) = _planes(
+            src_pos, src_m, points)
         B = _field(r, d2, m, (w1, w2, tmp, terms), fields)
         t = orient(B)
         np.copyto(moments, t.transpose(1, 2, 0))
