@@ -627,11 +627,13 @@ def sensitivity_sweep(
     pass (:func:`landscape.decisions_for_keys`). The offset topologies are
     drawn trial by trial and decided afresh, SCREEN_BATCH trials to one
     set-up (``landscape._decisions_for_topologies``). While the margin is
-    searched, a probe first decides the rim direction that failed last and
-    stops if it fails again; otherwise it decides one key's cone per call,
-    in key order, and stops at the first key whose cone fails. Every
-    decision has the same bits in any batch, so the report does not depend
-    on how the work is grouped.
+    searched, each probe takes at most two calls. The first decides the
+    rim direction that failed last (the first key's cone before any has
+    failed), and the probe stops if that fails. Otherwise the second
+    decides every other direction of the probe, and the results are walked
+    in key order up to the first failure, which becomes the next probe's
+    first call. Every decision has the same bits in any batch, so the
+    report does not depend on how the work is grouped.
     """
     mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True,
                high=MAX_TRIALS)
@@ -682,16 +684,15 @@ def sensitivity_sweep(
     # index in cones() of the direction that failed last: the next probe
     # decides it first, in a call of its own, since one decision when it
     # fails again saves more than the set-up costs when it passes (measured
-    # on five demo sweeps against deciding that key's whole cone first)
+    # on five demo sweeps against deciding that key's whole cone first);
+    # a probe that passes it decides every other direction in one more call
     last_fail = failing[0] if failing else None
 
     def cone_clean(half_deg):
         nonlocal last_fail
         dirs = cones(half_deg)
-        groups = [range(s, s + _CONE_RIM + 1) for s in range(0, len(dirs), _CONE_RIM + 1)]
-        if last_fail is not None:
-            groups.insert(0, [last_fail])
-        for group in groups:
+        first = range(_CONE_RIM + 1) if last_fail is None else [last_fail]
+        for group in (first, range(len(dirs))):  # decided() reuses the first's
             for i, decs in zip(group, decided([dirs[i] for i in group])):
                 if not _one_hot_ok(decs, expected[dirs[i].label]):
                     last_fail = i

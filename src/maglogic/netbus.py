@@ -46,9 +46,14 @@ DEFAULT_ISOLATION_FRAC = 0.75  # neighbor must fall below this x threshold
 _CALIBRATION_HEADROOM = 1e-6  # keeps the target strictly at/above threshold
 _SPACING_XTOL = 1e-6  # m, bisection stop of min_spacing
 # the most endurance cycles: 200 times the shipped campaign's 5000, checked
-# before any per-cycle array is built; also the one cap on a block of
-# _hits, in (master, node) rows
+# before any per-cycle array is built; also a cap on a block of _hits, in
+# (master, node) rows
 MAX_CYCLES = 1_000_000
+# the most (master x node x dipole) pairs of one _hits block, and so of one
+# decode kernel call: the kernel's scratch buffer keeps the size of its
+# largest call, which this holds to 20 * DECODE_PAIRS doubles (5 MiB). An
+# 800-cycle one-dipole run on a 5x5 grid (20,000 pairs) is still one block
+DECODE_PAIRS = 4 * mag.GROUP_PAIRS
 
 
 @dataclass(frozen=True)
@@ -253,13 +258,16 @@ def _hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> tuple:
     master's index, the column it fires and |B| at the node.
 
     ``pos`` and ``moments`` (G, D, 3) are G masters of D dipoles each,
-    decided in blocks of at most ``MAX_CYCLES`` (master, node) rows. A
-    block's masters are grouped kernel sources and the node positions
-    every group's points, so one kernel call gives every field, and one
-    :func:`_decode_rows` pass decodes every (master, node) row.
+    decided in blocks of at most ``MAX_CYCLES`` (master, node) rows and
+    ``DECODE_PAIRS`` (master, node, dipole) pairs (one master a block when
+    it alone has more). A block's masters are grouped kernel sources and
+    the node positions every group's points, so one kernel call gives every
+    field, and one :func:`_decode_rows` pass decodes every (master, node)
+    row. Rows are independent, so the blocks move no bit.
     """
     n = len(nodes.grid)
-    per_block = max(1, MAX_CYCLES // max(n, 1))
+    rows = min(MAX_CYCLES, DECODE_PAIRS // pos.shape[1])
+    per_block = max(1, rows // max(n, 1))
     blocks = []
     for lo in range(0, len(pos), per_block):
         sources = pos[lo:lo + per_block], moments[lo:lo + per_block]
@@ -335,13 +343,12 @@ def truth_table(grid, commands) -> TruthTable:
 
     Command i acts at the sum of the dwells before it. The commands are
     decided in blocks: a block is a run of consecutive commands whose
-    masters have the same dipole count, at most ``MAX_CYCLES`` (command,
-    node) rows, and takes one grouped kernel call and one decode. A
-    campaign's commands share one master, so a campaign is one block. The
-    events have the bits of :func:`execute_command` at each command's
-    time: the dipole kernel is elementwise with a running sum over the
-    dipoles, so a group gets the bits of a shared-source call on its
-    points, and the decode is per row.
+    masters have the same dipole count, within the caps of :func:`_hits`,
+    and takes one grouped kernel call and one decode. The events have the
+    bits of :func:`execute_command` at each command's time: the dipole
+    kernel is elementwise with a running sum over the dipoles, so a group
+    gets the bits of a shared-source call on its points, and the decode is
+    per row.
     """
     nodes = _Nodes(grid)
     commands = _commands(commands)

@@ -454,9 +454,10 @@ def test_sensitivity_sweep_decides_each_nominal_key_once(monkeypatch):
                         lambda *a: log.append("draw") or offset_topology(*a))
     # 183 pairs in 24 calls at 4 trials when each coax trial had its own
     # call and every margin probe decided the cones key by key from the
-    # first key
+    # first key; 161 in 23 at 4 trials and 269 in 25 at 40 trials when a
+    # probe that passed the direction that failed last went on key by key
     for n_trials, n_pairs, n_calls, offset_sizes in (
-            (4, 161, 23, [4]), (40, 269, 25, [16, 16, 8])):
+            (4, 169, 15, [4]), (40, 277, 17, [16, 16, 8])):
         log.clear()
         rep = dg.sensitivity_sweep(cand, 0.1, 20.0, n_trials, 1)
         # the report of the sweep that decided each trial in its own call
@@ -469,7 +470,23 @@ def test_sensitivity_sweep_decides_each_nominal_key_once(monkeypatch):
         assert all(keys for _, keys in calls)
         assert len(set(decided)) == len(decided)
         nominal = [key for units, key in decided if units == repr(list(cand.units))]
-        assert len(nominal) == 161 - 4 * 3  # every coax trial moves the movers
+        assert len(nominal) == 169 - 4 * 3  # every coax trial moves the movers
+        # after the first nominal call, each margin probe makes one call on
+        # the direction that failed last (the first key's 8 rim directions
+        # before any has failed), then at most one on the rest of its cone,
+        # so the two decide all 3 * 8 rim directions
+        probes = []  # [half-angle, key count of each call] per probe
+        for topologies, keys in calls[1:]:
+            if topologies != [list(cand.units)]:
+                continue
+            halves = [_cone_half_angle(cand, key) for key in keys]
+            assert max(halves) - min(halves) < 1e-6  # one probe's directions
+            if probes and abs(probes[-1][0] - halves[0]) < 1e-6:
+                probes[-1][1].append(len(keys))
+            else:
+                probes.append([halves[0], [len(keys)]])
+        assert [counts for _, counts in probes] == [
+            [8, 16], [8], [1], [1, 23], [1, 23], [1, 23], [1, 23], [1]]
         sizes, pending = [], 0
         for entry in log:
             if entry == "draw":
@@ -479,6 +496,44 @@ def test_sensitivity_sweep_decides_each_nominal_key_once(monkeypatch):
                 sizes.append(pending)
                 pending = 0
         assert sizes == offset_sizes and pending == 0
+
+
+def _cone_half_angle(cand, key):
+    """Degrees between a cone direction and the direction of its key."""
+    axis = next(k.direction for k in cand.key_set if k.label == key.label)
+    cos = np.dot(key.direction, axis) / (np.linalg.norm(key.direction) * np.linalg.norm(axis))
+    return math.degrees(math.acos(min(1.0, cos)))
+
+
+def _plain_angle_margin(cand, angle_deg):
+    """The angle margin by a plain search: every probe decides all of its
+    cones in one call; the cone grows by 1.5 up to 85 deg while clean, then
+    is bisected to 0.25 deg."""
+    units, keys = list(cand.units), list(cand.key_set)
+    expected = {k.label: dg.activation_pattern(units, k) for k in keys}
+
+    def clean(half_deg):
+        dirs = [FieldKey(tuple(d), k.magnitude, k.label)
+                for k in keys for d in dg.cone_directions(k.direction, half_deg)]
+        return all(dg._one_hot_ok(decs, expected[d.label])
+                   for d, decs in zip(dirs, ls.decisions_for_keys(units, dirs)))
+
+    lo, hi = (angle_deg, None) if clean(angle_deg) else (0.0, angle_deg)
+    probe = max(angle_deg, 1.0)
+    while hi is None and probe < 85.0:
+        probe = min(probe * 1.5, 85.0)
+        lo, hi = (probe, hi) if clean(probe) else (lo, probe)
+    while hi is not None and hi - lo > 0.25:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if clean(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("angle_deg, n_trials", [(20.0, 4), (60.0, 2)])
+def test_sensitivity_sweep_angle_margin_matches_a_plain_search(angle_deg, n_trials):
+    cand = demo_candidate()
+    rep = dg.sensitivity_sweep(cand, 0.1, angle_deg, n_trials, 1)
+    assert rep.angle_margin_deg == _plain_angle_margin(cand, angle_deg)
 
 
 _SEEDED = {

@@ -501,11 +501,15 @@ def _counted_kernel(monkeypatch):
     return shapes
 
 
-def test_truth_table_matches_execute_command_on_dense_grid(monkeypatch):
-    # 5x5 at 10 mm pitch with a 10 mT threshold: neighbours fire as well
-    grid = [nb.NodeSpec(f"n{i}{j}", (0.01 * i, 0.01 * j, 0.0),
+def _dense_grid():
+    """5x5 at 10 mm pitch with a 10 mT threshold: neighbours fire as well."""
+    return [nb.NodeSpec(f"n{i}{j}", (0.01 * i, 0.01 * j, 0.0),
                         pr.demo_grid()[0].channels, 0.010)
             for i in range(5) for j in range(5)]
+
+
+def test_truth_table_matches_execute_command_on_dense_grid(monkeypatch):
+    grid = _dense_grid()
     commands = pr.demo_bus_commands(grid)
     rng = np.random.default_rng(5)
     # tilted and rescaled poses with uneven dwells
@@ -776,6 +780,24 @@ def test_capped_endurance_blocks_match_the_uncapped_run(monkeypatch):
     assert shapes[1:] == [(33, 1, 3)] * 3 + [(1, 1, 3)]  # after the nominal field
     assert capped == whole
     assert 0 < whole.failures < 100
+
+
+def test_endurance_blocks_bound_the_kernel_buffer(monkeypatch):
+    # 8000 cycles are 200,000 (cycle, node) rows, which one block would
+    # decode in about 30 MiB of kernel scratch
+    grid = _dense_grid()
+    cmd = pr.demo_bus_commands(grid)[36]
+    noise = {"angle_sigma_deg": 3.0, "magnitude_sigma_T": 0.005}
+    monkeypatch.setattr(nb.mag, "_buffer", np.empty(0))
+    capped = nb.endurance_campaign(grid, cmd, 8000, noise, seed=1)
+    # 20 doubles a (master, node, dipole) pair, plus the alignment slack
+    assert nb.mag._buffer.size <= 20 * nb.DECODE_PAIRS + 7
+    monkeypatch.setattr(nb, "DECODE_PAIRS", len(grid) * 8000)
+    shapes = _counted_kernel(monkeypatch)
+    whole = nb.endurance_campaign(grid, cmd, 8000, noise, seed=1)
+    assert shapes[1:] == [(8000, 1, 3)]  # after the nominal field: one block
+    assert capped == whole
+    assert 0 < whole.failures < 8000
 
 
 def test_noise_free_endurance_counts_every_cycle():
