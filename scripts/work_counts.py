@@ -1,4 +1,4 @@
-"""Print exact work counts of two fixed runs of the landscape engine.
+"""Print exact work counts of three fixed runs of the landscape engine.
 
 Run from anywhere:
 
@@ -6,10 +6,15 @@ Run from anywhere:
 
 The runs are the seed-1 demo sweep (``sensitivity_sweep`` of the shipped
 demo candidate at coaxial fraction 0.1, cone 20 degrees, 4 trials, seed
-1, as the benchmark's ``sweep`` workload runs it) and ``design`` on the
+1, as the benchmark's ``sweep`` workload runs it), ``design`` on the
 shipped ``pair_design_space.json`` with budget 300 and seed 1 (the
-``run_pipeline`` call of the CLI). For each it prints one line per
-count, ``<count> <run>.<name>``:
+``run_pipeline`` call of the CLI), and the seed-1 ``screen``: the
+``run_pipeline`` call of the benchmark's ``screen`` workload, budget 120
+and seed 1, on that file's template, keys and thresholds over the
+3x2x3 lattice that ``bench/gen_inputs.py`` writes (extents (0, 2),
+(0, 1), (0, 2), moments and track axes along +-x and +-z), built here
+without importing ``bench/``. For each it prints one line per count,
+``<count> <run>.<name>``:
 
 * ``engine_calls`` and ``decided_pairs``: calls of
   ``landscape._decisions_for_topologies`` and the (topology, key) pairs
@@ -29,10 +34,12 @@ process, so they do not depend on the host or its load.
 
 import argparse
 import collections
+import dataclasses
 import os
 import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+XZ_AXES = ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
 
 
 def _counted(ls, counts):
@@ -76,9 +83,14 @@ def main() -> None:
     space = os.path.join(root, "src", "maglogic", "configs", "pair_design_space.json")
     lattice, template, keys, n_units, thresholds, _ = configio.load_design(space)
     candidate = design.CandidateTopology(presets.demo_topology(), presets.demo_keys())
+    xz_lattice = dataclasses.replace(lattice, extents=((0, 2), (0, 1), (0, 2)),
+                                     allowed_orientations=XZ_AXES,
+                                     allowed_track_axes=XZ_AXES)
     runs = {
         "sweep": lambda: design.sensitivity_sweep(candidate, 0.1, 20.0, 4, 1),
         "design": lambda: design.run_pipeline(lattice, n_units, keys, template, 300,
+                                              seed=1, thresholds=thresholds),
+        "screen": lambda: design.run_pipeline(xz_lattice, n_units, keys, template, 120,
                                               seed=1, thresholds=thresholds),
     }
     counts = collections.Counter()

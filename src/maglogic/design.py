@@ -57,15 +57,23 @@ _ANGLE_RESOLUTION_DEG = 0.25
 _CONE_RIM = 8  # rim directions per cone, so each key probes 9 directions
 # topologies per engine call: run_pipeline's candidate batches and
 # sensitivity_sweep's chunks of coaxial trials (there it only caps a
-# set-up's memory and was not tuned). Measured for run_pipeline on the
-# benchmark's 3x2x3 two-unit space (seeds 1-3, one pinned CPU): a
-# 120-candidate screen took 0.58-0.62 s of CPU in batches of 16, 0.62-0.64
-# s in batches of 8, 12 or 24, 0.66-0.73 s in batches of 32 and 0.89 s one
-# candidate at a time. A batch holds the profiles of all its candidates,
-# about 35 KiB a candidate, until it is decided: the screen's traced memory
-# peak rose 0.5 MiB over one candidate at a time with batches of 16, 1.1 MiB
-# with 32, 4.2 MiB with 120.
-SCREEN_BATCH = 16
+# set-up's memory; 4 trials are one chunk). Measured for run_pipeline on
+# the benchmark's 3x2x3 two-unit space at seed 1, 120 candidates, one
+# pinned CPU of a 2-core x86-64 VM, rounds of the batch sizes alternated
+# in one process (CPU: medians of 8 rounds in two runs; traced:
+# tracemalloc peak of one round; RSS: ru_maxrss of one process that keeps
+# 55 rounds):
+#
+#     batch                   16       32       64      120
+#     CPU per round, ms  194-199  185-191  175-179  168-173
+#     traced peak, MiB       1.6      2.6      4.7      8.3
+#     RSS, 55 rounds, MiB   59.6     60.9     63.1     66.7
+#
+# A batch holds the profiles of all its candidates until it is decided.
+# 64 is faster still, but it holds 2 MiB more at equal rounds, and a
+# benchmark that keeps every round's output also keeps more rounds of a
+# faster screen, so its peak memory rises by both.
+SCREEN_BATCH = 32
 # upper bounds on the search and sweep sizes, each over 300 times the
 # largest value a shipped input, test or benchmark uses (budget 300, 100
 # trials)
@@ -626,14 +634,15 @@ def sensitivity_sweep(
     keys and the cone at ``angle_deg`` are decided in one multi-key lockstep
     pass (:func:`landscape.decisions_for_keys`). The offset topologies are
     drawn trial by trial and decided afresh, SCREEN_BATCH trials to one
-    set-up (``landscape._decisions_for_topologies``). While the margin is
-    searched, each probe takes at most two calls. The first decides the
-    rim direction that failed last (the first key's cone before any has
-    failed), and the probe stops if that fails. Otherwise the second
-    decides every other direction of the probe, and the results are walked
-    in key order up to the first failure, which becomes the next probe's
-    first call. Every decision has the same bits in any batch, so the
-    report does not depend on how the work is grouped.
+    set-up (``landscape._decisions_for_topologies``), each chunk drawn
+    just before it is decided. While the margin is searched, each probe
+    takes at most two calls. The first decides the rim direction that
+    failed last (the first key's cone before any has failed), and the
+    probe stops if that fails. Otherwise the second decides every other
+    direction of the probe, and the results are walked in key order up to
+    the first failure, which becomes the next probe's first call. Every
+    decision has the same bits in any batch, so the report does not
+    depend on how the work is grouped.
     """
     mag.finite(n_trials, "n_trials", 1, inclusive=True, integer=True,
                high=MAX_TRIALS)
@@ -801,9 +810,11 @@ def run_pipeline(
     """enumerate -> filter -> metrics, in deterministic candidate order.
 
     Candidates are screened SCREEN_BATCH at a time, a batch per
-    :func:`_matrices` call: one set-up and one lockstep root-finding run
-    decide every (candidate, key, unit) profile of a batch, and each
-    candidate's report equals its :func:`evaluate_candidate`. When a batch raises, each of its
+    :func:`_matrices` call, so a 120-candidate screen makes four engine
+    calls: one set-up, its arrays built over the whole batch, and one
+    lockstep root-finding run decide every (candidate, key, unit) profile
+    of a batch, and each candidate's report equals its
+    :func:`evaluate_candidate`. When a batch raises, each of its
     candidates goes through :func:`selectivity_filter` on its own, so the
     error is the one a candidate-by-candidate loop raises first.
 

@@ -214,6 +214,14 @@ def _shape(units) -> tuple:
                        for s in u.stators) for u in units)
 
 
+def _stator_dipoles(topologies) -> list:
+    """Positions and moments (T, S, 3) of every stator dipole of each of T
+    topologies of one :func:`_shape`, in unit order."""
+    return [np.reshape([d for units in topologies for u in units
+                        for s in u.stators for d in f(s)], (len(topologies), -1, 3))
+            for f in (MagnetSource.dipole_positions, MagnetSource.dipole_moments)]
+
+
 def _batch_orientations(topologies, positions, kvecs, has_key):
     """Mover centres (T, n, 3), moment magnitudes (T, n) and the directions
     (T, Q, n, 3) of T topologies of one :func:`_shape`, each latched at its
@@ -237,10 +245,7 @@ def _batch_orientations(topologies, positions, kvecs, has_key):
     axes = np.array([[u.track.axis for u in units] for units in topologies])
     n_topo, n = mags.shape
     # every stator dipole of each topology, once per mover of that topology
-    per_row = [np.repeat(np.reshape([d for units in topologies for u in units
-                                     for s in u.stators for d in f(s)], (n_topo, -1, 3)),
-                         n, axis=0)
-               for f in (MagnetSource.dipole_positions, MagnetSource.dipole_moments)]
+    per_row = [np.repeat(a, n, axis=0) for a in _stator_dipoles(topologies)]
     base = np.zeros((n_topo, len(kvecs), n, 3))
     base += mag.dipole_field(*per_row, pts.reshape(-1, 3)).reshape(n_topo, 1, n, 3)
     np.add(base, kvecs[:, None, :], out=base, where=has_key[:, None, None])
@@ -512,48 +517,57 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
     latched at ``positions[i]``. One lockstep orientation solve
     (:func:`_batch_orientations`) serves every (topology, key), and one pass
     gives every (topology, key, target) constant energy:
-    ``assembly_energy`` of the stators and the other movers. The grids,
-    one ``linspace`` per track and topology, are one group each of one
-    :func:`_evaluate_groups` pass over every (topology, key, target).
+    ``assembly_energy`` of the stators and the other movers. The stacked
+    :func:`_evaluate` arguments and grids of every (topology, key, target)
+    are array operations over all the topologies at once: one shape is one
+    fixed-row layout, so one ``fixed`` index array picks each target's
+    fixed dipoles out of every topology, and one ``linspace`` makes every
+    grid. The grids are one group each of one :func:`_evaluate_groups`
+    pass.
     """
     kvecs, has_key = _key_vectors(keys)
     if not keys or not topologies:
         return []
     pts, mags, dirs = _batch_orientations(topologies, positions, kvecs, has_key)
     mover_m = mags[:, None, :, None] * dirs
-    n_keys = len(keys)
+    n_topo, n_keys, n = dirs.shape[:3]
     consts = mag.assembly_energies(
         [[s for u in units for s in u.stators] for units in topologies for _ in keys],
         np.repeat(pts, n_keys, axis=0), mover_m.reshape(-1, *pts.shape[1:]),
-        np.tile(kvecs, (len(topologies), 1)), np.tile(has_key, len(topologies)),
-        targets).reshape(len(topologies), n_keys, -1)
-    args, grids, named = [], [], []  # per (topology, key): every target's rows
-    for units, t_pts, t_mags, t_m, t_consts in zip(topologies, pts, mags, mover_m, consts):
-        # every fixed dipole in unit order, each unit's stators then its
-        # mover; a target drops its own mover's row
-        pos, m, mover_rows = [], [], []
-        for i, u in enumerate(units):
-            for s in u.stators:
-                pos.append(s.dipole_positions())
-                m.append(np.broadcast_to(s.dipole_moments(), (n_keys, len(pos[-1]), 3)))
-            mover_rows.append(sum(map(len, pos)))
-            pos.append(t_pts[i:i + 1])
-            m.append(t_m[:, i:i + 1])
-        pos, m = np.concatenate(pos), np.concatenate(m, axis=1)
-        fixed = np.array([np.delete(np.arange(len(pos)), mover_rows[t]) for t in targets])
-        tracks = [units[t].track for t in targets]
-        grid = np.array([np.linspace(tr.x_in, tr.x_out, n_samples) for tr in tracks])
-        shared = (np.array([tr.origin for tr in tracks]),
-                  np.array([tr.axis for tr in tracks]), t_mags[targets], pos[fixed])
-        for q, key in enumerate(keys):
-            # one group per target: its own fixed dipoles and constant energy
-            args.append((*shared, m[q][fixed], np.broadcast_to(kvecs[q], (len(tracks), 3)),
-                         np.broadcast_to(has_key[q], len(tracks)), t_consts[q]))
-            grids.append(grid)
-            named += [(units[t].id, key, track) for t, track in zip(targets, tracks)]
-    stacked = tuple(np.concatenate(a) for a in zip(*args))
-    xs = np.concatenate(grids)
+        np.tile(kvecs, (n_topo, 1)), np.tile(has_key, n_topo),
+        targets).reshape(n_topo, n_keys, -1)
+    # dipole rows: every stator dipole, then every mover. A target's fixed
+    # dipoles are each unit's stators then its mover, in unit order, but
+    # its own mover
+    s_pos, s_m = _stator_dipoles(topologies)
+    at = np.cumsum([0, *(sum(1 if d is None else d for d in u) for u in _shape(topologies[0]))])
+    order = np.array([r for i in range(n) for r in (*range(at[i], at[i + 1]), at[-1] + i)])
+    fixed = np.array([order[order != at[-1] + t] for t in targets])
+    pos = np.concatenate([s_pos, pts], axis=1)[:, None, fixed]
+    m = np.concatenate([np.broadcast_to(s_m[:, None], (n_topo, n_keys, *s_m.shape[1:])),
+                        mover_m], axis=2)[:, :, fixed]
+    tracks = [units[t].track for units in topologies for t in targets]
+    origin, axis, stroke = (np.reshape([getattr(tr, f) for tr in tracks], (n_topo, 1, -1, k))
+                            for f, k in (("origin", 3), ("axis", 3), ("stroke", 2)))
+    groups = (n_topo, n_keys, len(targets))
+
+    def rows(a, *shape):  # one row per (topology, key, target)
+        out = np.empty(groups + shape, a.dtype)
+        out[...] = a  # broadcasts
+        return out.reshape(n_topo * n_keys * len(targets), *shape)
+
+    stacked = (rows(origin, 3), rows(axis, 3), rows(mags[:, None, targets]),
+               rows(pos, *pos.shape[-2:]), rows(m, *m.shape[-2:]),
+               rows(kvecs[:, None], 3), rows(has_key[:, None]), rows(consts))
+    grid = np.linspace(stroke[..., 0], stroke[..., 1], n_samples, axis=-1)
+    if (np.subtract(stroke[..., 1], stroke[..., 0]) / (n_samples - 1) == 0).any():
+        # a step that underflows sends every grid of one linspace call down
+        # numpy's subnormal branch: make each grid alone, as one track would
+        grid = np.reshape([np.linspace(*tr.stroke, n_samples) for tr in tracks], grid.shape)
+    xs = rows(grid, n_samples)
     energy, force = _evaluate_groups(stacked, np.arange(len(xs)), xs)
+    named = [(units[t].id, key, units[t].track)
+             for units in topologies for key in keys for t in targets]
     return [LandscapeProfile(uid, key, xs[g], energy[g], force[g], None, track,
                              tuple(a[g, ...] for a in stacked))
             for g, (uid, key, track) in enumerate(named)]

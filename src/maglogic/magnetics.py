@@ -61,16 +61,18 @@ are the same): 14 (K, G, n) and 6 (G, n) planes, in blocks that each
 start on a 64-byte boundary. The buffer is made at the first call with
 room for GROUP_PAIRS (source x point) pairs, 20 * GROUP_PAIRS doubles
 (1.3 MB, of which a call touches what it uses), and is replaced by a
-larger one only when one call needs more (in ``landscape``, only a group
-past the cap does). Each result is an array of its own, copied out of
-the buffer or summed into a new one, never a view of it. So a call
-reuses the pages of the last one instead of asking glibc for fresh ones:
-one call on eight grouped 1025-point demo basin grids took about 1900
-minor page faults with temporaries of its own and takes none. The buffer
-is shared by every caller in the process, so :func:`dipole_field`,
-:func:`dipole_forces`, :func:`field_and_forces` and everything that calls
-them are for use from one thread at a time; separate processes each have
-their own buffer.
+larger one when one call needs more, up to KEPT_PAIRS pairs (5 MiB). A
+call past that, such as the one grid of a demo profile of more than
+about 8600 samples, computes in a buffer of its own, aligned the same
+way and dropped when the call returns. Each result is an array of its
+own, copied out of the buffer or summed into a new one, never a view of
+it. So a call reuses the pages of the last one instead of asking glibc
+for fresh ones: one call on eight grouped 1025-point demo basin grids
+took about 1900 minor page faults with temporaries of its own and takes
+none. The buffer is shared by every caller in the process, so
+:func:`dipole_field`, :func:`dipole_forces`, :func:`field_and_forces`
+and everything that calls them are for use from one thread at a time;
+separate processes each have their own buffer.
 
 The set-up solvers take S source sets at once, each with its own
 geometry: :func:`equilibrium_directions` per-set points, magnitudes,
@@ -100,6 +102,12 @@ _UNIT_TOL = 1e-9
 # pairs, as the per-call arrays that stay outside the buffer grow; 12288
 # read 3 % faster in 3 of 4 pairs but kept about 0.6 MB more resident.
 GROUP_PAIRS = 8192
+# the most (source x point) pairs of a call whose scratch buffer is kept
+# for the next call, 20 * KEPT_PAIRS doubles (5 MiB): the largest call
+# the program caps, a netbus decode block. A larger call's buffer (one
+# sample_profile of a demo unit at 100,000 samples needed 58 MiB) is
+# dropped when it returns.
+KEPT_PAIRS = 4 * GROUP_PAIRS
 _buffer = np.empty(0)  # the kernels' scratch, see _scratch
 
 
@@ -403,22 +411,27 @@ def _scratch(k, g, n) -> tuple:
     (G, n, 3) block, each C-ordered and starting on a 64-byte boundary.
 
     The buffer is made at the first call, for GROUP_PAIRS (K, G, n) pairs,
-    and replaced by a larger one only when a call needs more, so a grouped
-    call reuses the pages of the last one instead of asking glibc for
-    fresh ones. Aligned starts keep the SIMD stores of a whole-block ufunc
-    off cache-line boundaries, which halves the time of a store-bound one.
+    and replaced by a larger one when a call needs more, so a grouped call
+    reuses the pages of the last one instead of asking glibc for fresh
+    ones. A call that needs more than 20 * KEPT_PAIRS doubles gets a
+    buffer of its own, which is dropped with these blocks. Aligned starts
+    keep the SIMD stores of a whole-block ufunc off cache-line boundaries,
+    which halves the time of a store-bound one.
     """
     global _buffer
     size, points = k * g * n, 3 * g * n
     plane, block = -(-size // 8) * 8, -(-points // 8) * 8  # whole 64-byte lines
-    if _buffer.size < 14 * plane + 2 * block:
-        raw = np.empty(max(14 * plane + 2 * block, 20 * GROUP_PAIRS) + 7)
-        _buffer = raw[(-raw.ctypes.data // 8) % 8:]
-    triples = [_buffer[j * plane:j * plane + 3 * size].reshape(3, k, g, n) for j in (0, 3, 6)]
-    singles = [_buffer[j * plane:j * plane + size].reshape(k, g, n) for j in range(9, 14)]
+    need, buffer = 14 * plane + 2 * block, _buffer
+    if buffer.size < need:
+        raw = np.empty(max(need, 20 * GROUP_PAIRS) + 7)
+        buffer = raw[(-raw.ctypes.data // 8) % 8:]
+        if need <= 20 * KEPT_PAIRS:
+            _buffer = buffer
+    triples = [buffer[j * plane:j * plane + 3 * size].reshape(3, k, g, n) for j in (0, 3, 6)]
+    singles = [buffer[j * plane:j * plane + size].reshape(k, g, n) for j in range(9, 14)]
     at = 14 * plane
-    return (*triples, *singles, _buffer[at:at + points].reshape(3, g, n),
-            _buffer[at + block:at + block + points].reshape(g, n, 3))
+    return (*triples, *singles, buffer[at:at + points].reshape(3, g, n),
+            buffer[at + block:at + block + points].reshape(g, n, 3))
 
 
 def _dot(a, b, tmp=None, out=None):

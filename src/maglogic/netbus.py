@@ -50,10 +50,10 @@ _SPACING_XTOL = 1e-6  # m, bisection stop of min_spacing
 # (master, node) rows
 MAX_CYCLES = 1_000_000
 # the most (master x node x dipole) pairs of one _hits block, and so of one
-# decode kernel call: the kernel's scratch buffer keeps the size of its
-# largest call, which this holds to 20 * DECODE_PAIRS doubles (5 MiB). An
-# 800-cycle one-dipole run on a 5x5 grid (20,000 pairs) is still one block
-DECODE_PAIRS = 4 * mag.GROUP_PAIRS
+# decode kernel call: the largest call whose scratch buffer the kernel
+# keeps, 20 * DECODE_PAIRS doubles (5 MiB). An 800-cycle one-dipole run on
+# a 5x5 grid (20,000 pairs) is still one block
+DECODE_PAIRS = mag.KEPT_PAIRS
 
 
 @dataclass(frozen=True)

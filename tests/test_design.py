@@ -438,7 +438,7 @@ def test_sensitivity_sweep_demo_quick():
 
 def test_sensitivity_sweep_decides_each_nominal_key_once(monkeypatch):
     """Work counts of the seed-1 demo sweep and of the same sweep with 40
-    trials, whose offset topologies take three set-ups of at most
+    trials, whose offset topologies take two set-ups of at most
     SCREEN_BATCH, each drawn just before the set-up that decides it."""
     cand = demo_candidate()
     log = []  # "draw" per offset topology, (topologies, keys) per engine call
@@ -455,9 +455,10 @@ def test_sensitivity_sweep_decides_each_nominal_key_once(monkeypatch):
     # 183 pairs in 24 calls at 4 trials when each coax trial had its own
     # call and every margin probe decided the cones key by key from the
     # first key; 161 in 23 at 4 trials and 269 in 25 at 40 trials when a
-    # probe that passed the direction that failed last went on key by key
+    # probe that passed the direction that failed last went on key by key;
+    # 277 in 17 at 40 trials, offset chunks [16, 16, 8], at SCREEN_BATCH 16
     for n_trials, n_pairs, n_calls, offset_sizes in (
-            (4, 169, 15, [4]), (40, 277, 17, [16, 16, 8])):
+            (4, 169, 15, [4]), (40, 277, 16, [32, 8])):
         log.clear()
         rep = dg.sensitivity_sweep(cand, 0.1, 20.0, n_trials, 1)
         # the report of the sweep that decided each trial in its own call

@@ -1315,6 +1315,63 @@ def test_grouped_profile_grids_equal_sample_profile(monkeypatch):
             assert np.array_equal(got, want) and got.shape == want.shape
 
 
+def test_batch_profiles_of_many_topologies_equal_sample_profile():
+    """One ``_batch_profiles`` call over several topologies of one shape
+    builds every (topology, key, target) grid and ``_evaluate`` row with
+    array operations; each profile equals that unit's own
+    ``sample_profile`` bit for bit: sub-dipole stators, a unit without
+    stators, a None key, latched movers and a subset of the targets, in
+    an order of their own; topologies without any stator; and a stroke so
+    short that its grid step underflows, next to a unit of the demo."""
+    free = UnitTriplet("free", (), MoverTrack((0, 0, 1), (0, -0.03, 0), (0.0, 0.01),
+                                              MOVER, mass=1e-3))
+    base = [*alpha_discretized(), free]
+    keys = [pr.demo_keys()[0], None, FieldKey((0.6, 0.0, 0.8), 0.012, "tilt")]
+    bare = pr.degenerate_array()
+    tiny = dataclasses.replace(free, track=dataclasses.replace(free.track, stroke=(0.0, 1e-322)))
+    for topologies, targets, latched in (
+            ([ls.scale_topology(base, s) for s in (1.0, 1.25, 0.8)], [3, 0],
+             lambda units: {"beta": 0.5 * sum(units[1].track.stroke),
+                            "free": units[3].track.stroke[1]}),
+            ([bare, ls.scale_topology(bare, 1.5)], range(len(bare)),
+             lambda units: {units[0].id: units[0].track.stroke[1]}),
+            ([[pr.demo_topology()[0], tiny]], [0, 1], lambda units: {})):
+        assert len({ls._shape(units) for units in topologies}) == 1
+        positions = [latched(units) for units in topologies]
+        profiles = iter(ls._batch_profiles(
+            topologies, targets, keys, 64,
+            [ls._latched_positions(units, 64, p) for units, p in zip(topologies, positions)]))
+        for units, p in zip(topologies, positions):
+            for key in keys:
+                for t in targets:
+                    prof = next(profiles)
+                    one = ls.sample_profile(units, units[t].id, key, 64, p)
+                    assert (prof.unit_id, prof.key, prof.track) == (one.unit_id, key, one.track)
+                    for name in ("xs", "energy", "force_axial"):
+                        assert np.array_equal(getattr(prof, name), getattr(one, name))
+                    assert len(prof._args) == len(one._args)
+                    for got, want in zip(prof._args, one._args):
+                        assert np.array_equal(got, want) and got.shape == want.shape
+        assert next(profiles, None) is None
+
+
+def test_a_profile_past_the_kept_buffer_leaves_it_bounded(monkeypatch):
+    """A 100,000-sample demo profile is one kernel call that needs about
+    58 MiB of scratch: it computes in a buffer of its own, the kept buffer
+    stays within 20 * KEPT_PAIRS doubles, and the profile has the bits of
+    the one computed in a kept buffer with the limit raised."""
+    demo, key = pr.demo_topology(), pr.demo_keys()[0]
+    monkeypatch.setattr(mag, "_buffer", np.empty(0))
+    bounded = ls.sample_profile(demo, "alpha", key, 100_000)
+    # 20 doubles a (source, point) pair, plus the alignment slack
+    assert mag._buffer.size <= 20 * mag.KEPT_PAIRS + 7
+    monkeypatch.setattr(mag, "KEPT_PAIRS", 5 * 100_000)  # 3 stators, 2 movers
+    kept = ls.sample_profile(demo, "alpha", key, 100_000)
+    assert mag._buffer.size >= 14 * 5 * 100_000  # the call's buffer was kept
+    for name in ("xs", "energy", "force_axial"):
+        assert np.array_equal(getattr(bounded, name), getattr(kept, name))
+
+
 def test_evaluate_results_outlive_the_next_call():
     """``_evaluate`` returns arrays of its own, not views of the kernel's
     scratch buffer: a later call of another shape leaves them unchanged."""

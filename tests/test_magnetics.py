@@ -341,7 +341,8 @@ def test_grouped_calls_match_shared_and_per_row_calls(k):
 def test_kernel_results_are_never_views_of_the_scratch_buffer(monkeypatch):
     """Every kernel result is an array of its own: it shares no memory with
     the scratch buffer, and keeps its values across a later call that
-    reuses the buffer and one that grows it."""
+    reuses the buffer, one that grows it and one past KEPT_PAIRS, which
+    computes in a buffer of its own and leaves the kept one as it was."""
     monkeypatch.setattr(mag, "_buffer", np.empty(0))
     rng = np.random.default_rng(7)
 
@@ -361,11 +362,25 @@ def test_kernel_results_are_never_views_of_the_scratch_buffer(monkeypatch):
     calls(2, 4, 50)  # reuses the buffer
     assert mag._buffer is buffer
     assert all(np.array_equal(r, want) for r, want in zip(results, kept))
-    grown = calls(5, 2, mag.GROUP_PAIRS)  # needs more than the first buffer holds
+    # needs more than the first buffer holds, less than KEPT_PAIRS pairs
+    grown = calls(3, 2, mag.GROUP_PAIRS // 2)
     assert mag._buffer.size > buffer.size
     assert all(np.array_equal(r, want) for r, want in zip(results, kept))
     for r in grown:
         assert not np.shares_memory(r, mag._buffer)
+    buffer, kept = mag._buffer, [r.copy() for r in grown]
+    state = rng.bit_generator.state
+    past = calls(5, 2, mag.GROUP_PAIRS)  # 81,920 pairs, past KEPT_PAIRS
+    assert 5 * 2 * mag.GROUP_PAIRS > mag.KEPT_PAIRS
+    assert mag._buffer is buffer
+    assert all(np.array_equal(r, want) for r, want in zip(grown, kept))
+    for r in past:
+        assert not np.shares_memory(r, mag._buffer)
+    # the same call with the limit raised computes in the kept buffer
+    monkeypatch.setattr(mag, "KEPT_PAIRS", 5 * 2 * mag.GROUP_PAIRS)
+    rng.bit_generator.state = state
+    assert all(np.array_equal(r, want) for r, want in zip(calls(5, 2, mag.GROUP_PAIRS), past))
+    assert mag._buffer is not buffer
 
 
 def test_grouped_calls_raise_on_coincidence():
