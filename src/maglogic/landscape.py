@@ -26,15 +26,15 @@ screen sets a batch of candidate topologies of one shape up together.
 This keeps the force/energy consistency exact and captures the
 leading-order coupling between units.
 
-One evaluator computes U(x) and F(x) of a mover everywhere, in groups
-of points, each on one profile's sources. The 256-point grids of every
+One evaluator computes U(x) and F(x) of a mover everywhere, in groups of
+points, each on one profile's sources. The 256-point grids of every
 (topology, key, unit) of an engine call, and the 1025-point basin grids
 asked for in one lockstep step, are one group each, and consecutive
 groups share a call while they hold at most ``magnetics.GROUP_PAIRS``
-(fixed dipole x point) pairs: 6 demo profile grids, or 2 basin grids of
-a two-unit screen candidate, per call. A lockstep step's rows are one
-call with groups of one point. The ``magnetics`` module docstring gives
-the layout and the bit rules of its one fused pass; groups are
+(fixed dipole x point) pairs: 12 demo profile grids, 3 demo basin grids
+or 5 of a two-unit screen candidate per call. A lockstep step's rows are
+one call with groups of one point. The ``magnetics`` module docstring
+gives the layout and the bit rules of its one fused pass; groups are
 independent, so how they are split into calls moves no bit. A mover in
 zero field keeps the direction of the row before it in its group, and a
 group's first row takes the track axis.
@@ -302,20 +302,21 @@ def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
     :func:`_stack` stacks them: sources ``pos``, ``m`` (G, K, 3). One
     :func:`magnetics.field_and_forces` pass serves every group, ``key``
     added to the field where ``has_key``, the moments by the zero-field
-    rule of the module docstring; ``force . axis`` is a per-group matmul.
+    rule of the module docstring, with the norms and the zero-field mask
+    in the pass's scratch buffer; the two results are arrays of their own.
     """
     n = xs.shape[1]
-    pts = origin[:, None, :] + xs[..., None] * axis[:, None, :]
 
-    def orient(B):
+    def orient(B, u, work):
         np.add(B, key.T[..., None], out=B, where=has_key[:, None])
         # np.linalg.norm's order, (x x + y y) + z z
-        norms = B[0] * B[0]
-        norms += B[1] * B[1]
-        norms += B[2] * B[2]
+        norms, square, flags = work
+        np.multiply(B[0], B[0], out=norms)
+        norms += np.multiply(B[1], B[1], out=square)
+        norms += np.multiply(B[2], B[2], out=square)
         np.sqrt(norms, out=norms)
-        ok = norms > 1e-30
-        u = np.empty_like(B)
+        # the zero-field mask takes the first n bytes of each row of flags
+        ok = np.greater(norms, 1e-30, out=flags.view(bool)[:, :n])
         np.divide(B, norms, out=u, where=ok)
         if not ok.all():
             u[:, ~ok] = np.broadcast_to(axis.T[..., None], B.shape)[:, ~ok]
@@ -323,10 +324,9 @@ def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
             fill = ~ok & (prev >= 0)
             u[:, fill] = u[:, np.nonzero(fill)[0], prev[fill]]
         u *= m_mag[:, None]
-        return u
 
-    mb, force = mag.field_and_forces(pos, m, pts, orient)
-    return const[:, None] - mb, np.matmul(force, axis[:, :, None])[..., 0]
+    mb, force = mag.field_and_forces(pos, m, origin, axis, xs, orient)
+    return np.subtract(const[:, None], mb, out=mb), force
 
 
 def _stack(profiles) -> tuple:

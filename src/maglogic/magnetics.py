@@ -42,14 +42,16 @@ Elementwise ufuncs round the same in any memory layout; reductions and
 BLAS calls need not, which is what these rules pin.
 
 All three kernels take one path. :func:`_planes` turns a call into G
-groups of n points on the blocks of the scratch buffer below, makes the
-offsets ``r`` and ``r * r`` once and writes both distance sums from
-them; one helper per formula then works on those blocks.
-:func:`field_and_forces` is both kernels in one pass over grouped
-points, for test dipoles whose moments follow the field: the caller's
-orientation rule runs on the field's planes, and only the moments (for
-the matmul) and the force come back C-ordered. Its results have the bits
-of the two kernels called one after the other. Each kernel runs its
+groups of n points on the blocks of the scratch buffer below, and
+:func:`_offsets` makes the offsets ``r`` and ``r * r`` once and writes
+both distance sums from them; one helper per formula then works on those
+blocks. :func:`field_and_forces` is both kernels in one pass over test
+dipoles on G straight tracks whose moments follow the field: it makes
+the tracks' points in the buffer, the caller's orientation rule runs on
+the field's planes and writes the moments into a block of it, and only
+the moments (for the matmul) and the force are made C-ordered, the force
+to be projected on each track. Its results have the bits of the two
+kernels called one after the other. Each kernel runs its
 overflow-ignoring ``errstate`` block once per call around the squares
 and the powers ``d ** 3`` and ``d**4``: a source so far away that one of
 them overflows adds exactly zero, with no warning.
@@ -57,22 +59,27 @@ them overflows adds exactly zero, with no warning.
 Every kernel call writes its temporaries into one scratch buffer owned
 by this module, with ``out=`` and the operands and operation order above
 (a power or a product may overwrite its operand: elementwise, the bits
-are the same): 14 (K, G, n) and 6 (G, n) planes, in blocks that each
-start on a 64-byte boundary. The buffer is made at the first call with
-room for GROUP_PAIRS (source x point) pairs, 20 * GROUP_PAIRS doubles
-(1.3 MB, of which a call touches what it uses), and is replaced by a
-larger one when one call needs more, up to KEPT_PAIRS pairs (5 MiB). A
-call past that, such as the one grid of a demo profile of more than
-about 8600 samples, computes in a buffer of its own, aligned the same
-way and dropped when the call returns. Each result is an array of its
-own, copied out of the buffer or summed into a new one, never a view of
-it. So a call reuses the pages of the last one instead of asking glibc
-for fresh ones: one call on eight grouped 1025-point demo basin grids
-took about 1900 minor page faults with temporaries of its own and takes
-none. The buffer is shared by every caller in the process, so
-:func:`dipole_field`, :func:`dipole_forces`, :func:`field_and_forces`
-and everything that calls them are for use from one thread at a time;
-separate processes each have their own buffer.
+are the same): 14 (K, G, n) planes and 6 (G, n) planes, 9 in
+:func:`field_and_forces`, in blocks that each start on a 64-byte
+boundary. Its three (3, G, n) point blocks hold the points, then the
+moment planes; the field, then the force; and the orientation rule's
+temporaries, then the (G, n, 3) moments. The buffer is made at the first
+call with room for GROUP_PAIRS (source x point) pairs, 20 * GROUP_PAIRS
+doubles (2.6 MB of address space, of which a call touches what it uses),
+and is replaced by a larger one when one call needs more, up to
+20 * KEPT_PAIRS doubles (5 MiB): a :func:`dipole_field` call of
+KEPT_PAIRS pairs with one source, or a :func:`field_and_forces` call of
+GROUP_PAIRS pairs. A call past that, such as the one grid of a demo
+profile of more than about 8300 samples, computes in a buffer of its
+own, aligned the same way and dropped when the call returns. Each result
+is an array of its own, copied out of the buffer or made in a new one,
+never a view of it. So a call reuses the pages of the last one instead
+of asking glibc for fresh ones: one call on eight grouped 1025-point
+demo basin grids took about 1900 minor page faults with temporaries of
+its own and takes none. The buffer is shared by every caller in the
+process, so :func:`dipole_field`, :func:`dipole_forces`,
+:func:`field_and_forces` and everything that calls them are for use from
+one thread at a time; separate processes each have their own buffer.
 
 The set-up solvers take S source sets at once, each with its own
 geometry: :func:`equilibrium_directions` per-set points, magnitudes,
@@ -97,17 +104,28 @@ COINCIDENCE_EPS = 1e-9  # meters; closer than this counts as "same point"
 _UNIT_TOL = 1e-9
 # the most (source x point) pairs that one grouped field_and_forces call
 # is given, unless a single group has more; its scratch buffer is sized
-# for this many. In benchmark runs on a 2-core x86-64 VM, a `screen`
-# round took 252 minor page faults here, 661 at 12288 and 1205 at 16384
-# pairs, as the per-call arrays that stay outside the buffer grow; 12288
-# read 3 % faster in 3 of 4 pairs but kept about 0.6 MB more resident.
-GROUP_PAIRS = 8192
-# the most (source x point) pairs of a call whose scratch buffer is kept
-# for the next call, 20 * KEPT_PAIRS doubles (5 MiB): the largest call
-# the program caps, a netbus decode block. A larger call's buffer (one
-# sample_profile of a demo unit at 100,000 samples needed 58 MiB) is
-# dropped when it returns.
-KEPT_PAIRS = 4 * GROUP_PAIRS
+# for this many. A full call's 14 (K, G, n) planes take 1.8 MB, inside the
+# 2 MiB per-core L2 of a 2-core x86-64 VM; at 65536 pairs they take 7.3 MB
+# and spill it. CPU per round on one pinned CPU of that VM, caps
+# alternated in one process after a warm-up round at each (seed 1, medians
+# of 10 rounds in two runs; at 65536 KEPT_PAIRS raised to keep its calls'
+# buffer):
+#
+#     pairs               8192    16384    32768    65536
+#     sweep, ms        247-261  238-251  232-243  244-256
+#     screen, ms       172-179  164-175  168-171  173-181
+#
+# Against 8192, benchmark round_ref fell 6.8 % on sweep and 7.7 % on
+# screen (medians of 10 alternating seed-1 pairs, lower in 9 and 10 of
+# them). 32768 is no faster on the screen, and a call of that many pairs
+# with one fixed dipole would pass the kept buffer.
+GROUP_PAIRS = 16384
+# the scratch buffer kept for the next call holds at most 20 * KEPT_PAIRS
+# doubles (5 MiB): room for the largest call the program caps, a netbus
+# decode block of KEPT_PAIRS one-dipole pairs, and for a field_and_forces
+# call of GROUP_PAIRS pairs. A larger call's buffer (one sample_profile of
+# a demo unit at 100,000 samples needed 60 MiB) is dropped when it returns.
+KEPT_PAIRS = 32768
 _buffer = np.empty(0)  # the kernels' scratch, see _scratch
 
 
@@ -378,24 +396,31 @@ class FieldKey:
 
 def _planes(src_pos, src_m, points):
     """Any call form as G groups of n points, on the blocks of
-    :func:`_scratch`: ``r = point - source`` (3, K, G, n) and, from one
-    ``r * r``, two (K, G, n) squared distances, ``d = (x x + y y) + z z``
-    in np.linalg.norm's order (the force takes its root in place) and
-    ``d2 = (x x + z z) + y y`` in np.einsum's; then the source moment
-    planes (3, K, G, 1), the grouped source moments (G, K, 3) and the
-    call's free blocks: two like ``r``, three like ``d``, a (3, G, n) and
-    a (G, n, 3) one.
-
-    Call it where overflow is ignored: a source so far away that its
-    squared offset overflows has ``d`` and ``d2`` inf.
-    """
+    :func:`_scratch`, as :func:`_offsets` gives them."""
     pts = np.asarray(points, dtype=float)
     if src_pos.ndim == 2:  # shared: one group
         src_pos, src_m, pts = src_pos[None], src_m[None], pts.reshape(1, -1, 3)
     elif pts.ndim == 2:  # per-row: groups of one point
         pts = pts[:, None]
-    r, p, terms, d, d2, *free = _scratch(src_m.shape[1], *pts.shape[:2])
-    np.subtract(pts.transpose(2, 0, 1)[:, None], src_pos.transpose(2, 1, 0)[..., None], out=r)
+    blocks = _scratch(src_m.shape[1], *pts.shape[:2])
+    return _offsets(src_pos, src_m, pts.transpose(2, 0, 1), blocks)
+
+
+def _offsets(src_pos, src_m, pts, blocks):
+    """G groups of n points (3, G, n), sources (G, K, 3), on ``blocks`` of
+    :func:`_scratch`: ``r = point - source`` (3, K, G, n) and, from one
+    ``r * r``, two (K, G, n) squared distances, ``d = (x x + y y) + z z``
+    in np.linalg.norm's order (the force takes its root in place) and
+    ``d2 = (x x + z z) + y y`` in np.einsum's; then the source moment
+    planes (3, K, G, 1), the grouped source moments (G, K, 3) and the
+    call's free blocks: two like ``r``, three like ``d``, then its point
+    blocks.
+
+    Call it where overflow is ignored: a source so far away that its
+    squared offset overflows has ``d`` and ``d2`` inf.
+    """
+    r, p, terms, d, d2, *free = blocks
+    np.subtract(pts[:, None], src_pos.transpose(2, 1, 0)[..., None], out=r)
     np.multiply(r, r, out=p)
     np.add(p[0], p[1], out=d)
     d += p[2]
@@ -405,10 +430,11 @@ def _planes(src_pos, src_m, points):
     return r, d, d2, m, src_m, (p, terms, *free)
 
 
-def _scratch(k, g, n) -> tuple:
+def _scratch(k, g, n, points=2) -> tuple:
     """The module's scratch buffer as the temporaries of one kernel call:
-    three (3, K, G, n) and five (K, G, n) blocks, then a (3, G, n) and a
-    (G, n, 3) block, each C-ordered and starting on a 64-byte boundary.
+    three (3, K, G, n) and five (K, G, n) blocks, then ``points`` point
+    blocks, (3, G, n) but the second, which is (G, n, 3); each block is
+    C-ordered and starts on a 64-byte boundary.
 
     The buffer is made at the first call, for GROUP_PAIRS (K, G, n) pairs,
     and replaced by a larger one when a call needs more, so a grouped call
@@ -419,9 +445,10 @@ def _scratch(k, g, n) -> tuple:
     which halves the time of a store-bound one.
     """
     global _buffer
-    size, points = k * g * n, 3 * g * n
-    plane, block = -(-size // 8) * 8, -(-points // 8) * 8  # whole 64-byte lines
-    need, buffer = 14 * plane + 2 * block, _buffer
+    size, planes = k * g * n, 3 * g * n
+    plane, block = -(-size // 8) * 8, -(-planes // 8) * 8  # whole 64-byte lines
+    at = 14 * plane
+    need, buffer = at + points * block, _buffer
     if buffer.size < need:
         raw = np.empty(max(need, 20 * GROUP_PAIRS) + 7)
         buffer = raw[(-raw.ctypes.data // 8) % 8:]
@@ -429,9 +456,10 @@ def _scratch(k, g, n) -> tuple:
             _buffer = buffer
     triples = [buffer[j * plane:j * plane + 3 * size].reshape(3, k, g, n) for j in (0, 3, 6)]
     singles = [buffer[j * plane:j * plane + size].reshape(k, g, n) for j in range(9, 14)]
-    at = 14 * plane
-    return (*triples, *singles, buffer[at:at + points].reshape(3, g, n),
-            buffer[at + block:at + block + points].reshape(g, n, 3))
+    free = [buffer[at + j * block:at + j * block + planes].reshape(3, g, n)
+            for j in range(points)]
+    free[1] = free[1].reshape(g, n, 3)
+    return (*triples, *singles, *free)
 
 
 def _dot(a, b, tmp=None, out=None):
@@ -505,9 +533,9 @@ def _field_terms(r, d2, d3, m, tmp=None, t=None, out=None):
     return B
 
 
-def _force(r, d, m, src_m, moments, t, work):
+def _force(r, d, m, src_m, moments, t, work, out):
     """Force on test moments from the sources at offsets ``r``, summed over
-    K into a new C-ordered (G, n, 3) array; ``r`` and ``d`` are
+    K into the C-ordered (G, n, 3) ``out``; ``r`` and ``d`` are
     overwritten. ``work`` gives where the temporaries go: two like ``r``
     (products, terms), then four like ``d`` (``m.rhat`` of the test and
     the source moments, ``ma.mb``, the weight); the coefficient takes
@@ -515,10 +543,10 @@ def _force(r, d, m, src_m, moments, t, work):
 
     ``d`` is the squared distance ``(x x + y y) + z z``, np.linalg.norm's
     order; ``moments`` are C-ordered (G, n, 3) and ``t`` their
-    (3, 1, G, n) planes; ``m`` and ``src_m`` as :func:`_planes` gives them.
-    ``test_m.src_m`` is one matmul per group. Call it where overflow is
-    ignored: a source so far away that ``d`` or ``d**4`` overflows exerts
-    exactly 0.
+    (3, 1, G, n) planes; ``m`` and ``src_m`` as :func:`_offsets` gives
+    them. ``test_m.src_m`` is one matmul per group. Call it where overflow
+    is ignored: a source so far away that ``d`` or ``d**4`` overflows
+    exerts exactly 0.
     """
     tmp, F, mbr, mar, mamb, w = work
     np.sqrt(d, out=d)
@@ -541,9 +569,6 @@ def _force(r, d, m, src_m, moments, t, work):
     r *= w
     F += r
     F *= coef
-    # np.empty, not np.zeros: calloc can hand out fresh pages, and a demo
-    # sweep round took about 1.7k more minor page faults with np.zeros
-    out = np.empty(moments.shape)
     _sum_sources(F, out.transpose(2, 0, 1))
     return out
 
@@ -584,40 +609,57 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
         r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, t, mts) = _planes(src_pos, src_m, points)
         np.copyto(mts, np.reshape(moments, mts.shape))
         np.copyto(t, mts.transpose(2, 0, 1))
-        force = _force(r, d, m, src_m, mts, t[:, None], (tmp, terms, d2, w1, w2, w3))
+        # np.empty, not np.zeros: calloc can hand out fresh pages, and a demo
+        # sweep round took about 1.7k more minor page faults with np.zeros
+        force = _force(r, d, m, src_m, mts, t[:, None], (tmp, terms, d2, w1, w2, w3),
+                       np.empty(mts.shape))
     return force.reshape(np.shape(points))
 
 
-def field_and_forces(src_pos, src_m, points, orient):
-    """``m.B`` and the force of test dipoles at grouped points whose
-    moments ``m`` the field ``B`` there sets, in one pass.
+def field_and_forces(src_pos, src_m, origin, axis, xs, orient):
+    """``m.B`` and the axial force of test dipoles on G straight tracks,
+    whose moments ``m`` the field ``B`` there sets, in one pass.
 
-    src_pos, src_m : (G, K, 3); points : (G, n, 3). ``orient`` takes the
-    sources' field as (3, G, n) component planes, may add a uniform field
-    to them in place, and returns the moments as (3, G, n) planes.
-    Returns ``m.B`` (G, n) with the field that ``orient`` left, in
-    np.einsum's order, and the force C-ordered (G, n, 3).
+    src_pos, src_m : (G, K, 3); group g's n points are
+    ``origin[g] + x * axis[g]`` for the track coordinates x of ``xs[g]``,
+    with origin, axis (G, 3) and xs (G, n). ``orient(B, u, work)`` takes
+    the sources' field as (3, G, n) component planes, may add a uniform
+    field to them in place, and writes the moments into the (3, G, n)
+    planes ``u``; ``work``, a (3, G, n) block of the scratch buffer, is
+    free for its temporaries. Returns ``m.B`` (G, n) with the field that
+    ``orient`` left, in np.einsum's order, and the force's component
+    along the track (G, n), ``force @ axis`` of the C-ordered (G, n, 3)
+    force as one matmul per group.
 
-    The offsets and their squares are made once and feed both distance
-    sums, and every result has the bits of :func:`dipole_field`, then
-    :func:`dipole_forces` on C-ordered (G, n, 3) moments: the two
-    coincidence checks run in that order, with their messages. Overflow
-    is ignored throughout, ``orient`` included. Every temporary, the field
-    planes passed to ``orient`` included, lives in the module's scratch
+    The points are made in the buffer as ``origin + x * axis``, and the
+    offsets and their squares once, for both distance sums; every result
+    has the bits of :func:`dipole_field`, then :func:`dipole_forces` on
+    C-ordered (G, n, 3) moments at those points: the two coincidence
+    checks run in that order, with their messages. Overflow is ignored
+    throughout, ``orient`` included. Every temporary, the planes passed
+    to ``orient`` and the force included, lives in the module's scratch
     buffer until the next call; the two results are arrays of their own.
     Not for use from two threads at once.
     """
-    # r * r and the products go to tmp, the field's and the force's terms
-    # to terms; w1 and w2 take the field's distances and m.r, then with d2
-    # and w3 the force's m.rhat, ma.mb and weight
+    # the points take the block of u until orient writes the moments; r * r
+    # and the products go to tmp, the field's and the force's terms to
+    # terms; w1 and w2 take the field's distances and m.r, then with d2 and
+    # w3 the force's m.rhat, ma.mb and weight; the force takes the block of
+    # the field once m.B is made
     with np.errstate(over="ignore"):
-        r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, fields, moments) = _planes(
-            src_pos, src_m, points)
+        blocks = _scratch(src_m.shape[1], *xs.shape, 3)
+        pts = np.multiply(axis.T[..., None], xs, out=blocks[-1])
+        pts += origin.T[..., None]
+        r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, fields, moments, u) = _offsets(
+            src_pos, src_m, pts, blocks)
         B = _field(r, d2, m, (w1, w2, tmp, terms), fields)
-        t = orient(B)
-        np.copyto(moments, t.transpose(1, 2, 0))
-        force = _force(r, d, m, src_m, moments, t[:, None], (tmp, terms, d2, w1, w2, w3))
-    return _dot(t, B, moments.reshape(t.shape)), force
+        work = moments.reshape(u.shape)
+        orient(B, u, work)
+        mb = _dot(u, B, work)
+        np.copyto(moments, u.transpose(1, 2, 0))
+        force = _force(r, d, m, src_m, moments, u[:, None], (tmp, terms, d2, w1, w2, w3),
+                       fields.reshape(moments.shape))
+    return mb, np.matmul(force, axis[:, :, None])[..., 0]
 
 
 def pair_energy(a: MagnetSource, b: MagnetSource) -> float:

@@ -726,6 +726,29 @@ def test_grouped_grids_equal_one_group_per_call(monkeypatch):
     assert outputs() == grouped
 
 
+def test_a_kernel_call_holds_five_screen_basin_grids_or_three_demo_ones(monkeypatch):
+    """At GROUP_PAIRS (fixed dipole x point) pairs a kernel call holds 5
+    basin grids of a two-unit screen candidate (3 fixed dipoles x 1025
+    points) and 3 of the demo (5 x 1025)."""
+    _, tmpl, keys, n_units = pr.pair_design_space()
+    shapes = []
+    original = ls._evaluate
+
+    def spy(*args):
+        shapes.append((*args[-1].shape, args[3].shape[1]))
+        return original(*args)
+
+    monkeypatch.setattr(ls, "_evaluate", spy)
+    dg.run_pipeline(XZ_LATTICE, n_units, keys, tmpl, dg.SCREEN_BATCH, seed=1)
+    screen = shapes[:]
+    shapes.clear()
+    ls.decisions_for_keys(pr.demo_topology(), pr.demo_keys())
+    for calls, k, grids in ((screen, 3, 5), (shapes, 5, 3)):
+        basin = [(g, kk) for g, n, kk in calls if n == ls._BASIN_GRID]
+        assert {kk for _, kk in basin} == {k}
+        assert max(g for g, _ in basin) == grids == mag.GROUP_PAIRS // (k * ls._BASIN_GRID)
+
+
 def test_unit_errors_of_design_and_bus_inputs_name_their_field():
     for call, text in (
             (lambda: dg.Lattice(0.01, ((0, 1),) * 3, ((0, 0, 0),), ((1, 0, 0),)),

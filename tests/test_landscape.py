@@ -1357,13 +1357,13 @@ def test_batch_profiles_of_many_topologies_equal_sample_profile():
 
 def test_a_profile_past_the_kept_buffer_leaves_it_bounded(monkeypatch):
     """A 100,000-sample demo profile is one kernel call that needs about
-    58 MiB of scratch: it computes in a buffer of its own, the kept buffer
+    60 MiB of scratch: it computes in a buffer of its own, the kept buffer
     stays within 20 * KEPT_PAIRS doubles, and the profile has the bits of
     the one computed in a kept buffer with the limit raised."""
     demo, key = pr.demo_topology(), pr.demo_keys()[0]
     monkeypatch.setattr(mag, "_buffer", np.empty(0))
     bounded = ls.sample_profile(demo, "alpha", key, 100_000)
-    # 20 doubles a (source, point) pair, plus the alignment slack
+    # the kept bound (5 MiB), plus the alignment slack
     assert mag._buffer.size <= 20 * mag.KEPT_PAIRS + 7
     monkeypatch.setattr(mag, "KEPT_PAIRS", 5 * 100_000)  # 3 stators, 2 movers
     kept = ls.sample_profile(demo, "alpha", key, 100_000)
@@ -1374,10 +1374,13 @@ def test_a_profile_past_the_kept_buffer_leaves_it_bounded(monkeypatch):
 
 def test_evaluate_results_outlive_the_next_call():
     """``_evaluate`` returns arrays of its own, not views of the kernel's
-    scratch buffer: a later call of another shape leaves them unchanged."""
+    scratch buffer, in which it makes its points, norms, moments and
+    force: a later call of another shape leaves them unchanged."""
     keyed, bare = _batches()[-1]
     energy, force = ls._evaluate(*ls._stack([keyed, bare]),
                                  np.array([[0.013, 0.017, 0.021], [0.015, 0.016, 0.017]]))
+    assert not np.shares_memory(energy, mag._buffer)
+    assert not np.shares_memory(force, mag._buffer)
     kept = energy.copy(), force.copy()
     demo = _batches()[0]
     ls._evaluate(*ls._stack(demo[:4]),

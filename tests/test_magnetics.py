@@ -310,22 +310,26 @@ def _dot_reference(a, b):
 def test_grouped_calls_match_shared_and_per_row_calls(k):
     """A group of n points has the bits of a shared-source call on them, a
     group of one point those of a per-row call, C-ordered in the points'
-    shape; ``field_and_forces`` with fixed moments has the bits of both
-    kernels, zero groups included."""
+    shape; ``field_and_forces`` with fixed moments on tracks has the bits
+    of both kernels at the tracks' points, zero groups included."""
     rng = np.random.default_rng(k)
     for groups, n in ((3, 256), (4, 2), (2, 1025), (7, 1), (0, 5)):
         pos = rng.normal(size=(groups, k, 3)) * 0.05
         m = rng.normal(size=(groups, k, 3))
-        pts = rng.normal(size=(groups, n, 3)) * 0.05
+        origin, axis = rng.normal(size=(groups, 3)) * 0.05, rng.normal(size=(groups, 3))
+        xs = rng.normal(size=(groups, n)) * 0.05
+        pts = origin[:, None, :] + xs[..., None] * axis[:, None, :]
         moments = rng.normal(size=(groups, n, 3))
         field = mag.dipole_field(pos, m, pts)
         force = mag.dipole_forces(pos, m, pts, moments)
         assert field.shape == force.shape == pts.shape
         assert field.flags.c_contiguous and force.flags.c_contiguous
-        energy, both = mag.field_and_forces(pos, m, pts, lambda B: moments.transpose(2, 0, 1))
-        assert energy.shape == pts.shape[:2] and both.shape == pts.shape
+        energy, axial = mag.field_and_forces(
+            pos, m, origin, axis, xs,
+            lambda B, u, work: np.copyto(u, moments.transpose(2, 0, 1)))
+        assert energy.shape == axial.shape == xs.shape
         assert np.array_equal(energy, _dot_reference(moments, field))
-        assert np.array_equal(both, force) and both.flags.c_contiguous
+        assert np.array_equal(axial, np.matmul(force, axis[:, :, None])[..., 0])
         for g in range(groups):
             assert np.array_equal(field[g], mag.dipole_field(pos[g], m[g], pts[g]))
             assert np.array_equal(force[g], mag.dipole_forces(pos[g], m[g], pts[g],
@@ -349,10 +353,11 @@ def test_kernel_results_are_never_views_of_the_scratch_buffer(monkeypatch):
     def calls(k, g, n):
         pos, m = rng.normal(size=(g, k, 3)) * 0.05, rng.normal(size=(g, k, 3))
         pts, moments = rng.normal(size=(g, n, 3)) * 0.05, rng.normal(size=(g, n, 3))
+        track = pts[:, 0], moments[:, 0], pts[..., 0]  # origin, axis, coordinates
         return [mag.dipole_field(pos, m, pts), mag.dipole_forces(pos, m, pts, moments),
                 mag.dipole_field(pos[0], m[0], pts[0, 0]),  # one point, shape (3,)
                 mag.dipole_forces(pos[:, 0], m[:, 0], pts[:, 0], moments[:, 0]),
-                *mag.field_and_forces(pos, m, pts, lambda B: B.copy())]
+                *mag.field_and_forces(pos, m, *track, lambda B, u, work: np.copyto(u, B))]
 
     results = calls(3, 1, 1) + calls(2, 4, 50)
     kept = [r.copy() for r in results]
@@ -363,23 +368,24 @@ def test_kernel_results_are_never_views_of_the_scratch_buffer(monkeypatch):
     assert mag._buffer is buffer
     assert all(np.array_equal(r, want) for r, want in zip(results, kept))
     # needs more than the first buffer holds, less than KEPT_PAIRS pairs
-    grown = calls(3, 2, mag.GROUP_PAIRS // 2)
+    grown = calls(3, 2, mag.KEPT_PAIRS // 8)
     assert mag._buffer.size > buffer.size
     assert all(np.array_equal(r, want) for r, want in zip(results, kept))
     for r in grown:
         assert not np.shares_memory(r, mag._buffer)
     buffer, kept = mag._buffer, [r.copy() for r in grown]
     state = rng.bit_generator.state
-    past = calls(5, 2, mag.GROUP_PAIRS)  # 81,920 pairs, past KEPT_PAIRS
-    assert 5 * 2 * mag.GROUP_PAIRS > mag.KEPT_PAIRS
+    n = mag.KEPT_PAIRS // 4
+    past = calls(5, 2, n)  # 81,920 pairs, past KEPT_PAIRS
+    assert 5 * 2 * n > mag.KEPT_PAIRS
     assert mag._buffer is buffer
     assert all(np.array_equal(r, want) for r, want in zip(grown, kept))
     for r in past:
         assert not np.shares_memory(r, mag._buffer)
     # the same call with the limit raised computes in the kept buffer
-    monkeypatch.setattr(mag, "KEPT_PAIRS", 5 * 2 * mag.GROUP_PAIRS)
+    monkeypatch.setattr(mag, "KEPT_PAIRS", 5 * 2 * n)
     rng.bit_generator.state = state
-    assert all(np.array_equal(r, want) for r, want in zip(calls(5, 2, mag.GROUP_PAIRS), past))
+    assert all(np.array_equal(r, want) for r, want in zip(calls(5, 2, n), past))
     assert mag._buffer is not buffer
 
 
