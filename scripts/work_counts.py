@@ -19,15 +19,13 @@ without importing ``bench/``. For each it prints one line per count,
 * ``engine_calls`` and ``decided_pairs``: calls of
   ``landscape._decisions_for_topologies`` and the (topology, key) pairs
   they decide;
-* ``lockstep_steps``: calls of ``landscape._step``, one per lockstep
-  step of root finding;
 * ``kernel_calls`` and, per kind, ``<kind>.calls`` and ``<kind>.pairs``:
   calls of ``landscape._evaluate`` and their (fixed source x point)
   pairs. A call on groups of one point is a ``row`` call, one on
   ``landscape._BASIN_GRID``-point groups a ``basin_grid`` call, and any
   other a ``profile_grid`` call.
 
-The counts come from wrapping those three functions of the ``src/`` of
+The counts come from wrapping those two functions of the ``src/`` of
 CHECKOUT (default: the checkout holding this script), imported in this
 process, so they do not depend on the host or its load.
 """
@@ -43,19 +41,14 @@ XZ_AXES = ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
 
 
 def _counted(ls, counts):
-    """Wrap the engine, the lockstep step and the kernel call of ``ls``
-    to add to ``counts``."""
-    engine, step, evaluate = ls._decisions_for_topologies, ls._step, ls._evaluate
+    """Wrap the engine and the kernel call of ``ls`` to add to ``counts``."""
+    engine, evaluate = ls._decisions_for_topologies, ls._evaluate
 
     def counted_engine(topologies, keys, *args, **kwargs):
         topologies, keys = list(topologies), list(keys)
         counts["engine_calls"] += 1
         counts["decided_pairs"] += len(topologies) * len(keys)
         return engine(topologies, keys, *args, **kwargs)
-
-    def counted_step(stacked, asks):
-        counts["lockstep_steps"] += 1
-        return step(stacked, asks)
 
     def counted_evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
         groups, n = xs.shape
@@ -67,7 +60,6 @@ def _counted(ls, counts):
         return evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs)
 
     ls._decisions_for_topologies = counted_engine
-    ls._step = counted_step
     ls._evaluate = counted_evaluate
 
 
@@ -96,7 +88,7 @@ def main() -> None:
     counts = collections.Counter()
     _counted(landscape, counts)
     kinds = ("profile_grid", "basin_grid", "row")
-    names = ["engine_calls", "decided_pairs", "lockstep_steps", "kernel_calls",
+    names = ["engine_calls", "decided_pairs", "kernel_calls",
              *(f"{kind}.{what}" for kind in kinds for what in ("calls", "pairs"))]
     for run, call in runs.items():
         counts.clear()

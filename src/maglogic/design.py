@@ -631,8 +631,8 @@ def sensitivity_sweep(
     resolution) at which the full rim grid stays clean. Each distinct key is
     decided once on the nominal topology, so a cone centre equal to a key
     (or to an earlier probe's direction) is not decided again. The nominal
-    keys and the cone at ``angle_deg`` are decided in one multi-key lockstep
-    pass (:func:`landscape.decisions_for_keys`). The offset topologies are
+    keys and the cone at ``angle_deg`` are decided in one multi-key engine
+    call (:func:`landscape.decisions_for_keys`). The offset topologies are
     drawn trial by trial and decided afresh, SCREEN_BATCH trials to one
     set-up (``landscape._decisions_for_topologies``), each chunk drawn
     just before it is decided. While the margin is searched, each probe
@@ -812,8 +812,8 @@ def run_pipeline(
     Candidates are screened SCREEN_BATCH at a time, a batch per
     :func:`_matrices` call, so a 120-candidate screen makes four engine
     calls: one set-up, its arrays built over the whole batch, and one
-    lockstep root-finding run decide every (candidate, key, unit) profile
-    of a batch, and each candidate's report equals its
+    root-finding run, a pass per stage, decide every (candidate, key,
+    unit) profile of a batch, and each candidate's report equals its
     :func:`evaluate_candidate`. When a batch raises, each of its
     candidates goes through :func:`selectivity_filter` on its own, so the
     error is the one a candidate-by-candidate loop raises first.

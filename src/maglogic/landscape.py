@@ -28,25 +28,26 @@ leading-order coupling between units.
 
 One evaluator computes U(x) and F(x) of a mover everywhere, in groups of
 points, each on one profile's sources. The 256-point grids of every
-(topology, key, unit) of an engine call, and the 1025-point basin grids
-asked for in one lockstep step, are one group each, and consecutive
-groups share a call while they hold at most ``magnetics.GROUP_PAIRS``
-(fixed dipole x point) pairs: 12 demo profile grids, 3 demo basin grids
-or 5 of a two-unit screen candidate per call. A lockstep step's rows are
-one call with groups of one point. The ``magnetics`` module docstring
-gives the layout and the bit rules of its one fused pass; groups are
-independent, so how they are split into calls moves no bit. A mover in
-zero field keeps the direction of the row before it in its group, and a
-group's first row takes the track axis.
+(topology, key, unit) of an engine call, and its 1025-point basin grids,
+are one group each, and consecutive groups share a call while they hold
+at most ``magnetics.GROUP_PAIRS`` (fixed dipole x point) pairs: 12 demo
+profile grids, 3 demo basin grids or 5 of a two-unit screen candidate
+per call. The points of a root-finding pass are groups of one point, in
+calls of the same bound. The ``magnetics`` module docstring gives the
+layout and the bit rules of its one fused pass; groups are independent,
+so how they are split into calls moves no bit. A mover in zero field
+keeps the direction of the row before it in its group, and a group's
+first row takes the track axis.
 
-Root finding runs as a lockstep engine. Bisection, the stability energy
-triples, the barrier energies and root polishing are generator "machines"
-on one (key, unit) profile each; every step gathers the points all open
-machines ask for and evaluates them in one pass. A bisection asks in one
-step for the midpoints of its next BISECT_LEVELS levels, the tree below
-its bracket, and walks them with the sign test and stop rules of a
-one-point loop: it takes the same path to the same root in about a
-quarter of the steps. Each machine keeps its own brackets and stop
+Root finding runs in passes over arrays. An engine call decides all of
+its profiles together, stage by stage, each stage one pass over every
+profile that reaches it: the bisection of every sign change, every
+stability triple, every barrier energy, the polish of every crest and
+then of every inner attractor, and every basin grid. A bisection pass
+asks for the midpoints of the next BISECT_LEVELS levels of every open
+bracket, the tree below it, and walks them with the sign test and stop
+rules of a one-point loop: each bracket takes the same path to the same
+root in about a quarter of the passes. Each bracket keeps its own stop
 rules, and each row has the bits of a one-point evaluation, so a
 multi-key or multi-topology call decides exactly what one call per key
 and topology would.
@@ -72,12 +73,12 @@ DEFAULT_SAMPLES = 256
 FORCE_EPS = 1e-12  # newtons; |F| below this is "zero" for classification
 ENERGY_EPS = 1e-18  # joules
 EQUILIBRIUM_XTOL = 1e-9  # meters, bisection stop
-# bisection levels per lockstep step, 2**L - 1 midpoints asked at once.
-# Median CPU time per round over alternating rounds (three runs of 7-15
-# rounds, one pinned CPU of a 2-core x86-64 VM): L = 3, 4 and 5 lie
-# within 5 % of each other on the demo sweep and on the 120-candidate
-# screen, and L = 1, one midpoint per step, is 15-30 % slower on the
-# sweep. L = 4 cuts a demo sweep's lockstep steps from 1093 to 346.
+# bisection levels per pass, 2**L - 1 midpoints asked at once. Median
+# CPU time per seed-1 round over 7 and 9 alternating rounds, one pinned
+# CPU of a 2-core x86-64 VM: L = 3, 4 and 5 lie within 3 % of each other
+# on the demo sweep and on the 120-candidate screen, and L = 1, one
+# midpoint per pass, is 20 % slower on the sweep and 10 % on the screen.
+# L = 4 cuts a seed-1 demo sweep's row calls from 705 to 218.
 BISECT_LEVELS = 4
 # fraction of the basin adjacent to a barrier crest excluded from the margin
 # minimum (the restoring force vanishes exactly at the crest, so the literal
@@ -342,27 +343,30 @@ def _stack(profiles) -> tuple:
     return tuple(np.stack(a) for a in zip(*(p._args for p in profiles)))
 
 
-def _group_calls(stacked, rows, xs):
+def _group_calls(stacked, rows, n, grids):
     """Yield (slice, energy, axial force) of each :func:`_evaluate` call on
-    the groups ``xs``, a sequence of G equal-length grids, group g on
-    profile ``rows[g]`` of :func:`_stack`'s ``stacked``.
+    ``len(rows)`` groups of ``n`` points, group g on profile ``rows[g]``
+    of :func:`_stack`'s ``stacked``. ``grids(part)`` gives the points
+    (groups, n) of the groups in the slice ``part``, so they can be made
+    call by call.
 
     Consecutive groups go to one call while their (fixed dipole x point)
     pairs stay within ``magnetics.GROUP_PAIRS``, so a call passes it only
     when a single group does. Groups are independent, so the split moves
     no bit.
     """
-    per_call = max(1, mag.GROUP_PAIRS // max(1, stacked[3].shape[1] * len(xs[0])))
-    for at in range(0, len(xs), per_call):
+    per_call = max(1, mag.GROUP_PAIRS // max(1, stacked[3].shape[1] * n))
+    for at in range(0, len(rows), per_call):
         part = slice(at, at + per_call)
-        yield part, *_evaluate(*(a[rows[part]] for a in stacked), np.asarray(xs[part]))
+        yield part, *_evaluate(*(a[rows[part]] for a in stacked), grids(part))
 
 
 def _evaluate_groups(stacked, rows, xs):
     """Energy and axial force (G, n) of the groups ``xs`` (G, n), as
     :func:`_group_calls` evaluates them."""
     energy, force = np.empty(xs.shape), np.empty(xs.shape)
-    for part, part_energy, part_force in _group_calls(stacked, rows, xs):
+    for part, part_energy, part_force in _group_calls(stacked, rows, xs.shape[1],
+                                                      xs.__getitem__):
         energy[part], force[part] = part_energy, part_force
     return energy, force
 
@@ -374,90 +378,14 @@ def _evaluate_rows(stacked, rows, xs):
     return energy[:, 0], force[:, 0]
 
 
-def _step(stacked, asks):
-    """Yield (machine, reply) for one lockstep step's (machine, points)
-    asks, machine i on profile i of ``stacked``.
-
-    A list of track coordinates asks for rows, each a group of one point,
-    and an array for one group of its points. The rows of every ask are
-    one :func:`_evaluate_rows` pass; the grids of each length follow in
-    :func:`_group_calls` calls, each call's replies yielded before the
-    next call is made. A reply is the (energy, axial force) arrays of its
-    points.
-    """
-    rows = [(i, xs) for i, xs in asks if isinstance(xs, list)]
-    if rows:
-        yield from _split(rows, *_evaluate_rows(
-            stacked, np.repeat([i for i, _ in rows], [len(xs) for _, xs in rows]),
-            np.array([x for _, xs in rows for x in xs])))
-    grids = [(i, xs) for i, xs in asks if not isinstance(xs, list)]
-    for n in dict.fromkeys(len(xs) for _, xs in grids):
-        same = [(i, xs) for i, xs in grids if len(xs) == n]
-        for part, energy, force in _group_calls(stacked, np.array([i for i, _ in same]),
-                                                [xs for _, xs in same]):
-            yield from zip((i for i, _ in same[part]), zip(energy, force))
-
-
-def _lockstep(profiles, machines):
-    """Run root-finding machines in lockstep; return their results in order.
-
-    ``machines[i]`` is a generator on profile ``profiles[i]``: it yields
-    track coordinates, a list of rows or an array for one grid, is sent
-    their (energy, axial force) arrays back, and returns its result. Each
-    step evaluates every open machine's points together (:func:`_step`),
-    so a machine sees exactly what a call on its points alone would give
-    it, whatever else runs beside it.
-    """
-    if not machines:
-        return []
-    stacked = _stack(profiles)
-    run = _gather(machines, flat=False)
-    replies = None
-    while True:
-        try:
-            asks = run.send(replies)
-        except StopIteration as done:
-            return done.value
-        replies = _step(stacked, asks)
-
-
-def _gather(machines, flat=True):
-    """Machines in lockstep as one machine: each step asks for every open
-    machine's points at once; returns their results in order.
-
-    Flat, a step asks for the concatenated list of their points and is
-    sent one (energy, force) pair of arrays to split. Otherwise it asks
-    for the (machine index, points) pairs and is sent an iterable of
-    (machine index, reply) pairs, which it sends on as they come.
-    """
-    results = [None] * len(machines)
-    asks = {}
-
-    def send(i, reply):
-        try:
-            asks[i] = machines[i].send(reply)
-        except StopIteration as done:
-            asks.pop(i, None)
-            results[i] = done.value
-
-    for i in range(len(machines)):
-        send(i, None)
-    while asks:
-        order = list(asks.items())
-        if flat:
-            replies = _split(order, *(yield [x for _, xs in order for x in xs]))
-        else:
-            replies = yield order
-        for i, reply in replies:
-            send(i, reply)
-    return results
-
-
-def _split(asks, energy, force):
-    """(machine, reply) of each (machine, points) ask, in order, from the
-    energy and force arrays of all their points in a row."""
-    at = np.cumsum([0, *(len(xs) for _, xs in asks)])
-    return ((i, (energy[a:b], force[a:b])) for (i, _), a, b in zip(asks, at, at[1:]))
+def _rows_at(stacked):
+    """``at(which, xs)``: energy and axial force (M, L) of profile
+    ``which[i]`` of ``stacked`` at the track coordinates ``xs[i]``, every
+    point a row of one :func:`_evaluate_rows` pass."""
+    def at(which, xs):
+        energy, force = _evaluate_rows(stacked, np.repeat(which, xs.shape[1]), xs.ravel())
+        return energy.reshape(xs.shape), force.reshape(xs.shape)
+    return at
 
 
 def _unit_index(units, unit_id: str) -> int:
@@ -578,93 +506,98 @@ def refine_equilibria(profile: LandscapeProfile):
 
     Stability comes from the local curvature of U (positive second
     difference = stable). Returns a copy of the profile with ``equilibria``.
-    The one-profile case of the lockstep engine that
-    :func:`decisions_for_keys` runs over many profiles.
+    The one-profile case of :func:`_equilibria`, which
+    :func:`decisions_for_keys` runs over many profiles at once.
     """
-    eqs = _lockstep([profile], [_equilibria(profile)])[0]
+    eqs = _equilibria(_rows_at(_stack([profile])), [profile], [0])[0]
     return replace(profile, equilibria=eqs)
 
 
-def _equilibria(profile: LandscapeProfile):
-    """Machine of :func:`refine_equilibria`: every bracket bisects in
-    lockstep, then one step takes every root's stability triple."""
-    xs, F = profile.xs, profile.force_axial
-    f0, f1 = F[:-1], F[1:]
-    touch = (f0 == 0.0) & (np.abs(f1) > 0)
-    roots = yield from _gather([
-        _bisect(float(xs[i]), float(xs[i + 1]), float(F[i]))
-        for i in np.nonzero(touch | (f0 * f1 < 0.0))[0]
-    ])
-    if not roots:
-        return ()
-    h = max(1e-7, (profile.x_out - profile.x_in) * 1e-5)
-    triples = []
-    for r in roots:
-        triples += [max(r - h, profile.x_in), r, min(r + h, profile.x_out)]
-    energy, _ = yield triples
-    return tuple(Equilibrium(r, bool((lo - mid) + (hi - mid) > 0.0))
-                 for r, (lo, mid, hi) in zip(roots, energy.reshape(-1, 3).tolist()))
+def _equilibria(at, profiles, which) -> list:
+    """Equilibria of each profile, ``profiles[k]`` being profile
+    ``which[k]`` of ``at`` (:func:`_rows_at`).
 
-
-def _midpoints(a: float, b: float, levels: int) -> list:
-    """Midpoints of the next ``levels`` bisection levels of [a, b],
-    breadth first: point j halves the bracket of node j, whose left and
-    right halves are nodes 2j + 1 and 2j + 2."""
-    brackets, xs = [(a, b)], []
-    for j in range(2 ** levels - 1):
-        lo, hi = brackets[j]
-        m = 0.5 * (lo + hi)
-        xs.append(m)
-        brackets += [(lo, m), (m, hi)]
-    return xs
-
-
-def _tree_bisect(a: float, b: float, up: bool, steps: int, done):
-    """Machine: bisect [a, b] for at most ``steps`` halvings, ``up`` the
-    sign test ``F(a) > 0``; returns the final (a, b).
-
-    Each lockstep step asks for the midpoints of the next BISECT_LEVELS
-    levels (:func:`_midpoints`), then walks them as the one-point loop
-    would: a midpoint whose ``F > 0`` matches ``up`` becomes ``a`` (so
-    ``up`` stays the sign test of ``F(a)``), any other becomes ``b``.
-    ``done(a, b, m, fm)``, asked before evaluating midpoint ``m`` (``fm``
-    None) and after each halving, stops the walk, so the bracket is the
-    one-point loop's bit for bit.
+    A bracket whose force vanishes at its inner end has that end for its
+    root. Every other sign-change bracket of every profile is bisected in
+    one :func:`_bisect` call, then one row pass takes the stability
+    triple of every root.
     """
-    while steps:
+    owner, a, b, fa = [], [], [], []
+    for k, p in enumerate(profiles):
+        f0, f1 = p.force_axial[:-1], p.force_axial[1:]
+        i = np.nonzero((f0 == 0.0) & (np.abs(f1) > 0) | (f0 * f1 < 0.0))[0]
+        owner += [k] * len(i)
+        a += p.xs[i].tolist()
+        b += p.xs[i + 1].tolist()
+        fa += f0[i].tolist()
+    owner, a, b, fa = np.array(owner, int), np.array(a), np.array(b), np.array(fa)
+    rows, roots, cut = np.asarray(which, int)[owner], a.copy(), fa != 0.0
+    roots[cut] = _bisect(at, rows[cut], a[cut], b[cut], fa[cut] > 0, 200, False)
+    eqs = [[] for _ in profiles]
+    if len(roots):
+        x_in, x_out = (np.array([getattr(p, f) for p in profiles])[owner]
+                       for f in ("x_in", "x_out"))
+        h = np.maximum((x_out - x_in) * 1e-5, 1e-7)
+        # np.maximum and np.minimum return their second argument on a tie
+        # of signed zeros, as max and min return their first
+        energy = at(rows, np.stack([np.maximum(x_in, roots - h), roots,
+                                    np.minimum(x_out, roots + h)], axis=1))[0]
+        stable = (energy[:, 0] - energy[:, 1]) + (energy[:, 2] - energy[:, 1]) > 0.0
+        for k, r, s in zip(owner.tolist(), roots.tolist(), stable.tolist()):
+            eqs[k].append(Equilibrium(r, s))
+    return [tuple(e) for e in eqs]
+
+
+def _bisect(at, which, a, b, up, steps, polish):
+    """Bisect each bracket [a[i], b[i]] on profile ``which[i]`` of ``at``
+    for at most ``steps`` halvings, ``up[i]`` its sign test F(a) > 0;
+    returns the midpoints of the final brackets.
+
+    A pass asks ``at`` for the 2**L - 1 midpoints of the next L =
+    BISECT_LEVELS levels of every open bracket, the tree below it, made
+    level by level as ``0.5 * (lo + hi)`` of its breakpoints, and walks
+    them as a one-point loop would: a midpoint whose ``F > 0`` matches
+    ``up`` becomes ``a``, any other ``b``. A bracket stops after a
+    halving once it is narrower than EQUILIBRIUM_XTOL with |F| < 1e-10 N
+    at the midpoint, or narrower than 1e-14 m, so that re-evaluating at
+    the root gives |F| < 1e-9 N even on stiff profiles (steep dF/dx). A
+    ``polish`` bracket stops instead before a midpoint that is no longer
+    strictly inside it: its ends are adjacent floats. Every root so has
+    the one-point loop's bits.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = np.arange(len(a))
+    while steps and live.size:
         levels = min(BISECT_LEVELS, steps)
-        xs = _midpoints(a, b, levels)
-        force = (yield xs)[1]
-        j = 0
-        for _ in range(levels):
-            m = xs[j]
-            if done(a, b, m, None):
-                return a, b
-            fm = float(force[j])
-            if (fm > 0) == up:
-                a, j = m, 2 * j + 2
-            else:
-                b, j = m, 2 * j + 1
-            steps -= 1
-            if done(a, b, m, fm):
-                return a, b
-    return a, b
-
-
-def _bisect(a: float, b: float, fa: float):
-    """Machine: bisect the force sign change in [a, b]; returns the root,
-    ``a`` itself when the force vanishes there."""
-    if fa == 0.0:
-        return a
-
-    # keep halving past EQUILIBRIUM_XTOL until the residual force is
-    # negligible, so re-evaluating at the root gives |F| < 1e-9 N even
-    # for stiff profiles (steep dF/dx)
-    def done(a, b, m, fm):
-        return fm is not None and (
-            b - a < EQUILIBRIUM_XTOL and abs(fm) < 1e-10 or b - a < 1e-14)
-
-    a, b = yield from _tree_bisect(a, b, fa > 0, 200, done)
+        steps -= levels
+        n = 2 ** levels
+        # the tree's breakpoints in order, level k halving every n >> k;
+        # the walk indexes them and their forces flat, row by row
+        grid = np.empty((live.size, n + 1))
+        lo, hi = a[live], b[live]
+        grid[:, 0], grid[:, -1] = lo, hi
+        for k in range(levels):
+            w = n >> k
+            grid[:, w // 2::w] = 0.5 * (grid[:, :-1:w] + grid[:, w::w])
+        force = np.zeros(grid.shape)
+        force[:, 1:-1] = at(which[live], grid[:, 1:-1])[1]
+        rises = ((force > 0) == up[live, None]).ravel()
+        small = (np.abs(force) < 1e-10).ravel()
+        grid, node = grid.ravel(), np.arange(0, grid.size, n + 1)
+        walking = np.ones(live.size, bool)
+        for k in range(levels):
+            j = node + (n >> (k + 1))
+            m = grid[j]
+            if polish:
+                walking &= ~((m <= lo) | (m >= hi))
+            rise = walking & rises[j]
+            lo, hi = np.where(rise, m, lo), np.where(walking ^ rise, m, hi)
+            node = np.where(rise, j, node)
+            if not polish:
+                width = hi - lo
+                walking &= ~((width < EQUILIBRIUM_XTOL) & small[j] | (width < 1e-14))
+        a[live], b[live] = lo, hi
+        live = live[walking]
     return 0.5 * (a + b)
 
 
@@ -705,117 +638,136 @@ def _attractor_from(side_inner: bool, profile: LandscapeProfile):
 def decide(profile: LandscapeProfile) -> LandscapeDecision:
     """Classify a (refined) profile. Refines equilibria if not done yet.
 
-    Snap-through must beat the track's friction force. The one-profile case
-    of the lockstep engine that :func:`decisions_for_keys` runs over many
-    profiles.
+    Snap-through must beat the track's friction force. The one-profile
+    case of :func:`_decide_all`, which :func:`decisions_for_keys` runs
+    over many profiles at once.
     """
-    return _lockstep([profile], [_decision(profile)])[0]
+    return _decide_all([profile])[0]
 
 
-def _decision(profile: LandscapeProfile):
-    """Machine of :func:`decide`, refining first when needed."""
-    F, U = profile.force_axial, profile.energy
-    label = profile.key.label if profile.key is not None else ""
-    degenerate = (
-        np.abs(F).max() < FORCE_EPS and (U.max() - U.min()) < ENERGY_EPS
-    )
-    if degenerate:
-        return LandscapeDecision(
-            profile.unit_id, label, "monostable_inner", False, True,
-            0.0, None, float(F.max()), profile.x_in, None, float(F[0]),
-        )
-    if profile.equilibria is None:
-        profile = replace(profile, equilibria=(yield from _equilibria(profile)))
-    a_in = _attractor_from(True, profile)
-    a_out = _attractor_from(False, profile)
-    bist = abs(a_in - a_out) > 1e-9
-    if bist:
-        clazz = "bistable"
-    else:
-        mid = 0.5 * (profile.x_in + profile.x_out)
-        clazz = "monostable_inner" if a_in <= mid else "monostable_outer"
-    anchored = abs(a_in - profile.x_out) > 1e-9
-    snap = (not anchored) and bool(
-        F[1:-1].min() > profile.track.friction_force)
-    barrier = 0.0
-    margin = None
-    if anchored:
-        crest = next(
-            (e.position for e in profile.equilibria
-             if not e.stable and e.position > a_in + 1e-12),
-            None,
-        )
-        energy, _ = yield [a_in] if crest is None else [a_in, crest]
-        u_inner = float(energy[0])
-        if crest is not None:
-            barrier = float(energy[1]) - u_inner
+def _decide_all(profiles) -> list:
+    """:func:`decide` of each profile, each stage one pass over every
+    profile that reaches it.
+
+    The unrefined profiles are refined together (:func:`_equilibria`).
+    One row pass then takes the energy at the inner attractor of every
+    anchored profile, and at the first crest past it where it has one,
+    and :func:`_basin_margins` takes every anchoring margin.
+    """
+    stacked = _stack(profiles)
+    at = _rows_at(stacked)
+    flat = [np.abs(p.force_axial).max() < FORCE_EPS
+            and (p.energy.max() - p.energy.min()) < ENERGY_EPS for p in profiles]
+    todo = [i for i, p in enumerate(profiles) if not flat[i] and p.equilibria is None]
+    profiles = list(profiles)
+    for i, eqs in zip(todo, _equilibria(at, [profiles[i] for i in todo], todo)):
+        profiles[i] = replace(profiles[i], equilibria=eqs)
+    fields, held, inner, crests = [], [], [], []  # fields: all but the anchoring pair
+    for i, p in enumerate(profiles):
+        F = p.force_axial
+        label = p.key.label if p.key is not None else ""
+        if flat[i]:
+            fields.append((p.unit_id, label, "monostable_inner", False, True,
+                           float(F.max()), p.x_in, None, float(F[0])))
+            continue
+        a_in, a_out = _attractor_from(True, p), _attractor_from(False, p)
+        if abs(a_in - a_out) > 1e-9:
+            clazz = "bistable"
         else:
-            seg = U[profile.xs >= a_in - 1e-12]
-            barrier = float(seg.max() - u_inner) if len(seg) else 0.0
-        margin = yield from _basin_margin(profile, a_in, crest)
-    return LandscapeDecision(
-        profile.unit_id, label, clazz, snap, False, float(barrier),
-        margin, float(F.max()),
-        a_in if anchored else None,
-        a_out if abs(a_out - profile.x_in) > 1e-9 else None,
-        float(F[0]),
-    )
+            mid = 0.5 * (p.x_in + p.x_out)
+            clazz = "monostable_inner" if a_in <= mid else "monostable_outer"
+        anchored = abs(a_in - p.x_out) > 1e-9
+        if anchored:
+            held.append(i)
+            inner.append(a_in)
+            crests.append(next((e.position for e in p.equilibria
+                                if not e.stable and e.position > a_in + 1e-12), np.nan))
+        snap = (not anchored) and bool(F[1:-1].min() > p.track.friction_force)
+        fields.append((p.unit_id, label, clazz, snap, False, float(F.max()),
+                       a_in if anchored else None,
+                       a_out if abs(a_out - p.x_in) > 1e-9 else None, float(F[0])))
+    anchoring = {}  # (barrier, margin) of each anchored profile
+    if held:
+        held, a_in, crest = np.array(held), np.array(inner), np.array(crests)
+        tip = ~np.isnan(crest)
+        energy = at(np.concatenate([held, held[tip]]),
+                    np.concatenate([a_in, crest[tip]])[:, None])[0][:, 0]
+        u_inner, u_crest = energy[:len(held)], iter(energy[len(held):])
+        x_in, x_out = (np.array([getattr(profiles[i], f) for i in held])
+                       for f in ("x_in", "x_out"))
+        margins = _basin_margins(stacked, at, held, a_in, crest, x_in, x_out)
+        for j, i in enumerate(held.tolist()):
+            if tip[j]:
+                barrier = next(u_crest) - u_inner[j]
+            else:
+                seg = profiles[i].energy[profiles[i].xs >= a_in[j] - 1e-12]
+                barrier = seg.max() - u_inner[j] if len(seg) else 0.0
+            anchoring[i] = float(barrier), float(margins[j])
+    return [LandscapeDecision(*f[:5], *anchoring.get(i, (0.0, None)), *f[5:])
+            for i, f in enumerate(fields)]
 
 
-def _polish_root(x0: float, lo_cap: float, hi_cap: float):
-    """Machine: re-bisect a force zero near x0 down to floating-point resolution.
+def _polish(at, which, x0, lo_cap, hi_cap):
+    """Re-bisect the force zero near each x0[i] on profile ``which[i]`` of
+    ``at`` down to floating-point resolution, inside [lo_cap[i], hi_cap[i]].
 
     The coarse refinement stops at 1e-9 m, which is plenty for positions
     but leaks a first-order error into margins evaluated at points placed
-    relative to the root (geometric-scale covariance wants ~1e-15).
+    relative to the root (geometric-scale covariance wants ~1e-15). Each
+    widening pass asks for the ends of a bracket around every open x0,
+    max(4e-9 m, 1e-8 |x0|) to a side at first, four times that each pass
+    after, cut at the caps. The first with a force sign change goes to
+    :func:`_bisect`; an x0 with none in 60 passes, or none once both ends
+    are at the caps, is its own polished root.
     """
-    delta = max(4e-9, abs(x0) * 1e-8)
+    delta = np.maximum(np.abs(x0) * 1e-8, 4e-9)
+    lo, hi, up, found = x0.copy(), x0.copy(), np.zeros(len(x0), bool), np.zeros(len(x0), bool)
+    live = np.arange(len(x0))
     for _ in range(60):
-        lo = max(lo_cap, x0 - delta)
-        hi = min(hi_cap, x0 + delta)
-        flo, fhi = (float(f) for f in (yield [lo, hi])[1])
-        if (flo > 0) != (fhi > 0):
+        if not live.size:
             break
-        if lo == lo_cap and hi == hi_cap:
-            return x0
-        delta *= 4.0
-    else:
-        return x0
+        lo[live] = np.maximum(x0[live] - delta[live], lo_cap[live])
+        hi[live] = np.minimum(x0[live] + delta[live], hi_cap[live])
+        force = at(which[live], np.stack([lo[live], hi[live]], axis=1))[1]
+        up[live] = force[:, 0] > 0
+        found[live] = up[live] != (force[:, 1] > 0)
+        capped = (lo[live] == lo_cap[live]) & (hi[live] == hi_cap[live])
+        live = live[~found[live] & ~capped]
+        delta[live] *= 4.0
+    root = x0.copy()
+    root[found] = _bisect(at, which[found], lo[found], hi[found], up[found], 90, True)
+    return root
 
-    def done(lo, hi, m, fm):  # the bracket is down to adjacent floats
-        return fm is None and (m <= lo or m >= hi)
 
-    lo, hi = yield from _tree_bisect(lo, hi, flo > 0, 90, done)
-    return 0.5 * (lo + hi)
-
-
-def _basin_margin(profile: LandscapeProfile, a_in: float, crest: float | None):
-    """Machine: min restoring force over the inner basin, zero-force ends
-    excluded.
+def _basin_margins(stacked, at, which, a_in, crest, x_in, x_out):
+    """Min restoring force over each inner basin, zero-force ends excluded:
+    profile ``which[i]`` anchored at ``a_in[i]``, ``crest[i]`` the first
+    crest past it or NaN.
 
     The restoring force vanishes exactly at a barrier crest and at an
     interior stable equilibrium, so a CREST_EXCLUSION fraction of the basin
     is trimmed at each such end; a boundary-anchored crestless basin (mover
     pressed against the inner stop, force nonzero out to the outer stop) is
-    evaluated over its full extent. The crest is polished first, then the
-    inner attractor capped by the polished crest; the grid is asked for as
-    one group on the profile's own sources.
+    evaluated over its full extent. Every crest is polished first, then
+    every inner attractor capped by its polished crest. The basin grids
+    are made and evaluated call by call (:func:`_group_calls`), keeping
+    each call's minima.
     """
-    start = a_in
-    end = crest if crest is not None else profile.x_out
-    if crest is not None:
-        end = yield from _polish_root(crest, start, profile.x_out)
-    if a_in > profile.x_in + 1e-12:
-        start = yield from _polish_root(a_in, profile.x_in, end)
+    tip, deep = ~np.isnan(crest), a_in > x_in + 1e-12
+    end = np.where(tip, crest, x_out)
+    end[tip] = _polish(at, which[tip], crest[tip], a_in[tip], x_out[tip])
+    start = a_in.copy()
+    start[deep] = _polish(at, which[deep], a_in[deep], x_in[deep], end[deep])
     span = end - start
-    if crest is not None:
-        end = start + (1.0 - CREST_EXCLUSION) * span
-    if a_in > profile.x_in + 1e-12:
-        start = start + CREST_EXCLUSION * span
-    if end - start < 1e-12:
-        return 0.0
-    _, F = yield np.linspace(start, end, _BASIN_GRID)
-    return float(np.min(-F))
+    end = np.where(tip, start + (1.0 - CREST_EXCLUSION) * span, end)
+    start = np.where(deep, start + CREST_EXCLUSION * span, start)
+    margins = np.zeros(len(which))
+    wide = np.nonzero(~(end - start < 1e-12))[0]
+    for part, _, force in _group_calls(
+            stacked, which[wide], _BASIN_GRID,
+            lambda part: np.linspace(start[wide[part]], end[wide[part]], _BASIN_GRID, axis=-1)):
+        margins[wide[part]] = np.min(-force, axis=1)
+    return margins
 
 
 def unit_decision(
@@ -859,16 +811,16 @@ def decisions_for_keys(
 def _decisions_for_topologies(topologies, keys, n_samples=DEFAULT_SAMPLES,
                               mover_positions=None) -> list:
     """:func:`decisions_for_keys` of each topology, with one set-up and one
-    lockstep run for all of them.
+    root-finding run for all of them.
 
     The topologies must share one :func:`_shape` (every candidate of one
     design template does) and each has its movers latched at
     ``mover_positions``. One lockstep orientation solve and one
     constant-energy pass serve every (topology, key, unit) profile (see
-    :func:`_batch_profiles`). Their bisections, stability checks and root
-    polishing then advance in lockstep, with one batched evaluation per
-    step (see :func:`_lockstep`). Each row keeps its one-point bits, so
-    every topology is decided exactly as it would be on its own.
+    :func:`_batch_profiles`). :func:`_decide_all` then takes their
+    bisections, stability checks, root polishing and basin grids, each
+    stage one pass over every profile. Each row keeps its one-point bits,
+    so every topology is decided exactly as it would be on its own.
     """
     topologies = [list(units) for units in topologies]
     if isinstance(keys, Iterable):  # a bare key or None is refused by _key_vectors
@@ -879,7 +831,7 @@ def _decisions_for_topologies(topologies, keys, n_samples=DEFAULT_SAMPLES,
         raise MaglogicError("topologies decided together must share one shape")
     targets = range(len(topologies[0]) if topologies else 0)
     profiles = _batch_profiles(topologies, targets, keys, n_samples, positions)
-    decided = iter(_lockstep(profiles, [_decision(p) for p in profiles]))
+    decided = iter(_decide_all(profiles))
     return [[{u.id: next(decided) for u in units} for _ in keys] for units in topologies]
 
 

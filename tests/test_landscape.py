@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maglogic import landscape as ls
@@ -265,7 +265,7 @@ def test_batched_rows_match_one_point_evaluate():
 
 
 def test_batched_kernel_calls_match_frozen_reference():
-    """The kernel calls of grids and lockstep rows, on every batch topology."""
+    """The kernel calls of grids and root-finding rows, on every batch topology."""
     rng = np.random.default_rng(12)
     for profs in _batches():
         stacked = ls._stack(profs)
@@ -1081,9 +1081,61 @@ def test_decisions_for_topologies_match_one_topology_at_a_time():
         ls._decisions_for_topologies([pair, pr.demo_topology()], keys)
 
 
+def _padded(unit, n=2):
+    """``unit`` with far, weak stators added up to ``n`` stators, so that
+    profiles of different units stack (one fixed-dipole count)."""
+    far = tuple(MagnetSource((0, 1e3 * (j + 1), 0), (0, 0, 1e-6))
+                for j in range(n - len(unit.stators)))
+    return dataclasses.replace(unit, stators=unit.stators + far)
+
+
+def test_one_engine_call_takes_every_branch():
+    """One ``_decide_all`` call on profiles of every branch decides each
+    as ``decide`` does on that profile alone."""
+    free = _padded(UnitTriplet("free", (), MoverTrack((0, 0, 1), (0, 0, 0), (0.0, 0.01),
+                                                      MOVER, mass=1e-3)))
+    stop = ls.sample_profile([_padded(anchored_unit())], "a", None)
+    # a crest 1.005e-12 m past the inner stop: a basin narrower than 1e-12
+    # once its crest end is trimmed
+    narrow = dataclasses.replace(stop, equilibria=(
+        ls.Equilibrium(stop.x_in + 1.005e-12, False),))
+    collapse = ls.sample_profile([collapse_unit()], "d", None)
+    profiles = [
+        ls.sample_profile([free], "free", None),  # degenerate
+        ls.refine_equilibria(collapse),  # refined beforehand
+        ls.sample_profile([_padded(outward_unit())], "b", None),  # snap-through
+        ls.sample_profile([double_well_unit()], "c", None),  # bistable
+        collapse,  # anchored with a crest
+        stop,  # crestless, pressed against the inner stop
+        narrow,
+    ]
+    got = ls._decide_all(profiles)
+    assert got == [ls.decide(p) for p in profiles]
+    degenerate, refined, snap, bistable, crest, crestless, thin = got
+    assert degenerate.degenerate and not any(d.degenerate for d in got[1:])
+    assert refined == crest and crest.barrier_out > 0 and crest.anchoring_force > 0
+    assert any(not e.stable and e.position > crest.inner_attractor
+               for e in profiles[1].equilibria)
+    assert snap.snap_through and snap.anchoring_force is None
+    assert bistable.clazz == "bistable"
+    assert crestless.inner_attractor == stop.x_in and crestless.anchoring_force > 0
+    assert thin.inner_attractor == stop.x_in and thin.anchoring_force == 0.0
+
+
+def test_decide_and_refine_raise_without_the_evaluation_context():
+    flat = UnitTriplet("free", (), MoverTrack((0, 0, 1), (0, 0, 0), (0.0, 0.01),
+                                              MOVER, mass=1e-3))
+    for unit, uid in ((anchored_unit(), "a"), (outward_unit(), "b"), (flat, "free")):
+        bare = dataclasses.replace(ls.sample_profile([unit], uid, None), _args=None)
+        for call in (ls.decide, ls.refine_equilibria):
+            with pytest.raises(MaglogicError, match="^profile lost its evaluation context$"):
+                call(bare)
+    assert ls.decide(ls.sample_profile([flat], "free", None)).degenerate
+
+
 def _run_machine(machine, force):
-    """Drive a root-finding machine on the force law ``force``; return its
-    result and every list of points it asked for."""
+    """Drive a one-point reference generator on the force law ``force``;
+    return its result and every list of points it asked for."""
     asks, reply = [], None
     while True:
         try:
@@ -1094,23 +1146,59 @@ def _run_machine(machine, force):
         reply = (np.zeros(len(xs)), np.array([force(x) for x in xs]))
 
 
+def _recording_at(*laws):
+    """An ``at(which, xs)`` of the root finders on the force laws ``laws``,
+    row ``which[i]`` under ``laws[which[i]]``, every energy zero, and the
+    list it records each call in: a dict of the points of each row."""
+    calls = []
+
+    def at(which, xs):
+        calls.append({})
+        for i, row in zip(np.asarray(which).tolist(), xs.tolist()):
+            calls[-1].setdefault(i, []).extend(row)
+        force = [[laws[i](x) for x in row]
+                 for i, row in zip(np.asarray(which).tolist(), xs.tolist())]
+        return np.zeros(xs.shape), np.array(force, dtype=float).reshape(xs.shape)
+
+    return at, calls
+
+
+def _bisect_one(a, b, fa):
+    """``_bisect`` on the one equilibrium bracket [a, b], F(a) = fa."""
+    return lambda at: ls._bisect(at, np.array([0]), np.array([a]), np.array([b]),
+                                 np.array([fa > 0]), 200, False)
+
+
+def _polish_one(x0, lo_cap, hi_cap):
+    """``_polish`` of the one start point x0 inside [lo_cap, hi_cap]."""
+    return lambda at: ls._polish(at, np.array([0]), np.array([x0]),
+                                 np.array([lo_cap]), np.array([hi_cap]))
+
+
+def _run(run, force):
+    """Run a root finder on one bracket on the force law ``force``; return
+    its root and the points of each ``at`` call."""
+    at, calls = _recording_at(force)
+    return run(at)[0], [call[0] for call in calls]
+
+
 def test_polish_root_falls_back_to_its_start_point():
     # a sign change in reach: polished to the root
-    root, _ = _run_machine(ls._polish_root(0.5, 0.4, 0.6), lambda x: x - 0.5003)
+    root, _ = _run(_polish_one(0.5, 0.4, 0.6), lambda x: x - 0.5003)
     assert root == pytest.approx(0.5003, abs=1e-15)
     # no sign change up to both caps: the start point, after asking for the caps
-    x0, asks = _run_machine(ls._polish_root(0.5, 0.4, 0.6), lambda x: 1.0)
+    x0, asks = _run(_polish_one(0.5, 0.4, 0.6), lambda x: 1.0)
     assert x0 == 0.5 and asks[-1] == [0.4, 0.6] and len(asks) < 60
     # no sign change within 60 widenings of a bracket that never reaches
     # the caps: the start point too
-    x0, asks = _run_machine(ls._polish_root(0.5, -1e300, 1e300), lambda x: -1.0)
+    x0, asks = _run(_polish_one(0.5, -1e300, 1e300), lambda x: -1.0)
     assert x0 == 0.5 and len(asks) == 60
     assert asks[-1][0] > -1e300 and asks[-1][1] < 1e300
 
 
 def test_zero_field_first_grid_row_takes_the_track_axis():
     """A grid whose first row sits in zero field gives it the track axis,
-    as a lockstep row there gets; the rows after it keep their own field."""
+    as a root-finding row there gets; the rows after it keep their own field."""
     unit = _zero_field_unit()
     unit = dataclasses.replace(
         unit, track=dataclasses.replace(unit.track, stroke=(0.015, 0.021)))
@@ -1126,9 +1214,9 @@ def test_zero_field_first_grid_row_takes_the_track_axis():
 # ---------------------------------------------------------------------------
 # frozen one-point root finders
 # ---------------------------------------------------------------------------
-# ``_bisect`` and the bisection phase of ``_polish_root`` as they stood when
-# every lockstep step asked for one midpoint, kept verbatim: the tree
-# machines must return their roots bit for bit.
+# The equilibrium bisection and the polish as one-point loops, one midpoint
+# per step, kept verbatim from before the tree walk: ``_bisect`` and
+# ``_polish`` must return their roots bit for bit.
 
 
 def ref_bisect(a, b, fa):
@@ -1173,20 +1261,26 @@ def ref_polish_root(x0, lo_cap, hi_cap):
     return 0.5 * (lo + hi)
 
 
-def assert_tree_matches_reference(tree, reference, force):
-    """Equal roots; every point the reference asks for is asked for, the
-    widening pairs of ``_polish_root`` alike, and its midpoints in at most
-    one step per BISECT_LEVELS of them (and the step after a
-    float-resolution stop); returns the reference's midpoint count."""
-    root, asks = _run_machine(tree, force)
-    want, want_asks = _run_machine(reference, force)
-    assert root == want
+def assert_asks_match_reference(asks, want_asks):
+    """Every point the reference asks for is asked for, the widening pairs
+    of ``_polish`` alike, and its midpoints in at most one pass per
+    BISECT_LEVELS of them (and the pass after a float-resolution stop);
+    returns the reference's midpoint count."""
     assert {x for xs in want_asks for x in xs} <= {x for xs in asks for x in xs}
     widenings = sum(len(xs) == 2 for xs in want_asks)
     assert asks[:widenings] == want_asks[:widenings]
     midpoints = len(want_asks) - widenings
     assert len(asks) - widenings <= -(-(midpoints + 1) // ls.BISECT_LEVELS)
     return midpoints
+
+
+def assert_tree_matches_reference(run, reference, force):
+    """Equal roots and :func:`assert_asks_match_reference`; returns the
+    reference's midpoint count."""
+    root, asks = _run(run, force)
+    want, want_asks = _run_machine(reference, force)
+    assert root == want
+    return assert_asks_match_reference(asks, want_asks)
 
 
 _LAW = st.sampled_from(["linear", "cubic", "step", "tanh"])
@@ -1209,11 +1303,52 @@ def test_tree_machines_match_one_point_reference(kind, where, slope, flip, a, wi
     b = a + width
     root = a + where * width
     force = _force_law(kind, root, -slope if flip else slope)
-    assert_tree_matches_reference(ls._bisect(a, b, force(a)), ref_bisect(a, b, force(a)),
-                                  force)
+    # F(a) == 0 (root at a) walks with the sign test F(a) > 0 False, as a
+    # polish bracket does; the equilibrium search gives such a bracket a
+    # itself before any bisection (test_tree_bisect_edge_cases)
+    assert_tree_matches_reference(_bisect_one(a, b, force(a)),
+                                  ref_bisect(a, b, force(a) or -1.0), force)
     for x0 in (root, a + 0.5 * width, root + 3e-9):
-        assert_tree_matches_reference(ls._polish_root(x0, a, b),
-                                      ref_polish_root(x0, a, b), force)
+        assert_tree_matches_reference(_polish_one(x0, a, b), ref_polish_root(x0, a, b), force)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.tuples(_LAW, st.floats(0.0, 1.0), st.floats(1e-12, 1e6), st.booleans(),
+                          st.floats(0.0, 0.02), st.floats(1e-6, 0.05), st.booleans()),
+                min_size=2, max_size=8))
+@example([("linear", 0.5, 1.0, False, 0.01, 0.01, True),
+          ("tanh", 0.3, 2.0, True, 0.0, 0.02, True),
+          ("cubic", 0.7, 3.0, False, 0.005, 1e-5, False),
+          ("step", 0.2, 1e-12, True, 0.0, 0.05, True)])
+def test_brackets_in_one_call_match_each_alone(brackets):
+    """2 to 8 brackets under mixed force laws in one ``_bisect`` and one
+    ``_polish`` call: each root has the bits of its one-point reference
+    run alone, and each bracket is asked what that run asks. A bracket
+    drawn with ``zero`` has its root at a, so F(a) == 0 under every law
+    but the step law; its polish starts 3e-9 above a with a as its lower
+    cap, so the first widening's lower end is that zero."""
+    laws, bisects, polishes = [], [], []
+    for kind, where, slope, flip, a, width, zero in brackets:
+        root = a if zero else a + where * width
+        laws.append(_force_law(kind, root, -slope if flip else slope))
+        bisects.append((a, a + width, laws[-1](a)))
+        polishes.append((root + 3e-9 if zero else a + 0.5 * width, a, a + width))
+    rows = np.arange(len(laws))
+    at, calls = _recording_at(*laws)
+    a, b, fa = map(np.array, zip(*bisects))
+    roots = ls._bisect(at, rows, a, b, fa > 0, 200, False)
+    for i, (a, b, fa) in enumerate(bisects):
+        # F(a) == 0 as in test_tree_machines_match_one_point_reference
+        want, want_asks = _run_machine(ref_bisect(a, b, fa or -1.0), laws[i])
+        assert float(roots[i]).hex() == float(want).hex()
+        assert_asks_match_reference([c[i] for c in calls if i in c], want_asks)
+    at, calls = _recording_at(*laws)
+    x0, lo_cap, hi_cap = map(np.array, zip(*polishes))
+    roots = ls._polish(at, rows, x0, lo_cap, hi_cap)
+    for i, (x0, lo_cap, hi_cap) in enumerate(polishes):
+        want, want_asks = _run_machine(ref_polish_root(x0, lo_cap, hi_cap), laws[i])
+        assert float(roots[i]).hex() == float(want).hex()
+        assert_asks_match_reference([c[i] for c in calls if i in c], want_asks)
 
 
 def test_tree_bisect_edge_cases():
@@ -1224,20 +1359,25 @@ def test_tree_bisect_edge_cases():
             def force(x, root=root, sign=sign):
                 return sign * (x - root)
             assert force(root) == 0.0
-            assert_tree_matches_reference(ls._bisect(0.0, 1.0, force(0.0)),
+            assert_tree_matches_reference(_bisect_one(0.0, 1.0, force(0.0)),
                                           ref_bisect(0.0, 1.0, force(0.0)), force)
-    # F(a) == 0: a itself, with no step
-    assert _run_machine(ls._bisect(0.25, 1.0, 0.0), lambda x: 1.0) == (0.25, [])
+    # F(a) == 0: a itself, with no bisection; the one call is the
+    # stability triple
+    prof = LandscapeProfile("s", None, np.array([0.25, 1.0]), np.zeros(2),
+                            np.array([0.0, 1.0]))
+    at, calls = _recording_at(lambda x: 1.0)
+    assert ls._equilibria(at, [prof], [0]) == [(ls.Equilibrium(0.25, False),)]
+    assert calls == [{0: [0.25, 0.25, 0.25 + 7.5e-6]}]
 
     def steep(x):
         return 1e6 * (x - 0.3)
 
     # the 1e-14 stop: |F| never falls below 1e-10
     assert assert_tree_matches_reference(
-        ls._bisect(0.0, 1.0, steep(0.0)), ref_bisect(0.0, 1.0, steep(0.0)), steep) == 47
+        _bisect_one(0.0, 1.0, steep(0.0)), ref_bisect(0.0, 1.0, steep(0.0)), steep) == 47
     # the 200-step cap: 2e50 / 2**200 is still wider than 1e-14
     assert assert_tree_matches_reference(
-        ls._bisect(-1e50, 1e50, steep(-1e50)), ref_bisect(-1e50, 1e50, steep(-1e50)),
+        _bisect_one(-1e50, 1e50, steep(-1e50)), ref_bisect(-1e50, 1e50, steep(-1e50)),
         steep) == 200
 
     # the 1e-14 stop one level before the cap, at the cap, and the cap alone
@@ -1247,7 +1387,7 @@ def test_tree_bisect_edge_cases():
     for k, midpoints in ((197, 198), (198, 199), (199, 200), (200, 200)):
         w = 1.5e-14 * 2.0 ** k
         assert assert_tree_matches_reference(
-            ls._bisect(-0.3 * w, 0.7 * w, -1.0), ref_bisect(-0.3 * w, 0.7 * w, -1.0),
+            _bisect_one(-0.3 * w, 0.7 * w, -1.0), ref_bisect(-0.3 * w, 0.7 * w, -1.0),
             stiff) == midpoints
 
 
@@ -1263,17 +1403,16 @@ def test_tree_polish_edge_cases():
             return x - root
 
         counts.add(assert_tree_matches_reference(
-            ls._polish_root(0.0, -1.0, 1.0), ref_polish_root(0.0, -1.0, 1.0),
-            force))
+            _polish_one(0.0, -1.0, 1.0), ref_polish_root(0.0, -1.0, 1.0), force))
     assert counts == set(range(80, 91))
     # the 90 cap far from the float resolution
     assert assert_tree_matches_reference(
-        ls._polish_root(0.0, -1.0, 1.0), ref_polish_root(0.0, -1.0, 1.0),
+        _polish_one(0.0, -1.0, 1.0), ref_polish_root(0.0, -1.0, 1.0),
         lambda x: x - 1e-300) == 90
     # an exact zero at a midpoint, and a wider bracket after widening
     for force in (lambda x: x - 0.5, lambda x: 0.5 - x, lambda x: x - (0.5 + 1e-6)):
         for x0 in (0.5, 0.5 + 1e-7):
-            root, asks = _run_machine(ls._polish_root(x0, 0.4, 0.6), force)
+            root, asks = _run(_polish_one(x0, 0.4, 0.6), force)
             want, want_asks = _run_machine(ref_polish_root(x0, 0.4, 0.6), force)
             assert root == want
             assert {x for xs in want_asks for x in xs} <= {x for xs in asks for x in xs}
@@ -1392,7 +1531,7 @@ def test_evaluate_results_outlive_the_next_call():
 
 def test_no_kernel_call_passes_the_cap_unless_one_grid_does(monkeypatch):
     """Every ``_evaluate`` call of an engine call, profile grids, basin
-    grids and lockstep rows, holds at most GROUP_PAIRS (fixed dipole x
+    grids and root-finding rows, holds at most GROUP_PAIRS (fixed dipole x
     point) pairs or one group. At 3000 pairs a demo basin grid (5 x 1025)
     is a call of its own and two profile grids (5 x 256) share one."""
     demo = pr.demo_topology()
@@ -1464,7 +1603,7 @@ def _assert_fused_is_composed(args, xs):
 
 def test_fused_evaluator_matches_the_composed_kernels():
     """Bit for bit on every batch topology: a 1025-point basin grid, three
-    256-point profile grids and a 60-row lockstep step, then zero-field
+    256-point profile grids and a 60-row root-finding pass, then zero-field
     rows first in a group and later in one."""
     rng = np.random.default_rng(16)
     for profs in _batches():
