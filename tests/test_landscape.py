@@ -1153,11 +1153,11 @@ def _recording_at(*laws):
     calls = []
 
     def at(which, xs):
+        rows = list(zip(np.asarray(which).tolist(), xs.tolist()))
         calls.append({})
-        for i, row in zip(np.asarray(which).tolist(), xs.tolist()):
+        for i, row in rows:
             calls[-1].setdefault(i, []).extend(row)
-        force = [[laws[i](x) for x in row]
-                 for i, row in zip(np.asarray(which).tolist(), xs.tolist())]
+        force = [[laws[i](x) for x in row] for i, row in rows]
         return np.zeros(xs.shape), np.array(force, dtype=float).reshape(xs.shape)
 
     return at, calls
