@@ -21,10 +21,6 @@ class SingularConfigError(MaglogicError):
     """Two sources coincide (or a field point sits on a source)."""
 
 
-class NotAnchoredError(MaglogicError):
-    """Asked for an anchoring margin of a unit that has no stable inner state."""
-
-
 class EnergyBudgetError(MaglogicError):
     """Energy balance came out negative (no ejection possible)."""
 

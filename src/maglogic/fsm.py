@@ -173,12 +173,6 @@ class MachineDef:
         mag.finite(self.n_samples, "n_samples", 16, inclusive=True, integer=True,
                    high=ls.MAX_SAMPLES)
 
-    def unit_index(self, unit_id: str) -> int:
-        for i, u in enumerate(self.units):
-            if u.id == unit_id:
-                return i
-        raise ConfigError(f"unknown unit {unit_id!r}")
-
 
 def initial_state(machine: MachineDef) -> tuple:
     return (0,) * len(machine.units)
@@ -353,7 +347,7 @@ def evaluate_gates(machine: MachineDef, state: tuple, done=frozenset()) -> froze
             if isinstance(term, GateDone):
                 ok = term.gate in done
             else:
-                val = state[machine.unit_index(term.unit)]
+                val = state[ls._unit_index(machine.units, term.unit)]
                 ok = val == term.value if term.op == "eq" else val >= term.value
             if not ok:
                 break
@@ -469,7 +463,7 @@ class CrankCoupler:
 def crank_trace(machine: MachineDef, program, coupler: CrankCoupler) -> list:
     """Cumulative crank angle after each pulse: list of (time, degrees)."""
     for uid in coupler.units:
-        unit = machine.units[machine.unit_index(uid)]
+        unit = machine.units[ls._unit_index(machine.units, uid)]
         if unit.role != "accumulator":
             raise ConfigError("coupled units must be accumulators")
     signed = isinstance(coupler.stroke_to_angle, dict)
@@ -493,22 +487,6 @@ def crank_trace(machine: MachineDef, program, coupler: CrankCoupler) -> list:
             last_idx = idx
         out.append((step.time, angle))
     return out
-
-
-def phase_deviation(trace) -> float:
-    """Max |angle - uniform ramp| (deg) at instants where the angle moved.
-
-    The ramp runs through the first and last movement instants; a uniform
-    one-hot pulse train therefore deviates by exactly zero.
-    """
-    moves = [(t, a) for (t, a), (_, prev) in zip(trace[1:], trace[:-1]) if a != prev]
-    if len(moves) < 3:
-        return 0.0
-    (t0, a0), (t1, a1) = moves[0], moves[-1]
-    if t1 == t0:
-        return 0.0
-    slope = (a1 - a0) / (t1 - t0)
-    return max(abs(a - (a0 + slope * (t - t0))) for t, a in moves)
 
 
 @dataclass(frozen=True)

@@ -61,12 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import magnetics as mag
-from .errors import (
-    ConfigError,
-    EnergyBudgetError,
-    MaglogicError,
-    NotAnchoredError,
-)
+from .errors import ConfigError, EnergyBudgetError, MaglogicError
 from .magnetics import FieldKey, MagnetSource, MagnetSpec
 
 DEFAULT_SAMPLES = 256
@@ -618,14 +613,15 @@ class LandscapeDecision:
     force_at_inner_stop: float  # N, signed axial force at x_in
 
 
-def _attractor_from(side_inner: bool, profile: LandscapeProfile):
+def _attractor_from(side_inner: bool, profile: LandscapeProfile, equilibria):
     """Where a mover left at the inner (``side_inner``) or the outer stop
     comes to rest, walking from that stop: the first force above FORCE_EPS
     either presses it into the stop or slides it to the first stable
-    equilibrium ahead, else to the other stop."""
+    equilibrium ahead, else to the other stop. ``equilibria`` are the
+    profile's, passed beside it (:func:`_decide_all`)."""
     step = 1 if side_inner else -1
     xs, F = profile.xs[::step], profile.force_axial[::step]
-    eqs = (profile.equilibria or ())[::step]
+    eqs = equilibria[::step]
     i = next((i for i, f in enumerate(F) if abs(f) > FORCE_EPS), None)
     if i is None or F[i] * step < 0:
         return float(xs[0])  # flat, or pressed into this stop
@@ -649,28 +645,29 @@ def _decide_all(profiles) -> list:
     """:func:`decide` of each profile, each stage one pass over every
     profile that reaches it.
 
-    The unrefined profiles are refined together (:func:`_equilibria`).
-    One row pass then takes the energy at the inner attractor of every
-    anchored profile, and at the first crest past it where it has one,
-    and :func:`_basin_margins` takes every anchoring margin.
+    The unrefined profiles are refined together (:func:`_equilibria`),
+    their equilibria kept in a list beside the profiles, which are not
+    copied. One row pass then takes the energy at the inner attractor of
+    every anchored profile, and at the first crest past it where it has
+    one, and :func:`_basin_margins` takes every anchoring margin.
     """
     stacked = _stack(profiles)
     at = _rows_at(stacked)
     flat = [np.abs(p.force_axial).max() < FORCE_EPS
             and (p.energy.max() - p.energy.min()) < ENERGY_EPS for p in profiles]
-    todo = [i for i, p in enumerate(profiles) if not flat[i] and p.equilibria is None]
-    profiles = list(profiles)
+    equilibria = [p.equilibria for p in profiles]
+    todo = [i for i, eqs in enumerate(equilibria) if not flat[i] and eqs is None]
     for i, eqs in zip(todo, _equilibria(at, [profiles[i] for i in todo], todo)):
-        profiles[i] = replace(profiles[i], equilibria=eqs)
+        equilibria[i] = eqs
     fields, held, inner, crests = [], [], [], []  # fields: all but the anchoring pair
-    for i, p in enumerate(profiles):
+    for i, (p, eqs) in enumerate(zip(profiles, equilibria)):
         F = p.force_axial
         label = p.key.label if p.key is not None else ""
         if flat[i]:
             fields.append((p.unit_id, label, "monostable_inner", False, True,
                            float(F.max()), p.x_in, None, float(F[0])))
             continue
-        a_in, a_out = _attractor_from(True, p), _attractor_from(False, p)
+        a_in, a_out = _attractor_from(True, p, eqs), _attractor_from(False, p, eqs)
         if abs(a_in - a_out) > 1e-9:
             clazz = "bistable"
         else:
@@ -680,7 +677,7 @@ def _decide_all(profiles) -> list:
         if anchored:
             held.append(i)
             inner.append(a_in)
-            crests.append(next((e.position for e in p.equilibria
+            crests.append(next((e.position for e in eqs
                                 if not e.stable and e.position > a_in + 1e-12), np.nan))
         snap = (not anchored) and bool(F[1:-1].min() > p.track.friction_force)
         fields.append((p.unit_id, label, clazz, snap, False, float(F.max()),
@@ -833,20 +830,6 @@ def _decisions_for_topologies(topologies, keys, n_samples=DEFAULT_SAMPLES,
     profiles = _batch_profiles(topologies, targets, keys, n_samples, positions)
     decided = iter(_decide_all(profiles))
     return [[{u.id: next(decided) for u in units} for _ in keys] for units in topologies]
-
-
-def anchoring_margin(topology, unit_id: str, key: FieldKey | None) -> float:
-    """Minimum restoring force (N) holding the mover in its inner basin.
-
-    Raises NotAnchoredError when the unit has no stable inner state under
-    this key (i.e. the key drives it or leaves it free).
-    """
-    dec = unit_decision(topology, unit_id, key)
-    if dec.anchoring_force is None:
-        raise NotAnchoredError(
-            f"unit {unit_id!r} is not anchored under key {key.label if key else None!r}"
-        )
-    return dec.anchoring_force
 
 
 def ejection_velocity(

@@ -334,9 +334,6 @@ class TruthTable:
         """Per command, one 0/1 int per column (1 where it fired)."""
         return tuple(self._row(f) for f in self.fired)
 
-    def row_dict(self, i: int) -> dict:
-        return dict(zip(self.columns, self._row(self.fired[i])))
-
 
 def truth_table(grid, commands) -> TruthTable:
     """Decode every command at every node: the 0/1 table and the event log.
@@ -361,23 +358,11 @@ def truth_table(grid, commands) -> TruthTable:
         tuple(e for _, events in decided for e in events))
 
 
-class ErrorRate(float):
-    """Unintended/total event ratio; ``no_events`` marks the 0/0 case."""
-
-    no_events: bool
-
-    def __new__(cls, rate: float, no_events: bool):
-        obj = super().__new__(cls, rate)
-        obj.no_events = no_events
-        return obj
-
-
-def error_rate(log) -> ErrorRate:
+def error_rate(log) -> float:
+    """Share of the events in ``log`` that were not intended; 0.0 for an
+    empty log."""
     log = list(log)
-    if not log:
-        return ErrorRate(0.0, True)
-    bad = sum(1 for e in log if not e.intended)
-    return ErrorRate(bad / len(log), False)
+    return sum(1 for e in log if not e.intended) / len(log) if log else 0.0
 
 
 def calibrate_master(depth: float, field: float, style: str = "lateral",

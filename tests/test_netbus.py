@@ -413,7 +413,6 @@ def test_demo_truth_table_is_identity():
     assert table.intended == tuple(c.intended for c in commands)
     assert table.columns == tuple(
         (n.id, c.label) for n in grid for c in n.channels)
-    assert table.row_dict(0)[("node0", "alpha")] == 1
     log, t = [], 0.0
     for cmd in commands:
         log.extend(nb.execute_command(grid, cmd, t))
@@ -659,11 +658,11 @@ def test_error_rate_counts_unintended_events():
         log.extend(nb.execute_command(grid, cmd, t))
         t += cmd.dwell
     rate = nb.error_rate(log)
-    assert float(rate) == 0.0 and not rate.no_events
+    assert rate == 0.0 and type(rate) is float
     empty = nb.error_rate([])
-    assert float(empty) == 0.0 and empty.no_events
-    mixed = log[:3] + [nb.Event(9.0, "node0", "beta", 0.13, False)]
-    assert float(nb.error_rate(mixed)) == pytest.approx(0.25)
+    assert empty == 0.0 and type(empty) is float
+    mixed = nb.error_rate(log[:3] + [nb.Event(9.0, "node0", "beta", 0.13, False)])
+    assert mixed == pytest.approx(0.25) and type(mixed) is float
 
 
 def test_pose_over_translates_reference_master():
