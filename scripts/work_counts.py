@@ -50,14 +50,17 @@ def _counted(ls, counts):
         counts["decided_pairs"] += len(topologies) * len(keys)
         return engine(topologies, keys, *args, **kwargs)
 
-    def counted_evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
+    def counted_evaluate(*args):
+        # the sources are the fourth argument and the points the last, in
+        # every checkout's signature
+        pos, xs = args[3], args[-1]
         groups, n = xs.shape
         kind = ("row" if n == 1 else "basin_grid" if n == ls._BASIN_GRID
                 else "profile_grid")
         counts["kernel_calls"] += 1
         counts[f"{kind}.calls"] += 1
         counts[f"{kind}.pairs"] += pos.shape[1] * groups * n
-        return evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs)
+        return evaluate(*args)
 
     ls._decisions_for_topologies = counted_engine
     ls._evaluate = counted_evaluate

@@ -35,9 +35,10 @@ profile grids, 3 demo basin grids or 5 of a two-unit screen candidate
 per call. The points of a root-finding pass are groups of one point, in
 calls of the same bound. The ``magnetics`` module docstring gives the
 layout and the bit rules of its one fused pass; groups are independent,
-so how they are split into calls moves no bit. A mover in zero field
-keeps the direction of the row before it in its group, and a group's
-first row takes the track axis.
+so how they are split into calls moves no bit. A missing key is the
+zero key: that pass adds each profile's key to the field and turns the
+mover along the sum, and a mover in zero field keeps the direction of
+the row before it in its group, a group's first row the track axis.
 
 Root finding runs in passes over arrays. An engine call decides all of
 its profiles together, stage by stage, each stage one pass over every
@@ -185,12 +186,12 @@ def equilibrate_orientations(topology, positions, key: FieldKey | None):
     runs for all of its keys at once.
     """
     units = list(topology)
-    _, _, dirs = _batch_orientations([units], [positions], *_key_vectors([key]))
+    _, _, dirs = _batch_orientations([units], [positions], _key_vectors([key]))
     return {u.id: dirs[0, 0, i] for i, u in enumerate(units)}
 
 
 def _key_vectors(keys):
-    """Key vectors (Q, 3), zero for a None key, and the (Q,) has-key mask.
+    """Key vectors (Q, 3), zero for a None key: no key is the zero field.
 
     Every entry point passes its keys through here; raises ConfigError
     unless ``keys`` is a list or tuple of FieldKey or None.
@@ -198,8 +199,7 @@ def _key_vectors(keys):
     if not (isinstance(keys, (list, tuple))
             and all(k is None or isinstance(k, FieldKey) for k in keys)):
         raise ConfigError(f"keys must be a sequence of FieldKey or None, got {keys!r}")
-    return (np.array([np.zeros(3) if k is None else k.vector for k in keys]).reshape(-1, 3),
-            np.array([k is not None for k in keys], dtype=bool))
+    return np.array([np.zeros(3) if k is None else k.vector for k in keys]).reshape(-1, 3)
 
 
 def _shape(units) -> tuple:
@@ -218,7 +218,7 @@ def _stator_dipoles(topologies) -> list:
             for f in (MagnetSource.dipole_positions, MagnetSource.dipole_moments)]
 
 
-def _batch_orientations(topologies, positions, kvecs, has_key):
+def _batch_orientations(topologies, positions, kvecs):
     """Mover centres (T, n, 3), moment magnitudes (T, n) and the directions
     (T, Q, n, 3) of T topologies of one :func:`_shape`, each latched at its
     ``positions`` dict, under Q keys (:func:`_key_vectors`).
@@ -228,7 +228,8 @@ def _batch_orientations(topologies, positions, kvecs, has_key):
     kernel call over every stator dipole of each topology, in unit order,
     added to zeros, then each key is added to it. The kernel's running sum
     then has the bits of summing stator by stator from zeros wherever no
-    stator after a topology's first has sub-dipoles.
+    stator after a topology's first has sub-dipoles. A sum from zeros
+    holds no -0.0, so a zero key moves no bit, whatever its zeros' signs.
     """
     for units in topologies:
         if not units:
@@ -244,7 +245,7 @@ def _batch_orientations(topologies, positions, kvecs, has_key):
     per_row = [np.repeat(a, n, axis=0) for a in _stator_dipoles(topologies)]
     base = np.zeros((n_topo, len(kvecs), n, 3))
     base += mag.dipole_field(*per_row, pts.reshape(-1, 3)).reshape(n_topo, 1, n, 3)
-    np.add(base, kvecs[:, None, :], out=base, where=has_key[:, None, None])
+    base += kvecs[:, None, :]
 
     def per_set(a):  # one copy per key
         return np.repeat(a, len(kvecs), axis=0)
@@ -290,38 +291,18 @@ class LandscapeProfile:
         return float(self.xs[-1])
 
 
-def _evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
+def _evaluate(origin, axis, m_mag, pos, m, key, const, xs):
     """Energy and axial force (G, n) of G groups of mover positions.
 
     Group g is the n track coordinates ``xs[g]`` on the profile whose
     :func:`_evaluate` arguments are the g-th rows of the others, as
-    :func:`_stack` stacks them: sources ``pos``, ``m`` (G, K, 3). One
-    :func:`magnetics.field_and_forces` pass serves every group, ``key``
-    added to the field where ``has_key``, the moments by the zero-field
-    rule of the module docstring, with the norms and the zero-field mask
-    in the pass's scratch buffer; the two results are arrays of their own.
+    :func:`_stack` stacks them: sources ``pos``, ``m`` (G, K, 3) and the
+    key vector ``key`` (G, 3). One :func:`magnetics.field_and_forces`
+    pass gives every group's ``m.B``, the key and the mover's orientation
+    included, and the energy is ``const - m.B``; the two results are
+    arrays of their own.
     """
-    n = xs.shape[1]
-
-    def orient(B, u, work):
-        np.add(B, key.T[..., None], out=B, where=has_key[:, None])
-        # np.linalg.norm's order, (x x + y y) + z z
-        norms, square, flags = work
-        np.multiply(B[0], B[0], out=norms)
-        norms += np.multiply(B[1], B[1], out=square)
-        norms += np.multiply(B[2], B[2], out=square)
-        np.sqrt(norms, out=norms)
-        # the zero-field mask takes the first n bytes of each row of flags
-        ok = np.greater(norms, 1e-30, out=flags.view(bool)[:, :n])
-        np.divide(B, norms, out=u, where=ok)
-        if not ok.all():
-            u[:, ~ok] = np.broadcast_to(axis.T[..., None], B.shape)[:, ~ok]
-            prev = np.maximum.accumulate(np.where(ok, np.arange(n), -1), axis=1)
-            fill = ~ok & (prev >= 0)
-            u[:, fill] = u[:, np.nonzero(fill)[0], prev[fill]]
-        u *= m_mag[:, None]
-
-    mb, force = mag.field_and_forces(pos, m, origin, axis, xs, orient)
+    mb, force = mag.field_and_forces(pos, m, origin, axis, m_mag, key, xs)
     return np.subtract(const[:, None], mb, out=mb), force
 
 
@@ -366,19 +347,13 @@ def _evaluate_groups(stacked, rows, xs):
     return energy, force
 
 
-def _evaluate_rows(stacked, rows, xs):
-    """Energy and axial force of profile ``rows[i]`` at ``xs[i]``, each
-    row a group of one point."""
-    energy, force = _evaluate_groups(stacked, rows, xs[:, None])
-    return energy[:, 0], force[:, 0]
-
-
 def _rows_at(stacked):
     """``at(which, xs)``: energy and axial force (M, L) of profile
     ``which[i]`` of ``stacked`` at the track coordinates ``xs[i]``, every
-    point a row of one :func:`_evaluate_rows` pass."""
+    point a group of one point of one :func:`_evaluate_groups` pass."""
     def at(which, xs):
-        energy, force = _evaluate_rows(stacked, np.repeat(which, xs.shape[1]), xs.ravel())
+        energy, force = _evaluate_groups(stacked, np.repeat(which, xs.shape[1]),
+                                         xs.reshape(-1, 1))
         return energy.reshape(xs.shape), force.reshape(xs.shape)
     return at
 
@@ -448,17 +423,16 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
     grid. The grids are one group each of one :func:`_evaluate_groups`
     pass.
     """
-    kvecs, has_key = _key_vectors(keys)
+    kvecs = _key_vectors(keys)
     if not keys or not topologies:
         return []
-    pts, mags, dirs = _batch_orientations(topologies, positions, kvecs, has_key)
+    pts, mags, dirs = _batch_orientations(topologies, positions, kvecs)
     mover_m = mags[:, None, :, None] * dirs
     n_topo, n_keys, n = dirs.shape[:3]
     consts = mag.assembly_energies(
         [[s for u in units for s in u.stators] for units in topologies for _ in keys],
         np.repeat(pts, n_keys, axis=0), mover_m.reshape(-1, *pts.shape[1:]),
-        np.tile(kvecs, (n_topo, 1)), np.tile(has_key, n_topo),
-        targets).reshape(n_topo, n_keys, -1)
+        np.tile(kvecs, (n_topo, 1)), targets).reshape(n_topo, n_keys, -1)
     # dipole rows: every stator dipole, then every mover. A target's fixed
     # dipoles are each unit's stators then its mover, in unit order, but
     # its own mover
@@ -481,7 +455,7 @@ def _batch_profiles(topologies, targets, keys, n_samples, positions) -> list:
 
     stacked = (rows(origin, 3), rows(axis, 3), rows(mags[:, None, targets]),
                rows(pos, *pos.shape[-2:]), rows(m, *m.shape[-2:]),
-               rows(kvecs[:, None], 3), rows(has_key[:, None]), rows(consts))
+               rows(kvecs[:, None], 3), rows(consts))
     grid = np.linspace(stroke[..., 0], stroke[..., 1], n_samples, axis=-1)
     if (np.subtract(stroke[..., 1], stroke[..., 0]) / (n_samples - 1) == 0).any():
         # a step that underflows sends every grid of one linspace call down
@@ -512,26 +486,23 @@ def _equilibria(at, profiles, which) -> list:
     """Equilibria of each profile, ``profiles[k]`` being profile
     ``which[k]`` of ``at`` (:func:`_rows_at`).
 
-    A bracket whose force vanishes at its inner end has that end for its
-    root. Every other sign-change bracket of every profile is bisected in
-    one :func:`_bisect` call, then one row pass takes the stability
-    triple of every root.
+    The profiles share one sample count. One ``np.nonzero`` over their
+    stacked samples finds every sign-change bracket, profile by profile in
+    order. A bracket whose force vanishes at its inner end has that end
+    for its root; every other one is bisected in one :func:`_bisect`
+    call, then one row pass takes the stability triple of every root.
     """
-    owner, a, b, fa = [], [], [], []
-    for k, p in enumerate(profiles):
-        f0, f1 = p.force_axial[:-1], p.force_axial[1:]
-        i = np.nonzero((f0 == 0.0) & (np.abs(f1) > 0) | (f0 * f1 < 0.0))[0]
-        owner += [k] * len(i)
-        a += p.xs[i].tolist()
-        b += p.xs[i + 1].tolist()
-        fa += f0[i].tolist()
-    owner, a, b, fa = np.array(owner, int), np.array(a), np.array(b), np.array(fa)
+    if not profiles:
+        return []
+    xs, F = (np.stack([getattr(p, f) for p in profiles]) for f in ("xs", "force_axial"))
+    f0, f1 = F[:, :-1], F[:, 1:]
+    owner, i = np.nonzero((f0 == 0.0) & (np.abs(f1) > 0) | (f0 * f1 < 0.0))
+    a, b, fa = xs[owner, i], xs[owner, i + 1], f0[owner, i]
     rows, roots, cut = np.asarray(which, int)[owner], a.copy(), fa != 0.0
     roots[cut] = _bisect(at, rows[cut], a[cut], b[cut], fa[cut] > 0, 200, False)
     eqs = [[] for _ in profiles]
     if len(roots):
-        x_in, x_out = (np.array([getattr(p, f) for p in profiles])[owner]
-                       for f in ("x_in", "x_out"))
+        x_in, x_out = xs[owner, 0], xs[owner, -1]
         h = np.maximum((x_out - x_in) * 1e-5, 1e-7)
         # np.maximum and np.minimum return their second argument on a tie
         # of signed zeros, as max and min return their first

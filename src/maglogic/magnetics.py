@@ -47,14 +47,15 @@ groups of n points on the blocks of the scratch buffer below, and
 both distance sums from them; one helper per formula then works on those
 blocks. :func:`field_and_forces` is both kernels in one pass over test
 dipoles on G straight tracks whose moments follow the field: it makes
-the tracks' points in the buffer, the caller's orientation rule runs on
-the field's planes and writes the moments into a block of it, and only
-the moments (for the matmul) and the force are made C-ordered, the force
-to be projected on each track. Its results have the bits of the two
-kernels called one after the other. Each kernel runs its
-overflow-ignoring ``errstate`` block once per call around the squares
-and the powers ``d ** 3`` and ``d**4``: a source so far away that one of
-them overflows adds exactly zero, with no warning.
+the tracks' points in the buffer, adds each track's key to the field's
+planes and turns the moments along the result, with the 1e-30 zero-field
+threshold of :func:`equilibrium_directions` (no caller supplies an
+orientation rule), and only the moments (for the matmul) and the force
+are made C-ordered, the force to be projected on each track. Its results
+have the bits of the two kernels called one after the other. Each kernel
+runs its overflow-ignoring ``errstate`` block once per call around the
+squares and the powers ``d ** 3`` and ``d**4``: a source so far away
+that one of them overflows adds exactly zero, with no warning.
 
 Every kernel call writes its temporaries into one scratch buffer owned
 by this module, with ``out=`` and the operands and operation order above
@@ -62,24 +63,25 @@ by this module, with ``out=`` and the operands and operation order above
 are the same): 14 (K, G, n) planes and 6 (G, n) planes, 9 in
 :func:`field_and_forces`, in blocks that each start on a 64-byte
 boundary. Its three (3, G, n) point blocks hold the points, then the
-moment planes; the field, then the force; and the orientation rule's
-temporaries, then the (G, n, 3) moments. The buffer is made at the first
-call with room for GROUP_PAIRS (source x point) pairs, 20 * GROUP_PAIRS
-doubles (2.6 MB of address space, of which a call touches what it uses),
-and is replaced by a larger one when one call needs more, up to
-20 * KEPT_PAIRS doubles (5 MiB): a :func:`dipole_field` call of
-KEPT_PAIRS pairs with one source, or a :func:`field_and_forces` call of
-GROUP_PAIRS pairs. A call past that, such as the one grid of a demo
-profile of more than about 8300 samples, computes in a buffer of its
-own, aligned the same way and dropped when the call returns. Each result
-is an array of its own, copied out of the buffer or made in a new one,
-never a view of it. So a call reuses the pages of the last one instead
-of asking glibc for fresh ones: one call on eight grouped 1025-point
-demo basin grids took about 1900 minor page faults with temporaries of
-its own and takes none. The buffer is shared by every caller in the
-process, so :func:`dipole_field`, :func:`dipole_forces`,
-:func:`field_and_forces` and everything that calls them are for use from
-one thread at a time; separate processes each have their own buffer.
+moment planes; the field, then the force; and the field's norms, their
+squares and the zero-field mask, then the (G, n, 3) moments. The buffer
+is made at the first call with room for GROUP_PAIRS (source x point)
+pairs, 20 * GROUP_PAIRS doubles (2.6 MB of address space, of which a
+call touches what it uses), and is replaced by a larger one when one
+call needs more, up to 20 * KEPT_PAIRS doubles (5 MiB): a
+:func:`dipole_field` call of KEPT_PAIRS pairs with one source, or a
+:func:`field_and_forces` call of GROUP_PAIRS pairs. A call past that,
+such as the one grid of a demo profile of more than about 8300 samples,
+computes in a buffer of its own, aligned the same way and dropped when
+the call returns. Each result is an array of its own, copied out of the
+buffer or made in a new one, never a view of it. So a call reuses the
+pages of the last one instead of asking glibc for fresh ones: one call
+on eight grouped 1025-point demo basin grids took about 1900 minor page
+faults with temporaries of its own and takes none. The buffer is shared
+by every caller in the process, so :func:`dipole_field`,
+:func:`dipole_forces`, :func:`field_and_forces` and everything that
+calls them are for use from one thread at a time; separate processes
+each have their own buffer.
 
 The set-up solvers take S source sets at once, each with its own
 geometry: :func:`equilibrium_directions` per-set points, magnitudes,
@@ -616,49 +618,64 @@ def dipole_forces(src_pos, src_m, points, moments) -> np.ndarray:
     return force.reshape(np.shape(points))
 
 
-def field_and_forces(src_pos, src_m, origin, axis, xs, orient):
+def field_and_forces(src_pos, src_m, origin, axis, m_mag, key, xs):
     """``m.B`` and the axial force of test dipoles on G straight tracks,
     whose moments ``m`` the field ``B`` there sets, in one pass.
 
     src_pos, src_m : (G, K, 3); group g's n points are
     ``origin[g] + x * axis[g]`` for the track coordinates x of ``xs[g]``,
-    with origin, axis (G, 3) and xs (G, n). ``orient(B, u, work)`` takes
-    the sources' field as (3, G, n) component planes, may add a uniform
-    field to them in place, and writes the moments into the (3, G, n)
-    planes ``u``; ``work``, a (3, G, n) block of the scratch buffer, is
-    free for its temporaries. Returns ``m.B`` (G, n) with the field that
-    ``orient`` left, in np.einsum's order, and the force's component
-    along the track (G, n), ``force @ axis`` of the C-ordered (G, n, 3)
-    force as one matmul per group.
+    with origin, axis and key (G, 3), m_mag (G,) and xs (G, n). ``B`` is
+    the sources' field plus the uniform ``key[g]``, zero for no key. A
+    test dipole's moment is ``m_mag[g] * B / |B|``, |B| in
+    np.linalg.norm's order; where |B| <= 1e-30 it keeps the direction of
+    the row before it in its group, and a group's first row takes the
+    track axis. Returns ``m.B`` (G, n) in np.einsum's order and the
+    force's component along the track (G, n), ``force @ axis`` of the
+    C-ordered (G, n, 3) force as one matmul per group.
 
     The points are made in the buffer as ``origin + x * axis``, and the
     offsets and their squares once, for both distance sums; every result
     has the bits of :func:`dipole_field`, then :func:`dipole_forces` on
     C-ordered (G, n, 3) moments at those points: the two coincidence
     checks run in that order, with their messages. Overflow is ignored
-    throughout, ``orient`` included. Every temporary, the planes passed
-    to ``orient`` and the force included, lives in the module's scratch
-    buffer until the next call; the two results are arrays of their own.
-    Not for use from two threads at once.
+    throughout. Every temporary, the force included, lives in the
+    module's scratch buffer until the next call; the two results are
+    arrays of their own. Not for use from two threads at once.
     """
-    # the points take the block of u until orient writes the moments; r * r
+    # the points take the block of u until the moments are written; r * r
     # and the products go to tmp, the field's and the force's terms to
     # terms; w1 and w2 take the field's distances and m.r, then with d2 and
-    # w3 the force's m.rhat, ma.mb and weight; the force takes the block of
-    # the field once m.B is made
+    # w3 the force's m.rhat, ma.mb and weight; the norms, their squares and
+    # the zero-field mask take the block of the moments until they are
+    # written; the force takes the block of the field once m.B is made
+    n = xs.shape[1]
     with np.errstate(over="ignore"):
         blocks = _scratch(src_m.shape[1], *xs.shape, 3)
         pts = np.multiply(axis.T[..., None], xs, out=blocks[-1])
         pts += origin.T[..., None]
-        r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, fields, moments, u) = _offsets(
+        r, d, d2, m, src_m, (tmp, terms, w1, w2, w3, B, moments, u) = _offsets(
             src_pos, src_m, pts, blocks)
-        B = _field(r, d2, m, (w1, w2, tmp, terms), fields)
+        _field(r, d2, m, (w1, w2, tmp, terms), B)
+        B += key.T[..., None]
         work = moments.reshape(u.shape)
-        orient(B, u, work)
+        norms, square, flags = work
+        np.multiply(B[0], B[0], out=norms)
+        norms += np.multiply(B[1], B[1], out=square)
+        norms += np.multiply(B[2], B[2], out=square)
+        np.sqrt(norms, out=norms)
+        # the zero-field mask takes the first n bytes of each row of flags
+        ok = np.greater(norms, 1e-30, out=flags.view(bool)[:, :n])
+        np.divide(B, norms, out=u, where=ok)
+        if not ok.all():
+            u[:, ~ok] = np.broadcast_to(axis.T[..., None], B.shape)[:, ~ok]
+            prev = np.maximum.accumulate(np.where(ok, np.arange(n), -1), axis=1)
+            fill = ~ok & (prev >= 0)
+            u[:, fill] = u[:, np.nonzero(fill)[0], prev[fill]]
+        u *= m_mag[:, None]
         mb = _dot(u, B, work)
         np.copyto(moments, u.transpose(1, 2, 0))
         force = _force(r, d, m, src_m, moments, u[:, None], (tmp, terms, d2, w1, w2, w3),
-                       fields.reshape(moments.shape))
+                       B.reshape(moments.shape))
     return mb, np.matmul(force, axis[:, :, None])[..., 0]
 
 
@@ -794,18 +811,19 @@ def assembly_energy(sources, key: FieldKey | None = None) -> float:
     return total
 
 
-def assembly_energies(fixed, free_pos, free_m, key_vectors, has_key, left_out):
+def assembly_energies(fixed, free_pos, free_m, key_vectors, left_out):
     """:func:`assembly_energy` of S x T source sets in one pass, (S, T).
 
     Set (s, t) is the sources ``fixed[s]``, then the free point dipoles at
     ``free_pos[s]`` with moments ``free_m[s]`` but dipole ``left_out[t]``,
-    under the key vector ``key_vectors[s]`` where ``has_key[s]``. Every
+    under the key vector ``key_vectors[s]``, zero for no key. Every
     ``fixed[s]`` has one length and its discretized sources at the same
     indices. Point-dipole pairs take one :func:`_pair_energies` pass (a
     stacked 1x1 matmul for ``ma.mb``), pairs with a discretized source
     :func:`pair_energy`; each set's terms are summed from 0.0 in
-    ``assembly_energy``'s order, so each total has its bits (a missing
-    key's term is -0.0, which adds nothing).
+    ``assembly_energy``'s order, so each total has its bits (a zero key's
+    terms are signed zeros added to a sum that starts at 0.0 and so is
+    never -0.0: they add nothing).
     """
     n_sets, n_free, _ = free_m.shape
     n_fixed = len(fixed[0])
@@ -827,7 +845,7 @@ def assembly_energies(fixed, free_pos, free_m, key_vectors, has_key, left_out):
             pair[:, p] = [pair_energy(f[i], f[j] if j < n_fixed
                                       else MagnetSource(pos[q, j], m[q, j]))
                           for q, f in enumerate(fixed)]
-    zeeman = np.where(has_key[:, None], np.vecdot(-m, key_vectors[:, None, :]), -0.0)
+    zeeman = np.vecdot(-m, key_vectors[:, None, :])
     terms = np.concatenate([np.zeros((n_sets, 1)), pair, zeeman], axis=1)
     cols = [[0] + [1 + p for p, ij in enumerate(pairs) if n_fixed + t not in ij]
             + [1 + len(pairs) + i for i in range(n_all) if i != n_fixed + t]

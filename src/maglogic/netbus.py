@@ -46,8 +46,7 @@ DEFAULT_ISOLATION_FRAC = 0.75  # neighbor must fall below this x threshold
 _CALIBRATION_HEADROOM = 1e-6  # keeps the target strictly at/above threshold
 _SPACING_XTOL = 1e-6  # m, bisection stop of min_spacing
 # the most endurance cycles: 200 times the shipped campaign's 5000, checked
-# before any per-cycle array is built; also a cap on a block of _hits, in
-# (master, node) rows
+# before any per-cycle array is built
 MAX_CYCLES = 1_000_000
 # the most (master x node x dipole) pairs of one _hits block, and so of one
 # decode kernel call: the largest call whose scratch buffer the kernel
@@ -160,17 +159,12 @@ class Event:
     intended: bool
 
 
-def _master_field(pose: MasterPose, points: np.ndarray) -> np.ndarray:
-    """Master field at each row of ``points`` (n, 3), one kernel call."""
+def master_field_at(pose: MasterPose, point) -> np.ndarray:
+    """Superposed dipole field of the master composite, tesla."""
     base = np.asarray(pose.position)
     pos = np.array([base + np.asarray(off) for off, _ in pose.dipoles])
     moments = np.array([m for _, m in pose.dipoles])
-    return mag.dipole_field(pos, moments, points)
-
-
-def master_field_at(pose: MasterPose, point) -> np.ndarray:
-    """Superposed dipole field of the master composite, tesla."""
-    return _master_field(pose, np.array(mag.vector(point, "field point"))[None, :])[0]
+    return mag.dipole_field(pos, moments, mag.vector(point, "field point"))
 
 
 class _Nodes:
@@ -258,16 +252,15 @@ def _hits(nodes: _Nodes, pos: np.ndarray, moments: np.ndarray) -> tuple:
     master's index, the column it fires and |B| at the node.
 
     ``pos`` and ``moments`` (G, D, 3) are G masters of D dipoles each,
-    decided in blocks of at most ``MAX_CYCLES`` (master, node) rows and
-    ``DECODE_PAIRS`` (master, node, dipole) pairs (one master a block when
-    it alone has more). A block's masters are grouped kernel sources and
-    the node positions every group's points, so one kernel call gives every
-    field, and one :func:`_decode_rows` pass decodes every (master, node)
-    row. Rows are independent, so the blocks move no bit.
+    decided in blocks of at most ``DECODE_PAIRS`` (master, node, dipole)
+    pairs (one master a block when it alone has more). A block's masters
+    are grouped kernel sources and the node positions every group's
+    points, so one kernel call gives every field, and one
+    :func:`_decode_rows` pass decodes every (master, node) row. Rows are
+    independent, so the blocks move no bit.
     """
     n = len(nodes.grid)
-    rows = min(MAX_CYCLES, DECODE_PAIRS // pos.shape[1])
-    per_block = max(1, rows // max(n, 1))
+    per_block = max(1, DECODE_PAIRS // pos.shape[1] // max(n, 1))
     blocks = []
     for lo in range(0, len(pos), per_block):
         sources = pos[lo:lo + per_block], moments[lo:lo + per_block]

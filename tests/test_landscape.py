@@ -257,7 +257,7 @@ def test_batched_rows_match_one_point_evaluate():
         for _ in range(10):
             rows = rng.integers(0, len(profs), 3 * len(profs))
             xs = np.array([rng.uniform(*profs[i].track.stroke) for i in rows])
-            energy, force = ls._evaluate_rows(stacked, rows, xs)
+            energy, force = (a[:, 0] for a in ls._evaluate_groups(stacked, rows, xs[:, None]))
             for i, x, e, f in zip(rows, xs, energy, force):
                 one_e, one_f = _evaluate_at(profs[i], [x])
                 assert np.array_equal(one_e, [e]) and np.array_equal(one_f, [f])
@@ -280,8 +280,8 @@ def test_batched_kernel_calls_match_frozen_reference():
 def test_zero_field_row_takes_its_own_track_axis():
     keyed, bare = _batches()[-1]
     stacked = ls._stack([keyed, bare])
-    energy, force = ls._evaluate_rows(stacked, np.array([0, 1]),
-                                      np.array([0.015, 0.015]))
+    energy, force = (a[:, 0] for a in ls._evaluate_groups(stacked, np.array([0, 1]),
+                                                          np.array([[0.015], [0.015]])))
     assert np.array_equal(force[1:], _evaluate_at(bare, [0.015])[1])
     assert force[1] != 0.0  # the fallback direction moves the force
     assert abs(_evaluate_at(keyed, [0.015])[1][0]) < 1e-12 * abs(force[1])
@@ -313,12 +313,10 @@ def _reference_unit_rows(B, fallback):
 def _reference_grid(prof, xs):
     """A grid evaluation written out step by step, with its own zero-field
     rule: N-row calls of the frozen (N, K, 3) kernels and ``force @ axis``."""
-    _, _, m_mag, pos, m, key, has_key, const = prof._args
+    _, _, m_mag, pos, m, key, const = prof._args
     axis = np.asarray(prof.track.axis)
     pts = prof.track.point(xs)
-    B = ref_dipole_field(pos, m, pts)
-    if has_key:
-        B = B + key[None, :]
+    B = ref_dipole_field(pos, m, pts) + key[None, :]
     moments = float(m_mag) * _reference_unit_rows(B, axis)
     energy = float(const) - np.einsum("nc,nc->n", moments, B)
     return energy, ref_dipole_forces(pos, m, pts, moments) @ axis
@@ -670,7 +668,7 @@ def test_lockstep_orientations_match_one_solve_per_key(monkeypatch):
         lengths = _solve_lengths(monkeypatch, topo, positions, keys)
         assert None not in lengths
         assert topo is not pair or len(set(lengths)) > 2
-        dirs = ls._batch_orientations([topo], [positions], *ls._key_vectors(keys))[2][0]
+        dirs = ls._batch_orientations([topo], [positions], ls._key_vectors(keys))[2][0]
         assert dirs.shape == (len(keys), len(topo), 3)
         for q, (key, length) in enumerate(zip(keys, lengths)):
             one = ls.equilibrate_orientations(topo, positions, key)
@@ -734,7 +732,7 @@ def test_constant_energies_equal_assembly_energy():
                     stators = [s for u in topo for s in u.stators]
                     want = mag.assembly_energy(
                         stators + [m for i, m in enumerate(movers) if i != t], key)
-                    assert float(prof._args[7]) == want, (key, t)
+                    assert float(prof._args[6]) == want, (key, t)
                     assert np.array_equal(
                         prof._args[3], np.concatenate([s.dipole_positions() for s in fixed]))
                     assert np.array_equal(
@@ -1037,14 +1035,30 @@ def test_batch_orientations_match_one_topology_at_a_time():
     assert len({ls._shape(t) for t in topologies}) == 1
     positions = [ls.rest_positions(pair), {"a": 0.017, "u2": 0.021}, {"m0": 0.001, "m1": 0.003}]
     keys = [*_PAIR_KEYS[:4], None]
-    kvecs, has_key = ls._key_vectors(keys)
-    pts, mags, dirs = ls._batch_orientations(topologies, positions, kvecs, has_key)
+    kvecs = ls._key_vectors(keys)
+    pts, mags, dirs = ls._batch_orientations(topologies, positions, kvecs)
     assert dirs.shape == (3, len(keys), 2, 3)
     for t, (topo, p) in enumerate(zip(topologies, positions)):
         one_pts, one_mags, one_dirs = (
-            a[0] for a in ls._batch_orientations([topo], [p], kvecs, has_key))
+            a[0] for a in ls._batch_orientations([topo], [p], kvecs))
         assert np.array_equal(pts[t], one_pts) and np.array_equal(mags[t], one_mags)
         assert np.array_equal(dirs[t], one_dirs)
+
+
+def test_no_key_is_the_zero_key():
+    """A missing key is the zero field: under no key and under a
+    zero-magnitude key every demo unit's profile has the same bytes (so
+    the same signed zeros, which ``array_equal`` would not tell apart), and
+    every decision the same fields but its key label."""
+    demo = pr.demo_topology()
+    zero = FieldKey((1, 0, 0), 0.0, "zero")
+    for u in demo:
+        bare, zeroed = (ls.sample_profile(demo, u.id, key) for key in (None, zero))
+        assert bare.energy.tobytes() == zeroed.energy.tobytes()
+        assert bare.force_axial.tobytes() == zeroed.force_axial.tobytes()
+    bare, zeroed = ls.decisions_for_keys(demo, [None, zero])
+    assert {uid: d.key_label for uid, d in bare.items()} == {u.id: "" for u in demo}
+    assert {uid: dataclasses.replace(d, key_label="zero") for uid, d in bare.items()} == zeroed
 
 
 def test_stator_field_keeps_the_per_stator_bits(monkeypatch):
@@ -1200,8 +1214,8 @@ def test_zero_field_first_grid_row_takes_the_track_axis():
     prof = ls.sample_profile([unit], "z", None, 64)
     assert prof.xs[0] == 0.015
     assert prof.force_axial[0] == pytest.approx(0.73728, rel=1e-9)
-    row = ls._evaluate_rows(ls._stack([prof] * 2), np.array([0, 1]),
-                            np.array([0.015, prof.xs[1]]))[1]
+    row = ls._evaluate_groups(ls._stack([prof] * 2), np.array([0, 1]),
+                              np.array([[0.015], [prof.xs[1]]]))[1][:, 0]
     assert row[0] == pytest.approx(0.73728, rel=1e-9)
     assert row[1] == pytest.approx(prof.force_axial[1], rel=1e-12)
 
@@ -1566,14 +1580,15 @@ def test_zero_field_rule_stays_inside_each_group():
     assert force[0, 1] == pytest.approx(-0.73728, rel=1e-9)
 
 
-def _composed_evaluate(origin, axis, m_mag, pos, m, key, has_key, const, xs):
+def _composed_evaluate(origin, axis, m_mag, pos, m, key, const, xs):
     """The evaluator as a ``dipole_field`` call and then a ``dipole_forces``
-    call on C-ordered (G, n, 3) arrays, kept verbatim from before the fused
-    pass as the reference it must match bit for bit."""
+    call on C-ordered (G, n, 3) arrays, kept from before the fused pass as
+    the reference it must match bit for bit; a missing key is the zero
+    key, added like any other."""
     n_groups, n = xs.shape
     pts = origin[:, None, :] + xs[..., None] * axis[:, None, :]
     B = mag.dipole_field(pos, m, pts)
-    np.add(B, key[:, None, :], out=B, where=has_key[:, None, None])
+    B += key[:, None, :]
     norms = np.linalg.norm(B, axis=-1)
     ok = norms > 1e-30
     u_dirs = np.empty_like(B)

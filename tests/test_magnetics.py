@@ -310,8 +310,9 @@ def _dot_reference(a, b):
 def test_grouped_calls_match_shared_and_per_row_calls(k):
     """A group of n points has the bits of a shared-source call on them, a
     group of one point those of a per-row call, C-ordered in the points'
-    shape; ``field_and_forces`` with fixed moments on tracks has the bits
-    of both kernels at the tracks' points, zero groups included."""
+    shape; ``field_and_forces`` on tracks, under a zero key, has the bits
+    of both kernels at the tracks' points with the moments it orients
+    along the field, zero groups included."""
     rng = np.random.default_rng(k)
     for groups, n in ((3, 256), (4, 2), (2, 1025), (7, 1), (0, 5)):
         pos = rng.normal(size=(groups, k, 3)) * 0.05
@@ -319,14 +320,19 @@ def test_grouped_calls_match_shared_and_per_row_calls(k):
         origin, axis = rng.normal(size=(groups, 3)) * 0.05, rng.normal(size=(groups, 3))
         xs = rng.normal(size=(groups, n)) * 0.05
         pts = origin[:, None, :] + xs[..., None] * axis[:, None, :]
-        moments = rng.normal(size=(groups, n, 3))
+        m_mag = rng.uniform(0.5, 2.0, groups)
         field = mag.dipole_field(pos, m, pts)
+        # the kernel's moments: m_mag along the field, along the track axis
+        # where there is none (every point when k is 0)
+        norms = np.linalg.norm(field, axis=-1, keepdims=True)
+        ok = norms > 1e-30
+        moments = m_mag[:, None, None] * np.where(
+            ok, field / np.where(ok, norms, 1.0), axis[:, None, :])
         force = mag.dipole_forces(pos, m, pts, moments)
         assert field.shape == force.shape == pts.shape
         assert field.flags.c_contiguous and force.flags.c_contiguous
-        energy, axial = mag.field_and_forces(
-            pos, m, origin, axis, xs,
-            lambda B, u, work: np.copyto(u, moments.transpose(2, 0, 1)))
+        energy, axial = mag.field_and_forces(pos, m, origin, axis, m_mag,
+                                             np.zeros((groups, 3)), xs)
         assert energy.shape == axial.shape == xs.shape
         assert np.array_equal(energy, _dot_reference(moments, field))
         assert np.array_equal(axial, np.matmul(force, axis[:, :, None])[..., 0])
@@ -353,11 +359,12 @@ def test_kernel_results_are_never_views_of_the_scratch_buffer(monkeypatch):
     def calls(k, g, n):
         pos, m = rng.normal(size=(g, k, 3)) * 0.05, rng.normal(size=(g, k, 3))
         pts, moments = rng.normal(size=(g, n, 3)) * 0.05, rng.normal(size=(g, n, 3))
-        track = pts[:, 0], moments[:, 0], pts[..., 0]  # origin, axis, coordinates
+        # origin, axis, moment magnitudes, key, coordinates
+        track = pts[:, 0], moments[:, 0], np.ones(g), m[:, 0], pts[..., 0]
         return [mag.dipole_field(pos, m, pts), mag.dipole_forces(pos, m, pts, moments),
                 mag.dipole_field(pos[0], m[0], pts[0, 0]),  # one point, shape (3,)
                 mag.dipole_forces(pos[:, 0], m[:, 0], pts[:, 0], moments[:, 0]),
-                *mag.field_and_forces(pos, m, *track, lambda B, u, work: np.copyto(u, B))]
+                *mag.field_and_forces(pos, m, *track)]
 
     results = calls(3, 1, 1) + calls(2, 4, 50)
     kept = [r.copy() for r in results]

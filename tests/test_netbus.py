@@ -301,9 +301,9 @@ def _perturbed_reference(pose, rng, angle_sigma_deg, magnitude_sigma_T, nominal_
 
 def _hits_reference(grid, pose):
     """Fired (node id, label) set of one pose, decoded node by node."""
-    fields = nb._master_field(pose, np.array([n.position for n in grid], dtype=float))
-    return {(n.id, label) for n, f in zip(grid, fields)
-            if (label := _decode_reference(n, f)) is not None}
+    return {(n.id, label) for n in grid
+            if (label := _decode_reference(n, nb.master_field_at(pose, n.position)))
+            is not None}
 
 
 def _scalar_noisy_sources(pose, rng, n_cycles, angle_sigma_deg, magnitude_sigma_T,
@@ -536,9 +536,10 @@ def test_truth_table_blocks_follow_the_dipole_count(monkeypatch):
     shapes = _counted_kernel(monkeypatch)
     nb.truth_table(grid, commands)
     assert shapes == [(4, 1, 3), (2, 2, 3), (1, 1, 3), (1, 2, 3), (4, 1, 3)]
-    # MAX_CYCLES caps the (command, node) rows of one block: 2 commands here
+    # DECODE_PAIRS caps the (command, node, dipole) pairs of one block: 2
+    # one-dipole commands here
     shapes.clear()
-    monkeypatch.setattr(nb, "MAX_CYCLES", 2 * len(grid) + 1)
+    monkeypatch.setattr(nb, "DECODE_PAIRS", 2 * len(grid) + 1)
     capped = nb.truth_table(grid, singles)
     assert shapes == [(2, 1, 3)] * 4 + [(1, 1, 3)]
     monkeypatch.undo()
@@ -773,8 +774,9 @@ def test_capped_endurance_blocks_match_the_uncapped_run(monkeypatch):
     noise = {"angle_sigma_deg": 20.0, "magnitude_sigma_T": 0.03}
     whole = nb.endurance_campaign(grid, cmd, 100, noise, seed=4)
     shapes = _counted_kernel(monkeypatch)
-    # MAX_CYCLES caps the (cycle, node) rows of one block: 33 cycles here
-    monkeypatch.setattr(nb, "MAX_CYCLES", 100)
+    # DECODE_PAIRS caps the (cycle, node, dipole) pairs of one block: 33
+    # one-dipole cycles here
+    monkeypatch.setattr(nb, "DECODE_PAIRS", 100)
     capped = nb.endurance_campaign(grid, cmd, 100, noise, seed=4)
     assert shapes[1:] == [(33, 1, 3)] * 3 + [(1, 1, 3)]  # after the nominal field
     assert capped == whole
